@@ -18,13 +18,12 @@ from .capacity import (
     replay_allocation,
 )
 from .channel import (
-    BlackoutWindow,
     ChannelSchedule,
     TransmissionRecord,
     compute_J,
     validate_sequence,
 )
-from .codec import CodecState, Packet, decode_and_update, encode, initial_state, propagate
+from .codec import CodecState, Packet, decode_and_update, encode, initial_state
 from .errors import (
     AdmissibilityError,
     ConfigurationError,
@@ -37,11 +36,11 @@ from .linalg import inf_norm, mat_exp, solve_lyapunov, spec_norm, sym_eig_extrem
 from .plant import PlantModel, RateConstants, build_plant
 from .sim import (
     AdmissibilityReport,
+    EventRule,
     Scenario,
     SimTrace,
     Transmission,
     check_admissibility,
-    locate_crossing,
     run,
     summarize,
 )
@@ -51,7 +50,6 @@ from .triggers import (
     TriggerSuite,
     blackout_entry_margin,
     channel_bound,
-    channel_delay_exceeds,
     delay_floor,
     error_threshold,
     perf_bound,

@@ -95,11 +95,6 @@ class CapacityPlan:
     lp_phi: np.ndarray | None = None
     problem: AllocationProblem | None = field(default=None, repr=False)
 
-    @property
-    def stored_bits(self) -> np.ndarray:
-        """Per-slot values retained for the real-time queries."""
-        return self.phi
-
 
 # ---------------------------------------------------------------------------
 # replay feasibility
@@ -379,9 +374,10 @@ class CapacityPlanner:
                             blackout_len=float(sched.theta[jb + 1] - sched.theta[jb]))
 
     # -- real-time quantities (slot passed explicitly so breakpoint
-    #    right-limits can be evaluated before time advances past them) --
+    #    right-limits can be evaluated before time advances past them;
+    #    t may be a scalar or an array of times in slot j) --
 
-    def planned_bits(self, j: int, t: float) -> int | float:
+    def planned_bits(self, j: int, t):
         """Bits still to be launched in slot j under its plan (inf if no target)."""
         view = self.plan_for_slot(j)
         if view.plan is None:
@@ -389,18 +385,16 @@ class CapacityPlanner:
         if self.schedule.caps[j] == 0:
             return 0
         decayed = view.plan.phi[0] - self.schedule.rates[j] * (t - self.schedule.theta[j])
-        return max(0, floor_nudged(decayed))
+        return np.maximum(0.0, np.floor(decayed + _FLOOR_NUDGE))
 
-    def packet_bound(self, j: int, t: float) -> int:
+    def packet_bound(self, j: int, t):
         """Packet-size bound preserving the capacity plan: min(cap, planned bits)."""
-        cap = int(self.schedule.caps[j])
-        bits = self.planned_bits(j, t)
-        return cap if bits == float("inf") else min(cap, int(bits))
+        return np.minimum(self.schedule.caps[j], self.planned_bits(j, t))
 
-    def capacity_floor(self, j: int, t: float) -> float:
+    def capacity_floor(self, j: int, t):
         """Total plan bits obtainable from time t to the blackout start."""
         view = self.plan_for_slot(j)
         if view.plan is None:
             return float("inf")
-        tail = int(np.sum(view.plan.phi[1:]))
-        return self.schedule.n * (float(self.planned_bits(j, t)) + tail)
+        tail = float(np.sum(view.plan.phi[1:]))
+        return self.schedule.n * (self.planned_bits(j, t) + tail)

@@ -24,18 +24,6 @@ from .errors import (
 _REL_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class BlackoutWindow:
-    """Next blackout as seen from a query time: start, end and length."""
-
-    tau_l: float
-    tau_u: float
-
-    @property
-    def length(self) -> float:
-        return self.tau_u - self.tau_l
-
-
 class ChannelSchedule:
     """Immutable rate/packet-cap schedule with slot and blackout queries."""
 
@@ -96,6 +84,12 @@ class ChannelSchedule:
             raise HorizonError(f"t={t} outside [{self.start}, {self.end}) for right limits")
         return int(np.searchsorted(self.theta, t, side="right")) - 1
 
+    def slot_at(self, t: float) -> int:
+        """Slot whose values a send at t uses: slot_index, or the right limit at theta_0."""
+        if t <= self.start:
+            return self.right_slot_index(t)
+        return self.slot_index(t)
+
     # -- channel functions --------------------------------------------------
 
     def rate_at(self, t: float) -> float:
@@ -116,7 +110,7 @@ class ChannelSchedule:
             raise DomainError("packet size must be nonnegative")
         if p == 0:
             return 0.0
-        rate = self.rate_at(t)
+        rate = float(self.rates[self.slot_at(t)])
         if rate <= 0.0:
             raise InfeasibleTransmissionError(f"channel rate is zero at t={t}")
         return p / rate
@@ -125,19 +119,6 @@ class ChannelSchedule:
 
     def blackout_slots(self) -> list[int]:
         return [int(j) for j in np.flatnonzero(self.caps == 0)]
-
-    def next_blackout(self, t: float) -> BlackoutWindow | None:
-        """Earliest interval at or after t on which the packet cap is zero.
-
-        A blackout ending exactly at t does not count (its closing instant
-        belongs to the past); the result is None when no blackout remains
-        within the horizon.
-        """
-        for j in self.blackout_slots():
-            if self.theta[j + 1] > t:
-                return BlackoutWindow(tau_l=float(max(t, self.theta[j])),
-                                      tau_u=float(self.theta[j + 1]))
-        return None
 
     def next_blackout_slot(self, j: int) -> int | None:
         """First blackout slot with index strictly greater than j."""
@@ -202,7 +183,7 @@ class TransmissionRecord:
         if not self.delta_tilde >= self.delta >= 0.0:
             raise FeasibilityError(
                 f"causal communication violated: delta_tilde={self.delta_tilde}, delta={self.delta}")
-        cap = schedule.cap_at(self.t_k)
+        cap = int(schedule.caps[schedule.slot_at(self.t_k)])
         if self.p_k > cap:
             raise FeasibilityError(f"packet of {self.p_k} bits exceeds cap {cap} at t={self.t_k}")
         bound = schedule.max_delay(self.t_k, self.p_k)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import AllocationProblem, capacity_exact, capacity_fallback, capacity_lp_floor
+from .capacity import AllocationProblem, capacity_exact, plan_window
 from .channel import compute_J
 from .errors import (
     AdmissibilityError,
@@ -178,10 +178,7 @@ def cmd_capacity(args) -> int:
     J = compute_J(sched, 0, sched.num_slots)
     print(f"slots: {sched.num_slots}, window [{sched.start}, {sched.end}], "
           f"J = {'unbounded' if J is None else J}")
-    if J == 0:
-        plan = capacity_lp_floor(problem)
-    else:
-        plan = capacity_fallback(problem)
+    plan = plan_window(problem, J != 0)
     print(f"{plan.kind}: value = {plan.value_bits} bits, phi = {plan.phi.tolist()}")
     if plan.lp_phi is not None:
         print(f"relaxed phi = {[round(float(v), 6) for v in plan.lp_phi]}")

@@ -77,15 +77,6 @@ def initial_state(x_hat0, d_e0: float, t0: float = 0.0) -> CodecState:
                       step=float(d_e0), last_update_time=t0)
 
 
-def propagate(plant: PlantModel, state: CodecState, t: float) -> CodecState:
-    """Rebase the estimate at a later time within the same inter-update interval."""
-    if t < state.base_time:
-        raise DomainError("cannot propagate backwards")
-    x = state.x_hat_at(plant, t)
-    x.setflags(write=False)
-    return replace(state, x_hat=x, base_time=t)
-
-
 def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
     """Quantize the current error against the box centred at the estimate.
 

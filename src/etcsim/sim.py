@@ -31,9 +31,11 @@ from .plant import PlantModel
 from .triggers import (
     TriggerConfig,
     TriggerSuite,
+    bisect_crossing,
     blackout_entry_margin,
     channel_bound,
     error_threshold,
+    exp_growth_inf,
     perf_bound,
 )
 
@@ -173,13 +175,15 @@ class AdmissibilityReport:
 def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
     """Evaluate every mode-specific feasibility condition with witnesses."""
     plant, sched = scenario.plant, scenario.schedule
-    suite = TriggerSuite(plant, scenario.trigger)
+    rule = EventRule(scenario)
+    suite = rule.suite
     checks: list[CheckResult] = []
-    pmax = int(sched.caps.max()) if sched.caps.size else 0
 
     vd0 = plant.desired_performance(0.0)
     h0 = plant.lyapunov_value(scenario.x0) / vd0
     eps0 = scenario.d_e0 / (plant.constants.error_scale * math.sqrt(vd0))
+    j0 = sched.right_slot_index(0.0)
+    cap0 = int(sched.caps[j0])
 
     if scenario.mode == MODE_NO_BLACKOUT:
         bad = [(float(sched.theta[j]), int(sched.caps[j]))
@@ -193,54 +197,38 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
                     bad.append((float(sched.theta[j]), p))
         checks.append(CheckResult("rate_supports_delays", not bad, tuple(bad),
                                   "need R >= p / T_M(p) for p up to the slot cap"))
-        cap0 = sched.right_limit_cap(0.0)
-        if cap0 >= 1:
-            state = suite.measure(scenario.x0, scenario.d_e0, 0.0)
-            l1 = suite.perf_trigger(state, cap0)
-            l2 = suite.channel_trigger(state, cap0)
-            ok = l1 <= 1.0 and l2 <= 1.0
-            checks.append(CheckResult("initial_triggers", ok, ((0.0, l1, l2),),
-                                      "both trigger values must start at or below 1"))
     else:
         bad = []
         for j in range(sched.num_slots):
             if sched.caps[j] == 0:
                 continue  # blackout slot: its rate is never used for transmission
-            for p in range(1, pmax + 1):
+            for p in range(1, rule.pmax + 1):
                 if sched.rates[j] < (p + 2) / suite.max_comm_delay(p):
                     bad.append((float(sched.theta[j]), p))
         checks.append(CheckResult("rate_supports_delays", not bad, tuple(bad),
                                   "need R >= (p+2) / T_M(p) for p up to the global cap"))
-
-        planner = CapacityPlanner(sched)
-        j0 = sched.right_slot_index(0.0)
-        cap0 = int(sched.caps[j0])
         checks.append(CheckResult("initial_cap_positive", cap0 >= 1, ((0.0, cap0),),
                                   "the channel must be usable at t0"))
-        psi0 = planner.packet_bound(j0, 0.0)
-        rate0 = float(sched.rates[j0])
-        if cap0 >= 1:
-            state = suite.measure(scenario.x0, scenario.d_e0, 0.0)
-            l1 = suite.perf_trigger_capped(state, psi0, rate0)
-            l2 = suite.channel_trigger_capped(state, psi0, rate0)
-            ok = l1 <= 1.0 and l2 <= 1.0
-            checks.append(CheckResult("initial_triggers", ok, ((0.0, l1, l2),),
-                                      "both capacity-aware triggers must start at or below 1"))
-        view0 = planner.plan_for_slot(j0)
-        l3 = suite.capacity_deficit(0.0, eps0, view0.tau_l, view0.blackout_len,
-                                    planner.capacity_floor(j0, 0.0))
+
+    if cap0 >= 1:
+        gate, l1, l2, _ = rule.terms(0.0, h0, eps0, j0)
+        if gate:
+            ok, witness = l1 <= 1.0 and l2 <= 1.0, (0.0, float(l1), float(l2))
+        else:
+            ok, witness = False, (0.0, int(rule.psi(0.0, j0)))
+        checks.append(CheckResult("initial_triggers", ok, (witness,),
+                                  "psi must allow a bit and l1, l2 must start at or below 1"))
+
+    if scenario.mode == MODE_BLACKOUT:
+        l3 = float(rule.l3(0.0, eps0, j0))
         checks.append(CheckResult("initial_capacity", l3 <= 0.0, ((0.0, l3),),
                                   "enough capacity must remain before the first blackout"))
-
         bad = []
         for b in sched.blackout_slots():
             tau_u = float(sched.theta[b + 1])
             if tau_u >= scenario.horizon or b + 1 >= sched.num_slots:
                 continue
-            j_after = b + 1
-            view = planner.plan_for_slot(j_after)
-            l3 = suite.capacity_deficit(tau_u, 1.0, view.tau_l, view.blackout_len,
-                                        planner.capacity_floor(j_after, tau_u))
+            l3 = float(rule.l3(tau_u, 1.0, b + 1))
             if l3 > 0.0:
                 bad.append((b, tau_u, l3))
         checks.append(CheckResult("blackout_capacity", not bad, tuple(bad),
@@ -250,43 +238,86 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
 
 
 # ---------------------------------------------------------------------------
-# generic event location
+# event rule
 
 
-def locate_crossing(predicate, t_lo: float, t_hi: float, scan_step: float,
-                    breakpoints=(), right_predicate=None,
-                    time_tol: float = _TIME_TOL) -> float | None:
-    """First time in [t_lo, t_hi] where a predicate becomes true.
+class EventRule:
+    """The event-triggering rule of one scenario, vectorised over time.
 
-    Scans with a fixed step, evaluating every breakpoint in the window
-    explicitly (and, when given, a right-limit predicate there), then
-    refines the bracketing interval by bisection to ``time_tol``.
-    Returns None when no crossing exists in the window.
+    A transmission fires where ``gate`` holds and the performance term
+    ``l1 >= 1``, the channel term ``l2 >= 1`` or the capacity term
+    ``l3 >= 0``.  The gate is ``psi >= 1``: wherever the packet bound
+    ``psi`` allows no bit the rule is off, so every firing sends a packet
+    that fits ``psi``.  ``psi`` is the slot's packet cap in no-blackout
+    mode and the capacity planner's packet bound in blackout mode; ``l3``
+    is ``-inf`` in no-blackout mode and when no blackout lies ahead.
+
+    The ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}`` tables are
+    built once, for every p up to the largest packet cap.
     """
-    if t_hi < t_lo:
-        raise DomainError("empty bracket")
-    if predicate(t_lo):
-        return t_lo
-    marks = sorted({float(b) for b in breakpoints if t_lo < b <= t_hi} | {t_hi})
-    prev = t_lo
-    for mark in marks:
-        t = prev
-        while t < mark:
-            nxt = min(t + scan_step, mark)
-            if predicate(nxt):
-                lo, hi = t, nxt
-                while hi - lo > time_tol:
-                    mid = 0.5 * (lo + hi)
-                    if predicate(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                return hi
-            t = nxt
-        if right_predicate is not None and mark < t_hi and right_predicate(mark):
-            return mark
-        prev = mark
-    return None
+
+    def __init__(self, scenario: Scenario):
+        self.plant = scenario.plant
+        self.sched = scenario.schedule
+        self.config = scenario.trigger
+        self.suite = TriggerSuite(self.plant, scenario.trigger)
+        self.planner = (CapacityPlanner(self.sched) if scenario.mode == MODE_BLACKOUT
+                        else None)
+        self.pmax = int(self.sched.caps.max())
+        self.tm = np.full(self.pmax + 1, np.nan)
+        self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
+        for p in range(1, self.pmax + 1):
+            self.tm[p] = self.suite.max_comm_delay(p)
+            self.exp_norm_tm[p] = exp_growth_inf(self.plant, self.tm[p])
+
+    def psi(self, ts, j: int):
+        """Packet bound (per-dimension bits) at times ts in slot j."""
+        if self.planner is None:
+            return int(self.sched.caps[j])
+        return self.planner.packet_bound(j, ts)
+
+    def l3(self, ts, eps, j: int):
+        """Bits needed to reach the next blackout's entry margin minus the budget.
+
+        ``n (mu_inf (tau_l - t) / ln 2 + log2(eps / margin)) - sigma1 * S``
+        with S the capacity floor; nonpositive means enough capacity
+        remains, and ``-inf`` when no blackout lies ahead or eps is zero.
+        """
+        if self.planner is None:
+            return -math.inf
+        view = self.planner.plan_for_slot(j)
+        if view.plan is None:
+            return -math.inf
+        margin = blackout_entry_margin(self.plant, view.blackout_len)
+        growth = self.plant.constants.growth_rate_inf * (view.tau_l - ts)
+        with np.errstate(divide="ignore"):
+            log_eps = np.log2(eps)
+        needed = self.plant.n * (growth / math.log(2.0) + log_eps - math.log2(margin))
+        return needed - self.config.sigma1 * self.planner.capacity_floor(j, ts)
+
+    def terms(self, ts, h, eps, j: int):
+        """``(gate, l1, l2, l3)`` at times ts in slot j, for ratios h and eps.
+
+        Scalars stay scalars.  Where the gate is off at every t no term is
+        evaluated and all three read ``-inf``.
+        """
+        psi = self.psi(ts, j)
+        gate = psi >= 1
+        if not np.any(gate):
+            return gate, -math.inf, -math.inf, -math.inf
+        p = np.clip(psi, 1, self.pmax).astype(int)
+        tm = self.tm[p]
+        l1 = perf_bound(self.plant, tm, h, eps)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            l2 = channel_bound(self.plant, self.config.lookahead, tm, h, eps, p,
+                               exp_norm=self.exp_norm_tm[p], check_domain=False)
+            l3 = self.l3(ts, eps, j)
+        return gate, l1, l2, l3
+
+    def fires(self, ts, h, eps, j: int):
+        """Where the rule fires: the gate holds and some term reaches its threshold."""
+        gate, l1, l2, l3 = self.terms(ts, h, eps, j)
+        return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +377,12 @@ class _Engine:
         self.scn = scenario
         self.plant = scenario.plant
         self.sched = scenario.schedule
-        self.suite = TriggerSuite(self.plant, scenario.trigger)
+        self.rule = EventRule(scenario)
         self.n = self.plant.n
         self.horizon = scenario.horizon
         self.blackout_mode = scenario.mode == MODE_BLACKOUT
-        self.planner = CapacityPlanner(self.sched) if self.blackout_mode else None
-        self._margins: dict[float, float] = {}
-
-        self.pmax = int(self.sched.caps.max())
-        if self.pmax < 1:
+        if self.rule.pmax < 1:
             raise ConfigurationError("schedule has no usable slot")
-        self.tm = np.full(self.pmax + 1, np.nan)
-        self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
-        for p in range(1, self.pmax + 1):
-            self.tm[p] = self.suite.max_comm_delay(p)
-            self.exp_norm_tm[p] = (inf_norm(mat_exp(self.plant.A, self.tm[p]))
-                                   * math.exp(self.plant.beta / 2.0 * self.tm[p]))
 
         A, B, K, Abar = self.plant.A, self.plant.B, self.plant.K, self.plant.Abar
         block = np.block([[A, B @ K], [np.zeros_like(A), Abar]])
@@ -372,7 +393,7 @@ class _Engine:
             self.scan_step = scenario.scan_step
         else:
             self.scan_step = min(float(np.min(self.sched.durations())) / 50.0,
-                                 self.tm[1] / 10.0)
+                                 self.rule.tm[1] / 10.0)
         self.sample_step = (scenario.sample_step if scenario.sample_step is not None
                             else self.horizon / 2000.0)
 
@@ -388,25 +409,6 @@ class _Engine:
         self.sample_times = grid[grid < self.horizon - _TIME_TOL]
         self._sample_idx = 0
 
-    # -- slot-value helpers -------------------------------------------------
-
-    def _slot_of(self, t: float) -> int:
-        if t <= self.sched.start:
-            return self.sched.right_slot_index(t)
-        return self.sched.slot_index(t)
-
-    def _psi(self, j: int, t: float) -> int:
-        if not self.blackout_mode:
-            return int(self.sched.caps[j])
-        return self.planner.packet_bound(j, t)
-
-    def _entry_margin(self, blackout_len: float) -> float:
-        if blackout_len not in self._margins:
-            self._margins[blackout_len] = blackout_entry_margin(self.plant, blackout_len)
-        return self._margins[blackout_len]
-
-    # -- trigger predicate (scalar) ------------------------------------------
-
     def _state_at(self, t: float, x: np.ndarray):
         vd = self.plant.desired_performance(t)
         de = self.enc.d_e(self.plant, t)
@@ -414,92 +416,18 @@ class _Engine:
         eps = de / (self.plant.constants.error_scale * math.sqrt(vd))
         return h, eps, de, vd
 
-    def _trigger_values(self, t: float, j: int, h: float, eps: float):
-        """(gate, fired) for the event rule using slot j's channel values."""
-        if not self.blackout_mode:
-            cap = int(self.sched.caps[j])
-            tm = self.tm[cap]
-            l1 = float(perf_bound(self.plant, tm, h, eps))
-            if l1 >= 1.0:
-                return True, True
-            l2 = float(channel_bound(self.plant, self.scn.trigger.lookahead, tm,
-                                     h, eps, cap, exp_norm=self.exp_norm_tm[cap],
-                                     check_domain=False))
-            return True, l2 >= 1.0
-        psi = self._psi(j, t)
-        if psi < 1:
-            return False, False
-        tm = self.tm[psi]
-        l1 = float(perf_bound(self.plant, tm, h, eps))
-        if l1 >= 1.0:
-            return True, True
-        l2 = float(channel_bound(self.plant, self.scn.trigger.lookahead, tm,
-                                 h, eps, psi, exp_norm=self.exp_norm_tm[psi],
-                                 check_domain=False))
-        if l2 >= 1.0:
-            return True, True
-        view = self.planner.plan_for_slot(j)
-        l3 = self.suite.capacity_deficit(t, eps, view.tau_l, view.blackout_len,
-                                         self.planner.capacity_floor(j, t))
-        return True, l3 >= 0.0
-
-    def _predicate(self, t: float, x: np.ndarray, j: int) -> bool:
-        h, eps, _, _ = self._state_at(t, x)
-        gate, fired = self._trigger_values(t, j, h, eps)
-        return gate and fired
-
     # -- vectorized segment scan ----------------------------------------------
 
     def _segment_fire_index(self, ts: np.ndarray, xs: np.ndarray, des: np.ndarray,
                             j: int) -> int | None:
         """Index of the first grid point in slot j where the rule fires."""
+        if self.sched.caps[j] == 0:
+            return None  # blackout slot: no send, so the rule need not be evaluated
         vd = self.plant.vd0 * np.exp(-self.plant.beta * ts)
         xs_state = xs[:, :self.n]
         h = np.einsum("ni,ij,nj->n", xs_state, self.plant.P, xs_state) / vd
         eps = des / (self.plant.constants.error_scale * np.sqrt(vd))
-        T = self.scn.trigger.lookahead
-
-        if not self.blackout_mode:
-            cap = int(self.sched.caps[j])
-            tm = self.tm[cap]
-            l1 = perf_bound(self.plant, tm, h, eps)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                l2 = channel_bound(self.plant, T, tm, h, eps, cap,
-                                   exp_norm=self.exp_norm_tm[cap], check_domain=False)
-            fired = (l1 >= 1.0) | (l2 >= 1.0)
-        else:
-            cap = int(self.sched.caps[j])
-            if cap == 0:
-                return None
-            view = self.planner.plan_for_slot(j)
-            if view.plan is None:
-                phi = np.full(ts.shape, np.inf)
-            else:
-                decayed = view.plan.phi[0] - self.sched.rates[j] * (ts - self.sched.theta[j])
-                phi = np.maximum(0.0, np.floor(decayed + 1e-9))
-            psi = np.minimum(cap, phi)
-            gate = psi >= 1.0
-            if not np.any(gate):
-                return None
-            psi_idx = np.clip(psi, 1, self.pmax).astype(int)
-            tm = self.tm[psi_idx]
-            l1 = perf_bound(self.plant, tm, h, eps)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                l2 = channel_bound(self.plant, T, tm, h, eps, psi_idx,
-                                   exp_norm=self.exp_norm_tm[psi_idx], check_domain=False)
-                if view.plan is None:
-                    l3 = np.full(ts.shape, -np.inf)
-                else:
-                    tail = float(np.sum(view.plan.phi[1:]))
-                    s_hat = self.sched.n * (phi + tail)
-                    margin = self._entry_margin(view.blackout_len)
-                    growth = self.plant.constants.growth_rate_inf * (view.tau_l - ts)
-                    with np.errstate(divide="ignore"):
-                        log_eps = np.log2(np.maximum(eps, 0.0))
-                    needed = self.n * (growth / math.log(2.0) + log_eps - math.log2(margin))
-                    l3 = needed - self.scn.trigger.sigma1 * s_hat
-            fired = gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
-        idx = np.flatnonzero(fired)
+        idx = np.flatnonzero(self.rule.fires(ts, h, eps, j))
         return int(idx[0]) if idx.size else None
 
     # -- fire location ---------------------------------------------------------
@@ -526,8 +454,7 @@ class _Engine:
             vd = self.plant.desired_performance(t)
             h = self.plant.lyapunov_value(x[:self.n]) / vd
             eps = de_at(t) / (self.plant.constants.error_scale * math.sqrt(vd))
-            gate, fired = self._trigger_values(t, j, h, eps)
-            return gate and fired
+            return bool(self.rule.fires(t, h, eps, j))
 
         cursor = t_start
         while cursor < self.horizon - _TIME_TOL:
@@ -537,12 +464,12 @@ class _Engine:
             # Explicit test at the segment start: left slot values when the
             # cursor is mid-slot or a right-closed boundary, then the right
             # limit when the cursor sits on a breakpoint.
-            j_left = self._slot_of(cursor) if cursor > self.sched.start else j
+            j_left = self.sched.slot_at(cursor)
             if cursor == t_start:
                 if pred(cursor, j_left):
                     return cursor, j_left
             if j != j_left and pred(cursor, j):
-                if self._gate(cursor, j_left):
+                if self.rule.psi(cursor, j_left) >= 1:
                     # Right-limit term fired while the breakpoint itself is
                     # admissible: transmit at it under the old slot's values.
                     return cursor, j_left
@@ -560,13 +487,8 @@ class _Engine:
             hit = self._segment_fire_index(offs, xs, des, j)
             if hit is not None:
                 lo = cursor if hit == 0 else float(offs[hit - 1])
-                hi = float(offs[hit])
-                while hi - lo > _TIME_TOL:
-                    mid = 0.5 * (lo + hi)
-                    if pred(mid, j):
-                        hi = mid
-                    else:
-                        lo = mid
+                lo, _ = bisect_crossing(lambda t: pred(t, j), lo, float(offs[hit]),
+                                        _TIME_TOL)
                 # Transmit at the last pre-crossing instant: there the channel
                 # bound is still strictly below 1, so the required bit count
                 # is guaranteed to fit the allowed packet size.
@@ -574,25 +496,18 @@ class _Engine:
             cursor = seg_end
         return None
 
-    def _gate(self, t: float, j: int) -> bool:
-        if not self.blackout_mode:
-            return True
-        return self._psi(j, t) >= 1
-
     # -- update location --------------------------------------------------------
 
     def _locate_update(self, r: float) -> float:
         """Earliest admissible controller-update time at or after a reception."""
-        if not self.blackout_mode:
-            return r
-        j = self._slot_of(r)
-        if self.sched.caps[j] == 0 or self._psi(j, r) >= 1:
+        j = self.sched.slot_at(r)
+        if self.sched.caps[j] == 0 or self.rule.psi(r, j) >= 1:
             return r
         for jn in range(j + 1, self.sched.num_slots):
             theta = float(self.sched.theta[jn])
             if theta >= self.horizon:
                 break
-            if self.sched.caps[jn] == 0 or self._psi(jn, theta) >= 1:
+            if self.sched.caps[jn] == 0 or self.rule.psi(theta, jn) >= 1:
                 return theta
         return self.horizon
 
@@ -613,14 +528,12 @@ class _Engine:
         eps = de / (self.plant.constants.error_scale * math.sqrt(vd))
         rho = float(error_threshold(self.plant, self.scn.trigger.lookahead, h))
         if self.blackout_mode:
-            j = self._slot_of(t)
-            phi = self.planner.planned_bits(j, t)
-            psi = self.planner.packet_bound(j, t)
-            s_hat = self.planner.capacity_floor(j, t)
-            view = self.planner.plan_for_slot(j)
-            l3 = self.suite.capacity_deficit(t, eps, view.tau_l, view.blackout_len, s_hat)
-            cap_cols = (float(phi) if phi != float("inf") else math.inf, float(psi),
-                        float(s_hat), l3)
+            j = self.sched.slot_at(t)
+            planner = self.rule.planner
+            cap_cols = (float(planner.planned_bits(j, t)),
+                        float(planner.packet_bound(j, t)),
+                        float(planner.capacity_floor(j, t)),
+                        float(self.rule.l3(t, eps, j)))
         else:
             cap_cols = (math.nan, math.nan, math.nan, math.nan)
         self.rows.append((t, x.copy(), x_hat.copy(), v, vd, h, eps, eps / rho, de) + cap_cols)
@@ -655,8 +568,8 @@ class _Engine:
     def _min_bits(self, t: float, h: float, eps: float, rate: float) -> int | None:
         """Smallest bit count whose channel bound stays at or below 1."""
         T = self.scn.trigger.lookahead
-        for p in range(1, self.pmax + 1):
-            tau = self.tm[p] if self.blackout_mode else p / rate
+        for p in range(1, self.rule.pmax + 1):
+            tau = self.rule.tm[p] if self.blackout_mode else p / rate
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 val = float(channel_bound(self.plant, T, tau, h, eps, p,
                                           check_domain=False))
@@ -668,7 +581,7 @@ class _Engine:
         x = self.x_aug[:self.n]
         h, eps, _, _ = self._state_at(t, self.x_aug)
         rate = float(self.sched.rates[j])
-        cap_eff = self._psi(j, t)
+        cap_eff = int(self.rule.psi(t, j))
         p_lo = self._min_bits(t, h, eps, rate)
         if p_lo is None or p_lo > cap_eff:
             raise GuaranteeBreachError(
@@ -689,7 +602,7 @@ class _Engine:
                 and self.enc.step == self.dec.step):
             raise InvariantBreachError("encoder and decoder replicas diverged")
         self.x_aug = np.concatenate([self.x_aug[:self.n], self.enc.x_hat])
-        state = self.suite.measure(self.x_aug[:self.n], self.enc.d_e(self.plant, r_tilde),
+        state = self.rule.suite.measure(self.x_aug[:self.n], self.enc.d_e(self.plant, r_tilde),
                                    r_tilde)
         self.transmissions.append(Transmission(
             k=len(self.transmissions) + 1, t_k=pkt.t_k, p_k=pkt.p_k,

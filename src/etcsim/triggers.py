@@ -1,13 +1,14 @@
-"""Trigger functions and the threshold constants they are built from.
+"""Trigger bounds and the threshold constants they are built from.
 
 All bounds are closed-form scalar maps parameterised by a PlantModel
 (through its rate constants) and, where a look-ahead enters, by the
 design horizon T.  They accept numpy arrays in their time/level
-arguments so the simulator can evaluate dense grids in one call.
+arguments so the simulator can evaluate dense grids in one call; the
+event rule that combines them lives in ``etcsim.sim``.
 
 Root finding follows one recipe throughout: a bracketing scan with step
 T/1000 (expanding geometrically when the root lies beyond the first
-window) followed by bisection to ``root_tol``.
+window) followed by ``bisect_crossing`` to ``root_tol``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def error_threshold(plant: PlantModel, T: float, h0):
             / (c.guarded_decay_gap * math.expm1(wm * T))) + 1.0
 
 
-def _exp_growth_inf(plant: PlantModel, tau):
+def exp_growth_inf(plant: PlantModel, tau):
     """``||e^{A tau}||_inf * e^{(beta/2) tau}`` for scalar or array tau."""
     taus = np.asarray(tau, dtype=float)
     if taus.ndim == 0:
@@ -119,7 +120,7 @@ def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p, *,
     if check_domain and np.any(hbar > 1.0 + 1e-12):
         raise DomainError("performance bound exceeds 1 at the requested horizon")
     if exp_norm is None:
-        exp_norm = _exp_growth_inf(plant, tau)
+        exp_norm = exp_growth_inf(plant, tau)
     rho = error_threshold(plant, T, hbar)
     return exp_norm * np.asarray(eps0) / rho / np.power(2.0, p)
 
@@ -143,15 +144,19 @@ def blackout_entry_margin(plant: PlantModel, blackout_len: float) -> float:
 # root-found thresholds
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Bisect f (False below, True at/above the crossing) to width tol."""
+def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Shrink a bracket with pred(lo) false and pred(hi) true to width tol.
+
+    Returns the final (lo, hi): the last instant seen before the crossing
+    and the first instant seen at or after it.
+    """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid):
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
@@ -189,7 +194,7 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
         if idx.size:
             i = int(idx[0])
             left = max(grid[i] - step, 0.0)
-            return _bisect(above, left, float(grid[i]), root_tol)
+            return bisect_crossing(above, left, float(grid[i]), root_tol)[1]
         lo, hi = hi, hi + 2.0 * (hi - lo)
     raise DomainError("performance bound crossing not found (scan exhausted)")
 
@@ -213,7 +218,7 @@ def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> 
         denom = e_wmT - math.exp(wm * tau)
         if denom <= 0.0:
             return True
-        g = _exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
+        g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
         return g >= 1.0
 
     step = T / _SCAN_POINTS
@@ -221,28 +226,10 @@ def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> 
     for i in range(1, _SCAN_POINTS + 1):
         tau = min(i * step, T * (1.0 - 1e-12))
         if g_above(tau):
-            return _bisect(g_above, prev, tau, root_tol)
+            return bisect_crossing(g_above, prev, tau, root_tol)[1]
         prev = tau
     # g diverges at T^-, so the crossing is in the last subinterval.
-    return _bisect(g_above, prev, T, root_tol)
-
-
-def channel_delay_exceeds(plant: PlantModel, T: float, h0: float, eps0: float,
-                          p: int, t_check: float, strict: bool = True) -> bool:
-    """Whether the tolerable update delay after p bits exceeds ``t_check``.
-
-    Algebraic test: the delay exceeds t_check iff the channel bound at
-    t_check is below 1 (strictly, or weakly with ``strict=False``).
-    """
-    if not 0.0 <= h0 <= 1.0:
-        raise DomainError("h0 must lie in [0, 1]")
-    rho = float(error_threshold(plant, T, h0))
-    if not 0.0 <= eps0 <= rho:
-        raise DomainError("eps0 must lie in [0, rho_T(h0)]")
-    if t_check < 0.0:
-        raise DomainError("t_check must be nonnegative")
-    val = float(channel_bound(plant, T, t_check, h0, eps0, p))
-    return val < 1.0 if strict else val <= 1.0
+    return bisect_crossing(g_above, prev, T, root_tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +237,11 @@ def channel_delay_exceeds(plant: PlantModel, T: float, h0: float, eps0: float,
 
 
 class TriggerSuite:
-    """Trigger evaluations bound to one plant and one configuration.
+    """Threshold constants bound to one plant and one configuration.
 
-    Caches the threshold constants (the unit-level violation time, the
-    per-bit-count delay floors and max delays) that the event rules and
-    admissibility checks query repeatedly.
+    Caches the unit-level violation time, the per-bit-count delay floors
+    and max delays that the event rule and admissibility checks query
+    repeatedly.
     """
 
     def __init__(self, plant: PlantModel, config: TriggerConfig):
@@ -297,58 +284,6 @@ class TriggerSuite:
         eps = d_e / (self.plant.constants.error_scale * math.sqrt(vd))
         rho = float(error_threshold(self.plant, self.config.lookahead, h))
         return TriggerState(perf_ratio=h, error_ratio=eps, channel_ratio=eps / rho)
-
-    # -- event-rule values ---------------------------------------------------
-
-    def perf_trigger(self, state: TriggerState, cap: int) -> float:
-        """Performance-side trigger for a channel allowing cap bits."""
-        if cap < 1:
-            raise DomainError("perf_trigger requires cap >= 1 (use blackout-mode triggers)")
-        return float(perf_bound(self.plant, self.max_comm_delay(cap),
-                                state.perf_ratio, state.error_ratio))
-
-    def channel_trigger(self, state: TriggerState, cap: int) -> float:
-        """Channel-side trigger for a channel allowing cap bits."""
-        if cap < 1:
-            raise DomainError("channel_trigger requires cap >= 1 (use blackout-mode triggers)")
-        return float(channel_bound(self.plant, self.config.lookahead,
-                                   self.max_comm_delay(cap),
-                                   state.perf_ratio, state.error_ratio, cap,
-                                   check_domain=False))
-
-    def lookahead_time(self, psi: int, rate: float) -> float:
-        """Horizon used by the capacity-aware triggers: T_M(psi) or 2/R."""
-        if psi >= 1:
-            return self.max_comm_delay(psi)
-        if rate <= 0.0:
-            raise DomainError("lookahead during an artificial blackout needs R > 0")
-        return 2.0 / rate
-
-    def perf_trigger_capped(self, state: TriggerState, psi: int, rate: float) -> float:
-        return float(perf_bound(self.plant, self.lookahead_time(psi, rate),
-                                state.perf_ratio, state.error_ratio))
-
-    def channel_trigger_capped(self, state: TriggerState, psi: int, rate: float) -> float:
-        return float(channel_bound(self.plant, self.config.lookahead,
-                                   self.lookahead_time(psi, rate),
-                                   state.perf_ratio, state.error_ratio, psi,
-                                   check_domain=False))
-
-    def capacity_deficit(self, t: float, eps: float, tau_l: float | None,
-                         blackout_len: float | None, capacity_floor: float) -> float:
-        """Bits still needed before the next blackout minus the allowed budget.
-
-        Nonpositive means enough capacity remains.  Defined as -inf when
-        no blackout lies ahead or the error is already zero.
-        """
-        if tau_l is None or blackout_len is None:
-            return -math.inf
-        if eps <= 0.0:
-            return -math.inf
-        margin = blackout_entry_margin(self.plant, blackout_len)
-        growth = self.plant.constants.growth_rate_inf * (tau_l - t)
-        needed = self.plant.n * (growth / math.log(2.0) + math.log2(eps / margin))
-        return needed - self.config.sigma1 * capacity_floor
 
 
 def resolve_lookahead(plant: PlantModel, fraction: float, root_tol: float = 1e-9) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from etcsim.presets import no_blackout_scenario, sec6_plant, sec6_scenario
-from etcsim.sim import run
+from etcsim.sim import EventRule, _Engine, run
 from etcsim.triggers import TriggerConfig, TriggerSuite, resolve_lookahead
 
 
@@ -31,6 +31,22 @@ def blackout_scn():
 @pytest.fixture(scope="session")
 def blackout_trace(blackout_scn):
     return run(blackout_scn)
+
+
+@pytest.fixture(scope="session")
+def blackout_engine(blackout_scn):
+    """Engine at the initial state of sec6; never run, so tests may copy it."""
+    return _Engine(blackout_scn)
+
+
+@pytest.fixture(scope="session")
+def blackout_rule(blackout_engine):
+    return blackout_engine.rule
+
+
+@pytest.fixture(scope="session")
+def clear_channel_rule(clear_channel_scn):
+    return EventRule(clear_channel_scn)
 
 
 @pytest.fixture(scope="session")

@@ -61,28 +61,29 @@ class TestSlotLookup:
 
 
 class TestBlackouts:
+    @staticmethod
+    def window(sched, j):
+        b = sched.next_blackout_slot(j)
+        return None if b is None else (float(sched.theta[b]), float(sched.theta[b + 1]))
+
     def test_reference_first_blackout(self):
-        window = sec6_schedule().next_blackout(0.0)
-        assert (window.tau_l, window.tau_u, window.length) == (4.88, 6.88, 2.0)
+        assert self.window(sec6_schedule(), 0) == (4.88, 6.88)
 
     def test_reference_second_blackout(self):
-        window = sec6_schedule().next_blackout(7.0)
-        assert (window.tau_l, window.tau_u, window.length) == (11.52, 13.52, 2.0)
+        sched = sec6_schedule()
+        assert self.window(sched, sched.slot_index(7.0)) == (11.52, 13.52)
 
     def test_no_blackout_returns_none(self):
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[1.0, 1.0],
                                 caps=[1, 2], n=1)
-        assert sched.next_blackout(0.5) is None
+        assert sched.next_blackout_slot(0) is None
 
     def test_after_blackout_strictly_later_or_none(self):
         sched = sec6_schedule()
-        first = sched.next_blackout(0.0)
-        second = sched.next_blackout(first.tau_u)
-        assert second.tau_l > first.tau_u
-
-    def test_inside_blackout_window_shrinks(self):
-        window = sec6_schedule().next_blackout(5.0)
-        assert (window.tau_l, window.tau_u) == (5.0, 6.88)
+        first = sched.next_blackout_slot(0)
+        second = sched.next_blackout_slot(first)
+        assert sched.theta[second] > sched.theta[first + 1]
+        assert sched.next_blackout_slot(sched.blackout_slots()[-1]) is None
 
 
 class TestComputeJ:
@@ -172,6 +173,18 @@ class TestTransmissionRecords:
         rec = TransmissionRecord(t_k=1.0, p_k=5, r_k=3.0, r_tilde_k=3.0)
         with pytest.raises(FeasibilityError):
             rec.validate(self._sched())
+
+    def test_send_at_schedule_start_uses_first_slot(self):
+        # Slots are left-open, so theta_0 lies in none; a send there uses
+        # the right limit, as the simulator does.
+        sched = ChannelSchedule(theta=[0.0, 1.0, 10.0], rates=[2.0, 4.0], caps=[4, 8], n=1)
+        assert sched.slot_at(0.0) == 0
+        assert sched.max_delay(0.0, 4) == 2.0
+        TransmissionRecord(t_k=0.0, p_k=4, r_k=2.0, r_tilde_k=2.0).validate(sched)
+        with pytest.raises(FeasibilityError):
+            TransmissionRecord(t_k=0.0, p_k=5, r_k=2.5, r_tilde_k=2.5).validate(sched)
+        with pytest.raises(HorizonError):
+            sched.slot_at(-1.0)
 
     def test_packet_overlap_rejected(self):
         recs = [TransmissionRecord(t_k=1.0, p_k=2, r_k=2.0, r_tilde_k=2.5),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from etcsim.codec import decode_and_update, encode, initial_state, mark_in_flight, propagate
+from dataclasses import replace
+
+from etcsim.codec import decode_and_update, encode, initial_state, mark_in_flight
 from etcsim.errors import CausalityError, InvariantBreachError
 from etcsim.linalg import inf_norm, mat_exp
 from etcsim.plant import build_plant
@@ -85,24 +87,24 @@ class TestDecode:
 
 
 class TestPropagate:
+    """The estimate and error bound between updates (``CodecState.x_hat_at``, ``d_e``)."""
+
     def test_identity_at_same_time(self, ref_plant):
         state = initial_state([1.0, 2.0], 1.0)
-        same = propagate(ref_plant, state, 0.0)
-        assert np.array_equal(same.x_hat, state.x_hat)
+        same = state.x_hat_at(ref_plant, 0.0)
+        assert np.array_equal(same, state.x_hat)
 
     def test_semigroup(self, ref_plant):
         state = initial_state([1.0, 2.0], 1.0)
-        once = propagate(ref_plant, state, 0.7)
-        twice = propagate(ref_plant, propagate(ref_plant, state, 0.3), 0.7)
-        assert np.max(np.abs(once.x_hat - twice.x_hat)) <= 1e-9
+        once = state.x_hat_at(ref_plant, 0.7)
+        rebased = replace(state, x_hat=state.x_hat_at(ref_plant, 0.3), base_time=0.3)
+        assert np.max(np.abs(once - rebased.x_hat_at(ref_plant, 0.7))) <= 1e-9
 
     def test_bound_rederivable_at_any_time(self, ref_plant):
         state = initial_state([0.0, 0.0], 2.0)
         for t in (0.0, 0.2, 0.5):
             want = inf_norm(mat_exp(ref_plant.A, t)) * 2.0
             assert state.d_e(ref_plant, t) == pytest.approx(want, rel=1e-12)
-            assert propagate(ref_plant, state, t).d_e(ref_plant, t) == pytest.approx(
-                want, rel=1e-12)
 
 
 class TestReplicaSync:

@@ -105,6 +105,28 @@ class TestCli:
         forced = main(["simulate", str(path), "--out-dir", str(tmp_path), "--force"])
         assert forced in (0, 4, 5)
 
+    def test_forced_send_at_t0_exits_ok(self, tmp_path):
+        # A Jordan-block plant with Vd0 = 1.2 V(x0) starts with l1 > 1, so it
+        # fails admissibility and, under --force, sends at t0 = theta_0.
+        doc = {
+            "plant": {"A": [[1, 1], [0, 1]], "B": [[0], [1]], "K": [[-9, -6]],
+                      "Q": [[1, 0], [0, 1]], "a": 1.2, "beta_fraction": 0.8,
+                      "Vd0_factor": 1.2},
+            "channel": {"n": 2, "slots": [{"theta_start": 0.0, "theta_end": 0.1,
+                                           "R": 2400, "pi_bar": 8}]},
+            "trigger": {"T_fraction_of_gamma1": 0.1, "sigma": 0.06, "sigma1": 0.8},
+            "sim": {"mode": "no_blackout", "x0": [6, -4], "xhat0": [0, 0],
+                    "de0_factor": 1.5, "horizon": 0.1, "sample_step": 0.01},
+        }
+        path = tmp_path / "jordan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path), "--force"]) == 0
+        txs = (tmp_path / "jordan_transmissions.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in txs[1:]] == ["0.0"]
+        stats = json.loads((tmp_path / "jordan_stats.json").read_text())
+        assert stats["max_h_pf"] == pytest.approx(0.8356, abs=1e-4)
+        assert stats["min_de_margin"] > 0.0
+
     def test_directory_batch(self, tmp_path, sec6_doc):
         doc = copy.deepcopy(sec6_doc)
         doc["sim"].pop("output")  # fall back to per-file output names

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -6,34 +7,54 @@ import pytest
 
 from etcsim.capacity import CapacityPlanner
 from etcsim.channel import ChannelSchedule
+from etcsim.codec import initial_state
 from etcsim.errors import AdmissibilityError, ConfigurationError
 from etcsim.presets import no_blackout_scenario, sec6_plant
-from etcsim.sim import Scenario, check_admissibility, locate_crossing, run
+from etcsim.sim import Scenario, check_admissibility, run
 from etcsim.triggers import TriggerConfig, blackout_entry_margin, resolve_lookahead
 
 
 class TestLocateCrossing:
-    def test_within_first_step(self):
-        t = locate_crossing(lambda s: s >= 0.05, 0.0, 1.0, scan_step=0.1)
-        assert 0.0 <= t <= 0.1
-        assert t == pytest.approx(0.05, abs=1e-8)
+    """``_Engine._locate_fire`` on sec6 from chosen states at chosen times."""
 
-    def test_true_at_start(self):
-        assert locate_crossing(lambda s: True, 0.3, 1.0, scan_step=0.1) == 0.3
+    @staticmethod
+    def engine_with_error(engine, step):
+        eng = copy.copy(engine)
+        eng.enc = initial_state(np.zeros(2), step)
+        return eng
 
-    def test_right_limit_fires_at_breakpoint(self):
-        t = locate_crossing(lambda s: False, 0.0, 1.0, scan_step=0.1,
-                            breakpoints=[0.4], right_predicate=lambda s: s == 0.4)
-        assert t == 0.4
+    def test_within_first_step(self, blackout_engine):
+        # sec6 first fires near 2.1 ms; a 10 ms scan step brackets it in step one.
+        coarse = copy.copy(blackout_engine)
+        coarse.scan_step = 0.01
+        t, j = coarse._locate_fire(0.0)
+        assert j == 0
+        assert 0.0 < t < 0.01
+        assert t == pytest.approx(blackout_engine._locate_fire(0.0)[0], abs=2e-9)
 
-    def test_none_when_no_crossing(self):
-        assert locate_crossing(lambda s: False, 0.0, 1.0, scan_step=0.1) is None
+    def test_true_at_start(self, blackout_engine):
+        assert self.engine_with_error(blackout_engine, 50.0)._locate_fire(0.0) == (0.0, 0)
 
-    def test_refinement_under_scan_halving(self):
-        pred = lambda s: s >= 0.7312831
-        t1 = locate_crossing(pred, 0.0, 1.0, scan_step=0.01)
-        t2 = locate_crossing(pred, 0.0, 1.0, scan_step=0.005)
-        assert abs(t1 - t2) < 2 * 0.01
+    def test_right_limit_fires_at_breakpoint(self, blackout_engine):
+        # Slot 0's planned bits are gone just before 2.44, so the rule is off
+        # there and at 2.44 itself; under slot 1's values it fires, and the
+        # send is nudged just inside slot 1.
+        eng = self.engine_with_error(blackout_engine, 50.0)
+        t, j = eng._locate_fire(2.44 - 1e-4)
+        assert j == 1
+        assert t == pytest.approx(2.44 + 1e-9, abs=1e-15)
+
+    def test_none_when_no_crossing(self, blackout_engine):
+        eng = self.engine_with_error(blackout_engine, 0.0)
+        eng.x_aug = np.zeros(4)
+        assert eng._locate_fire(0.0) is None
+
+    def test_refinement_under_scan_halving(self, blackout_engine):
+        fine = copy.copy(blackout_engine)
+        fine.scan_step = blackout_engine.scan_step / 2
+        t1, _ = blackout_engine._locate_fire(0.0)
+        t2, _ = fine._locate_fire(0.0)
+        assert abs(t1 - t2) <= 2e-9
 
 
 class TestEquilibrium:
@@ -223,6 +244,22 @@ class TestAdmissibility:
         blackout_check = next(c for c in report.conditions if c.name == "blackout_capacity")
         assert not blackout_check.ok
         assert blackout_check.witnesses[0][0] == 1  # the first blackout slot index
+
+    def test_no_bit_at_t0_fails_initial_triggers(self):
+        plant = sec6_plant()
+        # Slot 0 carries 0.6 bits at R = 3000, and the plan moves every bit to slot 1,
+        # so psi(0) = 0: the rule is off at t0 and no packet could fit.
+        sched = ChannelSchedule(theta=[0.0, 0.0002, 1.0, 2.0, 3.0],
+                                rates=[3000.0] * 4, caps=[8, 8, 0, 8], n=2)
+        scn = Scenario(plant=plant, schedule=sched,
+                       trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
+                                             sigma=0.06, sigma1=0.8),
+                       mode="blackout", x0=np.array([0.1, 0.1]),
+                       x_hat0=np.zeros(2), d_e0=0.5, horizon=3.0)
+        report = check_admissibility(scn)
+        check = next(c for c in report.conditions if c.name == "initial_triggers")
+        assert not check.ok
+        assert check.witnesses == ((0.0, 0),)
 
 
 class TestScenarioValidation:

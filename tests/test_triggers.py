@@ -7,9 +7,9 @@ from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm, mat_exp
 from etcsim.triggers import (
     TriggerConfig,
+    bisect_crossing,
     blackout_entry_margin,
     channel_bound,
-    channel_delay_exceeds,
     delay_floor,
     error_threshold,
     perf_bound,
@@ -43,6 +43,31 @@ def gamma2_oracle(plant, T, h0, eps0, p, hi=0.2, steps=4000):
             return hi_
         prev = tau
     return math.inf
+
+
+def channel_delay_exceeds(plant, T, h0, eps0, p, t_check, strict=True):
+    """Whether the tolerable update delay after p bits exceeds ``t_check``.
+
+    Algebraic test: the delay exceeds t_check iff the channel bound at
+    t_check is below 1 (strictly, or weakly with ``strict=False``).
+    """
+    if not 0.0 <= h0 <= 1.0:
+        raise DomainError("h0 must lie in [0, 1]")
+    rho = float(error_threshold(plant, T, h0))
+    if not 0.0 <= eps0 <= rho:
+        raise DomainError("eps0 must lie in [0, rho_T(h0)]")
+    if t_check < 0.0:
+        raise DomainError("t_check must be nonnegative")
+    val = float(channel_bound(plant, T, t_check, h0, eps0, p))
+    return val < 1.0 if strict else val <= 1.0
+
+
+class TestBisectCrossing:
+    def test_bracket_straddles_crossing(self):
+        pred = lambda s: s >= 0.7312831
+        lo, hi = bisect_crossing(pred, 0.0, 1.0, 1e-9)
+        assert not pred(lo) and pred(hi)
+        assert 0.0 < hi - lo <= 1e-9
 
 
 class TestPerfBound:
@@ -258,39 +283,57 @@ class TestBlackoutEntryMargin:
 
 
 class TestTriggerSuite:
-    def test_error_free_state(self, ref_suite, ref_plant):
-        state = ref_suite.measure(np.array([1.0, 1.0]), 0.0, 0.0)
+    """The event rule's terms (``sim.EventRule.terms``) on the reference plant."""
+
+    def test_error_free_state(self, clear_channel_rule, ref_plant):
+        h = ref_plant.lyapunov_value(np.array([1.0, 1.0])) / ref_plant.desired_performance(0.0)
+        gate, l1, l2, l3 = clear_channel_rule.terms(0.0, h, 0.0, 0)
         w = ref_plant.constants.decay_gap
-        tm = ref_suite.max_comm_delay(4)
-        assert ref_suite.channel_trigger(state, 4) == 0.0
-        assert ref_suite.perf_trigger(state, 4) == pytest.approx(
-            state.perf_ratio * math.exp(-w * tm), rel=1e-12)
+        assert gate
+        assert l2 == 0.0
+        assert l1 == pytest.approx(h * math.exp(-w * clear_channel_rule.tm[8]), rel=1e-12)
+        assert l3 == -math.inf
 
-    def test_zero_cap_rejected(self, ref_suite):
-        state = ref_suite.measure(np.array([1.0, 1.0]), 0.1, 0.0)
-        with pytest.raises(DomainError):
-            ref_suite.perf_trigger(state, 0)
-        with pytest.raises(DomainError):
-            ref_suite.channel_trigger(state, 0)
+    def test_zero_cap_rejected(self, blackout_rule, blackout_scn):
+        blackout_slot = blackout_scn.schedule.slot_index(5.0)
+        assert blackout_scn.schedule.caps[blackout_slot] == 0
+        gate, *_ = blackout_rule.terms(5.0, 0.5, 0.1, blackout_slot)
+        assert not gate
 
-    def test_reference_initial_state_admissible(self, ref_suite, blackout_scn):
-        state = ref_suite.measure(blackout_scn.x0, blackout_scn.d_e0, 0.0)
-        assert ref_suite.perf_trigger(state, 8) <= 1.0
-        assert ref_suite.channel_trigger(state, 8) <= 1.0
+    def test_reference_initial_state_admissible(self, blackout_rule, blackout_scn):
+        plant = blackout_scn.plant
+        vd0 = plant.desired_performance(0.0)
+        h0 = plant.lyapunov_value(blackout_scn.x0) / vd0
+        eps0 = blackout_scn.d_e0 / (plant.constants.error_scale * math.sqrt(vd0))
+        gate, l1, l2, l3 = blackout_rule.terms(0.0, h0, eps0, 0)
+        assert gate and l1 <= 1.0 and l2 <= 1.0 and l3 <= 0.0
 
-    def test_lookahead_case_split(self, ref_suite):
-        assert ref_suite.lookahead_time(3, 100.0) == ref_suite.max_comm_delay(3)
-        assert ref_suite.lookahead_time(0, 100.0) == 0.02
+    def test_lookahead_case_split(self, blackout_rule, ref_plant):
+        # psi >= 1 looks ahead T_M(psi); once slot 0's planned bits have
+        # decayed below one (the plan launches R*2.44 bits, gone at 2.44)
+        # the rule is off, even for a large error.
+        gate, l1, _, _ = blackout_rule.terms(1.0, 0.5, 0.1, 0)
+        assert gate
+        assert l1 == float(perf_bound(ref_plant, blackout_rule.tm[8], 0.5, 0.1))
+        t = 2.44 - 1e-4
+        assert blackout_rule.planner.planned_bits(0, t) == 0
+        gate, *_ = blackout_rule.terms(t, 0.5, 10.0, 0)
+        assert not gate
+        gates, *_ = blackout_rule.terms(np.array([1.0, t]), np.full(2, 0.5), np.full(2, 0.1), 0)
+        assert gates.tolist() == [True, False]
 
-    def test_capacity_deficit_boundary(self, ref_suite, ref_plant):
-        # With the error at exactly the decayed entry margin and no budget,
-        # the deficit sits at zero.
-        tau_l, t, length = 3.0, 2.5, 2.0
+    def test_capacity_deficit_boundary(self, blackout_rule, ref_plant):
+        # With the error at exactly the decayed entry margin, l3 is minus the
+        # sigma1 share of the capacity floor (sec6: blackout [4.88, 6.88]).
+        t, tau_l, length = 2.0, 4.88, 2.0
         margin = blackout_entry_margin(ref_plant, length)
         eps = margin * math.exp(-ref_plant.constants.growth_rate_inf * (tau_l - t))
-        val = ref_suite.capacity_deficit(t, eps, tau_l, length, 0.0)
-        assert val == pytest.approx(0.0, abs=1e-9)
+        budget = blackout_rule.config.sigma1 * blackout_rule.planner.capacity_floor(0, t)
+        assert float(blackout_rule.l3(t, eps, 0)) == pytest.approx(-budget, abs=1e-9)
 
-    def test_capacity_deficit_unbounded_cases(self, ref_suite):
-        assert ref_suite.capacity_deficit(0.0, 1.0, None, None, 0.0) == -math.inf
-        assert ref_suite.capacity_deficit(0.0, 0.0, 3.0, 2.0, 10.0) == -math.inf
+    def test_capacity_deficit_unbounded_cases(self, blackout_rule, clear_channel_rule,
+                                              blackout_scn):
+        last = blackout_scn.schedule.num_slots - 1  # no blackout ahead
+        assert blackout_rule.l3(19.5, 1.0, last) == -math.inf
+        assert blackout_rule.l3(1.0, 0.0, 0) == -math.inf
+        assert clear_channel_rule.l3(1.0, 1.0, 0) == -math.inf
