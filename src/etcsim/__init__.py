@@ -32,7 +32,7 @@ from .errors import (
     ObjectiveViolationError,
     SchemaError,
 )
-from .linalg import inf_norm, mat_exp, solve_lyapunov, spec_norm, sym_eig_extremes
+from .linalg import ExpKernel, inf_norm, solve_lyapunov, spec_norm, sym_eig_extremes
 from .plant import PlantModel, RateConstants, build_plant
 from .sim import (
     AdmissibilityReport,

@@ -92,18 +92,6 @@ class ChannelSchedule:
 
     # -- channel functions --------------------------------------------------
 
-    def rate_at(self, t: float) -> float:
-        return float(self.rates[self.slot_index(t)])
-
-    def cap_at(self, t: float) -> int:
-        return int(self.caps[self.slot_index(t)])
-
-    def right_limit_rate(self, t: float) -> float:
-        return float(self.rates[self.right_slot_index(t)])
-
-    def right_limit_cap(self, t: float) -> int:
-        return int(self.caps[self.right_slot_index(t)])
-
     def max_delay(self, t: float, p: int) -> float:
         """Upper bound p / R(t) on the communication time of an n*p-bit packet."""
         if p < 0:

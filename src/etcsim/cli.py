@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -140,7 +141,10 @@ def cmd_simulate(args) -> int:
             print(f"no scenario files in {target}", file=sys.stderr)
             return EXIT_SCHEMA
         if args.jobs and args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            # Spawned workers: forking a process whose BLAS threads already
+            # run can leave a child holding a lock no thread will release.
+            with ProcessPoolExecutor(max_workers=args.jobs,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
                 codes = list(pool.map(_simulate_worker,
                                       [(str(f), _worker_args(args)) for f in files]))
         else:

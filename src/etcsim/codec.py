@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CausalityError, DomainError, InvariantBreachError
-from .linalg import inf_norm, mat_exp
+from .linalg import inf_norm
 from .plant import PlantModel
 
 _CHECK_SLACK = 1e-9
@@ -58,13 +58,11 @@ class CodecState:
 
     def x_hat_at(self, plant: PlantModel, t: float) -> np.ndarray:
         """Estimate at time t (no update in between): closed-loop flow of x_hat."""
-        if t == self.base_time:
-            return self.x_hat.copy()
-        return mat_exp(plant.Abar, t - self.base_time) @ self.x_hat
+        return plant.exp_Abar.apply(t - self.base_time, self.x_hat)
 
-    def d_e(self, plant: PlantModel, t: float) -> float:
-        """Error bound at time t, recomputed from the anchor."""
-        return inf_norm(mat_exp(plant.A, t - self.anchor_time)) * self.step
+    def d_e(self, plant: PlantModel, t):
+        """Error bound at time t (scalar or array), recomputed from the anchor."""
+        return inf_norm(plant.exp_A(np.subtract(t, self.anchor_time))) * self.step
 
 
 def initial_state(x_hat0, d_e0: float, t0: float = 0.0) -> CodecState:
@@ -123,7 +121,7 @@ def decode_and_update(plant: PlantModel, pkt: Packet, state: CodecState,
     width = 2.0 * bound_tx / cells
     centres = np.array([-bound_tx + (s + 0.5) * width for s in pkt.symbols])
     delay = r_tilde - pkt.t_k
-    jump = mat_exp(plant.Abar, delay) @ x_hat_tx + mat_exp(plant.A, delay) @ centres
+    jump = plant.exp_Abar.apply(delay, x_hat_tx) + plant.exp_A.apply(delay, centres)
     jump.setflags(write=False)
     return CodecState(x_hat=jump, base_time=r_tilde,
                       anchor_time=pkt.t_k, step=bound_tx / cells,

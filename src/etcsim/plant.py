@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DecayMarginError, DimensionError, DomainError
-from .linalg import inf_norm, solve_lyapunov, spec_norm, sym_eig_extremes
+from .linalg import ExpKernel, inf_norm, solve_lyapunov, spec_norm, sym_eig_extremes
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,9 @@ class PlantModel:
     """Immutable plant + certificate bundle.
 
     Holds the system matrices, the feedback gain, the Lyapunov
-    certificate P for ``Abar = A + B K`` and the derived rate constants.
+    certificate P for ``Abar = A + B K``, the derived rate constants and
+    the exponential kernels of the open-loop (``exp_A``) and closed-loop
+    (``exp_Abar``) flows.
     """
 
     A: np.ndarray
@@ -52,6 +54,8 @@ class PlantModel:
     beta: float
     vd0: float
     constants: RateConstants
+    exp_A: ExpKernel = field(repr=False, compare=False)
+    exp_Abar: ExpKernel = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -138,7 +142,8 @@ def build_plant(A, B, K, Q, a: float, beta: float | None = None,
     frozen = lambda M: _readonly(M)
     return PlantModel(A=frozen(A), B=frozen(B), K=frozen(K), Q=frozen(Q),
                       P=frozen(P), Abar=frozen(Abar), a=float(a),
-                      beta=float(beta), vd0=float(vd0), constants=constants)
+                      beta=float(beta), vd0=float(vd0), constants=constants,
+                      exp_A=ExpKernel(A), exp_Abar=ExpKernel(Abar))
 
 
 def _readonly(M: np.ndarray) -> np.ndarray:

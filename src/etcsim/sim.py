@@ -2,9 +2,9 @@
 
 The plant, estimate and error bound all admit closed-form propagation,
 so there is no integrator error: segments between events are evaluated
-by matrix exponentials of the block dynamics (through an
-eigendecomposition fast path when available), and event times are found
-by a fixed-step bracketing scan refined by bisection, with channel
+by one exponential kernel of the block dynamics, built once per engine
+and called on whole arrays of times, and event times are found by a
+fixed-step bracketing scan refined by bisection, with channel
 breakpoints and their right limits always evaluated explicitly.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .errors import (
     InvariantBreachError,
     ObjectiveViolationError,
 )
-from .linalg import inf_norm, mat_exp
+from .linalg import ExpKernel, inf_norm
 from .plant import PlantModel
 from .triggers import (
     TriggerConfig,
@@ -91,6 +92,11 @@ class Scenario:
         if not 0.0 < horizon <= self.schedule.end:
             raise ConfigurationError("horizon must lie within the channel schedule")
         object.__setattr__(self, "horizon", float(horizon))
+
+    @cached_property
+    def rule(self) -> EventRule:
+        """The event rule, built once and shared by admissibility and the engine."""
+        return EventRule(self)
 
 
 @dataclass(frozen=True)
@@ -175,7 +181,7 @@ class AdmissibilityReport:
 def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
     """Evaluate every mode-specific feasibility condition with witnesses."""
     plant, sched = scenario.plant, scenario.schedule
-    rule = EventRule(scenario)
+    rule = scenario.rule
     suite = rule.suite
     checks: list[CheckResult] = []
 
@@ -265,10 +271,9 @@ class EventRule:
                         else None)
         self.pmax = int(self.sched.caps.max())
         self.tm = np.full(self.pmax + 1, np.nan)
+        self.tm[1:] = [self.suite.max_comm_delay(p) for p in range(1, self.pmax + 1)]
         self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
-        for p in range(1, self.pmax + 1):
-            self.tm[p] = self.suite.max_comm_delay(p)
-            self.exp_norm_tm[p] = exp_growth_inf(self.plant, self.tm[p])
+        self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
 
     def psi(self, ts, j: int):
         """Packet bound (per-dimension bits) at times ts in slot j."""
@@ -321,54 +326,6 @@ class EventRule:
 
 
 # ---------------------------------------------------------------------------
-# propagation helper
-
-
-class _Propagator:
-    """exp(M t) at one or many nonnegative times.
-
-    Uses an eigendecomposition when the eigenvector basis is well
-    conditioned (then every query is a closed form, with no step-to-step
-    drift) and falls back to cumulative scaling-and-squaring otherwise.
-    """
-
-    def __init__(self, M):
-        self.M = np.asarray(M, dtype=float)
-        self._eig = None
-        try:
-            w, V = np.linalg.eig(self.M)
-            cond = np.linalg.cond(V)
-            if np.isfinite(cond) and cond < 1e8:
-                self._eig = (w, V, np.linalg.inv(V))
-        except np.linalg.LinAlgError:
-            pass
-
-    def at(self, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.eye(self.M.shape[0])
-        if self._eig is None:
-            return mat_exp(self.M, t)
-        w, V, Vi = self._eig
-        return ((V * np.exp(w * t)) @ Vi).real
-
-    def batch(self, ts: np.ndarray) -> np.ndarray:
-        """Stack of exp(M t) for sorted nonnegative offsets (N, k, k)."""
-        ts = np.asarray(ts, dtype=float)
-        if self._eig is not None:
-            w, V, Vi = self._eig
-            E = np.exp(np.multiply.outer(ts, w))
-            return np.einsum("ij,nj,jk->nik", V, E, Vi).real
-        k = self.M.shape[0]
-        out = np.empty((ts.size, k, k))
-        prev, cur = 0.0, np.eye(k)
-        for i, t in enumerate(ts):
-            cur = mat_exp(self.M, t - prev) @ cur
-            out[i] = cur
-            prev = t
-        return out
-
-
-# ---------------------------------------------------------------------------
 # engine
 
 
@@ -377,7 +334,7 @@ class _Engine:
         self.scn = scenario
         self.plant = scenario.plant
         self.sched = scenario.schedule
-        self.rule = EventRule(scenario)
+        self.rule = scenario.rule
         self.n = self.plant.n
         self.horizon = scenario.horizon
         self.blackout_mode = scenario.mode == MODE_BLACKOUT
@@ -385,9 +342,7 @@ class _Engine:
             raise ConfigurationError("schedule has no usable slot")
 
         A, B, K, Abar = self.plant.A, self.plant.B, self.plant.K, self.plant.Abar
-        block = np.block([[A, B @ K], [np.zeros_like(A), Abar]])
-        self.prop_full = _Propagator(block)
-        self.prop_A = _Propagator(A)
+        self.exp_block = ExpKernel(np.block([[A, B @ K], [np.zeros_like(A), Abar]]))
 
         if scenario.scan_step is not None:
             self.scan_step = scenario.scan_step
@@ -439,21 +394,10 @@ class _Engine:
         transmission uses; right-limit-driven firings at a breakpoint
         whose own gate fails are nudged just inside the next slot.
         """
-        anchor_t = t_start
         anchor_x = self.x_aug.copy()
-        base_A = mat_exp(self.plant.A, anchor_t - self.enc.anchor_time)
-
-        def x_at(t: float) -> np.ndarray:
-            return self.prop_full.at(t - anchor_t) @ anchor_x
-
-        def de_at(t: float) -> float:
-            return inf_norm(self.prop_A.at(t - anchor_t) @ base_A) * self.enc.step
 
         def pred(t: float, j: int) -> bool:
-            x = x_at(t)
-            vd = self.plant.desired_performance(t)
-            h = self.plant.lyapunov_value(x[:self.n]) / vd
-            eps = de_at(t) / (self.plant.constants.error_scale * math.sqrt(vd))
+            h, eps, _, _ = self._state_at(t, self.exp_block.apply(t - t_start, anchor_x))
             return bool(self.rule.fires(t, h, eps, j))
 
         cursor = t_start
@@ -480,11 +424,8 @@ class _Engine:
             seg_end = min(float(self.sched.theta[j + 1]), self.horizon)
             count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
             offs = np.linspace(cursor, seg_end, count + 1)[1:]
-            mats = self.prop_full.batch(offs - anchor_t)
-            xs = np.einsum("nij,j->ni", mats, anchor_x)
-            de_mats = np.einsum("nij,jk->nik", self.prop_A.batch(offs - anchor_t), base_A)
-            des = np.max(np.sum(np.abs(de_mats), axis=2), axis=1) * self.enc.step
-            hit = self._segment_fire_index(offs, xs, des, j)
+            xs = self.exp_block.apply(offs - t_start, anchor_x)
+            hit = self._segment_fire_index(offs, xs, self.enc.d_e(self.plant, offs), j)
             if hit is not None:
                 lo = cursor if hit == 0 else float(offs[hit - 1])
                 lo, _ = bisect_crossing(lambda t: pred(t, j), lo, float(offs[hit]),
@@ -513,7 +454,8 @@ class _Engine:
 
     # -- advancing and recording --------------------------------------------------
 
-    def _record(self, t: float):
+    def _record(self, t: float, de: float):
+        """Append the sample at t of the current state, whose error bound is de."""
         x = self.x_aug[:self.n]
         x_hat = self.x_aug[self.n:]
         vd = self.plant.desired_performance(t)
@@ -521,7 +463,6 @@ class _Engine:
         h = v / vd
         if h > 1.0:
             raise ObjectiveViolationError(f"performance ratio {h} exceeds 1 at t={t}")
-        de = self.enc.d_e(self.plant, t)
         err = inf_norm(x - x_hat)
         if err > de * (1.0 + 1e-9) + 1e-300:
             raise InvariantBreachError(f"estimate error {err} exceeds bound {de} at t={t}")
@@ -552,37 +493,36 @@ class _Engine:
         for theta in self.sched.theta:
             if self.t < theta < t_target:
                 pts.append(float(theta))
-        pts = sorted(set(pts))
+        pts = np.array(sorted(set(pts)))
         anchor_t, anchor_x = self.t, self.x_aug
-        for s in pts:
-            self.x_aug = self.prop_full.at(s - anchor_t) @ anchor_x
-            self._record(s)
+        xs = self.exp_block.apply(pts - anchor_t, anchor_x)
+        for s, x, de in zip(pts, xs, self.enc.d_e(self.plant, pts)):
+            self.x_aug = x
+            self._record(float(s), float(de))
         if t_target > anchor_t:
-            self.x_aug = self.prop_full.at(t_target - anchor_t) @ anchor_x
+            self.x_aug = self.exp_block.apply(t_target - anchor_t, anchor_x)
             self.t = t_target
             if record_end:
-                self._record(t_target)
+                self._record(t_target, self.enc.d_e(self.plant, t_target))
 
     # -- packet sizing ---------------------------------------------------------
 
-    def _min_bits(self, t: float, h: float, eps: float, rate: float) -> int | None:
+    def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
         """Smallest bit count whose channel bound stays at or below 1."""
-        T = self.scn.trigger.lookahead
-        for p in range(1, self.rule.pmax + 1):
-            tau = self.rule.tm[p] if self.blackout_mode else p / rate
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                val = float(channel_bound(self.plant, T, tau, h, eps, p,
-                                          check_domain=False))
-            if val <= 1.0:
-                return p
-        return None
+        ps = np.arange(1, self.rule.pmax + 1)
+        taus = self.rule.tm[ps] if self.blackout_mode else ps / rate
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps,
+                                 check_domain=False)
+        fits = np.flatnonzero(vals <= 1.0)
+        return int(ps[fits[0]]) if fits.size else None
 
     def _fire(self, t: float, j: int):
         x = self.x_aug[:self.n]
         h, eps, _, _ = self._state_at(t, self.x_aug)
         rate = float(self.sched.rates[j])
         cap_eff = int(self.rule.psi(t, j))
-        p_lo = self._min_bits(t, h, eps, rate)
+        p_lo = self._min_bits(h, eps, rate)
         if p_lo is None or p_lo > cap_eff:
             raise GuaranteeBreachError(
                 f"required bits {p_lo} exceed allowed {cap_eff} at t={t}",
@@ -602,20 +542,20 @@ class _Engine:
                 and self.enc.step == self.dec.step):
             raise InvariantBreachError("encoder and decoder replicas diverged")
         self.x_aug = np.concatenate([self.x_aug[:self.n], self.enc.x_hat])
-        state = self.rule.suite.measure(self.x_aug[:self.n], self.enc.d_e(self.plant, r_tilde),
-                                   r_tilde)
+        de = self.enc.d_e(self.plant, r_tilde)
+        state = self.rule.suite.measure(self.x_aug[:self.n], de, r_tilde)
         self.transmissions.append(Transmission(
             k=len(self.transmissions) + 1, t_k=pkt.t_k, p_k=pkt.p_k,
             r_k=r, r_tilde_k=r_tilde, h_pf_tx=h_tx, eps_tx=eps_tx,
             h_ch_update=state.channel_ratio, eps_update=state.error_ratio,
             symbols=pkt.symbols))
         self.pending = None
-        self._record(r_tilde)
+        self._record(r_tilde, de)
 
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> SimTrace:
-        self._record(0.0)
+        self._record(0.0, self.enc.d_e(self.plant, 0.0))
         while self.t < self.horizon - _TIME_TOL:
             if self.pending is None:
                 fire = self._locate_fire(self.t)
@@ -668,10 +608,11 @@ class _Engine:
 
 
 def run(scenario: Scenario, force: bool = False) -> SimTrace:
-    """Simulate a scenario after checking its admissibility conditions."""
-    report = check_admissibility(scenario)
-    if not report.ok and not force:
-        raise AdmissibilityError(report)
+    """Simulate a scenario; unless forced, check its admissibility conditions first."""
+    if not force:
+        report = check_admissibility(scenario)
+        if not report.ok:
+            raise AdmissibilityError(report)
     return _Engine(scenario).run()
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .linalg import inf_norm, mat_exp
+from .linalg import inf_norm
 from .plant import PlantModel
 
 _SCAN_POINTS = 1000
@@ -100,10 +100,7 @@ def error_threshold(plant: PlantModel, T: float, h0):
 def exp_growth_inf(plant: PlantModel, tau):
     """``||e^{A tau}||_inf * e^{(beta/2) tau}`` for scalar or array tau."""
     taus = np.asarray(tau, dtype=float)
-    if taus.ndim == 0:
-        return inf_norm(mat_exp(plant.A, float(taus))) * math.exp(plant.beta / 2.0 * float(taus))
-    vals = np.array([inf_norm(mat_exp(plant.A, float(s))) for s in taus.ravel()])
-    return (vals * np.exp(plant.beta / 2.0 * taus.ravel())).reshape(taus.shape)
+    return inf_norm(plant.exp_A(taus)) * np.exp(plant.beta / 2.0 * taus)
 
 
 def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p, *,
@@ -214,22 +211,21 @@ def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> 
     wm = c.decay_gap + c.growth_rate
     e_wmT = math.exp(wm * T)
 
-    def g_above(tau: float) -> bool:
-        denom = e_wmT - math.exp(wm * tau)
-        if denom <= 0.0:
-            return True
-        g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
-        return g >= 1.0
+    def g_above(tau):
+        denom = e_wmT - np.exp(wm * tau)
+        with np.errstate(divide="ignore"):
+            g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
+        return (denom <= 0.0) | (g >= 1.0)
 
-    step = T / _SCAN_POINTS
-    prev = 0.0
-    for i in range(1, _SCAN_POINTS + 1):
-        tau = min(i * step, T * (1.0 - 1e-12))
-        if g_above(tau):
-            return bisect_crossing(g_above, prev, tau, root_tol)[1]
-        prev = tau
-    # g diverges at T^-, so the crossing is in the last subinterval.
-    return bisect_crossing(g_above, prev, T, root_tol)[1]
+    grid = np.minimum(np.arange(1, _SCAN_POINTS + 1) * (T / _SCAN_POINTS), T * (1.0 - 1e-12))
+    idx = np.flatnonzero(g_above(grid))
+    if idx.size:
+        i = int(idx[0])
+        lo, hi = (float(grid[i - 1]) if i else 0.0), float(grid[i])
+    else:
+        # g diverges at T^-, so the crossing is in the last subinterval.
+        lo, hi = float(grid[-1]), T
+    return bisect_crossing(g_above, lo, hi, root_tol)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from etcsim.presets import no_blackout_scenario, sec6_plant, sec6_scenario
-from etcsim.sim import EventRule, _Engine, run
+from etcsim.sim import _Engine, run
 from etcsim.triggers import TriggerConfig, TriggerSuite, resolve_lookahead
 
 
@@ -46,7 +46,7 @@ def blackout_rule(blackout_engine):
 
 @pytest.fixture(scope="session")
 def clear_channel_rule(clear_channel_scn):
-    return EventRule(clear_channel_scn)
+    return clear_channel_scn.rule
 
 
 @pytest.fixture(scope="session")

@@ -150,14 +150,12 @@ def test_criterion_6_artificial_blackout_bound(blackout_scn, blackout_trace):
         assert found_any
         # Trace consistency: whenever the logged packet bound is zero on a
         # usable slot, the enclosing sliver is shorter than two bit times.
-        usable = np.array([blackout_scn.schedule.cap_at(t) if t > 0 else
-                           blackout_scn.schedule.right_limit_cap(t)
+        usable = np.array([blackout_scn.schedule.caps[blackout_scn.schedule.slot_at(t)]
                            for t in blackout_trace.t])
         artificial = (blackout_trace.psi == 0) & (usable >= 1)
         for idx in np.flatnonzero(artificial):
             t = blackout_trace.t[idx]
-            j = (blackout_scn.schedule.slot_index(t) if t > 0
-                 else blackout_scn.schedule.right_slot_index(t))
+            j = blackout_scn.schedule.slot_at(t)
             slot_end = float(blackout_scn.schedule.theta[j + 1])
             assert slot_end - t < 2.0 / float(blackout_scn.schedule.rates[j])
 

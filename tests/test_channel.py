@@ -18,37 +18,41 @@ def simple_schedule():
 
 
 class TestSlotLookup:
+    """Channel values at t are ``rates/caps[slot_index(t)]``; right limits use ``right_slot_index``."""
+
     def test_right_closed_boundary(self):
         sched = simple_schedule()
         assert sched.slot_index(1.0) == 0
-        assert sched.rate_at(1.0) == 2.0
+        assert sched.rates[sched.slot_index(1.0)] == 2.0
 
     def test_left_open_boundary(self):
         sched = simple_schedule()
         assert sched.slot_index(1.0 + 1e-12) == 1
 
     def test_reference_blackout_interior(self):
-        assert sec6_schedule().cap_at(5.0) == 0
+        sched = sec6_schedule()
+        assert sched.caps[sched.slot_index(5.0)] == 0
 
     def test_horizon_errors(self):
         sched = simple_schedule()
         with pytest.raises(HorizonError):
-            sched.rate_at(0.0)
+            sched.slot_index(0.0)
         with pytest.raises(HorizonError):
-            sched.cap_at(3.5)
+            sched.slot_index(3.5)
 
     def test_right_limits_at_breakpoints(self):
         sched = simple_schedule()
-        assert sched.right_limit_rate(1.0) == 4.0
-        assert sched.right_limit_cap(1.0) == 0
-        assert sched.right_limit_cap(0.0) == 3
+        assert sched.rates[sched.right_slot_index(1.0)] == 4.0
+        assert sched.caps[sched.right_slot_index(1.0)] == 0
+        assert sched.caps[sched.right_slot_index(0.0)] == 3
 
     def test_reference_blackout_right_limit(self):
-        assert sec6_schedule().right_limit_cap(4.88) == 0
+        sched = sec6_schedule()
+        assert sched.caps[sched.right_slot_index(4.88)] == 0
 
     def test_right_limit_horizon_error(self):
         with pytest.raises(HorizonError):
-            simple_schedule().right_limit_cap(3.0)
+            simple_schedule().right_slot_index(3.0)
 
     def test_right_limit_agrees_off_breakpoints(self, rng):
         sched = sec6_schedule()
@@ -56,8 +60,9 @@ class TestSlotLookup:
         for t in ts:
             if np.any(np.isclose(sched.theta, t)):
                 continue
-            assert sched.rate_at(t) == sched.right_limit_rate(t)
-            assert sched.cap_at(t) == sched.right_limit_cap(t)
+            assert sched.slot_index(t) == sched.right_slot_index(t)
+            assert sched.rates[sched.slot_index(t)] == sched.rates[sched.right_slot_index(t)]
+            assert sched.caps[sched.slot_index(t)] == sched.caps[sched.right_slot_index(t)]
 
 
 class TestBlackouts:

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from etcsim.errors import DimensionError, DomainError, NotHurwitzError
-from etcsim.linalg import inf_norm, is_hurwitz, mat_exp, solve_lyapunov, spec_norm, sym_eig_extremes
+from etcsim.linalg import (
+    ExpKernel,
+    inf_norm,
+    is_hurwitz,
+    solve_lyapunov,
+    spec_norm,
+    sym_eig_extremes,
+)
 
 A_REF = np.array([[1.0, -2.0], [1.0, 4.0]])
+JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])  # defective: no eigenvector basis
 
 
 def taylor_expm(M, t, terms=40):
@@ -31,41 +39,84 @@ def random_stable(rng, n):
 
 
 class TestMatExp:
+    """``ExpKernel``: the closed form on A_REF, ``scipy.linalg.expm`` on JORDAN."""
+
     def test_zero_matrix_is_identity(self):
-        assert np.array_equal(mat_exp(np.zeros((3, 3)), 5.0), np.eye(3))
+        assert np.array_equal(ExpKernel(np.zeros((3, 3)))(5.0), np.eye(3))
 
     def test_diagonal_case(self):
-        E = mat_exp(np.diag([1.0, 2.0]), 1.0)
+        E = ExpKernel(np.diag([1.0, 2.0]))(1.0)
         assert np.allclose(E, np.diag([np.e, np.e ** 2]), rtol=1e-12)
 
     def test_reference_plant_against_taylor_oracle(self):
-        got = mat_exp(A_REF, 0.1)
+        got = ExpKernel(A_REF)(0.1)
         want = taylor_expm(A_REF, 0.1)
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_jordan_block_closed_form(self):
+        kernel = ExpKernel(JORDAN)
+        for t in (0.0, 0.3, 1.0, 4.0):
+            want = np.exp(t) * np.array([[1.0, t], [0.0, 1.0]])
+            assert np.allclose(kernel(t), want, rtol=1e-13, atol=0)
+
+    def test_branch_follows_the_eigenvector_basis(self):
+        assert ExpKernel(A_REF)._eig is not None
+        assert ExpKernel(JORDAN)._eig is None
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
-            mat_exp(np.ones((2, 3)), 1.0)
+            ExpKernel(np.ones((2, 3)))
 
     def test_rejects_negative_time(self):
-        with pytest.raises(DomainError):
-            mat_exp(np.eye(2), -1.0)
+        for M in (np.eye(2), JORDAN):
+            with pytest.raises(DomainError):
+                ExpKernel(M)(-1.0)
+            with pytest.raises(DomainError):
+                ExpKernel(M).apply(np.array([0.5, -1e-3]), np.ones(2))
 
     def test_semigroup_property(self, rng):
         for _ in range(10):
-            M = random_stable(rng, 3)
+            kernel = ExpKernel(random_stable(rng, 3))
             s, t = rng.uniform(0.0, 1.0, size=2)
-            lhs = mat_exp(M, s + t)
-            rhs = mat_exp(M, s) @ mat_exp(M, t)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8
+            assert np.max(np.abs(kernel(s + t) - kernel(s) @ kernel(t))) <= 1e-8
 
     def test_norm_bound_both_norms(self, rng):
         for _ in range(10):
             M = random_stable(rng, 3)
             tau = rng.uniform(0.0, 1.0)
-            E = mat_exp(M, tau)
+            E = ExpKernel(M)(tau)
             assert inf_norm(E) <= np.exp(inf_norm(M) * tau) * (1 + 1e-12)
             assert spec_norm(E) <= np.exp(spec_norm(M) * tau) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("M", [A_REF, JORDAN], ids=["eigen", "expm"])
+    def test_array_call_matches_scalar_calls(self, M):
+        kernel = ExpKernel(M)
+        ts = np.linspace(0.0, 2.0, 9)
+        stack = kernel(ts)
+        assert stack.shape == (9, 2, 2)
+        for t, E in zip(ts, stack):
+            assert inf_norm(E - kernel(t)) <= 1e-12 * inf_norm(kernel(t))
+        assert np.allclose(inf_norm(stack), [inf_norm(kernel(t)) for t in ts],
+                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("M", [A_REF, JORDAN], ids=["eigen", "expm"])
+    def test_apply_matches_matrix_times_vector(self, M):
+        kernel = ExpKernel(M)
+        x = np.array([0.7, -1.3])
+        ts = np.linspace(0.0, 2.0, 9)
+        rows = kernel.apply(ts, x)
+        assert rows.shape == (9, 2)
+        for t, row in zip(ts, rows):
+            want = kernel(t) @ x
+            assert inf_norm(row - want) <= 1e-12 * inf_norm(want)
+            assert inf_norm(kernel.apply(t, x) - want) <= 1e-12 * inf_norm(want)
+        assert np.array_equal(kernel.apply(0.0, x), x)
+
+    def test_complex_eigenvalues_give_real_results(self):
+        rotation = np.array([[0.0, -1.0], [1.0, 0.0]])
+        E = ExpKernel(rotation)(np.pi / 2)
+        assert E.dtype == float
+        assert np.allclose(E, rotation, atol=1e-15)
 
 
 class TestNorms:

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import etcsim.cli
+import etcsim.sim
+import etcsim.triggers
 from etcsim.cli import main
 from etcsim.errors import SchemaError
 from etcsim.presets import sec6_scenario
@@ -136,3 +139,35 @@ class TestCli:
         assert main(["simulate", str(tmp_path), "--out-dir", str(out)]) == 0
         assert (out / "one_trace.csv").exists()
         assert (out / "two_trace.csv").exists()
+
+    def test_directory_batch_parallel_jobs(self, tmp_path, sec6_doc):
+        doc = copy.deepcopy(sec6_doc)
+        doc["sim"].pop("output")
+        doc["sim"]["horizon"] = 1.0
+        for name in ("one.json", "two.json"):
+            (tmp_path / name).write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", str(tmp_path), "--out-dir", str(out), "--jobs", "2"]) == 0
+        for stem in ("one", "two"):
+            for suffix in ("trace.csv", "transmissions.csv", "stats.json"):
+                assert (out / f"{stem}_{suffix}").exists(), (stem, suffix)
+
+    def test_trigger_constants_built_once_per_simulate(self, tmp_path, monkeypatch):
+        calls = {"delay_floor": [], "admissibility": 0}
+        delay_floor = etcsim.triggers.delay_floor
+        check = etcsim.sim.check_admissibility
+
+        def counting_delay_floor(plant, T, p, *args, **kwargs):
+            calls["delay_floor"].append(p)
+            return delay_floor(plant, T, p, *args, **kwargs)
+
+        def counting_check(scenario):
+            calls["admissibility"] += 1
+            return check(scenario)
+
+        monkeypatch.setattr(etcsim.triggers, "delay_floor", counting_delay_floor)
+        monkeypatch.setattr(etcsim.sim, "check_admissibility", counting_check)
+        monkeypatch.setattr(etcsim.cli, "check_admissibility", counting_check)
+        assert main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)]) == 0
+        assert sorted(calls["delay_floor"]) == list(range(1, 9))  # p = 1..pmax
+        assert calls["admissibility"] == 1

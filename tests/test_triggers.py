@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from etcsim.errors import DomainError
-from etcsim.linalg import inf_norm, mat_exp
+from etcsim.linalg import inf_norm
 from etcsim.triggers import (
     TriggerConfig,
     bisect_crossing,
@@ -172,7 +173,7 @@ class TestChannelBound:
         T = ref_config.lookahead
         tau, h0, eps0, p = 0.01, 0.5, 0.5, 4
         hbar = float(perf_bound(ref_plant, tau, h0, eps0))
-        want = (inf_norm(mat_exp(ref_plant.A, tau)) * math.exp(ref_plant.beta / 2 * tau)
+        want = (inf_norm(expm(ref_plant.A * tau)) * math.exp(ref_plant.beta / 2 * tau)
                 * eps0 / float(error_threshold(ref_plant, T, hbar)) / 2 ** p)
         assert float(channel_bound(ref_plant, T, tau, h0, eps0, p)) == pytest.approx(
             want, rel=1e-12)
@@ -221,7 +222,7 @@ class TestDelayFloor:
         c = ref_plant.constants
         wm = c.decay_gap + c.growth_rate
         tstar = delay_floor(ref_plant, T, 4)
-        g = (inf_norm(mat_exp(ref_plant.A, tstar)) * math.exp(ref_plant.beta / 2 * tstar)
+        g = (inf_norm(expm(ref_plant.A * tstar)) * math.exp(ref_plant.beta / 2 * tstar)
              / 2 ** 4 * math.expm1(wm * T) / (math.exp(wm * T) - math.exp(wm * tstar)))
         assert g == pytest.approx(1.0, abs=1e-5)
 
