@@ -6,20 +6,20 @@ communication delays, and the error margin required before blackouts of
 different lengths.
 """
 
-from etcsim import TriggerConfig, TriggerSuite, blackout_entry_margin, resolve_lookahead
-from etcsim.presets import sec6_plant
+from etcsim import blackout_entry_margin
+from etcsim.presets import sec6_scenario
 
-plant = sec6_plant()
-lookahead = resolve_lookahead(plant, 0.1)
-suite = TriggerSuite(plant, TriggerConfig(lookahead=lookahead, sigma=0.06, sigma1=0.8))
+scenario = sec6_scenario()
+plant = scenario.plant
+rule = scenario.rule  # the scenario's event rule holds the constant table
 
-print(f"unit-level violation time..... {suite.unit_violation_time:.6f}")
-print(f"lookahead horizon T........... {lookahead:.6f}  (10% of the above)")
+print(f"unit-level violation time..... {rule.gamma1:.6f}")
+print(f"lookahead horizon T........... {scenario.trigger.lookahead:.6f}  (10% of the above)")
 print()
 print("packet size p | delay floor T*(p) | max comm delay T_M(p) | min rate (p+2)/T_M")
-for p in range(1, 9):
-    floor = suite.delay_floor(p)
-    tm = suite.max_comm_delay(p)
+for p in range(1, rule.pmax + 1):
+    floor = rule.delay_floor[p]
+    tm = rule.tm[p]
     print(f"{p:>13} | {floor:>17.6f} | {tm:>21.6f} | {(p + 2) / tm:>18.1f}")
 print()
 print("Any schedule rate above the last column supports packets of every")

@@ -10,7 +10,6 @@ from .capacity import (
     AllocationProblem,
     CapacityPlan,
     CapacityPlanner,
-    available_time,
     capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
@@ -46,8 +45,6 @@ from .sim import (
 )
 from .triggers import (
     TriggerConfig,
-    TriggerState,
-    TriggerSuite,
     blackout_entry_margin,
     channel_bound,
     delay_floor,
@@ -55,6 +52,7 @@ from .triggers import (
     perf_bound,
     resolve_lookahead,
     time_to_perf_violation,
+    trigger_constants,
 )
 
 __version__ = "0.1.0"

@@ -130,25 +130,6 @@ def replay_allocation(problem: AllocationProblem, phi) -> float | None:
     return busy
 
 
-def available_time(problem: AllocationProblem, phi, j: int) -> float:
-    """Transmission time left in slot j once prior slots hold allocation phi.
-
-    ``max(0, min over j1 <= j of theta_{j+1} - theta_{j1} - sum_{i=j1}^{j-1} phi_i/R_i)``.
-    """
-    if not 0 <= j < problem.num_slots:
-        raise DomainError("slot index outside the window")
-    phi = np.asarray(phi, dtype=float)
-    best = float(problem.durations[j])
-    for j1 in range(j):
-        occupied = 0.0
-        for i in range(j1, j):
-            if phi[i] > 0:
-                occupied += phi[i] / problem.rates[i]
-        cand = float(problem.theta[j + 1] - problem.theta[j1]) - occupied
-        best = min(best, cand)
-    return max(0.0, best)
-
-
 # ---------------------------------------------------------------------------
 # exact capacity (exhaustive oracle)
 

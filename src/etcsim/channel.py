@@ -72,11 +72,13 @@ class ChannelSchedule:
     def durations(self) -> np.ndarray:
         return np.diff(self.theta)
 
-    def slot_index(self, t: float) -> int:
-        """Index j with t in (theta_j, theta_{j+1}]."""
-        if not self.start < t <= self.end:
+    def slot_index(self, t):
+        """Index j with t in (theta_j, theta_{j+1}]; an array of times gives an array."""
+        ts = np.asarray(t, dtype=float)
+        if not np.all((self.start < ts) & (ts <= self.end)):
             raise HorizonError(f"t={t} outside schedule horizon ({self.start}, {self.end}]")
-        return int(np.searchsorted(self.theta, t, side="left")) - 1
+        js = np.searchsorted(self.theta, ts, side="left") - 1
+        return int(js) if js.ndim == 0 else js
 
     def right_slot_index(self, t: float) -> int:
         """Index of the slot that applies just after t (valid on [theta_0, theta_N))."""
@@ -84,11 +86,13 @@ class ChannelSchedule:
             raise HorizonError(f"t={t} outside [{self.start}, {self.end}) for right limits")
         return int(np.searchsorted(self.theta, t, side="right")) - 1
 
-    def slot_at(self, t: float) -> int:
-        """Slot whose values a send at t uses: slot_index, or the right limit at theta_0."""
-        if t <= self.start:
-            return self.right_slot_index(t)
-        return self.slot_index(t)
+    def slot_at(self, t):
+        """Slot whose values a send at t uses: slot_index, or the right limit at theta_0.
+
+        An array of times gives the array of their slots.
+        """
+        ts = np.asarray(t, dtype=float)
+        return self.slot_index(np.where(ts == self.start, self.theta[1], ts))
 
     # -- channel functions --------------------------------------------------
 

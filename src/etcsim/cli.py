@@ -32,7 +32,6 @@ from .errors import (
 )
 from .scenario import load_scenario
 from .sim import SimTrace, check_admissibility, run
-from .triggers import TriggerSuite
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -199,10 +198,10 @@ def cmd_capacity(args) -> int:
 
 def cmd_triggers(args) -> int:
     scenario, _ = load_scenario(args.scenario)
-    suite = TriggerSuite(scenario.plant, scenario.trigger)
-    pmax = int(scenario.schedule.caps.max())
-    rows = [(p, suite.delay_floor(p), suite.max_comm_delay(p)) for p in range(1, pmax + 1)]
-    print(f"unit violation time = {suite.unit_violation_time:.9f}")
+    rule = scenario.rule
+    rows = [(p, float(rule.delay_floor[p]), float(rule.tm[p]))
+            for p in range(1, rule.pmax + 1)]
+    print(f"unit violation time = {rule.gamma1:.9f}")
     print(f"lookahead T = {scenario.trigger.lookahead:.9f}")
     print(f"{'p':>3} {'delay_floor':>14} {'max_comm_delay':>16}")
     for p, floor_, tm in rows:

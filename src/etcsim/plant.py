@@ -61,16 +61,17 @@ class PlantModel:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def lyapunov_value(self, x) -> float:
-        """V(x) = x^T P x."""
+    def lyapunov_value(self, x):
+        """V(x) = x^T P x over the last axis: one state or an array of states."""
         v = np.asarray(x, dtype=float)
-        return float(v @ self.P @ v)
+        return np.einsum("...i,ij,...j->...", v, self.P, v)
 
-    def desired_performance(self, t: float) -> float:
-        """Target performance level ``vd0 * exp(-beta t)`` (t0 = 0)."""
-        if t < 0:
+    def desired_performance(self, t):
+        """Target performance level ``vd0 * exp(-beta t)`` (t0 = 0), scalar or array t."""
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts < 0):
             raise DomainError("desired_performance requires t >= t0 = 0")
-        return self.vd0 * float(np.exp(-self.beta * t))
+        return self.vd0 * np.exp(-self.beta * ts)
 
     def with_vd0(self, vd0: float) -> "PlantModel":
         if vd0 <= 0:

@@ -19,8 +19,6 @@ from .plant import build_plant
 from .sim import Scenario
 from .triggers import TriggerConfig, resolve_lookahead
 
-SEC6_BLACKOUTS = ((4.88, 6.88), (11.52, 13.52), (17.05, 19.05))
-
 # (theta_start, theta_end, rate, cap); blackouts keep a bookkeeping rate.
 SEC6_SLOTS = (
     (0.0, 2.44, 3000.0, 8),

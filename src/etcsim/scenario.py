@@ -2,7 +2,8 @@
 
 The on-disk format is a single JSON document with ``plant``, ``channel``,
 ``trigger`` and ``sim`` sections (schema documented in the README).
-Numeric fields accept exact decimal strings as well as JSON numbers.
+Numeric fields accept exact decimal strings as well as JSON numbers,
+but no NaN or infinity.
 Derived fields resolve in one pass: ``beta_fraction`` against the
 certified decay rate, ``Vd0_factor`` against the initial Lyapunov value,
 ``de0_factor`` against the initial estimate error and
@@ -12,6 +13,7 @@ certified decay rate, ``Vd0_factor`` against the initial Lyapunov value,
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +32,17 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or value is None:
         raise SchemaError(f"{where}: expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        number = float(value)
+    elif isinstance(value, str):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise SchemaError(f"{where}: {value!r} is not a decimal number") from None
-    raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    else:
+        raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: {value!r} is not a finite number")
+    return number
 
 
 def _matrix(value, where: str) -> list[list[float]]:

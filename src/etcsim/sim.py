@@ -31,13 +31,13 @@ from .linalg import ExpKernel, inf_norm
 from .plant import PlantModel
 from .triggers import (
     TriggerConfig,
-    TriggerSuite,
     bisect_crossing,
     blackout_entry_margin,
     channel_bound,
     error_threshold,
     exp_growth_inf,
     perf_bound,
+    trigger_constants,
 )
 
 _TIME_TOL = 1e-9
@@ -47,6 +47,9 @@ MODE_NO_BLACKOUT = "no_blackout"
 MODE_BLACKOUT = "blackout"
 POLICY_MAX = "max_bits"
 POLICY_MIN = "min_bits"
+
+# Trace columns recorded after t, x and x_hat, in row order.
+_ROW_COLUMNS = ("V", "Vd", "h_pf", "eps", "h_ch", "d_e", "phi", "psi", "s_hat", "l3")
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,10 @@ class Scenario:
             raise ConfigurationError(f"unknown packet policy {self.packet_policy!r}")
         if not 0.0 <= self.delay_factor <= 1.0:
             raise ConfigurationError("delay_factor must lie in [0, 1]")
+        for name in ("scan_step", "sample_step"):
+            step = getattr(self, name)
+            if step is not None and not step > 0:
+                raise ConfigurationError(f"{name} must be positive")
         if self.d_e0 < inf_norm(self.x0 - self.x_hat0):
             raise ConfigurationError("d_e0 must dominate the initial estimate error")
         if self.schedule.start != 0.0:
@@ -180,14 +187,10 @@ class AdmissibilityReport:
 
 def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
     """Evaluate every mode-specific feasibility condition with witnesses."""
-    plant, sched = scenario.plant, scenario.schedule
-    rule = scenario.rule
-    suite = rule.suite
+    sched, rule = scenario.schedule, scenario.rule
     checks: list[CheckResult] = []
 
-    vd0 = plant.desired_performance(0.0)
-    h0 = plant.lyapunov_value(scenario.x0) / vd0
-    eps0 = scenario.d_e0 / (plant.constants.error_scale * math.sqrt(vd0))
+    h0, eps0 = rule.ratios(0.0, scenario.x0, scenario.d_e0)
     j0 = sched.right_slot_index(0.0)
     cap0 = int(sched.caps[j0])
 
@@ -199,7 +202,7 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
         bad = []
         for j in range(sched.num_slots):
             for p in range(1, int(sched.caps[j]) + 1):
-                if sched.rates[j] < p / suite.max_comm_delay(p):
+                if sched.rates[j] < p / rule.tm[p]:
                     bad.append((float(sched.theta[j]), p))
         checks.append(CheckResult("rate_supports_delays", not bad, tuple(bad),
                                   "need R >= p / T_M(p) for p up to the slot cap"))
@@ -209,7 +212,7 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
             if sched.caps[j] == 0:
                 continue  # blackout slot: its rate is never used for transmission
             for p in range(1, rule.pmax + 1):
-                if sched.rates[j] < (p + 2) / suite.max_comm_delay(p):
+                if sched.rates[j] < (p + 2) / rule.tm[p]:
                     bad.append((float(sched.theta[j]), p))
         checks.append(CheckResult("rate_supports_delays", not bad, tuple(bad),
                                   "need R >= (p+2) / T_M(p) for p up to the global cap"))
@@ -258,22 +261,34 @@ class EventRule:
     mode and the capacity planner's packet bound in blackout mode; ``l3``
     is ``-inf`` in no-blackout mode and when no blackout lies ahead.
 
-    The ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}`` tables are
-    built once, for every p up to the largest packet cap.
+    The rule reads a state through its ratios (``ratios``).  Its constant
+    table is built once, for every p up to the largest packet cap: the
+    unit violation time ``gamma1``, the delay floors, ``T_M(p)`` and
+    ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p.
     """
 
     def __init__(self, scenario: Scenario):
         self.plant = scenario.plant
         self.sched = scenario.schedule
         self.config = scenario.trigger
-        self.suite = TriggerSuite(self.plant, scenario.trigger)
         self.planner = (CapacityPlanner(self.sched) if scenario.mode == MODE_BLACKOUT
                         else None)
         self.pmax = int(self.sched.caps.max())
-        self.tm = np.full(self.pmax + 1, np.nan)
-        self.tm[1:] = [self.suite.max_comm_delay(p) for p in range(1, self.pmax + 1)]
+        self.gamma1, self.delay_floor, self.tm = trigger_constants(
+            self.plant, self.config, self.pmax)
         self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
         self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
+
+    def ratios(self, ts, xs, des):
+        """Performance ratio ``h = V(x)/V_d(t)`` and error ratio ``eps = d_e/(c sqrt(V_d(t)))``.
+
+        ts, the states xs (one per row; only the first n entries, the
+        plant state, are read) and the error bounds des may be one time
+        or arrays of times.
+        """
+        vd = self.plant.desired_performance(ts)
+        h = self.plant.lyapunov_value(xs[..., :self.plant.n]) / vd
+        return h, des / (self.plant.constants.error_scale * np.sqrt(vd))
 
     def psi(self, ts, j: int):
         """Packet bound (per-dimension bits) at times ts in slot j."""
@@ -359,17 +374,10 @@ class _Engine:
         self.dec = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0, 0.0)
         self.pending: tuple | None = None
         self.transmissions: list[Transmission] = []
-        self.rows: list[tuple] = []
+        self.rows: list[np.ndarray] = []
         grid = np.arange(1, int(np.floor(self.horizon / self.sample_step)) + 1) * self.sample_step
         self.sample_times = grid[grid < self.horizon - _TIME_TOL]
         self._sample_idx = 0
-
-    def _state_at(self, t: float, x: np.ndarray):
-        vd = self.plant.desired_performance(t)
-        de = self.enc.d_e(self.plant, t)
-        h = self.plant.lyapunov_value(x[:self.n]) / vd
-        eps = de / (self.plant.constants.error_scale * math.sqrt(vd))
-        return h, eps, de, vd
 
     # -- vectorized segment scan ----------------------------------------------
 
@@ -378,10 +386,7 @@ class _Engine:
         """Index of the first grid point in slot j where the rule fires."""
         if self.sched.caps[j] == 0:
             return None  # blackout slot: no send, so the rule need not be evaluated
-        vd = self.plant.vd0 * np.exp(-self.plant.beta * ts)
-        xs_state = xs[:, :self.n]
-        h = np.einsum("ni,ij,nj->n", xs_state, self.plant.P, xs_state) / vd
-        eps = des / (self.plant.constants.error_scale * np.sqrt(vd))
+        h, eps = self.rule.ratios(ts, xs, des)
         idx = np.flatnonzero(self.rule.fires(ts, h, eps, j))
         return int(idx[0]) if idx.size else None
 
@@ -397,7 +402,8 @@ class _Engine:
         anchor_x = self.x_aug.copy()
 
         def pred(t: float, j: int) -> bool:
-            h, eps, _, _ = self._state_at(t, self.exp_block.apply(t - t_start, anchor_x))
+            x = self.exp_block.apply(t - t_start, anchor_x)
+            h, eps = self.rule.ratios(t, x, self.enc.d_e(self.plant, t))
             return bool(self.rule.fires(t, h, eps, j))
 
         cursor = t_start
@@ -454,30 +460,39 @@ class _Engine:
 
     # -- advancing and recording --------------------------------------------------
 
-    def _record(self, t: float, de: float):
-        """Append the sample at t of the current state, whose error bound is de."""
-        x = self.x_aug[:self.n]
-        x_hat = self.x_aug[self.n:]
-        vd = self.plant.desired_performance(t)
-        v = self.plant.lyapunov_value(x)
-        h = v / vd
-        if h > 1.0:
-            raise ObjectiveViolationError(f"performance ratio {h} exceeds 1 at t={t}")
-        err = inf_norm(x - x_hat)
-        if err > de * (1.0 + 1e-9) + 1e-300:
-            raise InvariantBreachError(f"estimate error {err} exceeds bound {de} at t={t}")
-        eps = de / (self.plant.constants.error_scale * math.sqrt(vd))
-        rho = float(error_threshold(self.plant, self.scn.trigger.lookahead, h))
+    def _record(self, ts: np.ndarray, xs: np.ndarray, des: np.ndarray):
+        """Append one trace row per time in ts, at augmented state xs and error bound des.
+
+        Raises at the earliest row whose performance ratio exceeds 1 or,
+        failing that, whose estimate error exceeds its bound.
+        """
+        n = self.n
+        h, eps = self.rule.ratios(ts, xs, des)
+        err = np.max(np.abs(xs[:, :n] - xs[:, n:]), axis=1)
+        perf_bad = h > 1.0
+        bad = np.flatnonzero(perf_bad | (err > des * (1.0 + 1e-9) + 1e-300))
+        if bad.size:
+            i = bad[0]
+            if perf_bad[i]:
+                raise ObjectiveViolationError(f"performance ratio {h[i]} exceeds 1 at t={ts[i]}")
+            raise InvariantBreachError(
+                f"estimate error {err[i]} exceeds bound {des[i]} at t={ts[i]}")
+        cap_cols = np.full((ts.size, 4), np.nan)
         if self.blackout_mode:
-            j = self.sched.slot_at(t)
             planner = self.rule.planner
-            cap_cols = (float(planner.planned_bits(j, t)),
-                        float(planner.packet_bound(j, t)),
-                        float(planner.capacity_floor(j, t)),
-                        float(self.rule.l3(t, eps, j)))
-        else:
-            cap_cols = (math.nan, math.nan, math.nan, math.nan)
-        self.rows.append((t, x.copy(), x_hat.copy(), v, vd, h, eps, eps / rho, de) + cap_cols)
+            js = self.sched.slot_at(ts)
+            for j in np.unique(js).tolist():
+                rows = js == j
+                t = ts[rows]
+                cap_cols[rows, 0] = planner.planned_bits(j, t)
+                cap_cols[rows, 1] = planner.packet_bound(j, t)
+                cap_cols[rows, 2] = planner.capacity_floor(j, t)
+                cap_cols[rows, 3] = self.rule.l3(t, eps[rows], j)
+        rho = error_threshold(self.plant, self.scn.trigger.lookahead, h)
+        # columns: t, x, x_hat, then _ROW_COLUMNS
+        self.rows.append(np.column_stack([
+            ts, xs, self.plant.lyapunov_value(xs[:, :n]), self.plant.desired_performance(ts),
+            h, eps, eps / rho, des, cap_cols]))
 
     def _advance(self, t_target: float, record_end: bool = True):
         """Propagate exactly to t_target, recording samples and breakpoints."""
@@ -493,17 +508,16 @@ class _Engine:
         for theta in self.sched.theta:
             if self.t < theta < t_target:
                 pts.append(float(theta))
-        pts = np.array(sorted(set(pts)))
+        ts = np.array(sorted(set(pts)))
         anchor_t, anchor_x = self.t, self.x_aug
-        xs = self.exp_block.apply(pts - anchor_t, anchor_x)
-        for s, x, de in zip(pts, xs, self.enc.d_e(self.plant, pts)):
-            self.x_aug = x
-            self._record(float(s), float(de))
         if t_target > anchor_t:
             self.x_aug = self.exp_block.apply(t_target - anchor_t, anchor_x)
             self.t = t_target
             if record_end:
-                self._record(t_target, self.enc.d_e(self.plant, t_target))
+                ts = np.append(ts, t_target)
+        if ts.size:
+            self._record(ts, self.exp_block.apply(ts - anchor_t, anchor_x),
+                         self.enc.d_e(self.plant, ts))
 
     # -- packet sizing ---------------------------------------------------------
 
@@ -519,7 +533,7 @@ class _Engine:
 
     def _fire(self, t: float, j: int):
         x = self.x_aug[:self.n]
-        h, eps, _, _ = self._state_at(t, self.x_aug)
+        h, eps = map(float, self.rule.ratios(t, self.x_aug, self.enc.d_e(self.plant, t)))
         rate = float(self.sched.rates[j])
         cap_eff = int(self.rule.psi(t, j))
         p_lo = self._min_bits(h, eps, rate)
@@ -543,19 +557,19 @@ class _Engine:
             raise InvariantBreachError("encoder and decoder replicas diverged")
         self.x_aug = np.concatenate([self.x_aug[:self.n], self.enc.x_hat])
         de = self.enc.d_e(self.plant, r_tilde)
-        state = self.rule.suite.measure(self.x_aug[:self.n], de, r_tilde)
+        h, eps = self.rule.ratios(r_tilde, self.x_aug, de)
+        h_ch = eps / error_threshold(self.plant, self.scn.trigger.lookahead, h)
         self.transmissions.append(Transmission(
             k=len(self.transmissions) + 1, t_k=pkt.t_k, p_k=pkt.p_k,
             r_k=r, r_tilde_k=r_tilde, h_pf_tx=h_tx, eps_tx=eps_tx,
-            h_ch_update=state.channel_ratio, eps_update=state.error_ratio,
-            symbols=pkt.symbols))
+            h_ch_update=float(h_ch), eps_update=float(eps), symbols=pkt.symbols))
         self.pending = None
-        self._record(r_tilde, de)
+        self._record(np.array([r_tilde]), self.x_aug[None], np.array([de]))
 
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> SimTrace:
-        self._record(0.0, self.enc.d_e(self.plant, 0.0))
+        self._record(np.zeros(1), self.x_aug[None], np.array([self.enc.d_e(self.plant, 0.0)]))
         while self.t < self.horizon - _TIME_TOL:
             if self.pending is None:
                 fire = self._locate_fire(self.t)
@@ -580,22 +594,12 @@ class _Engine:
         return self._build_trace()
 
     def _build_trace(self) -> SimTrace:
-        rows = self.rows
-        t = np.array([r[0] for r in rows])
+        rows, n = np.concatenate(self.rows), self.n
         trace = SimTrace(
-            t=t,
-            x=np.array([r[1] for r in rows]),
-            x_hat=np.array([r[2] for r in rows]),
-            V=np.array([r[3] for r in rows]),
-            Vd=np.array([r[4] for r in rows]),
-            h_pf=np.array([r[5] for r in rows]),
-            eps=np.array([r[6] for r in rows]),
-            h_ch=np.array([r[7] for r in rows]),
-            d_e=np.array([r[8] for r in rows]),
-            phi=np.array([r[9] for r in rows]),
-            psi=np.array([r[10] for r in rows]),
-            s_hat=np.array([r[11] for r in rows]),
-            l3=np.array([r[12] for r in rows]),
+            t=rows[:, 0],
+            x=rows[:, 1:1 + n],
+            x_hat=rows[:, 1 + n:1 + 2 * n],
+            **dict(zip(_ROW_COLUMNS, rows[:, 1 + 2 * n:].T)),
             transmissions=self.transmissions,
             mode=self.scn.mode,
             horizon=self.horizon,

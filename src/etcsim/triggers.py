@@ -4,7 +4,10 @@ All bounds are closed-form scalar maps parameterised by a PlantModel
 (through its rate constants) and, where a look-ahead enters, by the
 design horizon T.  They accept numpy arrays in their time/level
 arguments so the simulator can evaluate dense grids in one call; the
-event rule that combines them lives in ``etcsim.sim``.
+event rule that combines them lives in ``etcsim.sim``.  The per-plant
+constant table (the unit violation time, the delay floors and
+``T_M(p)``) is computed by ``trigger_constants``, which
+``sim.EventRule`` calls once when a scenario's rule is built.
 
 Root finding follows one recipe throughout: a bracketing scan with step
 T/1000 (expanding geometrically when the root lies beyond the first
@@ -47,20 +50,6 @@ class TriggerConfig:
             raise ConfigurationError("sigma must lie in (0, 1)")
         if not 0 < self.sigma1 < 1:
             raise ConfigurationError("sigma1 must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class TriggerState:
-    """Instantaneous trigger quantities at one time.
-
-    perf_ratio     V(x)/V_d(t)
-    error_ratio    d_e normalised by the error scale and sqrt(V_d)
-    channel_ratio  error_ratio divided by the threshold rho_T(perf_ratio)
-    """
-
-    perf_ratio: float
-    error_ratio: float
-    channel_ratio: float
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +146,7 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
 
 
 def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
-                           root_tol: float = 1e-9,
-                           scan_window: float | None = None) -> float:
+                           root_tol: float = 1e-9) -> float:
     """First time the open-loop performance bound reaches 1 going up.
 
     Returns ``math.inf`` when the bound never comes back to 1 (eps0 = 0
@@ -177,10 +165,9 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
 
     c = plant.constants
     wm = c.decay_gap + c.growth_rate
-    window = scan_window if scan_window is not None else 1.0 / wm
     above = lambda tau: perf_bound(plant, tau, h0, eps0) > 1.0
 
-    lo, hi = 0.0, window
+    lo, hi = 0.0, 1.0 / wm
     # Expand geometrically until the bound has crossed 1; it always does
     # for eps0 > 0 since the bound grows like e^{mu tau}.
     for _ in range(200):
@@ -228,58 +215,20 @@ def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> 
     return bisect_crossing(g_above, lo, hi, root_tol)[1]
 
 
-# ---------------------------------------------------------------------------
-# trigger suite
+def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
+    """The unit violation time and the delay-floor and ``T_M`` tables up to pmax bits.
 
-
-class TriggerSuite:
-    """Threshold constants bound to one plant and one configuration.
-
-    Caches the unit-level violation time, the per-bit-count delay floors
-    and max delays that the event rule and admissibility checks query
-    repeatedly.
+    Returns ``(gamma1, floors, tm)``: gamma1 is the time the performance
+    bound takes to return to 1 from (1, 1), and ``floors[p]`` and
+    ``tm[p] = sigma * min(gamma1, T, floors[p])`` are indexed by the bit
+    count p, with NaN at p = 0.
     """
-
-    def __init__(self, plant: PlantModel, config: TriggerConfig):
-        self.plant = plant
-        self.config = config
-        self._gamma_unit: float | None = None
-        self._delay_floor: dict[int, float] = {}
-        self._max_delay: dict[int, float] = {}
-
-    # -- cached constants --------------------------------------------------
-
-    @property
-    def unit_violation_time(self) -> float:
-        """Time for the performance bound to return to 1 from (1, 1)."""
-        if self._gamma_unit is None:
-            self._gamma_unit = time_to_perf_violation(
-                self.plant, 1.0, 1.0, self.config.root_tol)
-        return self._gamma_unit
-
-    def delay_floor(self, p: int) -> float:
-        if p not in self._delay_floor:
-            self._delay_floor[p] = delay_floor(
-                self.plant, self.config.lookahead, p, self.config.root_tol)
-        return self._delay_floor[p]
-
-    def max_comm_delay(self, p: int) -> float:
-        """sigma-scaled min of the unit violation time, T and the delay floor."""
-        if p < 1:
-            raise DomainError("max_comm_delay requires at least one bit")
-        if p not in self._max_delay:
-            self._max_delay[p] = self.config.sigma * min(
-                self.unit_violation_time, self.config.lookahead, self.delay_floor(p))
-        return self._max_delay[p]
-
-    # -- instantaneous state -------------------------------------------------
-
-    def measure(self, x, d_e: float, t: float) -> TriggerState:
-        vd = self.plant.desired_performance(t)
-        h = self.plant.lyapunov_value(x) / vd
-        eps = d_e / (self.plant.constants.error_scale * math.sqrt(vd))
-        rho = float(error_threshold(self.plant, self.config.lookahead, h))
-        return TriggerState(perf_ratio=h, error_ratio=eps, channel_ratio=eps / rho)
+    gamma1 = time_to_perf_violation(plant, 1.0, 1.0, config.root_tol)
+    floors = np.full(pmax + 1, np.nan)
+    floors[1:] = [delay_floor(plant, config.lookahead, p, config.root_tol)
+                  for p in range(1, pmax + 1)]
+    tm = config.sigma * np.minimum(min(gamma1, config.lookahead), floors)
+    return gamma1, floors, tm
 
 
 def resolve_lookahead(plant: PlantModel, fraction: float, root_tol: float = 1e-9) -> float:

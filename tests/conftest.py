@@ -3,7 +3,7 @@ import pytest
 
 from etcsim.presets import no_blackout_scenario, sec6_plant, sec6_scenario
 from etcsim.sim import _Engine, run
-from etcsim.triggers import TriggerConfig, TriggerSuite, resolve_lookahead
+from etcsim.triggers import TriggerConfig, resolve_lookahead, trigger_constants
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +19,9 @@ def ref_config(ref_plant):
 
 
 @pytest.fixture(scope="session")
-def ref_suite(ref_plant, ref_config):
-    return TriggerSuite(ref_plant, ref_config)
+def ref_constants(ref_plant, ref_config):
+    """``(gamma1, delay floors, T_M)`` of the reference plant for p = 1..8."""
+    return trigger_constants(ref_plant, ref_config, 8)
 
 
 @pytest.fixture(scope="session")

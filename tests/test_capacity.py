@@ -4,7 +4,6 @@ import pytest
 from etcsim.capacity import (
     AllocationProblem,
     CapacityPlanner,
-    available_time,
     capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
@@ -13,37 +12,6 @@ from etcsim.capacity import (
 )
 from etcsim.errors import DomainError, ScaleGuardError
 from etcsim.presets import sec6_schedule
-
-
-def packet_level_replay(problem, phi):
-    """Independent oracle: packet-by-packet transmission, earliest-first.
-
-    Splits each slot's bits into cap-sized packets, transmits back to
-    back from the earliest admissible instant, and reports per-slot
-    launch windows and the final reception time (None when infeasible).
-    """
-    busy = float(problem.theta[0])
-    slot_windows = []
-    for j in range(problem.num_slots):
-        bits = int(phi[j])
-        cap = int(problem.caps[j])
-        start_window = max(busy, float(problem.theta[j]))
-        launched = 0
-        window_open = start_window
-        while launched < bits:
-            if cap == 0:
-                return None, None
-            t_launch = max(busy, float(problem.theta[j]))
-            if t_launch > float(problem.theta[j + 1]):
-                return None, None
-            chunk = min(cap, bits - launched)
-            busy = t_launch + chunk / float(problem.rates[j])
-            launched += chunk
-        slot_windows.append((window_open, busy))
-    end = busy
-    if end > problem.horizon_end + 1e-9:
-        return None, None
-    return end, slot_windows
 
 
 def random_problem(rng, max_slots=4, allow_blackouts=True):
@@ -65,34 +33,6 @@ def is_no_chain(problem):
         if problem.caps[j] and problem.caps[j] / problem.rates[j] >= problem.durations[j + 1]:
             return False
     return True
-
-
-class TestAvailableTime:
-    def test_empty_allocation_leaves_full_slot(self):
-        prob = AllocationProblem(theta=[0.0, 1.0, 3.0], rates=[2.0, 1.0],
-                                 caps=[2, 2], n=1)
-        assert available_time(prob, [0, 0], 1) == 2.0
-
-    def test_exact_consumption(self):
-        # Prior slot's bits occupy exactly both slots.
-        prob = AllocationProblem(theta=[0.0, 1.0, 2.0], rates=[2.0, 1.0],
-                                 caps=[4, 2], n=1)
-        assert available_time(prob, [4, 0], 1) == 0.0
-
-    def test_matches_packet_replay(self, rng):
-        for _ in range(40):
-            prob = random_problem(rng, max_slots=3)
-            phi = [int(rng.integers(0, 3)) if prob.caps[j] else 0
-                   for j in range(prob.num_slots)]
-            end, _ = packet_level_replay(prob, phi)
-            if end is None:
-                continue
-            j = prob.num_slots - 1
-            free = available_time(prob, phi[:-1] + [0], j)
-            # The replay's busy time entering the last slot pins its free time.
-            end_prior, _ = packet_level_replay(prob, phi[:-1] + [0])
-            want = max(0.0, float(prob.theta[j + 1]) - max(end_prior, float(prob.theta[j])))
-            assert free == pytest.approx(want, abs=1e-12)
 
 
 class TestCapacityExact:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etcsim.errors import ConfigurationError, DecayMarginError, DimensionError
+from etcsim.errors import ConfigurationError, DecayMarginError, DimensionError, DomainError
 from etcsim.linalg import sym_eig_extremes
 from etcsim.plant import build_plant
 
@@ -74,6 +74,17 @@ class TestPerformance:
         ts = np.linspace(0.0, 5.0, 50)
         vals = [plant.desired_performance(t) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_array_calls_match_scalar_formulas(self, rng):
+        plant = reference_plant().with_vd0(3.0)
+        xs = rng.normal(size=(7, 2))
+        ts = np.linspace(0.0, 5.0, 7)
+        assert np.allclose(plant.lyapunov_value(xs), [x @ plant.P @ x for x in xs],
+                           rtol=1e-14, atol=0)
+        assert np.allclose(plant.desired_performance(ts), 3.0 * np.exp(-plant.beta * ts),
+                           rtol=1e-15, atol=0)
+        with pytest.raises(DomainError):
+            plant.desired_performance(np.array([0.0, -1e-3]))
 
     def test_reference_initial_level(self):
         # vd0 = 1.2 * V((6, -4)) with the exact certificate: V = 403/3.

@@ -9,7 +9,7 @@ import etcsim.cli
 import etcsim.sim
 import etcsim.triggers
 from etcsim.cli import main
-from etcsim.errors import SchemaError
+from etcsim.errors import ConfigurationError, SchemaError
 from etcsim.presets import sec6_scenario
 from etcsim.scenario import build_scenario, dump_document, load_document, normalize_document
 
@@ -59,12 +59,33 @@ class TestSchema:
         (lambda d: d["sim"].update(mode="sometimes"), "mode"),
         (lambda d: d["sim"].update(bogus=1), "unknown"),
         (lambda d: d["trigger"].update(sigma="not-a-number"), "sigma"),
+        (lambda d: d["channel"]["slots"][0].update(R="nan"), "R: 'nan'"),
+        (lambda d: d["sim"].update(sample_step="nan"), "sim.sample_step"),
+        (lambda d: d["sim"].update(scan_step="nan"), "sim.scan_step"),
+        (lambda d: d["plant"].update(Vd0_factor="inf"), "plant.Vd0_factor"),
+        (lambda d: d["sim"].update(horizon=float("nan")), "sim.horizon"),  # JSON NaN
+        (lambda d: d["trigger"].update(sigma="-inf"), "trigger.sigma"),
     ])
     def test_schema_errors_carry_field_context(self, sec6_doc, mutate, fragment):
         doc = copy.deepcopy(sec6_doc)
         mutate(doc)
         with pytest.raises(SchemaError, match=fragment):
             normalize_document(doc)
+
+    def test_json_nan_literal_rejected(self, sec6_doc, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(sec6_doc).replace('"horizon": 20.0', '"horizon": NaN'))
+        with pytest.raises(SchemaError, match="sim.horizon"):
+            load_document(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("sample_step", 0), ("sample_step", -0.01), ("scan_step", 0), ("scan_step", -1),
+    ])
+    def test_nonpositive_steps_rejected(self, sec6_doc, field, value):
+        doc = copy.deepcopy(sec6_doc)
+        doc["sim"][field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            build_scenario(doc)
 
 
 class TestCli:
@@ -90,6 +111,13 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"plant\": {}}")
         assert main(["simulate", str(bad)]) == 2
+
+    @pytest.mark.parametrize("step", ["-1", "0", "nan"])
+    def test_nonpositive_scan_step_exit_code(self, tmp_path, step):
+        code = main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path),
+                     "--scan-step", step])
+        assert code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_margin_violation_exit_code(self, tmp_path, sec6_doc):
         doc = copy.deepcopy(sec6_doc)

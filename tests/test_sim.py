@@ -8,10 +8,20 @@ import pytest
 from etcsim.capacity import CapacityPlanner
 from etcsim.channel import ChannelSchedule
 from etcsim.codec import initial_state
-from etcsim.errors import AdmissibilityError, ConfigurationError
+from etcsim.errors import (
+    AdmissibilityError,
+    ConfigurationError,
+    InvariantBreachError,
+    ObjectiveViolationError,
+)
 from etcsim.presets import no_blackout_scenario, sec6_plant
 from etcsim.sim import Scenario, check_admissibility, run
-from etcsim.triggers import TriggerConfig, blackout_entry_margin, resolve_lookahead
+from etcsim.triggers import (
+    TriggerConfig,
+    blackout_entry_margin,
+    error_threshold,
+    resolve_lookahead,
+)
 
 
 class TestLocateCrossing:
@@ -205,6 +215,68 @@ class TestBlackoutRun:
         assert np.array_equal(again.x_hat, blackout_trace.x_hat)
         assert [tx.t_k for tx in again.transmissions] == [
             tx.t_k for tx in blackout_trace.transmissions]
+
+
+class TestRecorderOracle:
+    """Every trace row against a scalar recomputation from its t, x and d_e."""
+
+    COLUMNS = ("V", "Vd", "h_pf", "eps", "h_ch", "phi", "psi", "s_hat", "l3")
+
+    @staticmethod
+    def scalar_rows(scn, trace):
+        plant, sched = scn.plant, scn.schedule
+        planner = CapacityPlanner(sched) if scn.mode == "blackout" else None
+        rows = []
+        for t, x, de in zip(trace.t.tolist(), trace.x, trace.d_e.tolist()):
+            v = float(x @ plant.P @ x)
+            vd = plant.vd0 * math.exp(-plant.beta * t)
+            h = v / vd
+            eps = de / (plant.constants.error_scale * math.sqrt(vd))
+            h_ch = eps / float(error_threshold(plant, scn.trigger.lookahead, h))
+            if planner is None:
+                cap_cols = (math.nan,) * 4
+            else:
+                j = sched.slot_at(t)
+                cap_cols = (float(planner.planned_bits(j, t)), float(planner.packet_bound(j, t)),
+                            float(planner.capacity_floor(j, t)), float(scn.rule.l3(t, eps, j)))
+            rows.append((v, vd, h, eps, h_ch) + cap_cols)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_rows_match_scalar_oracle(self, request, name):
+        scn = request.getfixturevalue(f"{name}_scn")
+        trace = request.getfixturevalue(f"{name}_trace")
+        want = self.scalar_rows(scn, trace)
+        got = np.column_stack([getattr(trace, c) for c in self.COLUMNS])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.all(np.isnan(got[:, 5:])) == (scn.mode != "blackout")
+        for k, column in enumerate(self.COLUMNS):
+            np.testing.assert_allclose(got[:, k], want[:, k], rtol=1e-12, atol=0,
+                                       err_msg=column)
+
+
+class TestRecorderChecks:
+    """The recorder raises at the earliest bad row, checking h <= 1 first in each row."""
+
+    OK, ERR_BAD, BOTH_BAD = [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [100.0, 100.0, 0.0, 0.0]
+
+    @staticmethod
+    def record(engine, xs, des):
+        eng = copy.copy(engine)
+        eng.rows = []
+        ts = np.array([0.1, 0.2, 0.3][:len(xs)])
+        try:
+            eng._record(ts, np.array(xs), np.array(des))
+        finally:
+            assert eng.rows == []
+
+    def test_earliest_row_wins(self, blackout_engine):
+        with pytest.raises(InvariantBreachError, match="t=0.2"):
+            self.record(blackout_engine, [self.OK, self.ERR_BAD, self.BOTH_BAD], [1.0, 0.5, 1.0])
+
+    def test_performance_checked_before_error(self, blackout_engine):
+        with pytest.raises(ObjectiveViolationError, match="t=0.2"):
+            self.record(blackout_engine, [self.OK, self.BOTH_BAD], [1.0, 1.0])
 
 
 class TestAdmissibility:

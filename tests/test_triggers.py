@@ -15,6 +15,7 @@ from etcsim.triggers import (
     error_threshold,
     perf_bound,
     time_to_perf_violation,
+    trigger_constants,
 )
 
 # Unit-level violation time for the reference plant, frozen from the
@@ -243,26 +244,32 @@ class TestDelayFloor:
 
 
 class TestMaxCommDelay:
-    def test_reference_construction(self, ref_suite, ref_plant, ref_config):
-        T = ref_config.lookahead
-        for p in (1, 4, 8):
-            want = 0.06 * min(GAMMA_UNIT, T, delay_floor(ref_plant, T, p))
-            assert ref_suite.max_comm_delay(p) == pytest.approx(want, rel=1e-9)
+    """The ``T_M(p)`` table of ``trigger_constants``."""
 
-    def test_monotone_and_saturating(self, ref_suite, ref_config):
-        vals = [ref_suite.max_comm_delay(p) for p in range(1, 9)]
+    def test_reference_construction(self, ref_constants, ref_plant, ref_config):
+        T = ref_config.lookahead
+        gamma1, floors, tm = ref_constants
+        assert gamma1 == pytest.approx(GAMMA_UNIT, rel=1e-9)
+        for p in (1, 4, 8):
+            assert floors[p] == delay_floor(ref_plant, T, p)
+            want = 0.06 * min(GAMMA_UNIT, T, delay_floor(ref_plant, T, p))
+            assert tm[p] == pytest.approx(want, rel=1e-9)
+
+    def test_monotone_and_saturating(self, ref_constants, ref_config):
+        vals = ref_constants[2][1:].tolist()
+        assert len(vals) == 8
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 0.06 * min(GAMMA_UNIT, ref_config.lookahead) + 1e-15
 
     def test_vanishes_with_sigma(self, ref_plant, ref_config):
-        from etcsim.triggers import TriggerSuite
-        tiny = TriggerSuite(ref_plant, TriggerConfig(lookahead=ref_config.lookahead,
-                                                     sigma=1e-6, sigma1=0.8))
-        assert tiny.max_comm_delay(4) < 1e-7
+        tiny = TriggerConfig(lookahead=ref_config.lookahead, sigma=1e-6, sigma1=0.8)
+        _, _, tm = trigger_constants(ref_plant, tiny, 4)
+        assert tm[4] < 1e-7
 
-    def test_rejects_zero_bits(self, ref_suite):
-        with pytest.raises(DomainError):
-            ref_suite.max_comm_delay(0)
+    def test_rejects_zero_bits(self, ref_constants):
+        # T_M(0) is undefined: the table holds NaN at p = 0, never a delay.
+        _, floors, tm = ref_constants
+        assert math.isnan(floors[0]) and math.isnan(tm[0])
 
 
 class TestBlackoutEntryMargin:
@@ -284,7 +291,11 @@ class TestBlackoutEntryMargin:
 
 
 class TestTriggerSuite:
-    """The event rule's terms (``sim.EventRule.terms``) on the reference plant."""
+    """The event rule's terms (``sim.EventRule.terms``) on the reference plant.
+
+    The class keeps the name of the trigger-constant cache these tests
+    were written against, so their ids stay stable.
+    """
 
     def test_error_free_state(self, clear_channel_rule, ref_plant):
         h = ref_plant.lyapunov_value(np.array([1.0, 1.0])) / ref_plant.desired_performance(0.0)
