@@ -75,15 +75,6 @@ class AllocationProblem:
     def horizon_end(self) -> float:
         return float(self.theta[-1])
 
-    def sliced_at(self, t: float) -> "AllocationProblem":
-        """The same window re-anchored at a time inside its first slot."""
-        if not self.theta[0] <= t < self.theta[1]:
-            raise DomainError("re-anchor time must lie in the first slot")
-        theta = self.theta.copy()
-        theta[0] = t
-        return AllocationProblem(theta=theta, rates=self.rates.copy(),
-                                 caps=self.caps.copy(), n=self.n)
-
 
 @dataclass
 class CapacityPlan:

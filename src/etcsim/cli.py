@@ -62,17 +62,14 @@ def write_trace_csv(trace: SimTrace, path: Path) -> None:
     n = trace.x.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"xhat{i+1}" for i in range(n)]
               + ["V", "Vd", "hpf", "eps", "hch", "de", "Phi", "psi", "Shat", "L3"])
+    table = np.column_stack([trace.t, trace.x, trace.x_hat, trace.V, trace.Vd, trace.h_pf,
+                             trace.eps, trace.h_ch, trace.d_e, trace.phi, trace.psi,
+                             trace.s_hat, trace.l3])
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(trace.t.size):
-            row = ([_fmt(trace.t[i])] + [_fmt(v) for v in trace.x[i]]
-                   + [_fmt(v) for v in trace.x_hat[i]]
-                   + [_fmt(trace.V[i]), _fmt(trace.Vd[i]), _fmt(trace.h_pf[i]),
-                      _fmt(trace.eps[i]), _fmt(trace.h_ch[i]), _fmt(trace.d_e[i]),
-                      _fmt(trace.phi[i]), _fmt(trace.psi[i]), _fmt(trace.s_hat[i]),
-                      _fmt(trace.l3[i])])
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        # Whole rows at once, formatted as _fmt formats a cell: NaN empty, else repr.
+        fh.writelines(",".join("" if v != v else repr(v) for v in row) + "\r\n"
+                      for row in table.tolist())
 
 
 def write_transmissions_csv(trace: SimTrace, path: Path) -> None:

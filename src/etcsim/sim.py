@@ -5,7 +5,11 @@ so there is no integrator error: segments between events are evaluated
 by one exponential kernel of the block dynamics, built once per engine
 and called on whole arrays of times, and event times are found by a
 fixed-step bracketing scan refined by bisection, with channel
-breakpoints and their right limits always evaluated explicitly.
+breakpoints and their right limits always evaluated explicitly.  Only
+the first crossing of a slot matters, so the scan walks the slot's grid
+in chunks that double in length and stops at the first chunk that
+holds a firing point: a search that fires after k grid points evaluates
+at most 2k + ``_SCAN_CHUNK`` of them, not the whole slot.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .triggers import (
 
 _TIME_TOL = 1e-9
 _NUDGE = 1e-9
+# Grid points in the first chunk of a fire scan; each chunk with no hit doubles it.
+_SCAN_CHUNK = 256
 
 MODE_NO_BLACKOUT = "no_blackout"
 MODE_BLACKOUT = "blackout"
@@ -383,9 +389,7 @@ class _Engine:
 
     def _segment_fire_index(self, ts: np.ndarray, xs: np.ndarray, des: np.ndarray,
                             j: int) -> int | None:
-        """Index of the first grid point in slot j where the rule fires."""
-        if self.sched.caps[j] == 0:
-            return None  # blackout slot: no send, so the rule need not be evaluated
+        """Index of the first of the grid points ts in slot j where the rule fires."""
         h, eps = self.rule.ratios(ts, xs, des)
         idx = np.flatnonzero(self.rule.fires(ts, h, eps, j))
         return int(idx[0]) if idx.size else None
@@ -398,6 +402,14 @@ class _Engine:
         Returns (time, slot_index) with the slot whose channel values the
         transmission uses; right-limit-driven firings at a breakpoint
         whose own gate fails are nudged just inside the next slot.
+
+        Each slot's fixed-step grid is evaluated in chunks of
+        ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ``4 _SCAN_CHUNK``, ... points,
+        and the scan stops at the first chunk holding a firing point.  The
+        chunks are slices of the one grid, so the first firing point and
+        the bracket handed to the bisection are those of a whole-slot scan.
+        Blackout slots are skipped: no send, so the rule need not be
+        evaluated there.
         """
         anchor_x = self.x_aug.copy()
 
@@ -429,12 +441,18 @@ class _Engine:
                 return min(cursor + _NUDGE, self.horizon), j
             seg_end = min(float(self.sched.theta[j + 1]), self.horizon)
             count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
-            offs = np.linspace(cursor, seg_end, count + 1)[1:]
-            xs = self.exp_block.apply(offs - t_start, anchor_x)
-            hit = self._segment_fire_index(offs, xs, self.enc.d_e(self.plant, offs), j)
+            grid = np.linspace(cursor, seg_end, count + 1)[1:]
+            a, size, hit = 0, _SCAN_CHUNK, None
+            while hit is None and a < count and self.sched.caps[j] > 0:
+                ts = grid[a:a + size]
+                hit = self._segment_fire_index(ts, self.exp_block.apply(ts - t_start, anchor_x),
+                                               self.enc.d_e(self.plant, ts), j)
+                if hit is None:
+                    a, size = a + size, 2 * size
             if hit is not None:
-                lo = cursor if hit == 0 else float(offs[hit - 1])
-                lo, _ = bisect_crossing(lambda t: pred(t, j), lo, float(offs[hit]),
+                hit += a
+                lo = cursor if hit == 0 else float(grid[hit - 1])
+                lo, _ = bisect_crossing(lambda t: pred(t, j), lo, float(grid[hit]),
                                         _TIME_TOL)
                 # Transmit at the last pre-crossing instant: there the channel
                 # bound is still strictly below 1, so the required bit count

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,22 @@ def clear_channel_scn():
 
 
 @pytest.fixture(scope="session")
+def clear_channel_engine(clear_channel_scn):
+    """Engine at the initial state of the clear-channel preset; never run."""
+    return _Engine(clear_channel_scn)
+
+
+@pytest.fixture(scope="session")
 def clear_channel_trace(clear_channel_scn):
     return run(clear_channel_scn)
+
+
+@pytest.fixture(scope="session")
+def sliced_at():
+    """Re-solve oracle for ``realtime_bound``: the window re-anchored at t in its first slot."""
+    def sliced(problem, t):
+        return dataclasses.replace(problem, theta=np.r_[t, problem.theta[1:]])
+    return sliced
 
 
 @pytest.fixture()

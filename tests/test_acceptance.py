@@ -107,7 +107,7 @@ def test_criterion_4_lp_suboptimality_certificate():
         assert time.monotonic() - start < 60.0
 
 
-def test_criterion_5_realtime_bound():
+def test_criterion_5_realtime_bound(sliced_at):
     with criterion(5, "real-time capacity bound"):
         start = time.monotonic()
         rng = np.random.default_rng(5)
@@ -120,7 +120,7 @@ def test_criterion_5_realtime_bound():
             plan = capacity_lp_floor(prob)
             for frac in np.linspace(0.0, 0.95, 10):
                 t = float(prob.theta[0] + frac * prob.durations[0])
-                resolved = capacity_lp_floor(prob.sliced_at(t)).value_bits
+                resolved = capacity_lp_floor(sliced_at(prob, t)).value_bits
                 bound = realtime_bound(plan, t)
                 assert 0 <= resolved - bound <= prob.n
         assert time.monotonic() - start < 60.0

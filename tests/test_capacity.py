@@ -183,7 +183,7 @@ class TestRealtimeBound:
         assert t_done < 1.0
         assert realtime_bound(plan, t_done) == int(np.sum(plan.phi[1:]))
 
-    def test_within_n_of_resolve(self, rng):
+    def test_within_n_of_resolve(self, rng, sliced_at):
         checked = 0
         while checked < 25:
             prob = random_problem(rng)
@@ -193,7 +193,7 @@ class TestRealtimeBound:
             plan = capacity_lp_floor(prob)
             for frac in (0.1, 0.5, 0.9):
                 t = float(prob.theta[0] + frac * prob.durations[0])
-                resolved = capacity_lp_floor(prob.sliced_at(t)).value_bits
+                resolved = capacity_lp_floor(sliced_at(prob, t)).value_bits
                 bound = realtime_bound(plan, t)
                 assert 0 <= resolved - bound <= prob.n
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 from pathlib import Path
 
@@ -106,6 +107,20 @@ class TestCli:
         assert txs[0] == "k,tk,pk,rk,rtk"
         stats = json.loads((tmp_path / "sec6_stats.json").read_text())
         assert stats["transmission_count"] >= 1
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_trace_csv_matches_cell_by_cell_writer(self, request, tmp_path, name):
+        trace = request.getfixturevalue(f"{name}_trace")
+        columns = [trace.t[:, None], trace.x, trace.x_hat] + [
+            getattr(trace, c)[:, None] for c in etcsim.sim._ROW_COLUMNS]
+        with (tmp_path / "reference.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x1", "x2", "xhat1", "xhat2", "V", "Vd", "hpf", "eps", "hch",
+                             "de", "Phi", "psi", "Shat", "L3"])
+            for i in range(trace.t.size):
+                writer.writerow([etcsim.cli._fmt(v) for col in columns for v in col[i]])
+        etcsim.cli.write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_schema_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -15,13 +15,47 @@ from etcsim.errors import (
     ObjectiveViolationError,
 )
 from etcsim.presets import no_blackout_scenario, sec6_plant
-from etcsim.sim import Scenario, check_admissibility, run
+from etcsim.sim import _NUDGE, _SCAN_CHUNK, _TIME_TOL, Scenario, _Engine, check_admissibility, run
 from etcsim.triggers import (
     TriggerConfig,
+    bisect_crossing,
     blackout_entry_margin,
     error_threshold,
     resolve_lookahead,
 )
+
+
+def whole_slot_locate_fire(eng, t_start):
+    """Reference for ``_Engine._locate_fire``: each slot's grid scanned in one array."""
+    anchor_x = eng.x_aug.copy()
+
+    def fires(ts, j):
+        xs = eng.exp_block.apply(np.subtract(ts, t_start), anchor_x)
+        h, eps = eng.rule.ratios(ts, xs, eng.enc.d_e(eng.plant, ts))
+        return eng.rule.fires(ts, h, eps, j)
+
+    cursor = t_start
+    while cursor < eng.horizon - _TIME_TOL:
+        if cursor >= eng.sched.end:
+            return None
+        j, j_left = eng.sched.right_slot_index(cursor), eng.sched.slot_at(cursor)
+        if cursor == t_start and fires(cursor, j_left):
+            return cursor, j_left
+        if j != j_left and fires(cursor, j):
+            if eng.rule.psi(cursor, j_left) >= 1:
+                return cursor, j_left
+            return min(cursor + _NUDGE, eng.horizon), j
+        seg_end = min(float(eng.sched.theta[j + 1]), eng.horizon)
+        count = max(1, int(math.ceil((seg_end - cursor) / eng.scan_step)))
+        grid = np.linspace(cursor, seg_end, count + 1)[1:]
+        hits = np.flatnonzero(fires(grid, j)) if eng.sched.caps[j] > 0 else []
+        if len(hits):
+            hit = hits[0]
+            lo = cursor if hit == 0 else float(grid[hit - 1])
+            lo, _ = bisect_crossing(lambda t: bool(fires(t, j)), lo, float(grid[hit]), _TIME_TOL)
+            return lo, j
+        cursor = seg_end
+    return None
 
 
 class TestLocateCrossing:
@@ -65,6 +99,79 @@ class TestLocateCrossing:
         t1, _ = blackout_engine._locate_fire(0.0)
         t2, _ = fine._locate_fire(0.0)
         assert abs(t1 - t2) <= 2e-9
+
+
+class TestChunkedScan:
+    """The chunked fire scan against a whole-slot scan, and the work it does.
+
+    From the initial state the rule fires after 13 grid points; with no
+    error bound and a zero estimate it fires at 36.1 ms, which a finer
+    step or a nearer horizon places after three doublings or inside a
+    last, partial chunk; from the zero state it never fires.
+    """
+
+    CASES = {
+        # name: (error bound or None to keep it, scan step, horizon, zero state)
+        "first_chunk": (None, None, None, False),
+        "after_doublings": (0.0, 36.12e-3 / 2000, 0.5, False),
+        "last_partial_chunk": (0.0, 4e-5, 0.04, False),
+        "no_fire": (0.0, None, None, True),
+    }
+
+    @classmethod
+    def engine(cls, request, channel, case):
+        de, step, horizon, zero = cls.CASES[case]
+        eng = copy.copy(request.getfixturevalue(f"{channel}_engine"))
+        if de is not None:
+            eng.enc = initial_state(np.zeros(2), de)
+        if step is not None:
+            eng.scan_step = step
+        if horizon is not None:
+            eng.horizon = horizon
+        if zero:
+            eng.x_aug = np.zeros(4)
+        return eng
+
+    @staticmethod
+    def counted_scans(monkeypatch):
+        """Record ``(points, result)`` of every call of ``_segment_fire_index``."""
+        calls = []
+        scan = _Engine._segment_fire_index
+
+        def counting(self, ts, xs, des, j):
+            hit = scan(self, ts, xs, des, j)
+            calls.append((ts.size, hit))
+            return hit
+
+        monkeypatch.setattr(_Engine, "_segment_fire_index", counting)
+        return calls
+
+    @pytest.mark.parametrize("channel", ["blackout", "clear_channel"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_whole_slot_scan(self, request, monkeypatch, channel, case):
+        eng = self.engine(request, channel, case)
+        calls = self.counted_scans(monkeypatch)
+        found = eng._locate_fire(0.0)
+        assert found == whole_slot_locate_fire(eng, 0.0)
+        assert (found is None) == (case == "no_fire")
+        hit_chunk = {"first_chunk": 0, "after_doublings": 3, "last_partial_chunk": 2}.get(case)
+        if hit_chunk is not None:
+            sizes = [size for size, _ in calls]
+            assert len(calls) == hit_chunk + 1 and calls[-1][1] is not None
+            assert sizes == [_SCAN_CHUNK * 2 ** k for k in range(hit_chunk)] + sizes[-1:]
+        if case == "last_partial_chunk":
+            assert calls[-1][0] < _SCAN_CHUNK * 2 ** hit_chunk
+
+    @pytest.mark.parametrize("channel", ["blackout", "clear_channel"])
+    @pytest.mark.parametrize("case", ["first_chunk", "after_doublings", "last_partial_chunk"])
+    def test_work_bounded_by_first_hit(self, request, monkeypatch, channel, case):
+        eng = self.engine(request, channel, case)
+        calls = self.counted_scans(monkeypatch)
+        assert eng._locate_fire(0.0) is not None
+        evaluated = sum(size for size, _ in calls)
+        hit = evaluated - calls[-1][0] + calls[-1][1]
+        assert calls[0][0] <= _SCAN_CHUNK <= 1024  # the first chunk is a few hundred points
+        assert evaluated <= 2 * (hit + 1) + _SCAN_CHUNK
 
 
 class TestEquilibrium:
