@@ -41,7 +41,9 @@ class PlantModel:
     Holds the system matrices, the feedback gain, the Lyapunov
     certificate P for ``Abar = A + B K``, the derived rate constants and
     the exponential kernels of the open-loop (``exp_A``) and closed-loop
-    (``exp_Abar``) flows.
+    (``exp_Abar``) flows.  ``unit_violation_times`` maps a root tolerance
+    to the unit violation time found at it, so that each plant root-finds
+    it once (``triggers.unit_violation_time``).
     """
 
     A: np.ndarray
@@ -56,6 +58,8 @@ class PlantModel:
     constants: RateConstants
     exp_A: ExpKernel = field(repr=False, compare=False)
     exp_Abar: ExpKernel = field(repr=False, compare=False)
+    unit_violation_times: dict = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     @property
     def n(self) -> int:

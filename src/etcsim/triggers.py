@@ -183,6 +183,18 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
     raise DomainError("performance bound crossing not found (scan exhausted)")
 
 
+def unit_violation_time(plant: PlantModel, root_tol: float = 1e-9) -> float:
+    """``gamma1 = time_to_perf_violation(plant, 1, 1, root_tol)``, root-found once per plant.
+
+    ``resolve_lookahead`` and ``trigger_constants`` both need it for the
+    same plant; the value is kept in ``plant.unit_violation_times``.
+    """
+    times = plant.unit_violation_times
+    if root_tol not in times:
+        times[root_tol] = time_to_perf_violation(plant, 1.0, 1.0, root_tol)
+    return times[root_tol]
+
+
 def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> float:
     """Uniform lower bound on the tolerable update delay after p bits.
 
@@ -223,7 +235,7 @@ def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
     ``tm[p] = sigma * min(gamma1, T, floors[p])`` are indexed by the bit
     count p, with NaN at p = 0.
     """
-    gamma1 = time_to_perf_violation(plant, 1.0, 1.0, config.root_tol)
+    gamma1 = unit_violation_time(plant, config.root_tol)
     floors = np.full(pmax + 1, np.nan)
     floors[1:] = [delay_floor(plant, config.lookahead, p, config.root_tol)
                   for p in range(1, pmax + 1)]
@@ -235,4 +247,4 @@ def resolve_lookahead(plant: PlantModel, fraction: float, root_tol: float = 1e-9
     """Lookahead horizon as a fraction of the unit-level violation time."""
     if fraction <= 0:
         raise ConfigurationError("lookahead fraction must be positive")
-    return fraction * time_to_perf_violation(plant, 1.0, 1.0, root_tol)
+    return fraction * unit_violation_time(plant, root_tol)

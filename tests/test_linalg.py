@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,17 @@ from etcsim.linalg import (
 
 A_REF = np.array([[1.0, -2.0], [1.0, 4.0]])
 JORDAN = np.array([[1.0, 1.0], [0.0, 1.0]])  # defective: no eigenvector basis
+# exp(M t) of the benchmark's Jordan plant (A = JORDAN, B = [0, 1]^T,
+# K = [-9, -6]) and its estimate error, as the simulator propagates them.
+_BK = np.array([[0.0], [1.0]]) @ np.array([[-9.0, -6.0]])
+JORDAN_BLOCK = np.block([[JORDAN, _BK], [np.zeros((2, 2)), JORDAN + _BK]])
+DEFECTIVE = {
+    "jordan3": np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]]),
+    "near_defective": np.array([[1.0, 1.0], [0.0, 1.0 + 1e-9]]),
+    "nilpotent": np.array([[0.0, 2.0, -1.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]),
+    "jordan_block": JORDAN_BLOCK,
+}
+ORACLE_TIMES = (1e-6, 0.01, 0.3, 1.0, 4.0, 20.0, 50.0)
 
 
 def taylor_expm(M, t, terms=40):
@@ -32,6 +44,17 @@ def taylor_expm(M, t, terms=40):
     return E
 
 
+def mpmath_expm(M, t):
+    """Independent oracle: ``exp(M t)`` at 50 significant digits, rounded to floats."""
+    with mpmath.workdps(50):
+        E = mpmath.expm(mpmath.matrix(M.tolist()) * mpmath.mpf(t))
+        return np.array(E.tolist(), dtype=float)
+
+
+def relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 def random_stable(rng, n):
     M = rng.normal(size=(n, n))
     shift = max(np.linalg.eigvals(M).real.max(), 0.0) + 0.5
@@ -39,7 +62,7 @@ def random_stable(rng, n):
 
 
 class TestMatExp:
-    """``ExpKernel``: the closed form on A_REF, ``scipy.linalg.expm`` on JORDAN."""
+    """``ExpKernel``: the closed form on A_REF, the batched Pade-13 on JORDAN."""
 
     def test_zero_matrix_is_identity(self):
         assert np.array_equal(ExpKernel(np.zeros((3, 3)))(5.0), np.eye(3))
@@ -73,6 +96,19 @@ class TestMatExp:
                 ExpKernel(M)(-1.0)
             with pytest.raises(DomainError):
                 ExpKernel(M).apply(np.array([0.5, -1e-3]), np.ones(2))
+
+    @pytest.mark.parametrize("M", [A_REF, JORDAN], ids=["eigen", "expm"])
+    def test_rejects_non_finite_time(self, M):
+        kernel = ExpKernel(M)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                kernel(bad)
+            with pytest.raises(DomainError):
+                kernel(np.array([0.5, bad]))
+            with pytest.raises(DomainError):
+                kernel.apply(bad, np.ones(2))
+            with pytest.raises(DomainError):
+                kernel.apply(np.array([bad, 0.5]), np.ones(2))
 
     def test_semigroup_property(self, rng):
         for _ in range(10):
@@ -111,6 +147,58 @@ class TestMatExp:
             assert inf_norm(row - want) <= 1e-12 * inf_norm(want)
             assert inf_norm(kernel.apply(t, x) - want) <= 1e-12 * inf_norm(want)
         assert np.array_equal(kernel.apply(0.0, x), x)
+
+    @pytest.mark.parametrize("name", sorted(DEFECTIVE))
+    def test_defective_branch_against_mpmath_oracle(self, name):
+        M = DEFECTIVE[name]
+        kernel = ExpKernel(M)
+        assert kernel._eig is None
+        if name == "near_defective":
+            assert np.linalg.cond(np.linalg.eig(M)[1]) >= 1e8
+        for t in ORACLE_TIMES:
+            assert relative_error(kernel(t), mpmath_expm(M, t)) <= 1e-13, t
+
+    def test_defective_stack_of_mixed_scales_matches_scalar_calls(self):
+        kernel = ExpKernel(JORDAN_BLOCK)
+        ts = np.array([20.0, 1e-6, 4.0, 0.0, 50.0, 0.01, 1.0, 0.3])
+        # The squaring count s = ceil(log2(t ||M||_1 / theta_13)) differs along the stack.
+        scaled = ts[ts > 0] * np.abs(JORDAN_BLOCK).sum(axis=0).max() / 5.371920351148152
+        assert len(set(np.maximum(np.ceil(np.log2(scaled)), 0))) >= 4
+        stack = kernel(ts)
+        for t, E in zip(ts, stack):
+            assert relative_error(E, kernel(t)) <= 1e-13, t
+
+    def test_defective_semigroup_property(self, rng):
+        for M in (JORDAN, JORDAN_BLOCK, DEFECTIVE["jordan3"]):
+            kernel = ExpKernel(M)
+            for s, t in rng.uniform(0.0, 2.0, size=(5, 2)):
+                assert relative_error(kernel(s) @ kernel(t), kernel(s + t)) <= 1e-12
+
+    def test_defective_zero_times_give_exact_identity(self):
+        kernel = ExpKernel(JORDAN_BLOCK)
+        stack = kernel(np.array([0.0, 0.5, 0.0, 3.0]))
+        assert np.array_equal(stack[0], np.eye(4))
+        assert np.array_equal(stack[2], np.eye(4))
+        x = np.array([0.7, -1.3, 2.0, 0.1])
+        rows = kernel.apply(np.array([0.0, 1.0]), x)
+        assert np.array_equal(rows[0], x)
+
+    def test_defective_branch_solves_once_per_call(self, monkeypatch):
+        # One batched solve per call, whatever the number of times: a
+        # per-time loop would make one solve per time.
+        calls = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            calls.append(np.shape(a))
+            return solve(a, b)
+
+        kernel = ExpKernel(JORDAN_BLOCK)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        for ts in (0.7, np.linspace(0.0, 4.0, 4096)):
+            calls.clear()
+            assert kernel(ts).shape == np.shape(ts) + (4, 4)
+            assert len(calls) == 1
 
     def test_complex_eigenvalues_give_real_results(self):
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -12,7 +12,13 @@ import etcsim.triggers
 from etcsim.cli import main
 from etcsim.errors import ConfigurationError, SchemaError
 from etcsim.presets import sec6_scenario
-from etcsim.scenario import build_scenario, dump_document, load_document, normalize_document
+from etcsim.scenario import (
+    build_scenario,
+    dump_document,
+    load_document,
+    load_scenario,
+    normalize_document,
+)
 
 REPO_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
 
@@ -214,3 +220,18 @@ class TestCli:
         assert main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)]) == 0
         assert sorted(calls["delay_floor"]) == list(range(1, 9))  # p = 1..pmax
         assert calls["admissibility"] == 1
+
+    def test_unit_violation_time_root_found_once_per_scenario(self, monkeypatch):
+        calls = []
+        root_find = etcsim.triggers.time_to_perf_violation
+
+        def counting_root_find(plant, h0, eps0, *args, **kwargs):
+            calls.append((h0, eps0))
+            return root_find(plant, h0, eps0, *args, **kwargs)
+
+        monkeypatch.setattr(etcsim.triggers, "time_to_perf_violation", counting_root_find)
+        scenario, doc = load_scenario(REPO_SCENARIO)
+        assert "T_fraction_of_gamma1" in doc["trigger"]
+        rule = scenario.rule
+        assert calls == [(1.0, 1.0)]
+        assert scenario.trigger.lookahead == doc["trigger"]["T_fraction_of_gamma1"] * rule.gamma1
