@@ -44,4 +44,4 @@ print()
 
 print("real-time decay of the stored plan inside the first slot:")
 for t in np.linspace(0.0, 0.99, 6):
-    print(f"  t={t:.2f}  remaining capacity >= {realtime_bound(relaxed, float(t)):>3} bits")
+    print(f"  t={t:.2f}  remaining capacity >= {realtime_bound(relaxed, t):>3.0f} bits")

@@ -1,6 +1,6 @@
 """Event-triggered stabilization over time-varying rate-limited channels.
 
-A numpy/scipy library modelling an LTI plant stabilized through a
+A numpy library modelling an LTI plant stabilized through a
 finite-rate channel with scheduled blackouts: dynamic quantization,
 trigger-function machinery, data-capacity allocation, and a
 deterministic closed-loop simulator, plus a small CLI.

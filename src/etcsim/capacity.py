@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channel import ChannelSchedule, compute_J
-from .errors import DomainError, NumericalError, ScaleGuardError
+from .errors import DomainError, ScaleGuardError
 
 _FLOOR_NUDGE = 1e-9
 _SCALE_SLOTS = 8
@@ -194,75 +193,37 @@ def capacity_exact(problem: AllocationProblem) -> CapacityPlan:
 # LP relaxation with floor rounding (valid when spillover is one-slot bounded)
 
 
-def _no_spillover_chains(problem: AllocationProblem) -> bool:
-    """Spillover from each non-final slot dies inside its successor slot."""
-    for j in range(problem.num_slots - 1):
-        if problem.caps[j] == 0:
-            continue
-        if problem.caps[j] / problem.rates[j] >= problem.durations[j + 1]:
-            return False
-    return True
-
-
-def _lp_constraints(problem: AllocationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint matrix for the relaxed allocation problem (A phi <= b)."""
-    m = problem.num_slots
-    theta, rates, caps = problem.theta, problem.rates, problem.caps
-    inv_rate = np.array([1.0 / rates[i] if caps[i] > 0 else 0.0 for i in range(m)])
-    rows, rhs = [], []
-    for j in range(m):
-        row = np.zeros(m)
-        row[j] = 1.0
-        rows.append(row)
-        rhs.append(rates[j] * problem.durations[j] + caps[j] if caps[j] > 0 else 0.0)
-    for j in range(m):
-        for j1 in range(j):
-            row = np.zeros(m)
-            row[j] = 1.0
-            row[j1:j] = rates[j] * inv_rate[j1:j]
-            rows.append(row)
-            rhs.append(rates[j] * (theta[j + 1] - theta[j1]) + caps[j])
-    for j1 in range(m):
-        row = np.zeros(m)
-        row[j1:] = inv_rate[j1:]
-        rows.append(row)
-        rhs.append(theta[m] - theta[j1])
-    return np.array(rows), np.array(rhs)
-
-
-def _solve_lp(A_ub, b_ub, c, A_eq=None, b_eq=None) -> np.ndarray:
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise NumericalError(f"allocation LP failed: {res.message}")
-    return res.x
-
-
 def capacity_lp_floor(problem: AllocationProblem) -> CapacityPlan:
     """Floor of the relaxed optimal allocation.
 
-    Requires the no-chained-spillover condition on the window (the
-    relaxed constraint set is only equivalent there).  Ties among
-    relaxed optima are broken toward the lexicographically smallest
-    allocation so stored plans are reproducible.
+    Requires the no-chained-spillover condition on the window, that each
+    non-final slot's spillover ``c_j / R_j`` dies inside its successor slot
+    (the relaxed constraint set is only equivalent there).  In time units
+    ``tau_j = phi_j / R_j`` each relaxed constraint bounds an interval sum,
+    ``tau_a + ... + tau_b <= theta_{b+1} - theta_a + c_b / R_b`` (no
+    ``c_b`` term for the last slot; zero-cap slots keep ``tau = 0``).  The
+    bound is modular on intersecting intervals, so the feasible set is a
+    polymatroid and Edmonds' greedy is exact: by decreasing rate, latest
+    slot first among equal rates, raise each ``tau_j`` to the least slack
+    of the intervals holding it.  That tie order gives the lexicographically
+    smallest relaxed optimum, so stored plans are reproducible.
     """
-    if not _no_spillover_chains(problem):
-        raise DomainError("window has chained spillover; use capacity_fallback")
     m = problem.num_slots
-    A_ub, b_ub = _lp_constraints(problem)
-    x = _solve_lp(A_ub, b_ub, -np.ones(m))
-    total = float(np.sum(x))
-    # Lexicographic refinement: fix the total, then minimise each phi_j in turn.
-    A_eq = [np.ones(m)]
-    b_eq = [total]
-    for j in range(m - 1):
-        c = np.zeros(m)
-        c[j] = 1.0
-        x = _solve_lp(A_ub, b_ub, c, np.array(A_eq), np.array(b_eq))
-        row = np.zeros(m)
-        row[j] = 1.0
-        A_eq.append(row)
-        b_eq.append(float(x[j]))
+    usable = problem.caps > 0
+    spill = np.divide(problem.caps, problem.rates, out=np.zeros(m), where=usable)
+    if np.any(spill[:-1] >= problem.durations[1:]):
+        raise DomainError("window has chained spillover; use capacity_fallback")
+    spill[-1] = 0.0
+    # bound[a, b] for the interval of slots a..b; empty intervals (a > b) never bind.
+    bound = problem.theta[1:] - problem.theta[:-1, None] + spill
+    bound[np.tril_indices(m, -1)] = np.inf
+    tau = np.zeros(m)
+    for j in np.lexsort((-np.arange(m), -problem.rates)):
+        if usable[j]:
+            sums = np.concatenate([[0.0], np.cumsum(tau)])
+            slack = bound[:j + 1, j:] - (sums[j + 1:] - sums[:j + 1, None])
+            tau[j] = max(0.0, float(slack.min()))
+    x = problem.rates * tau
     phi = np.array([floor_nudged(v) for v in x], dtype=int)
     return CapacityPlan(phi=phi, value_bits=problem.n * int(phi.sum()),
                         kind="lp_floor", lp_phi=x, problem=problem)
@@ -284,22 +245,28 @@ def plan_window(problem: AllocationProblem, chained_spillover: bool) -> Capacity
     return capacity_lp_floor(problem)
 
 
-def realtime_bound(plan: CapacityPlan, t: float) -> int:
-    """Capacity lower bound from mid-slot time t, reusing the stored plan.
+def _unlaunched(plan: CapacityPlan, t):
+    """Bits of the plan's first slot still to launch at time(s) t (zero-cap: phi_0 = 0)."""
+    problem = plan.problem
+    decayed = plan.phi[0] - problem.rates[0] * (t - problem.theta[0])
+    return np.maximum(0.0, np.floor(decayed + _FLOOR_NUDGE))
+
+
+def realtime_bound(plan: CapacityPlan, t):
+    """Capacity lower bound from time t in the plan's first slot, reusing the stored plan.
 
     ``n * max(0, floor(phi_0 - R_0 (t - theta_0))) + n * sum(phi_1..)``;
-    within n bits of re-solving from t.
+    within n bits of re-solving from t.  t may be one time or an array of
+    times in the closed first slot (its end gives the left limit there).
     """
     problem = plan.problem
     if problem is None:
         raise DomainError("plan carries no window; cannot re-anchor")
-    if not problem.theta[0] <= t < problem.theta[1]:
+    ts = np.asarray(t, dtype=float)
+    start, end = problem.theta[0], problem.theta[1]
+    if not (start <= ts.min(initial=start) and ts.max(initial=start) <= end):
         raise DomainError("realtime bound only valid inside the plan's first slot")
-    first = int(plan.phi[0])
-    if problem.caps[0] > 0:
-        first = max(0, floor_nudged(plan.phi[0] - problem.rates[0] * (t - problem.theta[0])))
-    tail = int(np.sum(plan.phi[1:]))
-    return problem.n * (first + tail)
+    return problem.n * (_unlaunched(plan, ts) + int(np.sum(plan.phi[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +321,8 @@ class CapacityPlanner:
         view = self.plan_for_slot(j)
         if view.plan is None:
             return float("inf")
-        if self.schedule.caps[j] == 0:
-            return 0
-        decayed = view.plan.phi[0] - self.schedule.rates[j] * (t - self.schedule.theta[j])
-        return np.maximum(0.0, np.floor(decayed + _FLOOR_NUDGE))
+        return _unlaunched(view.plan, t)
 
     def packet_bound(self, j: int, t):
         """Packet-size bound preserving the capacity plan: min(cap, planned bits)."""
         return np.minimum(self.schedule.caps[j], self.planned_bits(j, t))
-
-    def capacity_floor(self, j: int, t):
-        """Total plan bits obtainable from time t to the blackout start."""
-        view = self.plan_for_slot(j)
-        if view.plan is None:
-            return float("inf")
-        tail = float(np.sum(view.plan.phi[1:]))
-        return self.schedule.n * (self.planned_bits(j, t) + tail)

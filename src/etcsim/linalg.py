@@ -25,6 +25,7 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 def _as_square(M) -> np.ndarray:
@@ -82,19 +83,25 @@ class ExpKernel:
     drift.  Otherwise (a defective or nearly defective M) the whole stack
     of times goes through one scaling-and-squaring Pade-13 evaluation
     (``_pade13_expm``).  At a scalar ``t = 0`` both return the identity
-    exactly; t must be finite and nonnegative.
+    exactly; t must be finite and nonnegative, and a t past the time at
+    which the result could overflow raises NumericalError.
     """
 
     def __init__(self, M):
         self.M = _as_square(M)
         w, V = np.linalg.eig(self.M)
         self._eig = (w, V, np.linalg.inv(V)) if np.linalg.cond(V) < _EIG_COND_MAX else None
+        spread = 1.0 if self._eig is None else max(1.0, float(np.abs(self._eig[2]).max()))
+        self._t_max = _overflow_time(self.M, w, spread)
 
     def _times(self, t) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
+        hi = ts.max(initial=0.0)
         # Two reductions and no temporary array; a NaN fails the first test.
-        if not (0.0 <= ts.min(initial=np.inf) and ts.max(initial=0.0) < np.inf):
+        if not (0.0 <= ts.min(initial=np.inf) and hi < np.inf):
             raise DomainError("exp(M t) requires a finite t >= 0")
+        if hi > self._t_max:
+            raise NumericalError(f"exp(M t) may overflow past t = {self._t_max:.6g}, got {hi:.6g}")
         return ts
 
     def __call__(self, t) -> np.ndarray:
@@ -121,6 +128,31 @@ class ExpKernel:
             return self(ts) @ x
         w, V, Vi = self._eig
         return ((np.exp(ts[..., None] * w) * (Vi @ x)) @ V.T).real
+
+
+def _overflow_time(M: np.ndarray, w: np.ndarray, spread: float) -> float:
+    """A time up to which neither exp(M t) nor its intermediates can overflow.
+
+    Van Loan (SIAM J. Numer. Anal. 1977): ``||exp(M t)||_2 <= e^{a t} (1 + d t)^{k-1}``
+    for a k x k M with spectral abscissa a and departure from normality
+    ``d = sqrt(||M||_F^2 - sum |w|^2)``.  A squaring of that factor, or a
+    closed-form term ``V_ik e^{w_k t} Vi_kj`` (``spread`` bounds ``|Vi|``),
+    summed k times, stays finite while ``g(t) = a t + 2 (k-1) log(1 + d t)
+    + log(k spread)`` is below the log of the largest double.  g is concave
+    and increasing (a clipped at 0), so Newton's method started left of the
+    crossing stays left of it: every iterate is a safe time.
+    """
+    k = M.shape[0]
+    a = max(float(w.real.max()), 0.0)
+    d = float(np.sqrt(max(np.sum(M * M) - np.sum(np.abs(w) ** 2), 0.0)))
+    b = 2.0 * (k - 1)
+    budget = _LOG_MAX - float(np.log(k * spread))
+    if a + b * d == 0.0:
+        return np.inf
+    t = budget / (a + b * d)
+    for _ in range(20):
+        t += (budget - a * t - b * np.log1p(d * t)) / (a + b * d / (1.0 + d * t))
+    return float(t)
 
 
 def _pade13_expm(M: np.ndarray, ts: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import codec as codec_mod
-from .capacity import CapacityPlanner
+from .capacity import CapacityPlanner, realtime_bound
 from .channel import ChannelSchedule, TransmissionRecord, validate_sequence
 from .errors import (
     AdmissibilityError,
@@ -319,7 +319,7 @@ class EventRule:
         with np.errstate(divide="ignore"):
             log_eps = np.log2(eps)
         needed = self.plant.n * (growth / math.log(2.0) + log_eps - math.log2(margin))
-        return needed - self.config.sigma1 * self.planner.capacity_floor(j, ts)
+        return needed - self.config.sigma1 * realtime_bound(view.plan, ts)
 
     def terms(self, ts, h, eps, j: int):
         """``(gate, l1, l2, l3)`` at times ts in slot j, for ratios h and eps.
@@ -504,7 +504,8 @@ class _Engine:
                 t = ts[rows]
                 cap_cols[rows, 0] = planner.planned_bits(j, t)
                 cap_cols[rows, 1] = planner.packet_bound(j, t)
-                cap_cols[rows, 2] = planner.capacity_floor(j, t)
+                plan = planner.plan_for_slot(j).plan
+                cap_cols[rows, 2] = np.inf if plan is None else realtime_bound(plan, t)
                 cap_cols[rows, 3] = self.rule.l3(t, eps[rows], j)
         rho = error_threshold(self.plant, self.scn.trigger.lookahead, h)
         # columns: t, x, x_hat, then _ROW_COLUMNS

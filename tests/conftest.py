@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from etcsim.presets import no_blackout_scenario, sec6_plant, sec6_scenario
 from etcsim.sim import _Engine, run
@@ -74,6 +75,61 @@ def sliced_at():
     def sliced(problem, t):
         return dataclasses.replace(problem, theta=np.r_[t, problem.theta[1:]])
     return sliced
+
+
+def _lp_constraints(problem):
+    """Constraint matrix of the relaxed allocation problem (A phi <= b)."""
+    m = problem.num_slots
+    theta, rates, caps = problem.theta, problem.rates, problem.caps
+    inv_rate = np.array([1.0 / rates[i] if caps[i] > 0 else 0.0 for i in range(m)])
+    rows, rhs = [], []
+    for j in range(m):
+        row = np.zeros(m)
+        row[j] = 1.0
+        rows.append(row)
+        rhs.append(rates[j] * problem.durations[j] + caps[j] if caps[j] > 0 else 0.0)
+    for j in range(m):
+        for j1 in range(j):
+            row = np.zeros(m)
+            row[j] = 1.0
+            row[j1:j] = rates[j] * inv_rate[j1:j]
+            rows.append(row)
+            rhs.append(rates[j] * (theta[j + 1] - theta[j1]) + caps[j])
+    for j1 in range(m):
+        row = np.zeros(m)
+        row[j1:] = inv_rate[j1:]
+        rows.append(row)
+        rhs.append(theta[m] - theta[j1])
+    return np.array(rows), np.array(rhs)
+
+
+def _solve_lp(A_ub, b_ub, c, A_eq=None, b_eq=None):
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return res.x
+
+
+@pytest.fixture(scope="session")
+def lexicographic_lp():
+    """LP oracle for ``capacity_lp_floor``: the relaxed allocation by HiGHS.
+
+    Maximises the total, then fixes it and minimises each ``phi_j`` in
+    turn, giving the lexicographically smallest relaxed optimum.
+    """
+    def solve(problem):
+        m = problem.num_slots
+        A_ub, b_ub = _lp_constraints(problem)
+        x = _solve_lp(A_ub, b_ub, -np.ones(m))
+        A_eq, b_eq = [np.ones(m)], [float(np.sum(x))]
+        for j in range(m - 1):
+            c = np.zeros(m)
+            c[j] = 1.0
+            x = _solve_lp(A_ub, b_ub, c, np.array(A_eq), np.array(b_eq))
+            A_eq.append(c)
+            b_eq.append(float(x[j]))
+        return x
+    return solve
 
 
 @pytest.fixture()

@@ -7,6 +7,7 @@ from etcsim.capacity import (
     capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
+    floor_nudged,
     realtime_bound,
     replay_allocation,
 )
@@ -25,6 +26,22 @@ def random_problem(rng, max_slots=4, allow_blackouts=True):
             caps[j] = 1
     if m == 1 and caps[0] == 0 and not allow_blackouts:
         caps[0] = 1
+    return AllocationProblem(theta=theta, rates=rates, caps=caps, n=int(rng.integers(1, 4)))
+
+
+def random_no_chain_window(rng, i):
+    """No-chain window of 1..10 slots: tied rates, zero-cap slots, every fourth starts with one."""
+    m = int(rng.integers(1, 11))
+    durations = rng.integers(2, 9, size=m) * 0.25 if i % 3 else rng.uniform(0.3, 2.0, size=m)
+    theta = np.concatenate([[0.0], np.cumsum(durations)])
+    rates = (rng.choice([1.5, 2.0, 3.25, 4.0], size=m) if i % 2
+             else rng.integers(1, 5, size=m).astype(float))
+    caps = rng.integers(0, 4, size=m)
+    if i % 4 == 0:
+        caps[0] = 0
+    for j in range(m - 1):
+        while caps[j] and caps[j] / rates[j] >= durations[j + 1]:
+            caps[j] -= 1
     return AllocationProblem(theta=theta, rates=rates, caps=caps, n=int(rng.integers(1, 4)))
 
 
@@ -144,6 +161,21 @@ class TestLpFloor:
             plan = capacity_lp_floor(prob)
             assert replay_allocation(prob, plan.phi) is not None
 
+    def test_matches_lexicographic_lp_oracle(self, rng, lexicographic_lp):
+        kinds = {"tied_rates": 0, "zero_cap": 0, "zero_cap_first": 0}
+        for i in range(500):
+            prob = random_no_chain_window(rng, i)
+            assert is_no_chain(prob)
+            kinds["tied_rates"] += np.unique(prob.rates).size < prob.num_slots
+            kinds["zero_cap"] += bool(np.any(prob.caps == 0))
+            kinds["zero_cap_first"] += bool(prob.caps[0] == 0)
+            plan = capacity_lp_floor(prob)
+            want = lexicographic_lp(prob)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(plan.lp_phi - want).max() <= 1e-9 * scale, prob
+            assert plan.phi.tolist() == [floor_nudged(v) for v in want], prob
+        assert min(kinds.values()) >= 100, kinds
+
 
 class TestFallback:
     def test_floor_of_in_slot_bits(self):
@@ -204,6 +236,16 @@ class TestRealtimeBound:
         ts = np.linspace(0.0, 2.0 - 1e-9, 40)
         vals = [realtime_bound(plan, t) for t in ts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_arrays_of_times_match_scalar_calls(self):
+        prob = AllocationProblem(theta=[0.0, 2.0, 3.0], rates=[3.0, 3.0],
+                                 caps=[2, 2], n=2)
+        plan = capacity_lp_floor(prob)
+        ts = np.linspace(0.0, 2.0, 9)  # the slot end is accepted, as the engine's left limit
+        assert realtime_bound(plan, ts).tolist() == [realtime_bound(plan, t) for t in ts]
+        assert realtime_bound(plan, np.array([])).shape == (0,)
+        with pytest.raises(DomainError):
+            realtime_bound(plan, np.array([1.0, 2.5]))
 
     def test_outside_first_slot_rejected(self):
         prob = AllocationProblem(theta=[0.0, 1.0, 2.0], rates=[2.0, 2.0],

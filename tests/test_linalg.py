@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from etcsim.errors import DimensionError, DomainError, NotHurwitzError
+from etcsim.errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 from etcsim.linalg import (
     ExpKernel,
     inf_norm,
@@ -199,6 +199,32 @@ class TestMatExp:
             calls.clear()
             assert kernel(ts).shape == np.shape(ts) + (4, 4)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("M, t", [(A_REF, 400.0), (JORDAN, 1e4)], ids=["eigen", "expm"])
+    def test_overflow_raises_typed_error(self, M, t):
+        # Without the growth bound these return all NaN (inf - inf in the
+        # closed form; inf times a structural zero in a squaring).
+        kernel = ExpKernel(M)
+        with pytest.raises(NumericalError):
+            kernel(t)
+        with pytest.raises(NumericalError):
+            kernel(np.array([0.0, 1.0, t]))
+        with pytest.raises(NumericalError):
+            kernel.apply(t, np.ones(2))
+        with pytest.raises(NumericalError):
+            kernel.apply(np.array([t, 0.5]), np.ones(2))
+
+    @pytest.mark.parametrize("M", [A_REF, JORDAN], ids=["eigen", "expm"])
+    def test_overflow_bound_is_safe_and_tight(self, M):
+        # Finite at the bound itself; 3% further out the result overflows,
+        # so the bound rejects no time far short of a real overflow.
+        kernel = ExpKernel(M)
+        t_max = kernel._t_max
+        assert np.all(np.isfinite(kernel(t_max)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            beyond = ExpKernel(M)
+            beyond._t_max = np.inf
+            assert not np.all(np.isfinite(beyond(1.03 * t_max)))
 
     def test_complex_eigenvalues_give_real_results(self):
         rotation = np.array([[0.0, -1.0], [1.0, 0.0]])

@@ -1,6 +1,9 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +130,20 @@ class TestCli:
                 writer.writerow([etcsim.cli._fmt(v) for col in columns for v in col[i]])
         etcsim.cli.write_trace_csv(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_simulate_imports_no_scipy(self, tmp_path):
+        # sec6 runs in blackout mode, so this path builds capacity plans.
+        probe = ("import atexit, runpy, sys\n"
+                 "atexit.register(lambda: print('SCIPY', sorted(m for m in sys.modules"
+                 " if m.startswith('scipy'))))\n"
+                 "sys.argv = ['etcsim', 'simulate', sys.argv[1], '--out-dir', sys.argv[2]]\n"
+                 "runpy.run_module('etcsim', run_name='__main__', alter_sys=True)\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO_SCENARIO.parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", probe, str(REPO_SCENARIO), str(tmp_path)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "sec6_trace.csv").exists()
+        assert done.stdout.splitlines()[-1] == "SCIPY []"
 
     def test_schema_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from etcsim.capacity import CapacityPlanner
+from etcsim.capacity import CapacityPlanner, realtime_bound
 from etcsim.channel import ChannelSchedule
 from etcsim.codec import initial_state
 from etcsim.errors import (
@@ -265,10 +265,11 @@ class TestBlackoutRun:
             if planner.plan_for_slot(j_tx).plan is None:
                 continue
             j_up = sched.slot_index(tx.r_tilde_k) if tx.r_tilde_k > 0 else j_tx
-            before = planner.capacity_floor(j_tx, tx.t_k)
-            after = planner.capacity_floor(j_up, tx.r_tilde_k)
-            if math.isinf(after):
+            plan_up = planner.plan_for_slot(j_up).plan
+            if plan_up is None:
                 continue
+            before = realtime_bound(planner.plan_for_slot(j_tx).plan, tx.t_k)
+            after = realtime_bound(plan_up, tx.r_tilde_k)
             assert after >= before - n * tx.p_k - 1e-9
 
     def test_logged_deficit_matches_recomputation(self, blackout_scn, blackout_trace):
@@ -344,8 +345,10 @@ class TestRecorderOracle:
                 cap_cols = (math.nan,) * 4
             else:
                 j = sched.slot_at(t)
+                plan = planner.plan_for_slot(j).plan
                 cap_cols = (float(planner.planned_bits(j, t)), float(planner.packet_bound(j, t)),
-                            float(planner.capacity_floor(j, t)), float(scn.rule.l3(t, eps, j)))
+                            math.inf if plan is None else float(realtime_bound(plan, t)),
+                            float(scn.rule.l3(t, eps, j)))
             rows.append((v, vd, h, eps, h_ch) + cap_cols)
         return np.array(rows)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from etcsim.capacity import realtime_bound
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
 from etcsim.triggers import (
@@ -340,7 +341,8 @@ class TestTriggerSuite:
         t, tau_l, length = 2.0, 4.88, 2.0
         margin = blackout_entry_margin(ref_plant, length)
         eps = margin * math.exp(-ref_plant.constants.growth_rate_inf * (tau_l - t))
-        budget = blackout_rule.config.sigma1 * blackout_rule.planner.capacity_floor(0, t)
+        plan = blackout_rule.planner.plan_for_slot(0).plan
+        budget = blackout_rule.config.sigma1 * realtime_bound(plan, t)
         assert float(blackout_rule.l3(t, eps, 0)) == pytest.approx(-budget, abs=1e-9)
 
     def test_capacity_deficit_unbounded_cases(self, blackout_rule, clear_channel_rule,
