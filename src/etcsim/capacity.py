@@ -246,10 +246,11 @@ def plan_window(problem: AllocationProblem, chained_spillover: bool) -> Capacity
 
 
 def _unlaunched(plan: CapacityPlan, t):
-    """Bits of the plan's first slot still to launch at time(s) t (zero-cap: phi_0 = 0)."""
+    """First-slot bits still to launch at t (zero-cap: 0), and bound n (bits + sum(phi[1:]))."""
     problem = plan.problem
     decayed = plan.phi[0] - problem.rates[0] * (t - problem.theta[0])
-    return np.maximum(0.0, np.floor(decayed + _FLOOR_NUDGE))
+    bits = np.maximum(0.0, np.floor(decayed + _FLOOR_NUDGE))
+    return bits, problem.n * (bits + int(np.sum(plan.phi[1:])))
 
 
 def realtime_bound(plan: CapacityPlan, t):
@@ -266,7 +267,7 @@ def realtime_bound(plan: CapacityPlan, t):
     start, end = problem.theta[0], problem.theta[1]
     if not (start <= ts.min(initial=start) and ts.max(initial=start) <= end):
         raise DomainError("realtime bound only valid inside the plan's first slot")
-    return problem.n * (_unlaunched(plan, ts) + int(np.sum(plan.phi[1:])))
+    return _unlaunched(plan, ts)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +317,12 @@ class CapacityPlanner:
     #    right-limits can be evaluated before time advances past them;
     #    t may be a scalar or an array of times in slot j) --
 
-    def planned_bits(self, j: int, t):
-        """Bits still to be launched in slot j under its plan (inf if no target)."""
+    def budget(self, j: int, t):
+        """Slot j's plan view, its bits still to launch and its capacity floor at t.
+
+        bits and floor share one ``_unlaunched``, inf with no blackout ahead; t is unchecked.
+        """
         view = self.plan_for_slot(j)
         if view.plan is None:
-            return float("inf")
-        return _unlaunched(view.plan, t)
-
-    def packet_bound(self, j: int, t):
-        """Packet-size bound preserving the capacity plan: min(cap, planned bits)."""
-        return np.minimum(self.schedule.caps[j], self.planned_bits(j, t))
+            return view, np.inf, np.inf
+        return (view, *_unlaunched(view.plan, t))

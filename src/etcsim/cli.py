@@ -38,6 +38,7 @@ EXIT_SCHEMA = 2
 EXIT_ADMISSIBILITY = 3
 EXIT_OBJECTIVE = 4
 EXIT_BREACH = 5
+_CSV_BLOCK = 256  # trace rows converted to Python floats at a time
 
 
 def _exit_code(exc: EtcsimError) -> int:
@@ -67,9 +68,11 @@ def write_trace_csv(trace: SimTrace, path: Path) -> None:
                              trace.s_hat, trace.l3])
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        # Whole rows at once, formatted as _fmt formats a cell: NaN empty, else repr.
-        fh.writelines(",".join("" if v != v else repr(v) for v in row) + "\r\n"
-                      for row in table.tolist())
+        # Whole rows at once, formatted as _fmt formats a cell: NaN empty, else repr;
+        # a block of rows at a time, so the table is never all Python floats at once.
+        for start in range(0, len(table), _CSV_BLOCK):
+            fh.writelines(",".join("" if v != v else repr(v) for v in row) + "\r\n"
+                          for row in table[start:start + _CSV_BLOCK].tolist())
 
 
 def write_transmissions_csv(trace: SimTrace, path: Path) -> None:

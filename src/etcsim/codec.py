@@ -62,7 +62,7 @@ class CodecState:
 
     def d_e(self, plant: PlantModel, t):
         """Error bound at time t (scalar or array), recomputed from the anchor."""
-        return inf_norm(plant.exp_A(np.subtract(t, self.anchor_time))) * self.step
+        return plant.exp_A.inf_norm(np.subtract(t, self.anchor_time)) * self.step
 
 
 def initial_state(x_hat0, d_e0: float, t0: float = 0.0) -> CodecState:

@@ -68,7 +68,7 @@ class PlantModel:
     def lyapunov_value(self, x):
         """V(x) = x^T P x over the last axis: one state or an array of states."""
         v = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", v, self.P, v)
+        return np.einsum("...i,...i->...", v @ self.P, v)
 
     def desired_performance(self, t):
         """Target performance level ``vd0 * exp(-beta t)`` (t0 = 0), scalar or array t."""

@@ -9,7 +9,8 @@ breakpoints and their right limits always evaluated explicitly.  Only
 the first crossing of a slot matters, so the scan walks the slot's grid
 in chunks that double in length and stops at the first chunk that
 holds a firing point: a search that fires after k grid points evaluates
-at most 2k + ``_SCAN_CHUNK`` of them, not the whole slot.
+at most 2k + ``_SCAN_CHUNK`` of them, not the whole slot.  The bisection
+evaluates the rule on arrays too, five tree levels per call (``bisect_crossing``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import codec as codec_mod
-from .capacity import CapacityPlanner, realtime_bound
+from .capacity import CapacityPlanner
 from .channel import ChannelSchedule, TransmissionRecord, validate_sequence
 from .errors import (
     AdmissibilityError,
@@ -296,22 +297,24 @@ class EventRule:
         h = self.plant.lyapunov_value(xs[..., :self.plant.n]) / vd
         return h, des / (self.plant.constants.error_scale * np.sqrt(vd))
 
-    def psi(self, ts, j: int):
-        """Packet bound (per-dimension bits) at times ts in slot j."""
+    def psi(self, ts, j: int, budget=None):
+        """Packet bound (per-dimension bits) at times ts in slot j; budget as in ``l3``."""
         if self.planner is None:
             return int(self.sched.caps[j])
-        return self.planner.packet_bound(j, ts)
+        _, bits, _ = budget or self.planner.budget(j, ts)
+        return np.minimum(self.sched.caps[j], bits)
 
-    def l3(self, ts, eps, j: int):
+    def l3(self, ts, eps, j: int, budget=None):
         """Bits needed to reach the next blackout's entry margin minus the budget.
 
         ``n (mu_inf (tau_l - t) / ln 2 + log2(eps / margin)) - sigma1 * S``
         with S the capacity floor; nonpositive means enough capacity
         remains, and ``-inf`` when no blackout lies ahead or eps is zero.
+        budget, when given, is ``planner.budget(j, ts)`` already computed.
         """
         if self.planner is None:
             return -math.inf
-        view = self.planner.plan_for_slot(j)
+        view, _, floor = budget or self.planner.budget(j, ts)
         if view.plan is None:
             return -math.inf
         margin = blackout_entry_margin(self.plant, view.blackout_len)
@@ -319,7 +322,7 @@ class EventRule:
         with np.errstate(divide="ignore"):
             log_eps = np.log2(eps)
         needed = self.plant.n * (growth / math.log(2.0) + log_eps - math.log2(margin))
-        return needed - self.config.sigma1 * realtime_bound(view.plan, ts)
+        return needed - self.config.sigma1 * floor
 
     def terms(self, ts, h, eps, j: int):
         """``(gate, l1, l2, l3)`` at times ts in slot j, for ratios h and eps.
@@ -327,7 +330,8 @@ class EventRule:
         Scalars stay scalars.  Where the gate is off at every t no term is
         evaluated and all three read ``-inf``.
         """
-        psi = self.psi(ts, j)
+        budget = None if self.planner is None else self.planner.budget(j, ts)
+        psi = self.psi(ts, j, budget)
         gate = psi >= 1
         if not np.any(gate):
             return gate, -math.inf, -math.inf, -math.inf
@@ -336,8 +340,8 @@ class EventRule:
         l1 = perf_bound(self.plant, tm, h, eps)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             l2 = channel_bound(self.plant, self.config.lookahead, tm, h, eps, p,
-                               exp_norm=self.exp_norm_tm[p], check_domain=False)
-            l3 = self.l3(ts, eps, j)
+                               exp_norm=self.exp_norm_tm[p], hbar=l1, check_domain=False)
+            l3 = self.l3(ts, eps, j, budget)
         return gate, l1, l2, l3
 
     def fires(self, ts, h, eps, j: int):
@@ -413,10 +417,10 @@ class _Engine:
         """
         anchor_x = self.x_aug.copy()
 
-        def pred(t: float, j: int) -> bool:
-            x = self.exp_block.apply(t - t_start, anchor_x)
-            h, eps = self.rule.ratios(t, x, self.enc.d_e(self.plant, t))
-            return bool(self.rule.fires(t, h, eps, j))
+        def fires(ts, j: int):
+            xs = self.exp_block.apply(np.subtract(ts, t_start), anchor_x)
+            h, eps = self.rule.ratios(ts, xs, self.enc.d_e(self.plant, ts))
+            return self.rule.fires(ts, h, eps, j)
 
         cursor = t_start
         while cursor < self.horizon - _TIME_TOL:
@@ -427,10 +431,9 @@ class _Engine:
             # cursor is mid-slot or a right-closed boundary, then the right
             # limit when the cursor sits on a breakpoint.
             j_left = self.sched.slot_at(cursor)
-            if cursor == t_start:
-                if pred(cursor, j_left):
-                    return cursor, j_left
-            if j != j_left and pred(cursor, j):
+            if cursor == t_start and fires(cursor, j_left):
+                return cursor, j_left
+            if j != j_left and fires(cursor, j):
                 if self.rule.psi(cursor, j_left) >= 1:
                     # Right-limit term fired while the breakpoint itself is
                     # admissible: transmit at it under the old slot's values.
@@ -452,8 +455,7 @@ class _Engine:
             if hit is not None:
                 hit += a
                 lo = cursor if hit == 0 else float(grid[hit - 1])
-                lo, _ = bisect_crossing(lambda t: pred(t, j), lo, float(grid[hit]),
-                                        _TIME_TOL)
+                lo, _ = bisect_crossing(lambda s: fires(s, j), lo, float(grid[hit]), _TIME_TOL)
                 # Transmit at the last pre-crossing instant: there the channel
                 # bound is still strictly below 1, so the required bit count
                 # is guaranteed to fit the allowed packet size.
@@ -502,11 +504,10 @@ class _Engine:
             for j in np.unique(js).tolist():
                 rows = js == j
                 t = ts[rows]
-                cap_cols[rows, 0] = planner.planned_bits(j, t)
-                cap_cols[rows, 1] = planner.packet_bound(j, t)
-                plan = planner.plan_for_slot(j).plan
-                cap_cols[rows, 2] = np.inf if plan is None else realtime_bound(plan, t)
-                cap_cols[rows, 3] = self.rule.l3(t, eps[rows], j)
+                budget = planner.budget(j, t)
+                cap_cols[rows, 0], cap_cols[rows, 2] = budget[1], budget[2]
+                cap_cols[rows, 1] = self.rule.psi(t, j, budget)
+                cap_cols[rows, 3] = self.rule.l3(t, eps[rows], j, budget)
         rho = error_threshold(self.plant, self.scn.trigger.lookahead, h)
         # columns: t, x, x_hat, then _ROW_COLUMNS
         self.rows.append(np.column_stack([

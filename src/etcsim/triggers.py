@@ -10,8 +10,8 @@ constant table (the unit violation time, the delay floors and
 ``sim.EventRule`` calls once when a scenario's rule is built.
 
 Root finding follows one recipe throughout: a bracketing scan with step
-T/1000 (expanding geometrically when the root lies beyond the first
-window) followed by ``bisect_crossing`` to ``root_tol``.
+T/1000 (expanding when the root lies beyond the first window), then
+``bisect_crossing``, five bisection levels per array call of the predicate.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .linalg import inf_norm
 from .plant import PlantModel
 
 _SCAN_POINTS = 1000
+# Levels of the bisection tree evaluated per call of the predicate: 31 points.
+_TREE_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -89,20 +90,21 @@ def error_threshold(plant: PlantModel, T: float, h0):
 def exp_growth_inf(plant: PlantModel, tau):
     """``||e^{A tau}||_inf * e^{(beta/2) tau}`` for scalar or array tau."""
     taus = np.asarray(tau, dtype=float)
-    return inf_norm(plant.exp_A(taus)) * np.exp(plant.beta / 2.0 * taus)
+    return plant.exp_A.inf_norm(taus) * np.exp(plant.beta / 2.0 * taus)
 
 
 def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p, *,
-                  exp_norm=None, check_domain: bool = True):
+                  exp_norm=None, hbar=None, check_domain: bool = True):
     """Upper bound on the channel ratio after a p-bit update tau ahead.
 
     ``||e^{A tau}||_inf e^{(beta/2) tau} eps0 / rho_T(perf_bound(tau)) / 2^p``.
     The perf bound at tau must not exceed 1 (the threshold is undefined
     past that point); pass ``check_domain=False`` only when the caller
-    handles that case itself.  ``exp_norm`` optionally supplies a
-    precomputed ``||e^{A tau}||_inf e^{(beta/2) tau}`` value or array.
+    handles that case itself.  ``exp_norm`` and ``hbar`` optionally supply
+    ``||e^{A tau}||_inf e^{(beta/2) tau}`` and ``perf_bound(tau)``, precomputed.
     """
-    hbar = perf_bound(plant, tau, h0, eps0)
+    if hbar is None:
+        hbar = perf_bound(plant, tau, h0, eps0)
     if check_domain and np.any(hbar > 1.0 + 1e-12):
         raise DomainError("performance bound exceeds 1 at the requested horizon")
     if exp_norm is None:
@@ -134,14 +136,25 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
     """Shrink a bracket with pred(lo) false and pred(hi) true to width tol.
 
     Returns the final (lo, hi): the last instant seen before the crossing
-    and the first instant seen at or after it.
+    and the first instant seen at or after it.  pred maps an array of times
+    to truth values; each call evaluates ``_TREE_DEPTH`` levels of the
+    bisection tree, each level's midpoints ``0.5 * (ends[:-1] + ends[1:])`` of
+    the level above: the same floats, so the same bracket, as scalar bisection.
     """
+    top = 1 << _TREE_DEPTH
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+        ends = np.empty(top + 1)
+        ends[0], ends[top] = lo, hi
+        for step in (top >> d for d in range(_TREE_DEPTH)):
+            ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])
+        fired = np.asarray(pred(ends[1:-1]))
+        a, b = 0, top
+        while b - a > 1 and hi - lo > tol:
+            mid = (a + b) // 2
+            if fired[mid - 1]:
+                b, hi = mid, float(ends[mid])
+            else:
+                a, lo = mid, float(ends[mid])
     return lo, hi
 
 

@@ -9,6 +9,17 @@ from etcsim.sim import _Engine, run
 from etcsim.triggers import TriggerConfig, resolve_lookahead, trigger_constants
 
 
+def scalar_bisect(pred, lo, hi, tol):
+    """Bisection one scalar time at a time: the oracle for ``triggers.bisect_crossing``."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 @pytest.fixture(scope="session")
 def ref_plant():
     """Reference 2x2 plant with vd0 for x0 = (6, -4)."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -259,22 +261,22 @@ class TestPlanner:
     def test_full_plan_at_slot_entry(self):
         planner = CapacityPlanner(sec6_schedule())
         view = planner.plan_for_slot(0)
-        assert planner.planned_bits(0, 0.0) == int(view.plan.phi[0])
+        _, bits, floor = planner.budget(0, 0.0)
+        assert bits == int(view.plan.phi[0])
+        assert floor == realtime_bound(view.plan, 0.0) == view.plan.value_bits
 
-    def test_packet_bound_within_cap(self):
-        sched = sec6_schedule()
-        planner = CapacityPlanner(sched)
+    def test_packet_bound_within_cap(self, blackout_rule):
+        sched = blackout_rule.sched
         for t in np.linspace(0.01, 19.99, 200):
             j = sched.slot_index(t)
-            assert planner.packet_bound(j, t) <= int(sched.caps[j])
+            assert blackout_rule.psi(t, j) <= int(sched.caps[j])
 
     def test_no_blackout_ahead_is_unbounded(self):
         sched = sec6_schedule()
         planner = CapacityPlanner(sched)
         last = sched.num_slots - 1
         assert planner.plan_for_slot(last).plan is None
-        assert planner.planned_bits(last, 19.5) == float("inf")
-        assert planner.packet_bound(last, 19.5) == int(sched.caps[last])
+        assert planner.budget(last, 19.5)[1:] == (math.inf, math.inf)
 
     def test_plans_leave_no_long_artificial_blackout(self):
         # Optimality of each slot's first allocation keeps the dead zone at
@@ -294,5 +296,4 @@ class TestPlanner:
         sched = sec6_schedule()
         planner = CapacityPlanner(sched)
         b = sched.blackout_slots()[0]
-        assert planner.planned_bits(b, float(sched.theta[b]) + 0.5) == 0
-        assert planner.packet_bound(b, float(sched.theta[b]) + 0.5) == 0
+        assert planner.budget(b, float(sched.theta[b]) + 0.5)[1] == 0

@@ -25,6 +25,14 @@ DEFECTIVE = {
     "jordan_block": JORDAN_BLOCK,
 }
 ORACLE_TIMES = (1e-6, 0.01, 0.3, 1.0, 4.0, 20.0, 50.0)
+# The reference plant's 4x4 block of plant and estimate dynamics (K = [2, -8]).
+_REF_BK = np.array([[0.0], [1.0]]) @ np.array([[2.0, -8.0]])
+NORM_CASES = {
+    "reference": A_REF,
+    "complex_pair": np.array([[-0.3, -2.0], [1.5, 0.1]]),
+    "reference_block": np.block([[A_REF, _REF_BK], [np.zeros((2, 2)), A_REF + _REF_BK]]),
+    "jordan": JORDAN,
+}
 
 
 def taylor_expm(M, t, terms=40):
@@ -233,12 +241,56 @@ class TestMatExp:
         assert np.allclose(E, rotation, atol=1e-15)
 
 
+class TestKernelInfNorm:
+    """``ExpKernel.inf_norm`` against ``inf_norm`` of the kernel's own matrices."""
+
+    @pytest.mark.parametrize("name", sorted(NORM_CASES))
+    def test_matches_norm_of_the_stack(self, name):
+        kernel = ExpKernel(NORM_CASES[name])
+        assert (kernel._eig is None) == (name == "jordan")
+        if name == "complex_pair":
+            assert np.all(np.linalg.eigvals(NORM_CASES[name]).imag != 0.0)
+        ts = np.concatenate([[0.0, 1e-6], np.linspace(0.01, 4.0, 55)])
+        want = inf_norm(kernel(ts))
+        got = kernel.inf_norm(ts)
+        assert got.shape == ts.shape
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+        assert kernel.inf_norm(ts.reshape(3, 19)).shape == (3, 19)
+        for t in (1e-6, 0.3, 4.0):
+            assert abs(kernel.inf_norm(t) - inf_norm(kernel(t))) <= 1e-13 * inf_norm(kernel(t))
+
+    @pytest.mark.parametrize("M", [A_REF, JORDAN], ids=["eigen", "expm"])
+    def test_scalar_zero_is_exactly_one_and_0d_gives_float(self, M):
+        kernel = ExpKernel(M)
+        for zero in (0.0, np.float64(0.0), np.array(0.0)):
+            assert kernel.inf_norm(zero) == 1.0
+        for t in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(kernel.inf_norm(t)) is float
+
+    @pytest.mark.parametrize("M, t_far", [(A_REF, 400.0), (JORDAN, 1e4)], ids=["eigen", "expm"])
+    def test_raises_as_the_kernel_does(self, M, t_far):
+        kernel = ExpKernel(M)
+        for bad in (-1e-3, np.array([0.5, -1.0]), np.nan, np.array([np.inf])):
+            with pytest.raises(DomainError):
+                kernel.inf_norm(bad)
+        for far in (t_far, np.array([0.0, 1.0, t_far])):
+            with pytest.raises(NumericalError):
+                kernel.inf_norm(far)
+
+
 class TestNorms:
     def test_inf_norm_max_row_sum(self):
         assert inf_norm(A_REF) == 5.0
 
     def test_inf_norm_vector(self):
         assert inf_norm([1.0, -3.0, 2.0]) == 3.0
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 6])
+    def test_inf_norm_of_stacks_matches_the_reduction(self, rng, k):
+        stack = rng.normal(size=(3, 5, k, k))
+        assert np.array_equal(inf_norm(stack), np.abs(stack).sum(axis=-1).max(axis=-1))
+        assert type(inf_norm(stack[0, 0])) is float
+        assert inf_norm(np.zeros((k, 0))) == 0.0
 
     def test_spec_norm_identity(self):
         assert spec_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-12)

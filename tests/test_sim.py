@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import scalar_bisect
 
 from etcsim.capacity import CapacityPlanner, realtime_bound
 from etcsim.channel import ChannelSchedule
@@ -18,7 +19,6 @@ from etcsim.presets import no_blackout_scenario, sec6_plant
 from etcsim.sim import _NUDGE, _SCAN_CHUNK, _TIME_TOL, Scenario, _Engine, check_admissibility, run
 from etcsim.triggers import (
     TriggerConfig,
-    bisect_crossing,
     blackout_entry_margin,
     error_threshold,
     resolve_lookahead,
@@ -52,7 +52,7 @@ def whole_slot_locate_fire(eng, t_start):
         if len(hits):
             hit = hits[0]
             lo = cursor if hit == 0 else float(grid[hit - 1])
-            lo, _ = bisect_crossing(lambda t: bool(fires(t, j)), lo, float(grid[hit]), _TIME_TOL)
+            lo, _ = scalar_bisect(lambda t: bool(fires(t, j)), lo, float(grid[hit]), _TIME_TOL)
             return lo, j
         cursor = seg_end
     return None
@@ -222,11 +222,10 @@ class TestBlackoutRun:
 
     def test_no_transmission_in_blackouts(self, blackout_scn, blackout_trace):
         sched = blackout_scn.schedule
-        planner = CapacityPlanner(sched)
         for tx in blackout_trace.transmissions:
             j = sched.slot_index(tx.t_k)
             assert sched.caps[j] >= 1
-            assert tx.p_k <= planner.packet_bound(j, tx.t_k)
+            assert tx.p_k <= blackout_scn.rule.psi(tx.t_k, j)
 
     def test_update_gaps_strictly_positive(self, blackout_trace):
         updates = [tx.r_tilde_k for tx in blackout_trace.transmissions]
@@ -235,10 +234,9 @@ class TestBlackoutRun:
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
     def test_packets_respect_artificial_bound(self, blackout_scn, blackout_trace):
-        planner = CapacityPlanner(blackout_scn.schedule)
         for tx in blackout_trace.transmissions:
             j = blackout_scn.schedule.slot_index(tx.t_k)
-            assert 1 <= tx.p_k <= planner.packet_bound(j, tx.t_k)
+            assert 1 <= tx.p_k <= blackout_scn.rule.psi(tx.t_k, j)
 
     def test_blackout_entry_margins(self, blackout_scn, blackout_trace):
         plant = blackout_scn.plant
@@ -346,8 +344,14 @@ class TestRecorderOracle:
             else:
                 j = sched.slot_at(t)
                 plan = planner.plan_for_slot(j).plan
-                cap_cols = (float(planner.planned_bits(j, t)), float(planner.packet_bound(j, t)),
-                            math.inf if plan is None else float(realtime_bound(plan, t)),
+                if plan is None:
+                    planned, floor = math.inf, math.inf
+                else:
+                    first = plan.problem
+                    left = plan.phi[0] - first.rates[0] * (t - first.theta[0])
+                    planned = max(0.0, math.floor(left + 1e-9))
+                    floor = float(realtime_bound(plan, t))
+                cap_cols = (planned, min(float(sched.caps[j]), planned), floor,
                             float(scn.rule.l3(t, eps, j)))
             rows.append((v, vd, h, eps, h_ch) + cap_cols)
         return np.array(rows)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from conftest import scalar_bisect
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from etcsim.capacity import realtime_bound
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
 from etcsim.triggers import (
+    _TREE_DEPTH,
     TriggerConfig,
     bisect_crossing,
     blackout_entry_margin,
@@ -65,12 +69,62 @@ def channel_delay_exceeds(plant, T, h0, eps0, p, t_check, strict=True):
     return val < 1.0 if strict else val <= 1.0
 
 
+@st.composite
+def brackets(draw):
+    """``(lo, hi, tol)`` with tol in [1e-12, 1e-2]: a bracket 1e-13 to 100 wide
+    (some no wider than tol), or a dyadic one that bisection halves exactly
+    and that takes a multiple of ``_TREE_DEPTH`` levels to reach tol."""
+    if draw(st.booleans()):
+        lo = draw(st.floats(-100.0, 100.0))
+        width = 10.0 ** draw(st.floats(-13.0, 2.0))
+        return lo, lo + width, 10.0 ** draw(st.floats(-12.0, -2.0))
+    levels = _TREE_DEPTH * draw(st.integers(1, 7))
+    tol_exp = draw(st.integers(-39, min(-7, 6 - levels)))
+    lo = float(draw(st.integers(-100, 100)))
+    return lo, lo + 2.0 ** (tol_exp + levels), 2.0 ** tol_exp
+
+
+class Counted:
+    """A threshold predicate on arrays that counts its calls."""
+
+    def __init__(self, threshold, strict):
+        self.threshold, self.strict, self.calls = threshold, strict, 0
+
+    def __call__(self, ts):
+        self.calls += 1
+        return ts > self.threshold if self.strict else ts >= self.threshold
+
+
 class TestBisectCrossing:
     def test_bracket_straddles_crossing(self):
         pred = lambda s: s >= 0.7312831
         lo, hi = bisect_crossing(pred, 0.0, 1.0, 1e-9)
         assert not pred(lo) and pred(hi)
         assert 0.0 < hi - lo <= 1e-9
+
+    @settings(max_examples=400, deadline=None)
+    @given(bracket=brackets(), where=st.floats(-0.1, 1.1), on_midpoint=st.none() | st.integers(0),
+           strict=st.booleans())
+    def test_tree_matches_scalar_bisection(self, bracket, where, on_midpoint, strict):
+        lo, hi, tol = bracket
+        threshold = lo + where * (hi - lo)
+        mids = []
+        scalar_bisect(lambda t: mids.append(t) or t >= threshold, lo, hi, tol)
+        if on_midpoint is not None and mids:
+            threshold = mids[on_midpoint % len(mids)]  # a threshold exactly on a midpoint
+        scalar, pred = Counted(threshold, strict), Counted(threshold, strict)
+        assert bisect_crossing(pred, lo, hi, tol) == scalar_bisect(scalar, lo, hi, tol)
+        assert pred.calls == math.ceil(scalar.calls / _TREE_DEPTH)  # one per level of scalar_bisect
+
+    @pytest.mark.parametrize("levels", [0, 1, 4, 5, 6, 10, 11, 29, 30])
+    def test_one_call_per_tree_depth_levels(self, levels):
+        # [0, 1] halves exactly, so tol = 2^-levels takes exactly that many levels.
+        sizes = []
+        pred = lambda ts: sizes.append(ts.size) or ts >= 0.3
+        lo, hi = bisect_crossing(pred, 0.0, 1.0, 2.0 ** -levels)
+        assert hi - lo == 2.0 ** -levels
+        assert len(sizes) == math.ceil(levels / _TREE_DEPTH)
+        assert sizes == [2 ** _TREE_DEPTH - 1] * len(sizes)
 
 
 class TestPerfBound:
@@ -329,7 +383,7 @@ class TestTriggerSuite:
         assert gate
         assert l1 == float(perf_bound(ref_plant, blackout_rule.tm[8], 0.5, 0.1))
         t = 2.44 - 1e-4
-        assert blackout_rule.planner.planned_bits(0, t) == 0
+        assert blackout_rule.planner.budget(0, t)[1] == 0
         gate, *_ = blackout_rule.terms(t, 0.5, 10.0, 0)
         assert not gate
         gates, *_ = blackout_rule.terms(np.array([1.0, t]), np.full(2, 0.5), np.full(2, 0.1), 0)
