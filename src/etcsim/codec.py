@@ -53,7 +53,6 @@ class CodecState:
     base_time: float
     anchor_time: float       # transmit time the current step is anchored to
     step: float              # quantization step delta_k
-    last_update_time: float
     in_flight: bool = False
 
     def x_hat_at(self, plant: PlantModel, t: float) -> np.ndarray:
@@ -72,7 +71,7 @@ def initial_state(x_hat0, d_e0: float, t0: float = 0.0) -> CodecState:
     x0 = np.array(x_hat0, dtype=float)
     x0.setflags(write=False)
     return CodecState(x_hat=x0, base_time=t0, anchor_time=t0,
-                      step=float(d_e0), last_update_time=t0)
+                      step=float(d_e0))
 
 
 def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
@@ -124,8 +123,7 @@ def decode_and_update(plant: PlantModel, pkt: Packet, state: CodecState,
     jump = plant.exp_Abar.apply(delay, x_hat_tx) + plant.exp_A.apply(delay, centres)
     jump.setflags(write=False)
     return CodecState(x_hat=jump, base_time=r_tilde,
-                      anchor_time=pkt.t_k, step=bound_tx / cells,
-                      last_update_time=r_tilde, in_flight=False)
+                      anchor_time=pkt.t_k, step=bound_tx / cells, in_flight=False)
 
 
 def mark_in_flight(state: CodecState) -> CodecState:

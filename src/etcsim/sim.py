@@ -3,14 +3,10 @@
 The plant, estimate and error bound all admit closed-form propagation,
 so there is no integrator error: segments between events are evaluated
 by one exponential kernel of the block dynamics, built once per engine
-and called on whole arrays of times, and event times are found by a
-fixed-step bracketing scan refined by bisection, with channel
-breakpoints and their right limits always evaluated explicitly.  Only
-the first crossing of a slot matters, so the scan walks the slot's grid
-in chunks that double in length and stops at the first chunk that
-holds a firing point: a search that fires after k grid points evaluates
-at most 2k + ``_SCAN_CHUNK`` of them, not the whole slot.  The bisection
-evaluates the rule on arrays too, five tree levels per call (``bisect_crossing``).
+and called on whole arrays of times, and event times are found as the
+first crossing of the rule along each slot's fixed-step grid
+(``triggers.first_crossing``: a chunked scan refined by bisection), with
+channel breakpoints and their right limits always evaluated explicitly.
 """
 
 from __future__ import annotations
@@ -36,19 +32,17 @@ from .linalg import ExpKernel, inf_norm
 from .plant import PlantModel
 from .triggers import (
     TriggerConfig,
-    bisect_crossing,
     blackout_entry_margin,
     channel_bound,
     error_threshold,
     exp_growth_inf,
+    first_crossing,
     perf_bound,
     trigger_constants,
 )
 
 _TIME_TOL = 1e-9
 _NUDGE = 1e-9
-# Grid points in the first chunk of a fire scan; each chunk with no hit doubles it.
-_SCAN_CHUNK = 256
 
 MODE_NO_BLACKOUT = "no_blackout"
 MODE_BLACKOUT = "blackout"
@@ -114,7 +108,7 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class Transmission:
+class Transmission(TransmissionRecord):
     """One realized transmission with the trigger quantities at its endpoints.
 
     Carries the packet's quantizer symbols so a trace can be audited
@@ -122,19 +116,11 @@ class Transmission:
     """
 
     k: int
-    t_k: float
-    p_k: int
-    r_k: float
-    r_tilde_k: float
     h_pf_tx: float
     eps_tx: float
     h_ch_update: float | None = None
     eps_update: float | None = None
     symbols: tuple[int, ...] = ()
-
-    def to_record(self) -> TransmissionRecord:
-        return TransmissionRecord(t_k=self.t_k, p_k=self.p_k,
-                                  r_k=self.r_k, r_tilde_k=self.r_tilde_k)
 
 
 @dataclass
@@ -389,15 +375,6 @@ class _Engine:
         self.sample_times = grid[grid < self.horizon - _TIME_TOL]
         self._sample_idx = 0
 
-    # -- vectorized segment scan ----------------------------------------------
-
-    def _segment_fire_index(self, ts: np.ndarray, xs: np.ndarray, des: np.ndarray,
-                            j: int) -> int | None:
-        """Index of the first of the grid points ts in slot j where the rule fires."""
-        h, eps = self.rule.ratios(ts, xs, des)
-        idx = np.flatnonzero(self.rule.fires(ts, h, eps, j))
-        return int(idx[0]) if idx.size else None
-
     # -- fire location ---------------------------------------------------------
 
     def _locate_fire(self, t_start: float):
@@ -407,11 +384,7 @@ class _Engine:
         transmission uses; right-limit-driven firings at a breakpoint
         whose own gate fails are nudged just inside the next slot.
 
-        Each slot's fixed-step grid is evaluated in chunks of
-        ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ``4 _SCAN_CHUNK``, ... points,
-        and the scan stops at the first chunk holding a firing point.  The
-        chunks are slices of the one grid, so the first firing point and
-        the bracket handed to the bisection are those of a whole-slot scan.
+        Each slot's fixed-step grid is searched by ``first_crossing``.
         Blackout slots are skipped: no send, so the rule need not be
         evaluated there.
         """
@@ -445,21 +418,13 @@ class _Engine:
             seg_end = min(float(self.sched.theta[j + 1]), self.horizon)
             count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
             grid = np.linspace(cursor, seg_end, count + 1)[1:]
-            a, size, hit = 0, _SCAN_CHUNK, None
-            while hit is None and a < count and self.sched.caps[j] > 0:
-                ts = grid[a:a + size]
-                hit = self._segment_fire_index(ts, self.exp_block.apply(ts - t_start, anchor_x),
-                                               self.enc.d_e(self.plant, ts), j)
-                if hit is None:
-                    a, size = a + size, 2 * size
-            if hit is not None:
-                hit += a
-                lo = cursor if hit == 0 else float(grid[hit - 1])
-                lo, _ = bisect_crossing(lambda s: fires(s, j), lo, float(grid[hit]), _TIME_TOL)
-                # Transmit at the last pre-crossing instant: there the channel
-                # bound is still strictly below 1, so the required bit count
-                # is guaranteed to fit the allowed packet size.
-                return lo, j
+            if self.sched.caps[j] > 0:
+                found = first_crossing(lambda s: fires(s, j), cursor, grid, _TIME_TOL)
+                if found is not None:
+                    # Transmit at the last pre-crossing instant: there the channel
+                    # bound is still strictly below 1, so the required bit count
+                    # is guaranteed to fit the allowed packet size.
+                    return found[0], j
             cursor = seg_end
         return None
 
@@ -626,7 +591,7 @@ class _Engine:
             scan_step=self.scan_step,
             sample_step=self.sample_step,
         )
-        validate_sequence([tx.to_record() for tx in self.transmissions], self.sched)
+        validate_sequence(self.transmissions, self.sched)
         trace.stats = summarize(trace, self.sched)
         return trace
 

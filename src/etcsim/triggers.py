@@ -9,9 +9,15 @@ constant table (the unit violation time, the delay floors and
 ``T_M(p)``) is computed by ``trigger_constants``, which
 ``sim.EventRule`` calls once when a scenario's rule is built.
 
-Root finding follows one recipe throughout: a bracketing scan with step
-T/1000 (expanding when the root lies beyond the first window), then
-``bisect_crossing``, five bisection levels per array call of the predicate.
+Every root found here and in the simulator is a first crossing, and
+``first_crossing`` is the one scan that finds it: it walks a grid of
+times in chunks that double in length and stops at the first chunk that
+holds a point where the predicate is true, so a crossing at grid index k
+costs at most 2k + ``_SCAN_CHUNK`` points, not the whole grid.  The
+bracket around that point is then shrunk by ``bisect_crossing``, five
+bisection levels per array call of the predicate.  The thresholds scan
+1000-point grids (the violation time in windows that expand until the
+root lies inside one); the simulator scans each slot at its scan step.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .errors import ConfigurationError, DomainError
 from .plant import PlantModel
 
 _SCAN_POINTS = 1000
+# Grid points in the first chunk of a scan; each chunk with no hit doubles it.
+_SCAN_CHUNK = 256
 # Levels of the bisection tree evaluated per call of the predicate: 31 points.
 _TREE_DEPTH = 5
 
@@ -158,6 +166,27 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
     return lo, hi
 
 
+def first_crossing(pred, start: float, grid: np.ndarray, tol: float) -> tuple[float, float] | None:
+    """Bracket of the first crossing of pred along grid, or None if pred never holds.
+
+    grid holds increasing times after start.  It is evaluated in chunks
+    of ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ... points up to the first chunk
+    where pred holds somewhere; the bracket from the point before the
+    first such time (start, for the first point) to that time is then
+    shrunk by ``bisect_crossing``.  pred maps an array of times to truth
+    values.
+    """
+    a, size = 0, _SCAN_CHUNK
+    while a < grid.size:
+        idx = np.flatnonzero(pred(grid[a:a + size]))
+        if idx.size:
+            i = a + int(idx[0])
+            lo = float(grid[i - 1]) if i else start
+            return bisect_crossing(pred, lo, float(grid[i]), tol)
+        a, size = a + size, 2 * size
+    return None
+
+
 def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
                            root_tol: float = 1e-9) -> float:
     """First time the open-loop performance bound reaches 1 going up.
@@ -184,14 +213,9 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
     # Expand geometrically until the bound has crossed 1; it always does
     # for eps0 > 0 since the bound grows like e^{mu tau}.
     for _ in range(200):
-        step = (hi - lo) / _SCAN_POINTS
-        grid = np.linspace(lo, hi, _SCAN_POINTS + 1)
-        vals = perf_bound(plant, grid, h0, eps0)
-        idx = np.flatnonzero(vals > 1.0)
-        if idx.size:
-            i = int(idx[0])
-            left = max(grid[i] - step, 0.0)
-            return bisect_crossing(above, left, float(grid[i]), root_tol)[1]
+        found = first_crossing(above, lo, np.linspace(lo, hi, _SCAN_POINTS + 1)[1:], root_tol)
+        if found is not None:
+            return found[1]
         lo, hi = hi, hi + 2.0 * (hi - lo)
     raise DomainError("performance bound crossing not found (scan exhausted)")
 
@@ -229,15 +253,9 @@ def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> 
             g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
         return (denom <= 0.0) | (g >= 1.0)
 
+    # g diverges at T^-, so g_above holds at the last point, T.
     grid = np.minimum(np.arange(1, _SCAN_POINTS + 1) * (T / _SCAN_POINTS), T * (1.0 - 1e-12))
-    idx = np.flatnonzero(g_above(grid))
-    if idx.size:
-        i = int(idx[0])
-        lo, hi = (float(grid[i - 1]) if i else 0.0), float(grid[i])
-    else:
-        # g diverges at T^-, so the crossing is in the last subinterval.
-        lo, hi = float(grid[-1]), T
-    return bisect_crossing(g_above, lo, hi, root_tol)[1]
+    return first_crossing(g_above, 0.0, np.append(grid, T), root_tol)[1]
 
 
 def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from etcsim.presets import no_blackout_scenario, sec6_plant, sec6_scenario
+from etcsim import triggers
+from etcsim.presets import no_blackout_scenario, sec6_scenario
 from etcsim.sim import _Engine, run
 from etcsim.triggers import TriggerConfig, resolve_lookahead, trigger_constants
 
@@ -20,10 +21,43 @@ def scalar_bisect(pred, lo, hi, tol):
     return lo, hi
 
 
+class ScanChunks:
+    """The chunks ``triggers.first_crossing`` scans, kept apart from the bisection's calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []  # (points, first index where pred holds or None), one per chunk
+        self._bisecting = False
+        bisect = triggers.bisect_crossing
+
+        def marked(*args):
+            self._bisecting = True
+            try:
+                return bisect(*args)
+            finally:
+                self._bisecting = False
+
+        monkeypatch.setattr(triggers, "bisect_crossing", marked)
+
+    def counted(self, pred):
+        """pred, recording each of its calls made outside ``bisect_crossing``."""
+        def counted(ts):
+            fired = pred(ts)
+            if not self._bisecting:
+                idx = np.flatnonzero(fired)
+                self.calls.append((np.size(ts), int(idx[0]) if idx.size else None))
+            return fired
+        return counted
+
+
+@pytest.fixture()
+def scan_chunks(monkeypatch):
+    return ScanChunks(monkeypatch)
+
+
 @pytest.fixture(scope="session")
 def ref_plant():
     """Reference 2x2 plant with vd0 for x0 = (6, -4)."""
-    return sec6_plant()
+    return sec6_scenario().plant
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from etcsim.capacity import (
     realtime_bound,
 )
 from etcsim.linalg import solve_lyapunov
-from etcsim.presets import sec6_plant, sec6_scenario
+from etcsim.presets import sec6_scenario
 from etcsim.sim import run
 from etcsim.triggers import blackout_entry_margin, channel_bound, perf_bound, time_to_perf_violation
 
@@ -60,7 +60,7 @@ def random_no_chain_problem(rng):
 def test_criterion_1_lyapunov_certificate():
     with criterion(1, "lyapunov certificate"):
         start = time.monotonic()
-        plant = sec6_plant()
+        plant = sec6_scenario().plant
         P = solve_lyapunov(plant.Abar, np.eye(2))
         want = np.array([[2.2500, -0.9167], [-0.9167, 0.5833]])
         assert np.max(np.abs(P - want)) <= 1e-3
@@ -72,7 +72,7 @@ def test_criterion_1_lyapunov_certificate():
 def test_criterion_2_threshold_constant():
     with criterion(2, "unit violation time"):
         start = time.monotonic()
-        plant = sec6_plant()
+        plant = sec6_scenario().plant
         assert time_to_perf_violation(plant, 1.0, 1.0) == pytest.approx(0.5699, abs=1e-3)
         assert time.monotonic() - start < 1.0
 

@@ -14,7 +14,7 @@ from etcsim.capacity import (
     replay_allocation,
 )
 from etcsim.errors import DomainError, ScaleGuardError
-from etcsim.presets import sec6_schedule
+from etcsim.presets import sec6_scenario
 
 
 def random_problem(rng, max_slots=4, allow_blackouts=True):
@@ -259,7 +259,7 @@ class TestRealtimeBound:
 
 class TestPlanner:
     def test_full_plan_at_slot_entry(self):
-        planner = CapacityPlanner(sec6_schedule())
+        planner = CapacityPlanner(sec6_scenario().schedule)
         view = planner.plan_for_slot(0)
         _, bits, floor = planner.budget(0, 0.0)
         assert bits == int(view.plan.phi[0])
@@ -272,7 +272,7 @@ class TestPlanner:
             assert blackout_rule.psi(t, j) <= int(sched.caps[j])
 
     def test_no_blackout_ahead_is_unbounded(self):
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         planner = CapacityPlanner(sched)
         last = sched.num_slots - 1
         assert planner.plan_for_slot(last).plan is None
@@ -281,7 +281,7 @@ class TestPlanner:
     def test_plans_leave_no_long_artificial_blackout(self):
         # Optimality of each slot's first allocation keeps the dead zone at
         # the slot end below two bit times.
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         planner = CapacityPlanner(sched)
         for j in range(sched.num_slots):
             if sched.caps[j] == 0:
@@ -293,7 +293,7 @@ class TestPlanner:
             assert sched.rates[j] * duration - float(view.plan.phi[0]) < 1.0
 
     def test_blackout_slot_has_zero_bits(self):
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         planner = CapacityPlanner(sched)
         b = sched.blackout_slots()[0]
         assert planner.budget(b, float(sched.theta[b]) + 0.5)[1] == 0

@@ -8,7 +8,7 @@ from etcsim.errors import (
     HorizonError,
     InfeasibleTransmissionError,
 )
-from etcsim.presets import sec6_schedule
+from etcsim.presets import sec6_scenario
 
 
 def simple_schedule():
@@ -30,7 +30,7 @@ class TestSlotLookup:
         assert sched.slot_index(1.0 + 1e-12) == 1
 
     def test_reference_blackout_interior(self):
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         assert sched.caps[sched.slot_index(5.0)] == 0
 
     def test_horizon_errors(self):
@@ -47,7 +47,7 @@ class TestSlotLookup:
         assert sched.caps[sched.right_slot_index(0.0)] == 3
 
     def test_reference_blackout_right_limit(self):
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         assert sched.caps[sched.right_slot_index(4.88)] == 0
 
     def test_right_limit_horizon_error(self):
@@ -55,7 +55,7 @@ class TestSlotLookup:
             simple_schedule().right_slot_index(3.0)
 
     def test_right_limit_agrees_off_breakpoints(self, rng):
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         ts = rng.uniform(sched.start + 1e-6, sched.end - 1e-6, size=200)
         for t in ts:
             if np.any(np.isclose(sched.theta, t)):
@@ -72,10 +72,10 @@ class TestBlackouts:
         return None if b is None else (float(sched.theta[b]), float(sched.theta[b + 1]))
 
     def test_reference_first_blackout(self):
-        assert self.window(sec6_schedule(), 0) == (4.88, 6.88)
+        assert self.window(sec6_scenario().schedule, 0) == (4.88, 6.88)
 
     def test_reference_second_blackout(self):
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         assert self.window(sched, sched.slot_index(7.0)) == (11.52, 13.52)
 
     def test_no_blackout_returns_none(self):
@@ -84,7 +84,7 @@ class TestBlackouts:
         assert sched.next_blackout_slot(0) is None
 
     def test_after_blackout_strictly_later_or_none(self):
-        sched = sec6_schedule()
+        sched = sec6_scenario().schedule
         first = sched.next_blackout_slot(0)
         second = sched.next_blackout_slot(first)
         assert sched.theta[second] > sched.theta[first + 1]

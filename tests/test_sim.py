@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import scalar_bisect
 
+from etcsim import sim
 from etcsim.capacity import CapacityPlanner, realtime_bound
 from etcsim.channel import ChannelSchedule
 from etcsim.codec import initial_state
@@ -15,9 +16,10 @@ from etcsim.errors import (
     InvariantBreachError,
     ObjectiveViolationError,
 )
-from etcsim.presets import no_blackout_scenario, sec6_plant
-from etcsim.sim import _NUDGE, _SCAN_CHUNK, _TIME_TOL, Scenario, _Engine, check_admissibility, run
+from etcsim.presets import no_blackout_scenario
+from etcsim.sim import _NUDGE, _TIME_TOL, Scenario, _Engine, check_admissibility, run
 from etcsim.triggers import (
+    _SCAN_CHUNK,
     TriggerConfig,
     blackout_entry_margin,
     error_threshold,
@@ -133,24 +135,18 @@ class TestChunkedScan:
         return eng
 
     @staticmethod
-    def counted_scans(monkeypatch):
-        """Record ``(points, result)`` of every call of ``_segment_fire_index``."""
-        calls = []
-        scan = _Engine._segment_fire_index
-
-        def counting(self, ts, xs, des, j):
-            hit = scan(self, ts, xs, des, j)
-            calls.append((ts.size, hit))
-            return hit
-
-        monkeypatch.setattr(_Engine, "_segment_fire_index", counting)
-        return calls
+    def counted_scans(monkeypatch, scan_chunks):
+        """Record the chunks of every scan ``_locate_fire`` hands to ``first_crossing``."""
+        scan = sim.first_crossing
+        monkeypatch.setattr(sim, "first_crossing",
+                            lambda pred, *args: scan(scan_chunks.counted(pred), *args))
+        return scan_chunks.calls
 
     @pytest.mark.parametrize("channel", ["blackout", "clear_channel"])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_whole_slot_scan(self, request, monkeypatch, channel, case):
+    def test_matches_whole_slot_scan(self, request, monkeypatch, scan_chunks, channel, case):
         eng = self.engine(request, channel, case)
-        calls = self.counted_scans(monkeypatch)
+        calls = self.counted_scans(monkeypatch, scan_chunks)
         found = eng._locate_fire(0.0)
         assert found == whole_slot_locate_fire(eng, 0.0)
         assert (found is None) == (case == "no_fire")
@@ -164,9 +160,9 @@ class TestChunkedScan:
 
     @pytest.mark.parametrize("channel", ["blackout", "clear_channel"])
     @pytest.mark.parametrize("case", ["first_chunk", "after_doublings", "last_partial_chunk"])
-    def test_work_bounded_by_first_hit(self, request, monkeypatch, channel, case):
+    def test_work_bounded_by_first_hit(self, request, monkeypatch, scan_chunks, channel, case):
         eng = self.engine(request, channel, case)
-        calls = self.counted_scans(monkeypatch)
+        calls = self.counted_scans(monkeypatch, scan_chunks)
         assert eng._locate_fire(0.0) is not None
         evaluated = sum(size for size, _ in calls)
         hit = evaluated - calls[-1][0] + calls[-1][1]
@@ -175,8 +171,8 @@ class TestChunkedScan:
 
 
 class TestEquilibrium:
-    def test_origin_never_transmits(self):
-        plant = sec6_plant().with_vd0(1.0)
+    def test_origin_never_transmits(self, ref_plant):
+        plant = ref_plant.with_vd0(1.0)
         sched = ChannelSchedule(theta=[0.0, 2.0, 4.0], rates=[3000.0, 3000.0],
                                 caps=[8, 8], n=2)
         scn = Scenario(plant=plant, schedule=sched,
@@ -397,8 +393,8 @@ class TestAdmissibility:
     def test_reference_scenario_passes(self, blackout_scn):
         assert check_admissibility(blackout_scn).ok
 
-    def test_slow_channel_fails_with_witnesses(self):
-        plant = sec6_plant()
+    def test_slow_channel_fails_with_witnesses(self, ref_plant):
+        plant = ref_plant
         sched = ChannelSchedule(theta=[0.0, 5.0, 10.0], rates=[100.0, 100.0],
                                 caps=[8, 8], n=2)
         scn = Scenario(plant=plant, schedule=sched,
@@ -413,8 +409,8 @@ class TestAdmissibility:
         with pytest.raises(AdmissibilityError):
             run(scn)
 
-    def test_oversized_blackout_fails_capacity_check(self):
-        plant = sec6_plant()
+    def test_oversized_blackout_fails_capacity_check(self, ref_plant):
+        plant = ref_plant
         # A sliver of usable time between two long blackouts cannot absorb
         # a unit error before the second one.
         sched = ChannelSchedule(
@@ -431,8 +427,8 @@ class TestAdmissibility:
         assert not blackout_check.ok
         assert blackout_check.witnesses[0][0] == 1  # the first blackout slot index
 
-    def test_no_bit_at_t0_fails_initial_triggers(self):
-        plant = sec6_plant()
+    def test_no_bit_at_t0_fails_initial_triggers(self, ref_plant):
+        plant = ref_plant
         # Slot 0 carries 0.6 bits at R = 3000, and the plan moves every bit to slot 1,
         # so psi(0) = 0: the rule is off at t0 and no packet could fit.
         sched = ChannelSchedule(theta=[0.0, 0.0002, 1.0, 2.0, 3.0],
@@ -463,8 +459,8 @@ class TestScenarioValidation:
 
 
 class TestStats:
-    def test_no_transmission_stats(self):
-        plant = sec6_plant().with_vd0(1.0)
+    def test_no_transmission_stats(self, ref_plant):
+        plant = ref_plant.with_vd0(1.0)
         sched = ChannelSchedule(theta=[0.0, 2.0], rates=[3000.0], caps=[8], n=2)
         scn = Scenario(plant=plant, schedule=sched,
                        trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),

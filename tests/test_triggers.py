@@ -11,6 +11,7 @@ from etcsim.capacity import realtime_bound
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
 from etcsim.triggers import (
+    _SCAN_CHUNK,
     _TREE_DEPTH,
     TriggerConfig,
     bisect_crossing,
@@ -18,6 +19,7 @@ from etcsim.triggers import (
     channel_bound,
     delay_floor,
     error_threshold,
+    first_crossing,
     perf_bound,
     time_to_perf_violation,
     trigger_constants,
@@ -125,6 +127,46 @@ class TestBisectCrossing:
         assert hi - lo == 2.0 ** -levels
         assert len(sizes) == math.ceil(levels / _TREE_DEPTH)
         assert sizes == [2 ** _TREE_DEPTH - 1] * len(sizes)
+
+
+def scalar_first_crossing(pred, start, grid, tol):
+    """Oracle for ``first_crossing``: a scan one grid point at a time, then ``scalar_bisect``."""
+    for i, t in enumerate(grid):
+        if pred(t):
+            return scalar_bisect(pred, float(grid[i - 1]) if i else start, float(t), tol)
+    return None
+
+
+class TestFirstCrossing:
+    # 2000 points: chunks of 256, 512 and 1024 points, then a last, partial one of 208.
+    GRID = np.linspace(0.0, 1.0, 2001)[1:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.integers(1, 3000), start=st.floats(-1.0, 0.0), where=st.floats(-0.1, 1.1),
+           strict=st.booleans())
+    def test_matches_scalar_scan(self, points, start, where, strict):
+        grid = np.linspace(start, 1.0, points + 1)[1:]
+        threshold = start + where * (1.0 - start)
+        assert (first_crossing(Counted(threshold, strict), start, grid, 1e-9)
+                == scalar_first_crossing(Counted(threshold, strict), start, grid, 1e-9))
+
+    @pytest.mark.parametrize("hit", [0, 1, 255, 256, 767, 768, 1791, 1792, 1999, None])
+    def test_stops_at_first_hit_chunk(self, scan_chunks, hit):
+        grid = self.GRID
+        threshold = 2.0 if hit is None else grid[hit]
+        found = first_crossing(scan_chunks.counted(lambda ts: ts >= threshold), 0.0, grid, 1e-9)
+        sizes = [size for size, _ in scan_chunks.calls]
+        assert all(idx is None for _, idx in scan_chunks.calls[:-1])
+        assert sizes[:-1] == [_SCAN_CHUNK * 2 ** k for k in range(len(sizes) - 1)]
+        evaluated = sum(sizes)
+        if hit is None:
+            assert found is None and scan_chunks.calls[-1][1] is None
+            assert evaluated == grid.size and sizes[-1] == 208  # the last, partial chunk
+        else:
+            lo, hi = found
+            assert hi == grid[hit] and 0.0 < hi - lo <= 1e-9
+            assert evaluated - sizes[-1] + scan_chunks.calls[-1][1] == hit
+            assert evaluated <= 2 * hit + _SCAN_CHUNK
 
 
 class TestPerfBound:
