@@ -7,7 +7,6 @@ deterministic closed-loop simulator, plus a small CLI.
 """
 
 from .capacity import (
-    AllocationProblem,
     CapacityPlan,
     CapacityPlanner,
     capacity_exact,

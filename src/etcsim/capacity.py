@@ -2,13 +2,14 @@
 the real-time quantities built from stored per-slot allocations.
 
 An allocation assigns ``phi_j`` per-dimension bits to be launched inside
-each slot of a window; transmissions start as early as possible and run
-back to back, so feasibility of an allocation reduces to a single
-forward replay of busy times.  The exact capacity maximises the total
-over integer allocations (exponential, guarded by size limits); the LP
-route solves the relaxation valid when no slot's spillover can outlast
-its successor slot, then floors; the fallback keeps every slot's bits
-inside the slot itself.
+each slot of a window, a ``ChannelSchedule`` (the planner's windows are
+stretches of the run's schedule up to a blackout); transmissions start
+as early as possible and run back to back, so feasibility of an
+allocation reduces to a single forward replay of busy times.  The exact
+capacity maximises the total over integer allocations (exponential,
+guarded by size limits); the LP route solves the relaxation valid when
+no slot's spillover can outlast its successor slot, then floors; the
+fallback keeps every slot's bits inside the slot itself.
 """
 
 from __future__ import annotations
@@ -30,51 +31,6 @@ def floor_nudged(x: float) -> int:
     return int(np.floor(x + _FLOOR_NUDGE))
 
 
-@dataclass(frozen=True)
-class AllocationProblem:
-    """A window of consecutive slots over which bits are allocated."""
-
-    theta: np.ndarray       # breakpoints, length m+1
-    rates: np.ndarray       # per-slot rate, length m
-    caps: np.ndarray        # per-slot packet cap, length m
-    n: int                  # state dimension
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        if theta.size < 2 or np.any(np.diff(theta) <= 0):
-            raise DomainError("allocation window needs strictly increasing breakpoints")
-        rates = np.asarray(self.rates, dtype=float)
-        caps = np.asarray(self.caps, dtype=int)
-        if rates.shape != (theta.size - 1,) or caps.shape != (theta.size - 1,):
-            raise DomainError("need one rate and one cap per slot")
-        if np.any((caps > 0) & (rates <= 0)):
-            raise DomainError("a slot with a positive cap needs a positive rate")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "caps", caps)
-
-    @classmethod
-    def from_schedule(cls, schedule: ChannelSchedule, j0: int, jf: int) -> "AllocationProblem":
-        if not 0 <= j0 < jf <= schedule.num_slots:
-            raise DomainError(f"invalid slot range [{j0}, {jf})")
-        return cls(theta=schedule.theta[j0:jf + 1].copy(),
-                   rates=schedule.rates[j0:jf].copy(),
-                   caps=schedule.caps[j0:jf].copy(),
-                   n=schedule.n)
-
-    @property
-    def num_slots(self) -> int:
-        return int(self.caps.size)
-
-    @property
-    def durations(self) -> np.ndarray:
-        return np.diff(self.theta)
-
-    @property
-    def horizon_end(self) -> float:
-        return float(self.theta[-1])
-
-
 @dataclass
 class CapacityPlan:
     """Per-slot integer allocation plus the capacity value it certifies."""
@@ -82,15 +38,15 @@ class CapacityPlan:
     phi: np.ndarray
     value_bits: int
     kind: str                       # "exact" | "lp_floor" | "fallback"
+    problem: ChannelSchedule = field(repr=False)
     lp_phi: np.ndarray | None = None
-    problem: AllocationProblem | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
 # replay feasibility
 
 
-def replay_allocation(problem: AllocationProblem, phi) -> float | None:
+def replay_allocation(problem: ChannelSchedule, phi) -> float | None:
     """Busy-until time after replaying an allocation earliest-first.
 
     Returns the time the last bit is received, or None when the
@@ -115,7 +71,7 @@ def replay_allocation(problem: AllocationProblem, phi) -> float | None:
         if bits > problem.rates[j] * avail + problem.caps[j] + _FLOOR_NUDGE:
             return None
         busy = start + bits / problem.rates[j]
-    if busy > problem.horizon_end + slack:
+    if busy > problem.end + slack:
         return None
     return busy
 
@@ -124,7 +80,7 @@ def replay_allocation(problem: AllocationProblem, phi) -> float | None:
 # exact capacity (exhaustive oracle)
 
 
-def _slot_static_caps(problem: AllocationProblem) -> np.ndarray:
+def _slot_static_caps(problem: ChannelSchedule) -> np.ndarray:
     caps = np.zeros(problem.num_slots, dtype=int)
     for j in range(problem.num_slots):
         if problem.caps[j] > 0:
@@ -132,7 +88,7 @@ def _slot_static_caps(problem: AllocationProblem) -> np.ndarray:
     return caps
 
 
-def capacity_exact(problem: AllocationProblem) -> CapacityPlan:
+def capacity_exact(problem: ChannelSchedule) -> CapacityPlan:
     """Globally optimal integer allocation by guarded exhaustive search.
 
     Refuses windows larger than 8 slots or with more than 20 allocatable
@@ -144,7 +100,7 @@ def capacity_exact(problem: AllocationProblem) -> CapacityPlan:
         raise ScaleGuardError(
             f"exact capacity limited to {_SCALE_SLOTS} slots and {_SCALE_BITS} bits per slot")
 
-    end = problem.horizon_end
+    end = problem.end
     theta = problem.theta
     rates = problem.rates
     caps = problem.caps
@@ -193,7 +149,7 @@ def capacity_exact(problem: AllocationProblem) -> CapacityPlan:
 # LP relaxation with floor rounding (valid when spillover is one-slot bounded)
 
 
-def capacity_lp_floor(problem: AllocationProblem) -> CapacityPlan:
+def capacity_lp_floor(problem: ChannelSchedule) -> CapacityPlan:
     """Floor of the relaxed optimal allocation.
 
     Requires the no-chained-spillover condition on the window, that each
@@ -229,7 +185,7 @@ def capacity_lp_floor(problem: AllocationProblem) -> CapacityPlan:
                         kind="lp_floor", lp_phi=x, problem=problem)
 
 
-def capacity_fallback(problem: AllocationProblem) -> CapacityPlan:
+def capacity_fallback(problem: ChannelSchedule) -> CapacityPlan:
     """In-slot-only allocation: ``floor(R_j T_j)`` bits per usable slot."""
     phi = np.array([floor_nudged(problem.rates[j] * problem.durations[j])
                     if problem.caps[j] > 0 else 0
@@ -238,7 +194,7 @@ def capacity_fallback(problem: AllocationProblem) -> CapacityPlan:
                         kind="fallback", problem=problem)
 
 
-def plan_window(problem: AllocationProblem, chained_spillover: bool) -> CapacityPlan:
+def plan_window(problem: ChannelSchedule, chained_spillover: bool) -> CapacityPlan:
     """LP route when the window qualifies, in-slot fallback otherwise."""
     if chained_spillover:
         return capacity_fallback(problem)
@@ -261,8 +217,6 @@ def realtime_bound(plan: CapacityPlan, t):
     times in the closed first slot (its end gives the left limit there).
     """
     problem = plan.problem
-    if problem is None:
-        raise DomainError("plan carries no window; cannot re-anchor")
     ts = np.asarray(t, dtype=float)
     start, end = problem.theta[0], problem.theta[1]
     if not (start <= ts.min(initial=start) and ts.max(initial=start) <= end):
@@ -278,10 +232,8 @@ def realtime_bound(plan: CapacityPlan, t):
 class SlotPlanView:
     """Plan anchored at one slot, targeting the next blackout start."""
 
-    slot: int
-    plan: CapacityPlan | None       # None when no blackout lies ahead
-    tau_l: float | None             # next blackout start (window end)
-    blackout_len: float | None      # its full length
+    plan: CapacityPlan | None       # None when no blackout lies ahead; its window ends there
+    blackout_len: float | None      # the blackout's full length
 
 
 class CapacityPlanner:
@@ -305,13 +257,11 @@ class CapacityPlanner:
         sched = self.schedule
         jb = sched.next_blackout_slot(j)
         if jb is None:
-            return SlotPlanView(slot=j, plan=None, tau_l=None, blackout_len=None)
-        problem = AllocationProblem.from_schedule(sched, j, jb)
-        chained = compute_J(sched, j, jb) != 0
-        plan = plan_window(problem, chained)
-        return SlotPlanView(slot=j, plan=plan,
-                            tau_l=float(sched.theta[jb]),
-                            blackout_len=float(sched.theta[jb + 1] - sched.theta[jb]))
+            return SlotPlanView(plan=None, blackout_len=None)
+        window = ChannelSchedule(sched.theta[j:jb + 1], sched.rates[j:jb], sched.caps[j:jb],
+                                 sched.n)
+        plan = plan_window(window, compute_J(sched, j, jb) != 0)
+        return SlotPlanView(plan=plan, blackout_len=float(sched.theta[jb + 1] - sched.theta[jb]))
 
     # -- real-time quantities (slot passed explicitly so breakpoint
     #    right-limits can be evaluated before time advances past them;

@@ -42,8 +42,6 @@ class ChannelSchedule:
         if np.any(caps != np.floor(caps)) or np.any(caps < 0):
             raise ConfigurationError("packet caps must be nonnegative integers")
         caps = caps.astype(int)
-        if np.any((caps[:-1] == 0) & (caps[1:] == 0)):
-            raise ConfigurationError("blackout slots must not be consecutive")
         if np.any((caps > 0) & (rates <= 0)):
             raise ConfigurationError("a usable slot must carry bits (R > 0)")
         if n < 1:
@@ -69,6 +67,7 @@ class ChannelSchedule:
     def num_slots(self) -> int:
         return self.caps.size
 
+    @property
     def durations(self) -> np.ndarray:
         return np.diff(self.theta)
 
@@ -130,7 +129,7 @@ def compute_J(schedule: ChannelSchedule, j0: int, jf: int) -> int | None:
     """
     if not 0 <= j0 < jf <= schedule.num_slots:
         raise DomainError(f"invalid slot range [{j0}, {jf})")
-    durations = schedule.durations()
+    durations = schedule.durations
     last = schedule.num_slots - 1
     spill = np.zeros(schedule.num_slots)
     usable = schedule.caps > 0

@@ -12,14 +12,12 @@ import argparse
 import csv
 import json
 import math
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .capacity import AllocationProblem, capacity_exact, plan_window
+from .capacity import capacity_exact, plan_window
 from .channel import compute_J
 from .errors import (
     AdmissibilityError,
@@ -140,6 +138,9 @@ def cmd_simulate(args) -> int:
             print(f"no scenario files in {target}", file=sys.stderr)
             return EXIT_SCHEMA
         if args.jobs and args.jobs > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # Spawned workers: forking a process whose BLAS threads already
             # run can leave a child holding a lock no thread will release.
             with ProcessPoolExecutor(max_workers=args.jobs,
@@ -177,20 +178,19 @@ def _simulate_worker(payload) -> int:
 def cmd_capacity(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     sched = scenario.schedule
-    problem = AllocationProblem.from_schedule(sched, 0, sched.num_slots)
     J = compute_J(sched, 0, sched.num_slots)
     print(f"slots: {sched.num_slots}, window [{sched.start}, {sched.end}], "
           f"J = {'unbounded' if J is None else J}")
-    plan = plan_window(problem, J != 0)
+    plan = plan_window(sched, J != 0)
     print(f"{plan.kind}: value = {plan.value_bits} bits, phi = {plan.phi.tolist()}")
     if plan.lp_phi is not None:
         print(f"relaxed phi = {[round(float(v), 6) for v in plan.lp_phi]}")
     try:
-        exact = capacity_exact(problem)
+        exact = capacity_exact(sched)
         print(f"exact: value = {exact.value_bits} bits, phi = {exact.phi.tolist()}")
         gap = exact.value_bits - plan.value_bits
-        usable = int(np.sum(problem.caps > 0))
-        print(f"sub-optimality gap = {gap} bits (certified bound {problem.n * usable})")
+        usable = int(np.sum(sched.caps > 0))
+        print(f"sub-optimality gap = {gap} bits (certified bound {sched.n * usable})")
     except ScaleGuardError as exc:
         print(f"exact: omitted ({exc})")
     return EXIT_OK

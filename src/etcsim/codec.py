@@ -23,6 +23,8 @@ from .linalg import inf_norm
 from .plant import PlantModel
 
 _CHECK_SLACK = 1e-9
+# Most bits per dimension: a cell index plus 1/2 is exact in float64 only below 2^52.
+MAX_BITS = 52
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ from .errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 
 # Largest eigenvector-basis condition number for which the closed form is used.
 _EIG_COND_MAX = 1e8
+# Relative asymmetry accepted as symmetric, and the largest accepted Lyapunov residual.
+_SYM_TOL = 1e-10
+_LYAP_RESIDUAL_TOL = 1e-9
 
 # Coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the
 # largest 1-norm of X for which it meets unit roundoff (Higham, SIMAX 2005).
@@ -65,15 +68,15 @@ def spec_norm(M) -> float:
     return float(np.sqrt(max(lam_max, 0.0)))
 
 
-def sym_eig_extremes(S, sym_tol: float = 1e-10) -> tuple[float, float]:
+def sym_eig_extremes(S) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a symmetric matrix.
 
     Raises DomainError when the input is not symmetric to within
-    ``sym_tol`` relative to its magnitude.
+    ``_SYM_TOL`` relative to its magnitude.
     """
     A = _as_square(S)
     scale = max(inf_norm(A), 1.0)
-    if inf_norm(A - A.T) > sym_tol * scale:
+    if inf_norm(A - A.T) > _SYM_TOL * scale:
         raise DomainError("matrix is not symmetric")
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
     return float(w[0]), float(w[-1])
@@ -215,12 +218,12 @@ def is_hurwitz(M) -> bool:
     return bool(np.all(np.linalg.eigvals(A).real < 0.0))
 
 
-def solve_lyapunov(Abar, Q, residual_tol: float = 1e-9) -> np.ndarray:
+def solve_lyapunov(Abar, Q) -> np.ndarray:
     """Solve ``P Abar + Abar^T P = -Q`` for symmetric positive-definite P.
 
     Vectorises to ``(Abar^T (x) I + I (x) Abar^T) vec(P) = -vec(Q)`` and
     solves with partially pivoted elimination; the residual is checked
-    against ``residual_tol`` before returning.
+    against ``_LYAP_RESIDUAL_TOL`` before returning.
 
     Raises
     ------
@@ -246,6 +249,6 @@ def solve_lyapunov(Abar, Q, residual_tol: float = 1e-9) -> np.ndarray:
     P = 0.5 * (P + P.T)
 
     residual = inf_norm(P @ A + A.T @ P + Qm)
-    if residual > residual_tol:
-        raise NumericalError(f"Lyapunov residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > _LYAP_RESIDUAL_TOL:
+        raise NumericalError(f"Lyapunov residual {residual:.3e} exceeds {_LYAP_RESIDUAL_TOL:.1e}")
     return P

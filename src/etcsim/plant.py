@@ -84,8 +84,7 @@ class PlantModel:
 
 
 def build_plant(A, B, K, Q, a: float, beta: float | None = None,
-                beta_fraction: float | None = None, vd0: float = 1.0,
-                lyap_tol: float = 1e-9) -> PlantModel:
+                beta_fraction: float | None = None, vd0: float = 1.0) -> PlantModel:
     """Assemble a PlantModel and all derived constants.
 
     The target decay rate may be given directly (``beta``) or as a
@@ -116,7 +115,7 @@ def build_plant(A, B, K, Q, a: float, beta: float | None = None,
         raise ConfigurationError("provide exactly one of beta or beta_fraction")
 
     Abar = A + B @ K
-    P = solve_lyapunov(Abar, Q, residual_tol=lyap_tol)
+    P = solve_lyapunov(Abar, Q)
 
     q_min, _ = sym_eig_extremes(Q)
     p_min, p_max = sym_eig_extremes(P)

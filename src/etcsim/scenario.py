@@ -102,7 +102,7 @@ def normalize_document(doc: dict) -> dict:
 
     channel = dict(doc["channel"])
     n = channel.pop("n", None)
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("channel.n: expected a positive integer")
     slots_in = channel.pop("slots", None)
     if not isinstance(slots_in, list) or not slots_in:
@@ -119,7 +119,7 @@ def normalize_document(doc: dict) -> dict:
         end = _number(slot.get("theta_end"), f"channel.slots[{i}].theta_end")
         rate = _number(slot.get("R"), f"channel.slots[{i}].R")
         cap = slot.get("pi_bar")
-        if not isinstance(cap, int) or cap < 0:
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise SchemaError(f"channel.slots[{i}].pi_bar: expected a nonnegative integer")
         if end <= start:
             raise SchemaError(f"channel.slots[{i}]: theta_end must exceed theta_start")

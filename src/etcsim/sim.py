@@ -94,6 +94,13 @@ class Scenario:
                 raise ConfigurationError(f"{name} must be positive")
         if self.d_e0 < inf_norm(self.x0 - self.x_hat0):
             raise ConfigurationError("d_e0 must dominate the initial estimate error")
+        caps = self.schedule.caps
+        # A design assumption, not channel data: admissibility and _locate_update
+        # rely on a usable slot right after every blackout.
+        if np.any((caps[:-1] == 0) & (caps[1:] == 0)):
+            raise ConfigurationError("blackout slots must not be consecutive")
+        if caps.max() > codec_mod.MAX_BITS:
+            raise ConfigurationError(f"packet caps must not exceed {codec_mod.MAX_BITS} bits")
         if self.schedule.start != 0.0:
             raise ConfigurationError("schedule must start at t0 = 0")
         horizon = self.schedule.end if self.horizon is None else self.horizon
@@ -294,7 +301,8 @@ class EventRule:
         """Bits needed to reach the next blackout's entry margin minus the budget.
 
         ``n (mu_inf (tau_l - t) / ln 2 + log2(eps / margin)) - sigma1 * S``
-        with S the capacity floor; nonpositive means enough capacity
+        with S the capacity floor and ``tau_l`` the blackout start, where
+        the plan's window ends; nonpositive means enough capacity
         remains, and ``-inf`` when no blackout lies ahead or eps is zero.
         budget, when given, is ``planner.budget(j, ts)`` already computed.
         """
@@ -304,7 +312,7 @@ class EventRule:
         if view.plan is None:
             return -math.inf
         margin = blackout_entry_margin(self.plant, view.blackout_len)
-        growth = self.plant.constants.growth_rate_inf * (view.tau_l - ts)
+        growth = self.plant.constants.growth_rate_inf * (view.plan.problem.end - ts)
         with np.errstate(divide="ignore"):
             log_eps = np.log2(eps)
         needed = self.plant.n * (growth / math.log(2.0) + log_eps - math.log2(margin))
@@ -358,7 +366,7 @@ class _Engine:
         if scenario.scan_step is not None:
             self.scan_step = scenario.scan_step
         else:
-            self.scan_step = min(float(np.min(self.sched.durations())) / 50.0,
+            self.scan_step = min(float(np.min(self.sched.durations)) / 50.0,
                                  self.rule.tm[1] / 10.0)
         self.sample_step = (scenario.sample_step if scenario.sample_step is not None
                             else self.horizon / 2000.0)
@@ -397,9 +405,7 @@ class _Engine:
 
         cursor = t_start
         while cursor < self.horizon - _TIME_TOL:
-            j = self.sched.right_slot_index(cursor) if cursor < self.sched.end else None
-            if j is None:
-                return None
+            j = self.sched.right_slot_index(cursor)
             # Explicit test at the segment start: left slot values when the
             # cursor is mid-slot or a right-closed boundary, then the right
             # limit when the cursor sits on a breakpoint.

@@ -1,10 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from etcsim import triggers
+from etcsim.channel import ChannelSchedule
 from etcsim.presets import no_blackout_scenario, sec6_scenario
 from etcsim.sim import _Engine, run
 from etcsim.triggers import TriggerConfig, resolve_lookahead, trigger_constants
@@ -118,7 +117,7 @@ def clear_channel_trace(clear_channel_scn):
 def sliced_at():
     """Re-solve oracle for ``realtime_bound``: the window re-anchored at t in its first slot."""
     def sliced(problem, t):
-        return dataclasses.replace(problem, theta=np.r_[t, problem.theta[1:]])
+        return ChannelSchedule(np.r_[t, problem.theta[1:]], problem.rates, problem.caps, problem.n)
     return sliced
 
 

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from etcsim.capacity import (
-    AllocationProblem,
     CapacityPlanner,
     capacity_exact,
     capacity_lp_floor,
     realtime_bound,
 )
+from etcsim.channel import ChannelSchedule
 from etcsim.linalg import solve_lyapunov
 from etcsim.presets import sec6_scenario
 from etcsim.sim import run
@@ -53,8 +53,8 @@ def random_no_chain_problem(rng):
                  for j in range(m - 1))
         if not ok or not caps.any():
             continue
-        return AllocationProblem(theta=theta, rates=rates, caps=caps,
-                                 n=int(rng.integers(1, 4)))
+        return ChannelSchedule(theta=theta, rates=rates, caps=caps,
+                               n=int(rng.integers(1, 4)))
 
 
 def test_criterion_1_lyapunov_certificate():
@@ -88,7 +88,7 @@ def test_criterion_3_constant_channel_capacity():
             rate = float(rng.integers(1, 9)) / 2.0
             caps = rng.integers(1, 4, size=m)
             n = int(rng.integers(1, 4))
-            prob = AllocationProblem(theta=theta, rates=[rate] * m, caps=caps, n=n)
+            prob = ChannelSchedule(theta=theta, rates=[rate] * m, caps=caps, n=n)
             want = n * int(math.floor(rate * float(theta[-1]) + 1e-9))
             assert capacity_exact(prob).value_bits == want
         assert time.monotonic() - start < 10.0

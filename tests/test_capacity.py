@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from etcsim.capacity import (
-    AllocationProblem,
     CapacityPlanner,
     capacity_exact,
     capacity_fallback,
@@ -13,6 +12,7 @@ from etcsim.capacity import (
     realtime_bound,
     replay_allocation,
 )
+from etcsim.channel import ChannelSchedule
 from etcsim.errors import DomainError, ScaleGuardError
 from etcsim.presets import sec6_scenario
 
@@ -28,7 +28,7 @@ def random_problem(rng, max_slots=4, allow_blackouts=True):
             caps[j] = 1
     if m == 1 and caps[0] == 0 and not allow_blackouts:
         caps[0] = 1
-    return AllocationProblem(theta=theta, rates=rates, caps=caps, n=int(rng.integers(1, 4)))
+    return ChannelSchedule(theta=theta, rates=rates, caps=caps, n=int(rng.integers(1, 4)))
 
 
 def random_no_chain_window(rng, i):
@@ -44,7 +44,7 @@ def random_no_chain_window(rng, i):
     for j in range(m - 1):
         while caps[j] and caps[j] / rates[j] >= durations[j + 1]:
             caps[j] -= 1
-    return AllocationProblem(theta=theta, rates=rates, caps=caps, n=int(rng.integers(1, 4)))
+    return ChannelSchedule(theta=theta, rates=rates, caps=caps, n=int(rng.integers(1, 4)))
 
 
 def is_no_chain(problem):
@@ -64,25 +64,25 @@ class TestCapacityExact:
             rate = float(rng.integers(1, 4))
             caps = rng.integers(1, 4, size=m)
             n = int(rng.integers(1, 3))
-            prob = AllocationProblem(theta=theta, rates=[rate] * m, caps=caps, n=n)
+            prob = ChannelSchedule(theta=theta, rates=[rate] * m, caps=caps, n=n)
             want = n * int(np.floor(rate * float(theta[-1]) + 1e-9))
             assert capacity_exact(prob).value_bits == want
 
     def test_all_blackout_is_zero(self):
-        prob = AllocationProblem(theta=[0.0, 1.0], rates=[2.0], caps=[0], n=2)
+        prob = ChannelSchedule(theta=[0.0, 1.0], rates=[2.0], caps=[0], n=2)
         assert capacity_exact(prob).value_bits == 0
 
     def test_spillover_bit_counts(self):
         # 2 in-slot bits plus one cap bit received at 1.5, before the end.
-        prob = AllocationProblem(theta=[0.0, 1.0, 2.0], rates=[2.0, 1.0],
-                                 caps=[1, 0], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[2.0, 1.0],
+                               caps=[1, 0], n=1)
         plan = capacity_exact(prob)
         assert plan.value_bits == 3
         assert plan.phi.tolist() == [3, 0]
 
     def test_single_slot_capped_by_reception(self):
         # floor(R*T) = 3; the cap's extra bits cannot land inside the window.
-        prob = AllocationProblem(theta=[0.0, 1.0], rates=[3.0], caps=[2], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0], rates=[3.0], caps=[2], n=1)
         assert capacity_exact(prob).value_bits == 3
 
     def test_plans_replay_feasibly(self, rng):
@@ -98,17 +98,17 @@ class TestCapacityExact:
                 continue
             k = prob.num_slots // 2
             whole = capacity_exact(prob).value_bits
-            left = capacity_exact(AllocationProblem(
+            left = capacity_exact(ChannelSchedule(
                 theta=prob.theta[:k + 1], rates=prob.rates[:k],
                 caps=prob.caps[:k], n=prob.n)).value_bits
-            right = capacity_exact(AllocationProblem(
+            right = capacity_exact(ChannelSchedule(
                 theta=prob.theta[k:], rates=prob.rates[k:],
                 caps=prob.caps[k:], n=prob.n)).value_bits
             assert whole >= left + right
 
     def test_scale_guard(self):
-        prob = AllocationProblem(theta=np.arange(10.0), rates=[1.0] * 9,
-                                 caps=[1] * 9, n=1)
+        prob = ChannelSchedule(theta=np.arange(10.0), rates=[1.0] * 9,
+                               caps=[1] * 9, n=1)
         with pytest.raises(ScaleGuardError):
             capacity_exact(prob)
 
@@ -116,19 +116,19 @@ class TestCapacityExact:
 class TestLpFloor:
     def test_single_slot_value(self):
         # Reception before the window end caps the single slot at floor(R*T).
-        prob = AllocationProblem(theta=[0.0, 1.0], rates=[3.0], caps=[2], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0], rates=[3.0], caps=[2], n=1)
         plan = capacity_lp_floor(prob)
         assert plan.value_bits == 3
         assert plan.phi.tolist() == [3]
         assert capacity_exact(prob).value_bits == plan.value_bits
 
     def test_all_blackout_slice(self):
-        prob = AllocationProblem(theta=[0.0, 2.0], rates=[2.0], caps=[0], n=3)
+        prob = ChannelSchedule(theta=[0.0, 2.0], rates=[2.0], caps=[0], n=3)
         assert capacity_lp_floor(prob).value_bits == 0
 
     def test_rejects_chained_spillover(self):
-        prob = AllocationProblem(theta=[0.0, 1.0, 1.5], rates=[2.0, 1.0],
-                                 caps=[3, 1], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0, 1.5], rates=[2.0, 1.0],
+                               caps=[3, 1], n=1)
         with pytest.raises(DomainError):
             capacity_lp_floor(prob)
 
@@ -147,8 +147,8 @@ class TestLpFloor:
     def test_lexicographic_tie_break(self):
         # Total is pinned at 4 by the reception constraints; among the
         # optimal splits the earliest slot keeps the fewest bits.
-        prob = AllocationProblem(theta=[0.0, 2.0, 4.0], rates=[1.0, 1.0],
-                                 caps=[1, 10], n=1)
+        prob = ChannelSchedule(theta=[0.0, 2.0, 4.0], rates=[1.0, 1.0],
+                               caps=[1, 10], n=1)
         plan = capacity_lp_floor(prob)
         assert plan.value_bits == 4
         assert plan.phi.tolist() == [2, 2]
@@ -181,12 +181,12 @@ class TestLpFloor:
 
 class TestFallback:
     def test_floor_of_in_slot_bits(self):
-        prob = AllocationProblem(theta=[0.0, 1.0], rates=[2.7], caps=[5], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0], rates=[2.7], caps=[5], n=1)
         assert capacity_fallback(prob).phi.tolist() == [2]
 
     def test_blackout_contributes_nothing(self):
-        prob = AllocationProblem(theta=[0.0, 1.0, 2.0], rates=[5.0, 5.0],
-                                 caps=[0, 2], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[5.0, 5.0],
+                               caps=[0, 2], n=1)
         assert capacity_fallback(prob).phi.tolist() == [0, 5]
 
     def test_never_exceeds_exact(self, rng):
@@ -203,15 +203,15 @@ class TestFallback:
 
 class TestRealtimeBound:
     def test_full_value_at_window_start(self):
-        prob = AllocationProblem(theta=[0.0, 1.0, 2.0], rates=[2.0, 2.0],
-                                 caps=[1, 1], n=2)
+        prob = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[2.0, 2.0],
+                               caps=[1, 1], n=2)
         plan = capacity_lp_floor(prob)
         assert realtime_bound(plan, 0.0) == plan.value_bits
 
     def test_first_slot_exhaustion(self):
         # A fractional in-slot budget exhausts strictly before the slot ends.
-        prob = AllocationProblem(theta=[0.0, 1.0, 2.0], rates=[2.5, 2.0],
-                                 caps=[1, 1], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[2.5, 2.0],
+                               caps=[1, 1], n=1)
         plan = capacity_fallback(prob)
         t_done = float(plan.phi[0]) / 2.5
         assert t_done < 1.0
@@ -232,16 +232,16 @@ class TestRealtimeBound:
                 assert 0 <= resolved - bound <= prob.n
 
     def test_nonincreasing_within_slot(self, rng):
-        prob = AllocationProblem(theta=[0.0, 2.0, 3.0], rates=[3.0, 3.0],
-                                 caps=[2, 2], n=1)
+        prob = ChannelSchedule(theta=[0.0, 2.0, 3.0], rates=[3.0, 3.0],
+                               caps=[2, 2], n=1)
         plan = capacity_lp_floor(prob)
         ts = np.linspace(0.0, 2.0 - 1e-9, 40)
         vals = [realtime_bound(plan, t) for t in ts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_arrays_of_times_match_scalar_calls(self):
-        prob = AllocationProblem(theta=[0.0, 2.0, 3.0], rates=[3.0, 3.0],
-                                 caps=[2, 2], n=2)
+        prob = ChannelSchedule(theta=[0.0, 2.0, 3.0], rates=[3.0, 3.0],
+                               caps=[2, 2], n=2)
         plan = capacity_lp_floor(prob)
         ts = np.linspace(0.0, 2.0, 9)  # the slot end is accepted, as the engine's left limit
         assert realtime_bound(plan, ts).tolist() == [realtime_bound(plan, t) for t in ts]
@@ -250,8 +250,8 @@ class TestRealtimeBound:
             realtime_bound(plan, np.array([1.0, 2.5]))
 
     def test_outside_first_slot_rejected(self):
-        prob = AllocationProblem(theta=[0.0, 1.0, 2.0], rates=[2.0, 2.0],
-                                 caps=[1, 1], n=1)
+        prob = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[2.0, 2.0],
+                               caps=[1, 1], n=1)
         plan = capacity_lp_floor(prob)
         with pytest.raises(DomainError):
             realtime_bound(plan, 1.5)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -139,9 +141,12 @@ class TestDelays:
 
 class TestValidation:
     def test_rejects_consecutive_blackouts(self):
-        with pytest.raises(ConfigurationError):
-            ChannelSchedule(theta=[0.0, 1.0, 2.0, 3.0], rates=[1.0, 1.0, 1.0],
-                            caps=[1, 0, 0], n=1)
+        # A control-design assumption, checked per scenario: as channel data
+        # (a capacity window, say) adjacent blackout slots are valid.
+        sched = ChannelSchedule(theta=[0.0, 1.0, 2.0, 20.0], rates=[1.0, 1.0, 1.0],
+                                caps=[1, 0, 0], n=2)
+        with pytest.raises(ConfigurationError, match="blackout slots must not be consecutive"):
+            dataclasses.replace(sec6_scenario(), schedule=sched)
 
     def test_rejects_usable_slot_without_rate(self):
         with pytest.raises(ConfigurationError):

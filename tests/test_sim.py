@@ -457,6 +457,15 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             dataclasses.replace(blackout_scn, x0=np.zeros(3))
 
+    def test_packet_caps_end_at_52_bits(self, blackout_scn):
+        def with_cap(cap):
+            sched = ChannelSchedule(theta=[0.0, 20.0], rates=[3000.0], caps=[cap], n=2)
+            return dataclasses.replace(blackout_scn, schedule=sched)
+
+        assert with_cap(52).schedule.caps.max() == 52
+        with pytest.raises(ConfigurationError, match="52"):
+            with_cap(53)
+
 
 class TestStats:
     def test_no_transmission_stats(self, ref_plant):
