@@ -6,10 +6,12 @@ communication delays, and the error margin required before blackouts of
 different lengths.
 """
 
-from etcsim import blackout_entry_margin
-from etcsim.presets import sec6_scenario
+from pathlib import Path
 
-scenario = sec6_scenario()
+from etcsim import blackout_entry_margin
+from etcsim.scenario import load_scenario
+
+scenario, _ = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json")
 plant = scenario.plant
 rule = scenario.rule  # the scenario's event rule holds the constant table
 

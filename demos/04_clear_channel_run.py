@@ -6,12 +6,15 @@ Lyapunov function under its exponentially decaying budget.  An ASCII
 strip chart shows the margin between V and its budget.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from etcsim import run
-from etcsim.presets import no_blackout_scenario
+from etcsim.scenario import load_scenario
 
-trace = run(no_blackout_scenario())
+scenario, _ = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "clear10.json")
+trace = run(scenario)
 
 print("transmissions:", trace.stats["transmission_count"])
 print("mean gap     :", round(trace.stats["mean_intertransmission"], 4))

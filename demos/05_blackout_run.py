@@ -15,9 +15,9 @@ import numpy as np
 
 from etcsim import blackout_entry_margin, run
 from etcsim.cli import write_trace_csv, write_transmissions_csv
-from etcsim.presets import sec6_scenario
+from etcsim.scenario import load_scenario
 
-scn = sec6_scenario()
+scn, _ = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json")
 trace = run(scn)
 
 print("stats:")

@@ -28,9 +28,10 @@ class ChannelSchedule:
     """Immutable rate/packet-cap schedule with slot and blackout queries."""
 
     def __init__(self, theta, rates, caps, n: int):
-        theta = np.asarray(theta, dtype=float)
-        rates = np.asarray(rates, dtype=float)
-        caps = np.asarray(caps)
+        # Copies: the schedule freezes its arrays, and the caller's stay writable.
+        theta = np.array(theta, dtype=float)
+        rates = np.array(rates, dtype=float)
+        caps = np.array(caps)
         if theta.ndim != 1 or theta.size < 2:
             raise ConfigurationError("need at least two breakpoints")
         if np.any(np.diff(theta) <= 0):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 schema or configuration problem, 3 failed
 admissibility, 4 objective violation during a run, 5 theorem-guarantee
-breach.  ``simulate`` accepts a scenario file or (with ``--jobs``) a
-directory of scenario files.
+breach; an error's code is its class's ``exit_code`` (see ``errors``).
+``simulate`` accepts a scenario file or a directory of scenario files,
+run one after another.
 """
 
 from __future__ import annotations
@@ -19,36 +20,12 @@ import numpy as np
 
 from .capacity import capacity_exact, plan_window
 from .channel import compute_J
-from .errors import (
-    AdmissibilityError,
-    ConfigurationError,
-    EtcsimError,
-    GuaranteeBreachError,
-    ObjectiveViolationError,
-    ScaleGuardError,
-    SchemaError,
-)
+from .errors import AdmissibilityError, EtcsimError, ScaleGuardError
 from .scenario import load_scenario
 from .sim import SimTrace, check_admissibility, run
 
 EXIT_OK = 0
-EXIT_SCHEMA = 2
-EXIT_ADMISSIBILITY = 3
-EXIT_OBJECTIVE = 4
-EXIT_BREACH = 5
 _CSV_BLOCK = 256  # trace rows converted to Python floats at a time
-
-
-def _exit_code(exc: EtcsimError) -> int:
-    if isinstance(exc, (SchemaError, ConfigurationError)):
-        return EXIT_SCHEMA
-    if isinstance(exc, AdmissibilityError):
-        return EXIT_ADMISSIBILITY
-    if isinstance(exc, ObjectiveViolationError):
-        return EXIT_OBJECTIVE
-    if isinstance(exc, GuaranteeBreachError):
-        return EXIT_BREACH
-    return EXIT_SCHEMA
 
 
 def _fmt(x: float) -> str:
@@ -109,7 +86,7 @@ def _simulate_one(path: Path, args) -> int:
     print(report)
     if not report.ok and not args.force:
         print("admissibility failed (use --force to run anyway)")
-        return EXIT_ADMISSIBILITY
+        return AdmissibilityError.exit_code
 
     trace = run(scenario, force=True)
 
@@ -132,47 +109,22 @@ def _simulate_one(path: Path, args) -> int:
 
 def cmd_simulate(args) -> int:
     target = Path(args.scenario)
-    if target.is_dir():
-        files = sorted(target.glob("*.json"))
-        if not files:
-            print(f"no scenario files in {target}", file=sys.stderr)
-            return EXIT_SCHEMA
-        if args.jobs and args.jobs > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Spawned workers: forking a process whose BLAS threads already
-            # run can leave a child holding a lock no thread will release.
-            with ProcessPoolExecutor(max_workers=args.jobs,
-                                     mp_context=multiprocessing.get_context("spawn")) as pool:
-                codes = list(pool.map(_simulate_worker,
-                                      [(str(f), _worker_args(args)) for f in files]))
-        else:
-            codes = [_guarded_simulate(f, args) for f in files]
-        return max(codes)
-    return _guarded_simulate(target, args)
+    if not target.is_dir():
+        return _simulate_one(target, args)
+    files = sorted(target.glob("*.json"))
+    if not files:
+        print(f"no scenario files in {target}", file=sys.stderr)
+        return EtcsimError.exit_code
+    return max(_guarded(_simulate_one, f, args) for f in files)
 
 
-def _guarded_simulate(path: Path, args) -> int:
+def _guarded(func, *args) -> int:
+    """``func(*args)``, with an OSError or EtcsimError reported as its exit code."""
     try:
-        return _simulate_one(Path(path), args)
-    except OSError as exc:
+        return func(*args)
+    except (OSError, EtcsimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except EtcsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
-
-
-def _worker_args(args) -> dict:
-    return {"delay_factor": args.delay_factor, "packet_policy": args.packet_policy,
-            "scan_step": args.scan_step, "force": args.force, "out_dir": args.out_dir}
-
-
-def _simulate_worker(payload) -> int:
-    path, opts = payload
-    ns = argparse.Namespace(**opts)
-    return _guarded_simulate(Path(path), ns)
+        return getattr(exc, "exit_code", EtcsimError.exit_code)
 
 
 def cmd_capacity(args) -> int:
@@ -248,8 +200,6 @@ def main(argv=None) -> int:
     sim_p.add_argument("--delay-factor", type=float, default=None)
     sim_p.add_argument("--packet-policy", choices=["max_bits", "min_bits"], default=None)
     sim_p.add_argument("--scan-step", type=float, default=None)
-    sim_p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers for a scenario directory")
     sim_p.set_defaults(func=cmd_simulate)
 
     cap_p = sub.add_parser("capacity", help="data-capacity values for the schedule")
@@ -266,14 +216,7 @@ def main(argv=None) -> int:
     con_p.set_defaults(func=cmd_constants)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except EtcsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+    return _guarded(args.func, args)
 
 
 if __name__ == "__main__":

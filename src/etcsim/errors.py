@@ -1,13 +1,18 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto its exit-code contract: configuration/schema
-problems exit 2, admissibility failures 3, objective violations 4 and
-guarantee breaches 5.
+Each class carries the CLI exit code of its failure in ``exit_code``,
+inherited from the nearest ancestor that sets one: every
+``EtcsimError`` exits 2 (schema or configuration problem) unless it is
+an ``AdmissibilityError`` (3), an ``ObjectiveViolationError`` (4) or a
+``GuaranteeBreachError`` (5).  Invariant, feasibility and causality
+breaches found during a run are guarantee breaches.
 """
 
 
 class EtcsimError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class SchemaError(EtcsimError):
@@ -50,20 +55,10 @@ class ScaleGuardError(EtcsimError):
     """An exhaustive oracle was invoked beyond its intended instance size."""
 
 
-class InvariantBreachError(EtcsimError):
-    """An internal state invariant was violated (fail loudly, never clamp)."""
-
-
-class CausalityError(EtcsimError):
-    """An update was requested before the packet it depends on was sent."""
-
-
-class FeasibilityError(EtcsimError):
-    """A transmission record violates one of the channel feasibility rules."""
-
-
 class AdmissibilityError(EtcsimError):
     """A scenario failed its pre-run admissibility checks."""
+
+    exit_code = 3
 
     def __init__(self, report):
         self.report = report
@@ -73,10 +68,26 @@ class AdmissibilityError(EtcsimError):
 class ObjectiveViolationError(EtcsimError):
     """The performance ratio exceeded 1 at a trace sample."""
 
+    exit_code = 4
+
 
 class GuaranteeBreachError(EtcsimError):
     """A theorem-backed guarantee failed at run time (diagnostic state attached)."""
 
+    exit_code = 5
+
     def __init__(self, message, state=None):
         self.state = state or {}
         super().__init__(message)
+
+
+class InvariantBreachError(GuaranteeBreachError):
+    """An internal state invariant was violated (fail loudly, never clamp)."""
+
+
+class CausalityError(GuaranteeBreachError):
+    """An update was requested before the packet it depends on was sent."""
+
+
+class FeasibilityError(GuaranteeBreachError):
+    """A transmission record violates one of the channel feasibility rules."""

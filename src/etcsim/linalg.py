@@ -20,9 +20,10 @@ from .errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 
 # Largest eigenvector-basis condition number for which the closed form is used.
 _EIG_COND_MAX = 1e8
-# Relative asymmetry accepted as symmetric, and the largest accepted Lyapunov residual.
+# Relative asymmetry accepted as symmetric, and the largest accepted backward error
+# ||Abar^T P + P Abar + Q|| / (2 ||Abar|| ||P|| + ||Q||) of a Lyapunov solution.
 _SYM_TOL = 1e-10
-_LYAP_RESIDUAL_TOL = 1e-9
+_LYAP_BACKWARD_TOL = 1e-12
 
 # Coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the
 # largest 1-norm of X for which it meets unit roundoff (Higham, SIMAX 2005).
@@ -222,14 +223,16 @@ def solve_lyapunov(Abar, Q) -> np.ndarray:
     """Solve ``P Abar + Abar^T P = -Q`` for symmetric positive-definite P.
 
     Vectorises to ``(Abar^T (x) I + I (x) Abar^T) vec(P) = -vec(Q)`` and
-    solves with partially pivoted elimination; the residual is checked
-    against ``_LYAP_RESIDUAL_TOL`` before returning.
+    solves with partially pivoted elimination.  The residual, scaled by
+    ``2 ||Abar|| ||P|| + ||Q||`` to a backward error, is checked against
+    ``_LYAP_BACKWARD_TOL`` before returning: an absolute bound would
+    reject well-solved plants whose P is large.
 
     Raises
     ------
     NotHurwitzError : Abar has an eigenvalue with nonnegative real part.
     DomainError     : Q is not symmetric positive definite.
-    NumericalError  : the residual check fails.
+    NumericalError  : the backward-error check fails.
     """
     A = _as_square(Abar)
     Qm = _as_square(Q)
@@ -248,7 +251,8 @@ def solve_lyapunov(Abar, Q) -> np.ndarray:
     P = vec_p.reshape((n, n), order="F")
     P = 0.5 * (P + P.T)
 
-    residual = inf_norm(P @ A + A.T @ P + Qm)
-    if residual > _LYAP_RESIDUAL_TOL:
-        raise NumericalError(f"Lyapunov residual {residual:.3e} exceeds {_LYAP_RESIDUAL_TOL:.1e}")
+    backward = inf_norm(P @ A + A.T @ P + Qm) / (2.0 * inf_norm(A) * inf_norm(P) + inf_norm(Qm))
+    if not backward <= _LYAP_BACKWARD_TOL:
+        raise NumericalError(
+            f"Lyapunov backward error {backward:.3e} exceeds {_LYAP_BACKWARD_TOL:.1e}")
     return P

@@ -1,4 +1,4 @@
-"""Scenario file loading, validation and serialization.
+"""Scenario file loading and validation.
 
 The on-disk format is a single JSON document with ``plant``, ``channel``,
 ``trigger`` and ``sim`` sections (schema documented in the README).
@@ -184,10 +184,6 @@ def load_document(path) -> dict:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return normalize_document(raw)
-
-
-def dump_document(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(normalize_document(doc), indent=2) + "\n")
 
 
 def build_scenario(doc: dict) -> Scenario:

@@ -598,8 +598,30 @@ class _Engine:
             sample_step=self.sample_step,
         )
         validate_sequence(self.transmissions, self.sched)
+        if self.blackout_mode:
+            self._check_entry_margins(trace)
         trace.stats = summarize(trace, self.sched)
         return trace
+
+    def _check_entry_margins(self, trace: SimTrace):
+        """Raise unless eps is within its entry margin at each blackout start before the horizon.
+
+        The row read is the last one at the blackout start ``tau_l``, after
+        any update there.
+        """
+        for b in self.sched.blackout_slots():
+            tau_l = float(self.sched.theta[b])
+            if tau_l >= self.horizon:
+                break
+            at = np.flatnonzero(trace.t == tau_l)
+            if not at.size:
+                raise GuaranteeBreachError(f"no trace row at the blackout start t={tau_l}")
+            eps = float(trace.eps[at[-1]])
+            margin = blackout_entry_margin(self.plant, float(self.sched.durations[b]))
+            if not eps <= margin:
+                raise GuaranteeBreachError(
+                    f"error ratio {eps} exceeds the entry margin {margin} of the blackout "
+                    f"at t={tau_l}", state={"t": tau_l, "eps": eps, "margin": margin, "slot": b})
 
 
 def run(scenario: Scenario, force: bool = False) -> SimTrace:

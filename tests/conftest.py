@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from etcsim import triggers
 from etcsim.channel import ChannelSchedule
-from etcsim.presets import no_blackout_scenario, sec6_scenario
+from etcsim.scenario import load_scenario
 from etcsim.sim import _Engine, run
 from etcsim.triggers import TriggerConfig, resolve_lookahead, trigger_constants
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def scalar_bisect(pred, lo, hi, tol):
@@ -54,9 +58,9 @@ def scan_chunks(monkeypatch):
 
 
 @pytest.fixture(scope="session")
-def ref_plant():
+def ref_plant(blackout_scn):
     """Reference 2x2 plant with vd0 for x0 = (6, -4)."""
-    return sec6_scenario().plant
+    return blackout_scn.plant
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +77,8 @@ def ref_constants(ref_plant, ref_config):
 
 @pytest.fixture(scope="session")
 def blackout_scn():
-    return sec6_scenario()
+    """``scenarios/sec6.json``: the reference plant across three blackouts."""
+    return load_scenario(SCENARIOS / "sec6.json")[0]
 
 
 @pytest.fixture(scope="session")
@@ -99,12 +104,13 @@ def clear_channel_rule(clear_channel_scn):
 
 @pytest.fixture(scope="session")
 def clear_channel_scn():
-    return no_blackout_scenario()
+    """``scenarios/clear10.json``: sec6's plant on a constant channel of two equal slots."""
+    return load_scenario(SCENARIOS / "clear10.json")[0]
 
 
 @pytest.fixture(scope="session")
 def clear_channel_engine(clear_channel_scn):
-    """Engine at the initial state of the clear-channel preset; never run."""
+    """Engine at the initial state of the clear-channel scenario; never run."""
     return _Engine(clear_channel_scn)
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from etcsim.capacity import (
 )
 from etcsim.channel import ChannelSchedule
 from etcsim.linalg import solve_lyapunov
-from etcsim.presets import sec6_scenario
+from etcsim.scenario import load_scenario
 from etcsim.sim import run
 from etcsim.triggers import blackout_entry_margin, channel_bound, perf_bound, time_to_perf_violation
+
+SEC6 = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
 
 
 @contextmanager
@@ -60,7 +63,7 @@ def random_no_chain_problem(rng):
 def test_criterion_1_lyapunov_certificate():
     with criterion(1, "lyapunov certificate"):
         start = time.monotonic()
-        plant = sec6_scenario().plant
+        plant = load_scenario(SEC6)[0].plant
         P = solve_lyapunov(plant.Abar, np.eye(2))
         want = np.array([[2.2500, -0.9167], [-0.9167, 0.5833]])
         assert np.max(np.abs(P - want)) <= 1e-3
@@ -72,7 +75,7 @@ def test_criterion_1_lyapunov_certificate():
 def test_criterion_2_threshold_constant():
     with criterion(2, "unit violation time"):
         start = time.monotonic()
-        plant = sec6_scenario().plant
+        plant = load_scenario(SEC6)[0].plant
         assert time_to_perf_violation(plant, 1.0, 1.0) == pytest.approx(0.5699, abs=1e-3)
         assert time.monotonic() - start < 1.0
 
@@ -163,7 +166,7 @@ def test_criterion_6_artificial_blackout_bound(blackout_scn, blackout_trace):
 def test_criterion_7_closed_loop_safety():
     with criterion(7, "closed-loop safety"):
         start = time.monotonic()
-        scn = sec6_scenario()
+        scn = load_scenario(SEC6)[0]
         trace = run(scn)
         assert np.all(trace.h_pf <= 1.0)
         err = np.max(np.abs(trace.x - trace.x_hat), axis=1)

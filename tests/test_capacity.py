@@ -14,7 +14,6 @@ from etcsim.capacity import (
 )
 from etcsim.channel import ChannelSchedule
 from etcsim.errors import DomainError, ScaleGuardError
-from etcsim.presets import sec6_scenario
 
 
 def random_problem(rng, max_slots=4, allow_blackouts=True):
@@ -258,8 +257,8 @@ class TestRealtimeBound:
 
 
 class TestPlanner:
-    def test_full_plan_at_slot_entry(self):
-        planner = CapacityPlanner(sec6_scenario().schedule)
+    def test_full_plan_at_slot_entry(self, blackout_scn):
+        planner = CapacityPlanner(blackout_scn.schedule)
         view = planner.plan_for_slot(0)
         _, bits, floor = planner.budget(0, 0.0)
         assert bits == int(view.plan.phi[0])
@@ -271,17 +270,17 @@ class TestPlanner:
             j = sched.slot_index(t)
             assert blackout_rule.psi(t, j) <= int(sched.caps[j])
 
-    def test_no_blackout_ahead_is_unbounded(self):
-        sched = sec6_scenario().schedule
+    def test_no_blackout_ahead_is_unbounded(self, blackout_scn):
+        sched = blackout_scn.schedule
         planner = CapacityPlanner(sched)
         last = sched.num_slots - 1
         assert planner.plan_for_slot(last).plan is None
         assert planner.budget(last, 19.5)[1:] == (math.inf, math.inf)
 
-    def test_plans_leave_no_long_artificial_blackout(self):
+    def test_plans_leave_no_long_artificial_blackout(self, blackout_scn):
         # Optimality of each slot's first allocation keeps the dead zone at
         # the slot end below two bit times.
-        sched = sec6_scenario().schedule
+        sched = blackout_scn.schedule
         planner = CapacityPlanner(sched)
         for j in range(sched.num_slots):
             if sched.caps[j] == 0:
@@ -292,8 +291,8 @@ class TestPlanner:
             duration = float(sched.theta[j + 1] - sched.theta[j])
             assert sched.rates[j] * duration - float(view.plan.phi[0]) < 1.0
 
-    def test_blackout_slot_has_zero_bits(self):
-        sched = sec6_scenario().schedule
+    def test_blackout_slot_has_zero_bits(self, blackout_scn):
+        sched = blackout_scn.schedule
         planner = CapacityPlanner(sched)
         b = sched.blackout_slots()[0]
         assert planner.budget(b, float(sched.theta[b]) + 0.5)[1] == 0

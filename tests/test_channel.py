@@ -10,7 +10,6 @@ from etcsim.errors import (
     HorizonError,
     InfeasibleTransmissionError,
 )
-from etcsim.presets import sec6_scenario
 
 
 def simple_schedule():
@@ -31,8 +30,8 @@ class TestSlotLookup:
         sched = simple_schedule()
         assert sched.slot_index(1.0 + 1e-12) == 1
 
-    def test_reference_blackout_interior(self):
-        sched = sec6_scenario().schedule
+    def test_reference_blackout_interior(self, blackout_scn):
+        sched = blackout_scn.schedule
         assert sched.caps[sched.slot_index(5.0)] == 0
 
     def test_horizon_errors(self):
@@ -48,16 +47,16 @@ class TestSlotLookup:
         assert sched.caps[sched.right_slot_index(1.0)] == 0
         assert sched.caps[sched.right_slot_index(0.0)] == 3
 
-    def test_reference_blackout_right_limit(self):
-        sched = sec6_scenario().schedule
+    def test_reference_blackout_right_limit(self, blackout_scn):
+        sched = blackout_scn.schedule
         assert sched.caps[sched.right_slot_index(4.88)] == 0
 
     def test_right_limit_horizon_error(self):
         with pytest.raises(HorizonError):
             simple_schedule().right_slot_index(3.0)
 
-    def test_right_limit_agrees_off_breakpoints(self, rng):
-        sched = sec6_scenario().schedule
+    def test_right_limit_agrees_off_breakpoints(self, rng, blackout_scn):
+        sched = blackout_scn.schedule
         ts = rng.uniform(sched.start + 1e-6, sched.end - 1e-6, size=200)
         for t in ts:
             if np.any(np.isclose(sched.theta, t)):
@@ -73,11 +72,11 @@ class TestBlackouts:
         b = sched.next_blackout_slot(j)
         return None if b is None else (float(sched.theta[b]), float(sched.theta[b + 1]))
 
-    def test_reference_first_blackout(self):
-        assert self.window(sec6_scenario().schedule, 0) == (4.88, 6.88)
+    def test_reference_first_blackout(self, blackout_scn):
+        assert self.window(blackout_scn.schedule, 0) == (4.88, 6.88)
 
-    def test_reference_second_blackout(self):
-        sched = sec6_scenario().schedule
+    def test_reference_second_blackout(self, blackout_scn):
+        sched = blackout_scn.schedule
         assert self.window(sched, sched.slot_index(7.0)) == (11.52, 13.52)
 
     def test_no_blackout_returns_none(self):
@@ -85,8 +84,8 @@ class TestBlackouts:
                                 caps=[1, 2], n=1)
         assert sched.next_blackout_slot(0) is None
 
-    def test_after_blackout_strictly_later_or_none(self):
-        sched = sec6_scenario().schedule
+    def test_after_blackout_strictly_later_or_none(self, blackout_scn):
+        sched = blackout_scn.schedule
         first = sched.next_blackout_slot(0)
         second = sched.next_blackout_slot(first)
         assert sched.theta[second] > sched.theta[first + 1]
@@ -140,13 +139,22 @@ class TestDelays:
 
 
 class TestValidation:
-    def test_rejects_consecutive_blackouts(self):
+    def test_rejects_consecutive_blackouts(self, blackout_scn):
         # A control-design assumption, checked per scenario: as channel data
         # (a capacity window, say) adjacent blackout slots are valid.
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.0, 20.0], rates=[1.0, 1.0, 1.0],
                                 caps=[1, 0, 0], n=2)
         with pytest.raises(ConfigurationError, match="blackout slots must not be consecutive"):
-            dataclasses.replace(sec6_scenario(), schedule=sched)
+            dataclasses.replace(blackout_scn, schedule=sched)
+
+    def test_copies_the_callers_arrays(self):
+        theta, rates, caps = np.array([0.0, 1.0, 2.0]), np.array([2.0, 3.0]), np.array([1, 1])
+        sched = ChannelSchedule(theta, rates, caps, 1)
+        theta[0], rates[0], caps[0] = -1.0, 5.0, 0
+        assert sched.theta[0] == 0.0 and sched.rates[0] == 2.0 and sched.caps[0] == 1
+        for arr in (sched.theta, sched.rates, sched.caps):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
     def test_rejects_usable_slot_without_rate(self):
         with pytest.raises(ConfigurationError):

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etcsim.errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 from etcsim.linalg import (
@@ -25,6 +26,15 @@ DEFECTIVE = {
     "jordan_block": JORDAN_BLOCK,
 }
 ORACLE_TIMES = (1e-6, 0.01, 0.3, 1.0, 4.0, 20.0, 50.0)
+# A Hurwitz 4x4 plant with a pole 4.5e-3 from the axis and entries spread over
+# six decades: ||P|| ~ 9e7, so an absolute residual of 1e-9 is out of reach
+# (6e-8 here) although the backward error is at roundoff level.
+WIDE_P = np.array([
+    [-1.414664, 4.044807, 1.585063, 0.0006],
+    [0.116387, -2.386799, -0.348628, 0.000631],
+    [0.059654, -6.970617, -2.558416, -0.00248],
+    [414.062116, 1055.914963, -559.154942, -1.814027],
+])
 # The reference plant's 4x4 block of plant and estimate dynamics (K = [2, -8]).
 _REF_BK = np.array([[0.0], [1.0]]) @ np.array([[2.0, -8.0]])
 NORM_CASES = {
@@ -329,6 +339,35 @@ class TestLyapunov:
             assert inf_norm(P - P.T) <= 1e-12
             lo, hi = sym_eig_extremes(P)
             assert lo > 0.0 and hi > 0.0
+
+    def test_reference_certificate_pinned(self):
+        Abar = A_REF + np.array([[0.0], [1.0]]) @ np.array([[2.0, -8.0]])
+        np.testing.assert_allclose(
+            solve_lyapunov(Abar, np.eye(2)),
+            [[2.25, -0.9166666666666666], [-0.9166666666666666, 0.5833333333333333]],
+            rtol=1e-14, atol=0)
+
+    def test_large_certificate_accepted(self):
+        P = solve_lyapunov(WIDE_P, np.eye(4))
+        want = scipy.linalg.solve_continuous_lyapunov(WIDE_P.T, -np.eye(4))
+        assert inf_norm(P - want) <= 1e-10 * inf_norm(want)
+        assert inf_norm(P @ WIDE_P + WIDE_P.T @ P + np.eye(4)) > 1e-9  # the old absolute check
+
+    @pytest.mark.parametrize("Abar", [A_REF + np.array([[0.0], [1.0]]) @ np.array([[2.0, -8.0]]),
+                                      WIDE_P], ids=["reference", "wide_p"])
+    def test_perturbed_solution_rejected(self, monkeypatch, Abar):
+        # A solve whose P is off by 1e-8 relative fails the backward-error check.
+        solve = np.linalg.solve
+
+        def perturbed(lhs, rhs):
+            x = solve(lhs, rhs)
+            bump = np.zeros_like(x)
+            bump[1] = bump[Abar.shape[0]] = 1e-8 * np.max(np.abs(x))
+            return x + bump
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(NumericalError, match="backward error"):
+            solve_lyapunov(Abar, np.eye(Abar.shape[0]))
 
     def test_rejects_unstable(self):
         with pytest.raises(NotHurwitzError):

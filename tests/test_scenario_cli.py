@@ -10,20 +10,22 @@ import numpy as np
 import pytest
 
 import etcsim.cli
+import etcsim.errors
 import etcsim.sim
 import etcsim.triggers
 from etcsim.cli import main
 from etcsim.errors import ConfigurationError, SchemaError
-from etcsim.presets import sec6_scenario
-from etcsim.scenario import (
-    build_scenario,
-    dump_document,
-    load_document,
-    load_scenario,
-    normalize_document,
-)
+from etcsim.scenario import build_scenario, load_document, load_scenario, normalize_document
+from etcsim.triggers import blackout_entry_margin
 
 REPO_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
+EXIT_CODES = {
+    "EtcsimError": 2, "SchemaError": 2, "ConfigurationError": 2, "DimensionError": 2,
+    "NotHurwitzError": 2, "DecayMarginError": 2, "DomainError": 2, "NumericalError": 2,
+    "HorizonError": 2, "InfeasibleTransmissionError": 2, "ScaleGuardError": 2,
+    "AdmissibilityError": 3, "ObjectiveViolationError": 4, "GuaranteeBreachError": 5,
+    "InvariantBreachError": 5, "CausalityError": 5, "FeasibilityError": 5,
+}
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,9 @@ class TestSchema:
         assert normalize_document(sec6_doc) == sec6_doc
 
     def test_dump_load_round_trip(self, sec6_doc, tmp_path):
+        def dump_document(doc, path):
+            path.write_text(json.dumps(normalize_document(doc), indent=2) + "\n")
+
         out = tmp_path / "copy.json"
         dump_document(sec6_doc, out)
         assert load_document(out) == sec6_doc
@@ -48,10 +53,10 @@ class TestSchema:
         doc["plant"]["a"] = "1.2"
         assert normalize_document(doc) == sec6_doc
 
-    def test_bundled_scenario_matches_preset(self):
-        # The preset loads the file, so its derived values are pinned to
+    def test_bundled_scenario_matches_preset(self, blackout_scn):
+        # The fixture loads the file, so its derived values are pinned to
         # numbers frozen from an earlier build rather than compared with it.
-        scn = sec6_scenario()
+        scn = blackout_scn
         exact = dict(rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             scn.plant.P, [[2.25, -0.9166666666666666], [-0.9166666666666666, 0.5833333333333333]],
@@ -146,8 +151,8 @@ class TestCli:
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_simulate_imports_no_scipy(self, tmp_path):
-        # sec6 runs in blackout mode, so this path builds capacity plans; one
-        # scenario file needs no --jobs pool either.
+        # sec6 runs in blackout mode, so this path builds capacity plans; no
+        # process pool is loaded either.
         probe = ("import atexit, runpy, sys\n"
                  "atexit.register(lambda: print('SCIPY', sorted(m for m in sys.modules"
                  " if m.startswith(('scipy', 'multiprocessing', 'concurrent.futures')))))\n"
@@ -200,6 +205,56 @@ class TestCli:
         forced = main(["simulate", str(path), "--out-dir", str(tmp_path), "--force"])
         assert forced in (0, 4, 5)
 
+    @pytest.mark.parametrize("name,code", EXIT_CODES.items())
+    def test_exit_code_of_every_error_class(self, tmp_path, monkeypatch, capsys, name, code):
+        cls = getattr(etcsim.errors, name)
+        assert cls.exit_code == code
+
+        def failing_run(scenario, force=False):
+            raise cls(f"{name} raised")
+
+        monkeypatch.setattr(etcsim.cli, "run", failing_run)
+        assert main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)]) == code
+        assert f"error: {name} raised" in capsys.readouterr().err
+
+    def test_error_classes_all_listed(self):
+        defined = {name for name, obj in vars(etcsim.errors).items()
+                   if isinstance(obj, type) and issubclass(obj, etcsim.errors.EtcsimError)}
+        assert defined == set(EXIT_CODES)
+
+    def test_objective_violation_exit_code(self, tmp_path, sec6_doc, capsys):
+        # V_d(0) below V(x0): admissibility fails, and a forced run breaks h <= 1 at t = 0.
+        doc = copy.deepcopy(sec6_doc)
+        doc["plant"]["Vd0_factor"] = 0.9
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path), "--force"]) == 4
+        assert "performance ratio 1.111" in capsys.readouterr().err
+
+    def test_entry_margin_breach_exit_code(self, tmp_path, sec6_doc):
+        # Every rate x10: admissible, but the default scan step can miss the
+        # pre-blackout firings; either the run reports the breach or its
+        # trace holds every entry margin.
+        doc = copy.deepcopy(sec6_doc)
+        doc["sim"].pop("output")
+        for slot in doc["channel"]["slots"]:
+            slot["R"] *= 10
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", str(path), "--out-dir", str(tmp_path)])
+        assert code in (0, 5)
+        if code == 5:
+            return
+        scn, _ = load_scenario(path)
+        with (tmp_path / "fast_trace.csv").open() as fh:
+            rows = [(float(r["t"]), float(r["eps"])) for r in csv.DictReader(fh)]
+        for b in scn.schedule.blackout_slots():
+            tau_l = float(scn.schedule.theta[b])
+            eps = [e for t, e in rows if t == tau_l]
+            assert eps and eps[-1] <= blackout_entry_margin(scn.plant,
+                                                            float(scn.schedule.durations[b]))
+
     def test_forced_send_at_t0_exits_ok(self, tmp_path):
         # A Jordan-block plant with Vd0 = 1.2 V(x0) starts with l1 > 1, so it
         # fails admissibility and, under --force, sends at t0 = theta_0.
@@ -229,20 +284,19 @@ class TestCli:
             (tmp_path / name).write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["simulate", str(tmp_path), "--out-dir", str(out)]) == 0
-        assert (out / "one_trace.csv").exists()
-        assert (out / "two_trace.csv").exists()
-
-    def test_directory_batch_parallel_jobs(self, tmp_path, sec6_doc):
-        doc = copy.deepcopy(sec6_doc)
-        doc["sim"].pop("output")
-        doc["sim"]["horizon"] = 1.0
-        for name in ("one.json", "two.json"):
-            (tmp_path / name).write_text(json.dumps(doc))
-        out = tmp_path / "out"
-        assert main(["simulate", str(tmp_path), "--out-dir", str(out), "--jobs", "2"]) == 0
         for stem in ("one", "two"):
             for suffix in ("trace.csv", "transmissions.csv", "stats.json"):
                 assert (out / f"{stem}_{suffix}").exists(), (stem, suffix)
+
+    def test_directory_batch_runs_past_a_failure(self, tmp_path, sec6_doc, capsys):
+        doc = copy.deepcopy(sec6_doc)
+        doc["sim"].pop("output")
+        (tmp_path / "a_bad.json").write_text("{\"plant\": {}}")
+        (tmp_path / "b_good.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", str(tmp_path), "--out-dir", str(out)]) == 2
+        assert (out / "b_good_stats.json").exists()
+        assert "error:" in capsys.readouterr().err
 
     def test_trigger_constants_built_once_per_simulate(self, tmp_path, monkeypatch):
         calls = {"delay_floor": [], "admissibility": 0}

@@ -16,7 +16,6 @@ from etcsim.errors import (
     InvariantBreachError,
     ObjectiveViolationError,
 )
-from etcsim.presets import no_blackout_scenario
 from etcsim.sim import _NUDGE, _TIME_TOL, Scenario, _Engine, check_admissibility, run
 from etcsim.triggers import (
     _SCAN_CHUNK,
@@ -201,8 +200,8 @@ class TestClearChannelRun:
         for tx in clear_channel_trace.transmissions:
             assert tx.r_tilde_k == tx.r_k
 
-    def test_min_bits_policy_sends_fewer(self):
-        lean = run(no_blackout_scenario(packet_policy="min_bits"))
+    def test_min_bits_policy_sends_fewer(self, clear_channel_scn):
+        lean = run(dataclasses.replace(clear_channel_scn, packet_policy="min_bits"))
         for tx in lean.transmissions:
             assert 1 <= tx.p_k <= 8
         assert any(tx.p_k < 8 for tx in lean.transmissions)
