@@ -8,12 +8,12 @@ deterministic closed-loop simulator, plus a small CLI.
 
 from .capacity import (
     CapacityPlan,
-    CapacityPlanner,
     capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
     realtime_bound,
     replay_allocation,
+    slot_plans,
 )
 from .channel import (
     ChannelSchedule,

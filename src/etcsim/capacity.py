@@ -2,7 +2,7 @@
 the real-time quantities built from stored per-slot allocations.
 
 An allocation assigns ``phi_j`` per-dimension bits to be launched inside
-each slot of a window, a ``ChannelSchedule`` (the planner's windows are
+each slot of a window, a ``ChannelSchedule`` (``slot_plans``'s windows are
 stretches of the run's schedule up to a blackout); transmissions start
 as early as possible and run back to back, so feasibility of an
 allocation reduces to a single forward replay of busy times.  The exact
@@ -201,8 +201,12 @@ def plan_window(problem: ChannelSchedule, chained_spillover: bool) -> CapacityPl
     return capacity_lp_floor(problem)
 
 
-def _unlaunched(plan: CapacityPlan, t):
-    """First-slot bits still to launch at t (zero-cap: 0), and bound n (bits + sum(phi[1:]))."""
+def launch_budget(plan: CapacityPlan, t):
+    """Bits still to launch in the plan's first slot at t, and the capacity floor.
+
+    bits is ``max(0, floor(phi_0 - R_0 (t - theta_0)))`` (0 in a zero-cap
+    slot) and the floor ``n (bits + sum(phi_1..))``; t is unchecked.
+    """
     problem = plan.problem
     decayed = plan.phi[0] - problem.rates[0] * (t - problem.theta[0])
     bits = np.maximum(0.0, np.floor(decayed + _FLOOR_NUDGE))
@@ -221,58 +225,26 @@ def realtime_bound(plan: CapacityPlan, t):
     start, end = problem.theta[0], problem.theta[1]
     if not (start <= ts.min(initial=start) and ts.max(initial=start) <= end):
         raise DomainError("realtime bound only valid inside the plan's first slot")
-    return _unlaunched(plan, ts)[1]
+    return launch_budget(plan, ts)[1]
 
 
 # ---------------------------------------------------------------------------
-# online planner
+# per-slot plans
 
 
-@dataclass(frozen=True)
-class SlotPlanView:
-    """Plan anchored at one slot, targeting the next blackout start."""
+def slot_plans(schedule: ChannelSchedule) -> list[CapacityPlan | None]:
+    """Each slot's plan for the window [slot start, next blackout start).
 
-    plan: CapacityPlan | None       # None when no blackout lies ahead; its window ends there
-    blackout_len: float | None      # the blackout's full length
-
-
-class CapacityPlanner:
-    """Per-slot allocation plans for the window [slot start, next blackout).
-
-    Plans are a pure function of the schedule and the slot index, so they
-    are computed once per slot and cached; recomputation at receptions is
-    a no-op by construction.
+    None for a slot with no blackout ahead.  Plans are a pure function of
+    the schedule, so a run builds them once.
     """
-
-    def __init__(self, schedule: ChannelSchedule):
-        self.schedule = schedule
-        self._plans: dict[int, SlotPlanView] = {}
-
-    def plan_for_slot(self, j: int) -> SlotPlanView:
-        if j not in self._plans:
-            self._plans[j] = self._build(j)
-        return self._plans[j]
-
-    def _build(self, j: int) -> SlotPlanView:
-        sched = self.schedule
-        jb = sched.next_blackout_slot(j)
+    plans = []
+    for j in range(schedule.num_slots):
+        jb = schedule.next_blackout_slot(j)
         if jb is None:
-            return SlotPlanView(plan=None, blackout_len=None)
-        window = ChannelSchedule(sched.theta[j:jb + 1], sched.rates[j:jb], sched.caps[j:jb],
-                                 sched.n)
-        plan = plan_window(window, compute_J(sched, j, jb) != 0)
-        return SlotPlanView(plan=plan, blackout_len=float(sched.theta[jb + 1] - sched.theta[jb]))
-
-    # -- real-time quantities (slot passed explicitly so breakpoint
-    #    right-limits can be evaluated before time advances past them;
-    #    t may be a scalar or an array of times in slot j) --
-
-    def budget(self, j: int, t):
-        """Slot j's plan view, its bits still to launch and its capacity floor at t.
-
-        bits and floor share one ``_unlaunched``, inf with no blackout ahead; t is unchecked.
-        """
-        view = self.plan_for_slot(j)
-        if view.plan is None:
-            return view, np.inf, np.inf
-        return (view, *_unlaunched(view.plan, t))
+            plans.append(None)
+            continue
+        window = ChannelSchedule(schedule.theta[j:jb + 1], schedule.rates[j:jb],
+                                 schedule.caps[j:jb], schedule.n)
+        plans.append(plan_window(window, compute_J(schedule, j, jb) != 0))
+    return plans

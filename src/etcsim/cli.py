@@ -4,7 +4,11 @@ Exit codes: 0 success, 2 schema or configuration problem, 3 failed
 admissibility, 4 objective violation during a run, 5 theorem-guarantee
 breach; an error's code is its class's ``exit_code`` (see ``errors``).
 ``simulate`` accepts a scenario file or a directory of scenario files,
-run one after another.
+run one after another; a scenario ``<stem>.json`` writes
+``<stem>_trace.csv``, ``<stem>_transmissions.csv`` and ``<stem>_stats.json``
+to ``--out-dir`` (default: the scenario's directory).  Every run setting
+is a scenario field; the command line only picks files, the output
+directory and ``--force``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .capacity import capacity_exact, plan_window
 from .channel import compute_J
 from .errors import AdmissibilityError, EtcsimError, ScaleGuardError
 from .scenario import load_scenario
-from .sim import SimTrace, check_admissibility, run
+from .sim import TRACE_COLUMNS, SimTrace, check_admissibility, run
 
 EXIT_OK = 0
 _CSV_BLOCK = 256  # trace rows converted to Python floats at a time
@@ -37,10 +41,9 @@ def _fmt(x: float) -> str:
 def write_trace_csv(trace: SimTrace, path: Path) -> None:
     n = trace.x.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"xhat{i+1}" for i in range(n)]
-              + ["V", "Vd", "hpf", "eps", "hch", "de", "Phi", "psi", "Shat", "L3"])
-    table = np.column_stack([trace.t, trace.x, trace.x_hat, trace.V, trace.Vd, trace.h_pf,
-                             trace.eps, trace.h_ch, trace.d_e, trace.phi, trace.psi,
-                             trace.s_hat, trace.l3])
+              + [name for _, name in TRACE_COLUMNS])
+    table = np.column_stack([trace.t, trace.x, trace.x_hat]
+                            + [getattr(trace, attr) for attr, _ in TRACE_COLUMNS])
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
         # Whole rows at once, formatted as _fmt formats a cell: NaN empty, else repr;
@@ -69,18 +72,7 @@ def _json_safe(obj):
 
 
 def _simulate_one(path: Path, args) -> int:
-    scenario, doc = load_scenario(path)
-    overrides = {}
-    if args.delay_factor is not None:
-        overrides["delay_factor"] = args.delay_factor
-    if args.packet_policy is not None:
-        overrides["packet_policy"] = args.packet_policy
-    if args.scan_step is not None:
-        overrides["scan_step"] = args.scan_step
-    if overrides:
-        import dataclasses
-        scenario = dataclasses.replace(scenario, **overrides)
-
+    scenario, _ = load_scenario(path)
     report = check_admissibility(scenario)
     print(f"== {path}")
     print(report)
@@ -92,11 +84,9 @@ def _simulate_one(path: Path, args) -> int:
 
     out_dir = Path(args.out_dir) if args.out_dir else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    output = doc["sim"].get("output", {})
-    stem = path.stem
-    trace_path = out_dir / output.get("trace_csv", f"{stem}_trace.csv")
-    tx_path = out_dir / output.get("transmissions_csv", f"{stem}_transmissions.csv")
-    stats_path = out_dir / output.get("stats_json", f"{stem}_stats.json")
+    trace_path = out_dir / f"{path.stem}_trace.csv"
+    tx_path = out_dir / f"{path.stem}_transmissions.csv"
+    stats_path = out_dir / f"{path.stem}_stats.json"
     write_trace_csv(trace, trace_path)
     write_transmissions_csv(trace, tx_path)
     stats_path.write_text(json.dumps(_json_safe(trace.stats), indent=2) + "\n")
@@ -197,9 +187,6 @@ def main(argv=None) -> int:
     sim_p.add_argument("--out-dir", default=None)
     sim_p.add_argument("--force", action="store_true",
                        help="run even when admissibility fails")
-    sim_p.add_argument("--delay-factor", type=float, default=None)
-    sim_p.add_argument("--packet-policy", choices=["max_bits", "min_bits"], default=None)
-    sim_p.add_argument("--scan-step", type=float, default=None)
     sim_p.set_defaults(func=cmd_simulate)
 
     cap_p = sub.add_parser("capacity", help="data-capacity values for the schedule")

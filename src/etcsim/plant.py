@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,8 @@ class PlantModel:
     Holds the system matrices, the feedback gain, the Lyapunov
     certificate P for ``Abar = A + B K``, the derived rate constants and
     the exponential kernels of the open-loop (``exp_A``) and closed-loop
-    (``exp_Abar``) flows.  ``unit_violation_times`` maps a root tolerance
-    to the unit violation time found at it, so that each plant root-finds
-    it once (``triggers.unit_violation_time``).
+    (``exp_Abar``) flows.  ``gamma1``, the unit violation time, is
+    root-found once per plant.
     """
 
     A: np.ndarray
@@ -58,8 +58,12 @@ class PlantModel:
     constants: RateConstants
     exp_A: ExpKernel = field(repr=False, compare=False)
     exp_Abar: ExpKernel = field(repr=False, compare=False)
-    unit_violation_times: dict = field(default_factory=dict, init=False, repr=False,
-                                       compare=False)
+
+    @cached_property
+    def gamma1(self) -> float:
+        """Time the performance bound takes to return to 1 from ``h = eps = 1``."""
+        from .triggers import time_to_perf_violation  # triggers builds on this module
+        return time_to_perf_violation(self, 1.0, 1.0)
 
     @property
     def n(self) -> int:

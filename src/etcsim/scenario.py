@@ -137,8 +137,6 @@ def normalize_document(doc: dict) -> dict:
     out_trig[key] = _number(val, f"trigger.{key}")
     out_trig["sigma"] = _number(trig.pop("sigma", None), "trigger.sigma")
     out_trig["sigma1"] = _number(trig.pop("sigma1", None), "trigger.sigma1")
-    if "root_tol" in trig:
-        out_trig["root_tol"] = _number(trig.pop("root_tol"), "trigger.root_tol")
     if trig:
         raise SchemaError(f"trigger: unknown fields {sorted(trig)}")
 
@@ -163,14 +161,6 @@ def normalize_document(doc: dict) -> dict:
         if policy not in ("max_bits", "min_bits"):
             raise SchemaError("sim.packet_policy: expected 'max_bits' or 'min_bits'")
         out_sim["packet_policy"] = policy
-    output = sim.pop("output", None)
-    if output is not None:
-        if not isinstance(output, dict):
-            raise SchemaError("sim.output: expected an object")
-        extra = set(output) - {"trace_csv", "transmissions_csv", "stats_json"}
-        if extra:
-            raise SchemaError(f"sim.output: unknown fields {sorted(extra)}")
-        out_sim["output"] = {k: str(v) for k, v in output.items()}
     if sim:
         raise SchemaError(f"sim: unknown fields {sorted(sim)}")
 
@@ -206,13 +196,11 @@ def build_scenario(doc: dict) -> Scenario:
                                caps=[s["pi_bar"] for s in ch["slots"]],
                                n=ch["n"])
 
-    root_tol = tg.get("root_tol", 1e-9)
     if "T" in tg:
         lookahead = tg["T"]
     else:
-        lookahead = resolve_lookahead(plant, tg["T_fraction_of_gamma1"], root_tol)
-    trigger = TriggerConfig(lookahead=lookahead, sigma=tg["sigma"],
-                            sigma1=tg["sigma1"], root_tol=root_tol)
+        lookahead = resolve_lookahead(plant, tg["T_fraction_of_gamma1"])
+    trigger = TriggerConfig(lookahead=lookahead, sigma=tg["sigma"], sigma1=tg["sigma1"])
 
     de0 = sm["de0"] if "de0" in sm else sm["de0_factor"] * inf_norm(x0 - x_hat0)
     return Scenario(
@@ -232,7 +220,7 @@ def build_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario(path) -> tuple[Scenario, dict]:
-    """Scenario plus its normalized document (for output-path options)."""
+    """Scenario plus its normalized document."""
     doc = load_document(path)
     try:
         return build_scenario(doc), doc

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import codec as codec_mod
-from .capacity import CapacityPlanner
+from .capacity import launch_budget, slot_plans
 from .channel import ChannelSchedule, TransmissionRecord, validate_sequence
 from .errors import (
     AdmissibilityError,
@@ -49,8 +49,9 @@ MODE_BLACKOUT = "blackout"
 POLICY_MAX = "max_bits"
 POLICY_MIN = "min_bits"
 
-# Trace columns recorded after t, x and x_hat, in row order.
-_ROW_COLUMNS = ("V", "Vd", "h_pf", "eps", "h_ch", "d_e", "phi", "psi", "s_hat", "l3")
+# (SimTrace attribute, CSV header) of each trace column after t, x and x_hat, in row order.
+TRACE_COLUMNS = (("V", "V"), ("Vd", "Vd"), ("h_pf", "hpf"), ("eps", "eps"), ("h_ch", "hch"),
+                 ("d_e", "de"), ("phi", "Phi"), ("psi", "psi"), ("s_hat", "Shat"), ("l3", "L3"))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
                                   "psi must allow a bit and l1, l2 must start at or below 1"))
 
     if scenario.mode == MODE_BLACKOUT:
-        l3 = float(rule.l3(0.0, eps0, j0))
+        l3 = float(rule.l3(0.0, eps0, j0, rule.budget(0.0, j0)[2]))
         checks.append(CheckResult("initial_capacity", l3 <= 0.0, ((0.0, l3),),
                                   "enough capacity must remain before the first blackout"))
         bad = []
@@ -237,7 +238,7 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
             tau_u = float(sched.theta[b + 1])
             if tau_u >= scenario.horizon or b + 1 >= sched.num_slots:
                 continue
-            l3 = float(rule.l3(tau_u, 1.0, b + 1))
+            l3 = float(rule.l3(tau_u, 1.0, b + 1, rule.budget(tau_u, b + 1)[2]))
             if l3 > 0.0:
                 bad.append((b, tau_u, l3))
         checks.append(CheckResult("blackout_capacity", not bad, tuple(bad),
@@ -258,21 +259,25 @@ class EventRule:
     ``l3 >= 0``.  The gate is ``psi >= 1``: wherever the packet bound
     ``psi`` allows no bit the rule is off, so every firing sends a packet
     that fits ``psi``.  ``psi`` is the slot's packet cap in no-blackout
-    mode and the capacity planner's packet bound in blackout mode; ``l3``
-    is ``-inf`` in no-blackout mode and when no blackout lies ahead.
+    mode and when no blackout lies ahead, and is capped by the slot plan's
+    bits still to launch otherwise; ``l3`` is ``-inf`` in those two cases.
 
-    The rule reads a state through its ratios (``ratios``).  Its constant
-    table is built once, for every p up to the largest packet cap: the
-    unit violation time ``gamma1``, the delay floors, ``T_M(p)`` and
-    ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p.
+    The rule reads a state through its ratios (``ratios``).  Everything
+    the schedule and plant fix is built once, with the rule: each slot's
+    capacity plan (``plans``, blackout mode only), each blackout slot's
+    entry margin (``entry_margins``), and for every p up to the largest
+    packet cap the unit violation time ``gamma1``, the delay floors,
+    ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p.
     """
 
     def __init__(self, scenario: Scenario):
         self.plant = scenario.plant
         self.sched = scenario.schedule
         self.config = scenario.trigger
-        self.planner = (CapacityPlanner(self.sched) if scenario.mode == MODE_BLACKOUT
-                        else None)
+        self.plans = (slot_plans(self.sched) if scenario.mode == MODE_BLACKOUT
+                      else [None] * self.sched.num_slots)
+        self.entry_margins = {b: blackout_entry_margin(self.plant, float(self.sched.durations[b]))
+                              for b in self.sched.blackout_slots()}
         self.pmax = int(self.sched.caps.max())
         self.gamma1, self.delay_floor, self.tm = trigger_constants(
             self.plant, self.config, self.pmax)
@@ -290,29 +295,37 @@ class EventRule:
         h = self.plant.lyapunov_value(xs[..., :self.plant.n]) / vd
         return h, des / (self.plant.constants.error_scale * np.sqrt(vd))
 
-    def psi(self, ts, j: int, budget=None):
-        """Packet bound (per-dimension bits) at times ts in slot j; budget as in ``l3``."""
-        if self.planner is None:
-            return int(self.sched.caps[j])
-        _, bits, _ = budget or self.planner.budget(j, ts)
-        return np.minimum(self.sched.caps[j], bits)
+    def budget(self, ts, j: int):
+        """Bits still to launch, packet bound ``psi`` and capacity floor at times ts in slot j.
 
-    def l3(self, ts, eps, j: int, budget=None):
+        bits and floor come from slot j's plan, inf where it has none.  ts is
+        unchecked, so a breakpoint's right limit can be read under the next slot.
+        """
+        plan, cap = self.plans[j], self.sched.caps[j]
+        if plan is None:
+            return math.inf, int(cap), math.inf
+        bits, floor = launch_budget(plan, ts)
+        return bits, np.minimum(cap, bits), floor
+
+    def psi(self, ts, j: int):
+        """Packet bound (per-dimension bits) at times ts in slot j."""
+        return self.budget(ts, j)[1]
+
+    def l3(self, ts, eps, j: int, floor):
         """Bits needed to reach the next blackout's entry margin minus the budget.
 
         ``n (mu_inf (tau_l - t) / ln 2 + log2(eps / margin)) - sigma1 * S``
-        with S the capacity floor and ``tau_l`` the blackout start, where
-        the plan's window ends; nonpositive means enough capacity
-        remains, and ``-inf`` when no blackout lies ahead or eps is zero.
-        budget, when given, is ``planner.budget(j, ts)`` already computed.
+        with S the capacity floor ``budget(ts, j)[2]`` and ``tau_l`` the
+        blackout start, where the plan's window ends; nonpositive means
+        enough capacity remains, and ``-inf`` when slot j has no plan or
+        eps is zero.
         """
-        if self.planner is None:
+        plan = self.plans[j]
+        if plan is None:
             return -math.inf
-        view, _, floor = budget or self.planner.budget(j, ts)
-        if view.plan is None:
-            return -math.inf
-        margin = blackout_entry_margin(self.plant, view.blackout_len)
-        growth = self.plant.constants.growth_rate_inf * (view.plan.problem.end - ts)
+        # The window holds slots j .. jb - 1 of the blackout jb it ends at.
+        margin = self.entry_margins[j + plan.problem.num_slots]
+        growth = self.plant.constants.growth_rate_inf * (plan.problem.end - ts)
         with np.errstate(divide="ignore"):
             log_eps = np.log2(eps)
         needed = self.plant.n * (growth / math.log(2.0) + log_eps - math.log2(margin))
@@ -324,8 +337,7 @@ class EventRule:
         Scalars stay scalars.  Where the gate is off at every t no term is
         evaluated and all three read ``-inf``.
         """
-        budget = None if self.planner is None else self.planner.budget(j, ts)
-        psi = self.psi(ts, j, budget)
+        _, psi, floor = self.budget(ts, j)
         gate = psi >= 1
         if not np.any(gate):
             return gate, -math.inf, -math.inf, -math.inf
@@ -335,7 +347,7 @@ class EventRule:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             l2 = channel_bound(self.plant, self.config.lookahead, tm, h, eps, p,
                                exp_norm=self.exp_norm_tm[p], hbar=l1, check_domain=False)
-            l3 = self.l3(ts, eps, j, budget)
+            l3 = self.l3(ts, eps, j, floor)
         return gate, l1, l2, l3
 
     def fires(self, ts, h, eps, j: int):
@@ -470,17 +482,14 @@ class _Engine:
                 f"estimate error {err[i]} exceeds bound {des[i]} at t={ts[i]}")
         cap_cols = np.full((ts.size, 4), np.nan)
         if self.blackout_mode:
-            planner = self.rule.planner
             js = self.sched.slot_at(ts)
             for j in np.unique(js).tolist():
                 rows = js == j
-                t = ts[rows]
-                budget = planner.budget(j, t)
-                cap_cols[rows, 0], cap_cols[rows, 2] = budget[1], budget[2]
-                cap_cols[rows, 1] = self.rule.psi(t, j, budget)
-                cap_cols[rows, 3] = self.rule.l3(t, eps[rows], j, budget)
+                bits, psi, floor = self.rule.budget(ts[rows], j)
+                cap_cols[rows, 0], cap_cols[rows, 1], cap_cols[rows, 2] = bits, psi, floor
+                cap_cols[rows, 3] = self.rule.l3(ts[rows], eps[rows], j, floor)
         rho = error_threshold(self.plant, self.scn.trigger.lookahead, h)
-        # columns: t, x, x_hat, then _ROW_COLUMNS
+        # columns: t, x, x_hat, then TRACE_COLUMNS
         self.rows.append(np.column_stack([
             ts, xs, self.plant.lyapunov_value(xs[:, :n]), self.plant.desired_performance(ts),
             h, eps, eps / rho, des, cap_cols]))
@@ -590,7 +599,7 @@ class _Engine:
             t=rows[:, 0],
             x=rows[:, 1:1 + n],
             x_hat=rows[:, 1 + n:1 + 2 * n],
-            **dict(zip(_ROW_COLUMNS, rows[:, 1 + 2 * n:].T)),
+            **{attr: col for (attr, _), col in zip(TRACE_COLUMNS, rows[:, 1 + 2 * n:].T)},
             transmissions=self.transmissions,
             mode=self.scn.mode,
             horizon=self.horizon,
@@ -616,8 +625,7 @@ class _Engine:
             at = np.flatnonzero(trace.t == tau_l)
             if not at.size:
                 raise GuaranteeBreachError(f"no trace row at the blackout start t={tau_l}")
-            eps = float(trace.eps[at[-1]])
-            margin = blackout_entry_margin(self.plant, float(self.sched.durations[b]))
+            eps, margin = float(trace.eps[at[-1]]), self.rule.entry_margins[b]
             if not eps <= margin:
                 raise GuaranteeBreachError(
                     f"error ratio {eps} exceeds the entry margin {margin} of the blackout "

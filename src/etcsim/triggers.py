@@ -31,6 +31,8 @@ from .errors import ConfigurationError, DomainError
 from .plant import PlantModel
 
 _SCAN_POINTS = 1000
+# Bracket width at which every root search here stops.
+ROOT_TOL = 1e-9
 # Grid points in the first chunk of a scan; each chunk with no hit doubles it.
 _SCAN_CHUNK = 256
 # Levels of the bisection tree evaluated per call of the predicate: 31 points.
@@ -44,13 +46,11 @@ class TriggerConfig:
     lookahead  horizon T used by the error threshold rho_T
     sigma      safety factor in (0,1) scaling the max communication delay
     sigma1     safety factor in (0,1) on the capacity budget check
-    root_tol   tolerance for every root search
     """
 
     lookahead: float
     sigma: float
     sigma1: float
-    root_tol: float = 1e-9
 
     def __post_init__(self):
         if not self.lookahead > 0:
@@ -187,8 +187,7 @@ def first_crossing(pred, start: float, grid: np.ndarray, tol: float) -> tuple[fl
     return None
 
 
-def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
-                           root_tol: float = 1e-9) -> float:
+def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float) -> float:
     """First time the open-loop performance bound reaches 1 going up.
 
     Returns ``math.inf`` when the bound never comes back to 1 (eps0 = 0
@@ -213,26 +212,14 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float,
     # Expand geometrically until the bound has crossed 1; it always does
     # for eps0 > 0 since the bound grows like e^{mu tau}.
     for _ in range(200):
-        found = first_crossing(above, lo, np.linspace(lo, hi, _SCAN_POINTS + 1)[1:], root_tol)
+        found = first_crossing(above, lo, np.linspace(lo, hi, _SCAN_POINTS + 1)[1:], ROOT_TOL)
         if found is not None:
             return found[1]
         lo, hi = hi, hi + 2.0 * (hi - lo)
     raise DomainError("performance bound crossing not found (scan exhausted)")
 
 
-def unit_violation_time(plant: PlantModel, root_tol: float = 1e-9) -> float:
-    """``gamma1 = time_to_perf_violation(plant, 1, 1, root_tol)``, root-found once per plant.
-
-    ``resolve_lookahead`` and ``trigger_constants`` both need it for the
-    same plant; the value is kept in ``plant.unit_violation_times``.
-    """
-    times = plant.unit_violation_times
-    if root_tol not in times:
-        times[root_tol] = time_to_perf_violation(plant, 1.0, 1.0, root_tol)
-    return times[root_tol]
-
-
-def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> float:
+def delay_floor(plant: PlantModel, T: float, p: int) -> float:
     """Uniform lower bound on the tolerable update delay after p bits.
 
     Smallest tau in [0, T) where
@@ -255,7 +242,7 @@ def delay_floor(plant: PlantModel, T: float, p: int, root_tol: float = 1e-9) -> 
 
     # g diverges at T^-, so g_above holds at the last point, T.
     grid = np.minimum(np.arange(1, _SCAN_POINTS + 1) * (T / _SCAN_POINTS), T * (1.0 - 1e-12))
-    return first_crossing(g_above, 0.0, np.append(grid, T), root_tol)[1]
+    return first_crossing(g_above, 0.0, np.append(grid, T), ROOT_TOL)[1]
 
 
 def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
@@ -266,16 +253,15 @@ def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
     ``tm[p] = sigma * min(gamma1, T, floors[p])`` are indexed by the bit
     count p, with NaN at p = 0.
     """
-    gamma1 = unit_violation_time(plant, config.root_tol)
+    gamma1 = plant.gamma1
     floors = np.full(pmax + 1, np.nan)
-    floors[1:] = [delay_floor(plant, config.lookahead, p, config.root_tol)
-                  for p in range(1, pmax + 1)]
+    floors[1:] = [delay_floor(plant, config.lookahead, p) for p in range(1, pmax + 1)]
     tm = config.sigma * np.minimum(min(gamma1, config.lookahead), floors)
     return gamma1, floors, tm
 
 
-def resolve_lookahead(plant: PlantModel, fraction: float, root_tol: float = 1e-9) -> float:
+def resolve_lookahead(plant: PlantModel, fraction: float) -> float:
     """Lookahead horizon as a fraction of the unit-level violation time."""
     if fraction <= 0:
         raise ConfigurationError("lookahead fraction must be positive")
-    return fraction * unit_violation_time(plant, root_tol)
+    return fraction * plant.gamma1

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from etcsim.capacity import (
-    CapacityPlanner,
     capacity_exact,
     capacity_lp_floor,
     realtime_bound,
+    slot_plans,
 )
 from etcsim.channel import ChannelSchedule
 from etcsim.linalg import solve_lyapunov
@@ -132,17 +132,13 @@ def test_criterion_5_realtime_bound(sliced_at):
 def test_criterion_6_artificial_blackout_bound(blackout_scn, blackout_trace):
     with criterion(6, "artificial blackout length"):
         sched = blackout_scn.schedule
-        planner = CapacityPlanner(sched)
         found_any = False
-        for j in range(sched.num_slots):
-            if sched.caps[j] == 0:
-                continue
-            view = planner.plan_for_slot(j)
-            if view.plan is None:
+        for j, plan in enumerate(slot_plans(sched)):
+            if sched.caps[j] == 0 or plan is None:
                 continue
             # The packet bound hits zero on a terminal sliver of the slot;
             # its exact length follows from the plan's linear decay.
-            stored = float(view.plan.phi[0])
+            stored = float(plan.phi[0])
             rate = float(sched.rates[j])
             duration = float(sched.theta[j + 1] - sched.theta[j])
             dead_start = (stored - 1.0) / rate + 1e-9 / rate

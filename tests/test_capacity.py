@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from etcsim.capacity import (
-    CapacityPlanner,
     capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
     floor_nudged,
+    launch_budget,
+    plan_window,
     realtime_bound,
     replay_allocation,
+    slot_plans,
 )
-from etcsim.channel import ChannelSchedule
+from etcsim.channel import ChannelSchedule, compute_J
 from etcsim.errors import DomainError, ScaleGuardError
 
 
@@ -258,11 +260,32 @@ class TestRealtimeBound:
 
 class TestPlanner:
     def test_full_plan_at_slot_entry(self, blackout_scn):
-        planner = CapacityPlanner(blackout_scn.schedule)
-        view = planner.plan_for_slot(0)
-        _, bits, floor = planner.budget(0, 0.0)
-        assert bits == int(view.plan.phi[0])
-        assert floor == realtime_bound(view.plan, 0.0) == view.plan.value_bits
+        plan = slot_plans(blackout_scn.schedule)[0]
+        bits, floor = launch_budget(plan, 0.0)
+        assert bits == int(plan.phi[0])
+        assert floor == realtime_bound(plan, 0.0) == plan.value_bits
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_stored_plans_match_hand_built_windows(self, request, name):
+        # Slot j's plan covers [theta_j, next blackout start); the rule keeps
+        # one per slot in blackout mode, and none in no-blackout mode.
+        rule = request.getfixturevalue(f"{name}_rule")
+        sched = rule.sched
+        assert len(rule.plans) == sched.num_slots
+        built = 0
+        for j, plan in enumerate(rule.plans):
+            ahead = [b for b in range(j + 1, sched.num_slots) if sched.caps[b] == 0]
+            if name == "clear_channel" or not ahead:
+                assert plan is None
+                continue
+            jb = ahead[0]
+            window = ChannelSchedule(theta=sched.theta[j:jb + 1], rates=sched.rates[j:jb],
+                                     caps=sched.caps[j:jb], n=sched.n)
+            want = plan_window(window, compute_J(sched, j, jb) != 0)
+            assert (plan.kind, plan.value_bits) == (want.kind, want.value_bits), j
+            np.testing.assert_array_equal(plan.phi, want.phi)
+            built += 1
+        assert built == (8 if name == "blackout" else 0)  # sec6: a blackout lies ahead of 0-7
 
     def test_packet_bound_within_cap(self, blackout_rule):
         sched = blackout_rule.sched
@@ -270,29 +293,23 @@ class TestPlanner:
             j = sched.slot_index(t)
             assert blackout_rule.psi(t, j) <= int(sched.caps[j])
 
-    def test_no_blackout_ahead_is_unbounded(self, blackout_scn):
-        sched = blackout_scn.schedule
-        planner = CapacityPlanner(sched)
+    def test_no_blackout_ahead_is_unbounded(self, blackout_rule):
+        sched = blackout_rule.sched
         last = sched.num_slots - 1
-        assert planner.plan_for_slot(last).plan is None
-        assert planner.budget(last, 19.5)[1:] == (math.inf, math.inf)
+        assert slot_plans(sched)[last] is None
+        assert blackout_rule.budget(19.5, last) == (math.inf, int(sched.caps[last]), math.inf)
 
     def test_plans_leave_no_long_artificial_blackout(self, blackout_scn):
         # Optimality of each slot's first allocation keeps the dead zone at
         # the slot end below two bit times.
         sched = blackout_scn.schedule
-        planner = CapacityPlanner(sched)
-        for j in range(sched.num_slots):
-            if sched.caps[j] == 0:
-                continue
-            view = planner.plan_for_slot(j)
-            if view.plan is None:
+        for j, plan in enumerate(slot_plans(sched)):
+            if sched.caps[j] == 0 or plan is None:
                 continue
             duration = float(sched.theta[j + 1] - sched.theta[j])
-            assert sched.rates[j] * duration - float(view.plan.phi[0]) < 1.0
+            assert sched.rates[j] * duration - float(plan.phi[0]) < 1.0
 
-    def test_blackout_slot_has_zero_bits(self, blackout_scn):
-        sched = blackout_scn.schedule
-        planner = CapacityPlanner(sched)
+    def test_blackout_slot_has_zero_bits(self, blackout_rule):
+        sched = blackout_rule.sched
         b = sched.blackout_slots()[0]
-        assert planner.budget(b, float(sched.theta[b]) + 0.5)[1] == 0
+        assert blackout_rule.budget(float(sched.theta[b]) + 0.5, b)[0] == 0

@@ -73,7 +73,8 @@ class TestSchema:
             **exact)
         assert scn.schedule.caps.tolist() == [8, 8, 0, 7, 8, 0, 6, 8, 0, 8]
         assert scn.trigger.lookahead == pytest.approx(0.05698508383167446, rel=0, abs=1e-9)
-        assert (scn.trigger.sigma, scn.trigger.sigma1, scn.trigger.root_tol) == (0.06, 0.8, 1e-9)
+        assert (scn.trigger.sigma, scn.trigger.sigma1) == (0.06, 0.8)
+        assert etcsim.triggers.ROOT_TOL == 1e-9
         assert (scn.mode, scn.horizon) == ("blackout", 20.0)
 
     @pytest.mark.parametrize("mutate,fragment", [
@@ -94,6 +95,7 @@ class TestSchema:
         (lambda d: d["trigger"].update(sigma="-inf"), "trigger.sigma"),
         (lambda d: d["channel"].update(n=True), "channel.n: expected"),
         (lambda d: d["channel"]["slots"][0].update(pi_bar=True), "pi_bar: expected"),
+        (lambda d: d["trigger"].update(root_tol=1e-9), "trigger: unknown fields"),
     ])
     def test_schema_errors_carry_field_context(self, sec6_doc, mutate, fragment):
         doc = copy.deepcopy(sec6_doc)
@@ -140,7 +142,7 @@ class TestCli:
     def test_trace_csv_matches_cell_by_cell_writer(self, request, tmp_path, name):
         trace = request.getfixturevalue(f"{name}_trace")
         columns = [trace.t[:, None], trace.x, trace.x_hat] + [
-            getattr(trace, c)[:, None] for c in etcsim.sim._ROW_COLUMNS]
+            getattr(trace, attr)[:, None] for attr, _ in etcsim.sim.TRACE_COLUMNS]
         with (tmp_path / "reference.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x1", "x2", "xhat1", "xhat2", "V", "Vd", "hpf", "eps", "hch",
@@ -171,11 +173,25 @@ class TestCli:
         assert main(["simulate", str(bad)]) == 2
 
     @pytest.mark.parametrize("step", ["-1", "0", "nan"])
-    def test_nonpositive_scan_step_exit_code(self, tmp_path, step):
-        code = main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path),
-                     "--scan-step", step])
-        assert code == 2
-        assert not list(tmp_path.iterdir())
+    def test_nonpositive_scan_step_exit_code(self, tmp_path, sec6_doc, step):
+        doc = copy.deepcopy(sec6_doc)
+        doc["sim"]["scan_step"] = step
+        path = tmp_path / "step.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_output_names_field_exit_code(self, tmp_path, sec6_doc, capsys):
+        # Output names come from the file name; a scenario cannot set them.
+        doc = copy.deepcopy(sec6_doc)
+        doc["sim"]["output"] = {"trace_csv": "sec6_trace.csv"}
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert "sim: unknown fields ['output']" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("caps", [[1100] * 10, [8, 8, 0, 0, 8, 0, 6, 8, 0, 8]])
     def test_channel_design_limits_exit_code(self, tmp_path, sec6_doc, caps, capsys):
@@ -237,7 +253,6 @@ class TestCli:
         # pre-blackout firings; either the run reports the breach or its
         # trace holds every entry margin.
         doc = copy.deepcopy(sec6_doc)
-        doc["sim"].pop("output")
         for slot in doc["channel"]["slots"]:
             slot["R"] *= 10
         path = tmp_path / "fast.json"
@@ -277,31 +292,31 @@ class TestCli:
         assert stats["max_h_pf"] == pytest.approx(0.8356, abs=1e-4)
         assert stats["min_de_margin"] > 0.0
 
-    def test_directory_batch(self, tmp_path, sec6_doc):
-        doc = copy.deepcopy(sec6_doc)
-        doc["sim"].pop("output")  # fall back to per-file output names
-        for name in ("one.json", "two.json"):
-            (tmp_path / name).write_text(json.dumps(doc))
+    def test_directory_batch(self, tmp_path):
+        # Two copies of one scenario: each writes its own three files.
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_bytes(REPO_SCENARIO.read_bytes())
         out = tmp_path / "out"
         assert main(["simulate", str(tmp_path), "--out-dir", str(out)]) == 0
-        for stem in ("one", "two"):
-            for suffix in ("trace.csv", "transmissions.csv", "stats.json"):
-                assert (out / f"{stem}_{suffix}").exists(), (stem, suffix)
+        suffixes = ("trace.csv", "transmissions.csv", "stats.json")
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{stem}_{suffix}" for stem in ("a", "b") for suffix in sorted(suffixes)]
+        for suffix in suffixes:
+            assert (out / f"a_{suffix}").read_bytes() == (out / f"b_{suffix}").read_bytes()
 
     def test_directory_batch_runs_past_a_failure(self, tmp_path, sec6_doc, capsys):
-        doc = copy.deepcopy(sec6_doc)
-        doc["sim"].pop("output")
         (tmp_path / "a_bad.json").write_text("{\"plant\": {}}")
-        (tmp_path / "b_good.json").write_text(json.dumps(doc))
+        (tmp_path / "b_good.json").write_text(json.dumps(sec6_doc))
         out = tmp_path / "out"
         assert main(["simulate", str(tmp_path), "--out-dir", str(out)]) == 2
         assert (out / "b_good_stats.json").exists()
         assert "error:" in capsys.readouterr().err
 
     def test_trigger_constants_built_once_per_simulate(self, tmp_path, monkeypatch):
-        calls = {"delay_floor": [], "admissibility": 0}
+        calls = {"delay_floor": [], "admissibility": 0, "entry_margin": []}
         delay_floor = etcsim.triggers.delay_floor
         check = etcsim.sim.check_admissibility
+        entry_margin = etcsim.sim.blackout_entry_margin
 
         def counting_delay_floor(plant, T, p, *args, **kwargs):
             calls["delay_floor"].append(p)
@@ -311,12 +326,18 @@ class TestCli:
             calls["admissibility"] += 1
             return check(scenario)
 
+        def counting_entry_margin(plant, blackout_len):
+            calls["entry_margin"].append(blackout_len)
+            return entry_margin(plant, blackout_len)
+
         monkeypatch.setattr(etcsim.triggers, "delay_floor", counting_delay_floor)
         monkeypatch.setattr(etcsim.sim, "check_admissibility", counting_check)
         monkeypatch.setattr(etcsim.cli, "check_admissibility", counting_check)
+        monkeypatch.setattr(etcsim.sim, "blackout_entry_margin", counting_entry_margin)
         assert main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)]) == 0
         assert sorted(calls["delay_floor"]) == list(range(1, 9))  # p = 1..pmax
         assert calls["admissibility"] == 1
+        assert calls["entry_margin"] == [2.0, 2.0, 2.0]  # once per blackout
 
     def test_unit_violation_time_root_found_once_per_scenario(self, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ import pytest
 from conftest import scalar_bisect
 
 from etcsim import sim
-from etcsim.capacity import CapacityPlanner, realtime_bound
+from etcsim.capacity import realtime_bound, slot_plans
 from etcsim.channel import ChannelSchedule
 from etcsim.codec import initial_state
 from etcsim.errors import (
@@ -251,17 +251,17 @@ class TestBlackoutRun:
 
     def test_capacity_floor_drops_at_most_sent_bits(self, blackout_scn, blackout_trace):
         sched = blackout_scn.schedule
-        planner = CapacityPlanner(sched)
+        plans = slot_plans(sched)
         n = sched.n
         for tx in blackout_trace.transmissions:
             j_tx = sched.slot_index(tx.t_k)
-            if planner.plan_for_slot(j_tx).plan is None:
+            if plans[j_tx] is None:
                 continue
             j_up = sched.slot_index(tx.r_tilde_k) if tx.r_tilde_k > 0 else j_tx
-            plan_up = planner.plan_for_slot(j_up).plan
+            plan_up = plans[j_up]
             if plan_up is None:
                 continue
-            before = realtime_bound(planner.plan_for_slot(j_tx).plan, tx.t_k)
+            before = realtime_bound(plans[j_tx], tx.t_k)
             after = realtime_bound(plan_up, tx.r_tilde_k)
             assert after >= before - n * tx.p_k - 1e-9
 
@@ -326,7 +326,7 @@ class TestRecorderOracle:
     @staticmethod
     def scalar_rows(scn, trace):
         plant, sched = scn.plant, scn.schedule
-        planner = CapacityPlanner(sched) if scn.mode == "blackout" else None
+        plans = slot_plans(sched) if scn.mode == "blackout" else None
         rows = []
         for t, x, de in zip(trace.t.tolist(), trace.x, trace.d_e.tolist()):
             v = float(x @ plant.P @ x)
@@ -334,11 +334,11 @@ class TestRecorderOracle:
             h = v / vd
             eps = de / (plant.constants.error_scale * math.sqrt(vd))
             h_ch = eps / float(error_threshold(plant, scn.trigger.lookahead, h))
-            if planner is None:
+            if plans is None:
                 cap_cols = (math.nan,) * 4
             else:
                 j = sched.slot_at(t)
-                plan = planner.plan_for_slot(j).plan
+                plan = plans[j]
                 if plan is None:
                     planned, floor = math.inf, math.inf
                 else:
@@ -347,7 +347,7 @@ class TestRecorderOracle:
                     planned = max(0.0, math.floor(left + 1e-9))
                     floor = float(realtime_bound(plan, t))
                 cap_cols = (planned, min(float(sched.caps[j]), planned), floor,
-                            float(scn.rule.l3(t, eps, j)))
+                            float(scn.rule.l3(t, eps, j, floor)))
             rows.append((v, vd, h, eps, h_ch) + cap_cols)
         return np.array(rows)
 

@@ -425,7 +425,7 @@ class TestTriggerSuite:
         assert gate
         assert l1 == float(perf_bound(ref_plant, blackout_rule.tm[8], 0.5, 0.1))
         t = 2.44 - 1e-4
-        assert blackout_rule.planner.budget(0, t)[1] == 0
+        assert blackout_rule.budget(t, 0)[0] == 0
         gate, *_ = blackout_rule.terms(t, 0.5, 10.0, 0)
         assert not gate
         gates, *_ = blackout_rule.terms(np.array([1.0, t]), np.full(2, 0.5), np.full(2, 0.1), 0)
@@ -437,13 +437,14 @@ class TestTriggerSuite:
         t, tau_l, length = 2.0, 4.88, 2.0
         margin = blackout_entry_margin(ref_plant, length)
         eps = margin * math.exp(-ref_plant.constants.growth_rate_inf * (tau_l - t))
-        plan = blackout_rule.planner.plan_for_slot(0).plan
-        budget = blackout_rule.config.sigma1 * realtime_bound(plan, t)
-        assert float(blackout_rule.l3(t, eps, 0)) == pytest.approx(-budget, abs=1e-9)
+        floor = realtime_bound(blackout_rule.plans[0], t)
+        assert blackout_rule.budget(t, 0)[2] == floor
+        budget = blackout_rule.config.sigma1 * floor
+        assert float(blackout_rule.l3(t, eps, 0, floor)) == pytest.approx(-budget, abs=1e-9)
 
     def test_capacity_deficit_unbounded_cases(self, blackout_rule, clear_channel_rule,
                                               blackout_scn):
         last = blackout_scn.schedule.num_slots - 1  # no blackout ahead
-        assert blackout_rule.l3(19.5, 1.0, last) == -math.inf
-        assert blackout_rule.l3(1.0, 0.0, 0) == -math.inf
-        assert clear_channel_rule.l3(1.0, 1.0, 0) == -math.inf
+        assert blackout_rule.l3(19.5, 1.0, last, math.inf) == -math.inf
+        assert blackout_rule.l3(1.0, 0.0, 0, blackout_rule.budget(1.0, 0)[2]) == -math.inf
+        assert clear_channel_rule.l3(1.0, 1.0, 0, math.inf) == -math.inf
