@@ -232,16 +232,17 @@ def realtime_bound(plan: CapacityPlan, t):
 # per-slot plans
 
 
-def slot_plans(schedule: ChannelSchedule) -> list[CapacityPlan | None]:
+def slot_plans(schedule: ChannelSchedule, horizon: float = np.inf) -> list[CapacityPlan | None]:
     """Each slot's plan for the window [slot start, next blackout start).
 
-    None for a slot with no blackout ahead.  Plans are a pure function of
-    the schedule, so a run builds them once.
+    None for a slot with no blackout ahead, and for a slot that starts at
+    or after the horizon, where a run reads no plan.  Plans are a pure
+    function of the schedule, so a run builds them once.
     """
     plans = []
     for j in range(schedule.num_slots):
         jb = schedule.next_blackout_slot(j)
-        if jb is None:
+        if jb is None or schedule.theta[j] >= horizon:
             plans.append(None)
             continue
         window = ChannelSchedule(schedule.theta[j:jb + 1], schedule.rates[j:jb],

@@ -6,7 +6,9 @@ breach; an error's code is its class's ``exit_code`` (see ``errors``).
 ``simulate`` accepts a scenario file or a directory of scenario files,
 run one after another; a scenario ``<stem>.json`` writes
 ``<stem>_trace.csv``, ``<stem>_transmissions.csv`` and ``<stem>_stats.json``
-to ``--out-dir`` (default: the scenario's directory).  Every run setting
+to ``--out-dir`` (default: the scenario's directory).  A directory's
+``<stem>_stats.json`` next to its ``<stem>.json`` is that run's output,
+not a scenario, and is not run.  Every run setting
 is a scenario field; the command line only picks files, the output
 directory and ``--force``.
 """
@@ -101,7 +103,9 @@ def cmd_simulate(args) -> int:
     target = Path(args.scenario)
     if not target.is_dir():
         return _simulate_one(target, args)
-    files = sorted(target.glob("*.json"))
+    files = sorted(f for f in target.glob("*.json")
+                   if not (f.stem.endswith("_stats")
+                           and f.with_name(f.stem.removesuffix("_stats") + ".json").is_file()))
     if not files:
         print(f"no scenario files in {target}", file=sys.stderr)
         return EtcsimError.exit_code

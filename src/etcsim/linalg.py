@@ -201,11 +201,27 @@ def _pade13_expm(M: np.ndarray, ts: np.ndarray) -> np.ndarray:
     X6 = X4 @ X2
     b = _PADE13
     eye = np.eye(k)
-    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
-    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
-    del X, X2, X4, X6  # with V - U and 2 U formed in place, the solve holds fewer stacks
+
+    def add(out, scratch, *terms):
+        """``out + c P + ...`` over the ``(c, P)`` terms, added left to right into out."""
+        for c, power in terms:
+            out += np.multiply(power, c, out=scratch)
+        return out
+
+    def half(c, work, out):
+        """``X6 (c0 X6 + c1 X4 + c2 X2) + c3 X6 + c4 X4 + c5 X2 + c6 I`` into out, work as scratch.
+
+        The same terms in the same order as that expression, so the same floats, with no
+        temporary stack.
+        """
+        add(np.multiply(X6, c[0], out=work), out, (c[1], X4), (c[2], X2))
+        return add(np.matmul(X6, work, out=out), work, (c[3], X6), (c[4], X4), (c[5], X2),
+                   (c[6], eye))
+
+    work, out = np.empty_like(X), np.empty_like(X)
+    U = X @ half(b[13::-2], work, out)
+    V = half(b[12::-2], work, out)
+    del X, X2, X4, X6, work  # with V - U and 2 U in place, the solve holds fewer stacks
     R = eye + np.linalg.solve(np.subtract(V, U, out=V), np.multiply(U, 2.0, out=U))
     for i in range(int(s.max(initial=0))):
         rows = np.flatnonzero(s > i)

@@ -7,6 +7,15 @@ and called on whole arrays of times, and event times are found as the
 first crossing of the rule along each slot's fixed-step grid
 (``triggers.first_crossing``: a chunked scan refined by bisection), with
 channel breakpoints and their right limits always evaluated explicitly.
+
+The fire search skips the stretches of its grid where the paper's
+bounds show the rule cannot fire (``EventRule.quiet``, the comparison
+argument behind ``triggers.perf_bound``) and evaluates the rule only on
+the others, so it finds the same first grid crossing as a scan of every
+point.  The bounds hold while the codec invariant
+``||x - x_hat||_inf <= d_e`` does; a search that starts where it fails
+certifies nothing.  Each run's stats carry the search's work counts
+under ``diagnostics.work``.
 """
 
 from __future__ import annotations
@@ -43,6 +52,13 @@ from .triggers import (
 
 _TIME_TOL = 1e-9
 _NUDGE = 1e-9
+# Relative amount by which EventRule.quiet raises h and eps before bounding the rule, to
+# cover the rounding of the ratios it bounds.  They come from ExpKernel, whose closed form
+# has a relative error of about cond(V) * 1.1e-16 <= 1.1e-8 for the eigenbasis condition
+# numbers it accepts (< 1e8; its Pade branch is good to ~1e-13).  A state entry of an
+# n <= 6 plant sums up to 12 such terms and h is quadratic in the state, so h and eps are
+# good to ~3e-7 relative: 1e-9 would not cover that, and 1e-6 does, three times over.
+_CERT_MARGIN = 1e-6
 
 MODE_NO_BLACKOUT = "no_blackout"
 MODE_BLACKOUT = "blackout"
@@ -274,7 +290,7 @@ class EventRule:
         self.plant = scenario.plant
         self.sched = scenario.schedule
         self.config = scenario.trigger
-        self.plans = (slot_plans(self.sched) if scenario.mode == MODE_BLACKOUT
+        self.plans = (slot_plans(self.sched, scenario.horizon) if scenario.mode == MODE_BLACKOUT
                       else [None] * self.sched.num_slots)
         self.entry_margins = {b: blackout_entry_margin(self.plant, float(self.sched.durations[b]))
                               for b in self.sched.blackout_slots()}
@@ -355,6 +371,49 @@ class EventRule:
         gate, l1, l2, l3 = self.terms(ts, h, eps, j)
         return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
 
+    def quiet(self, a, h, eps, b, j: int):
+        """Where the rule cannot fire at any time of ``(a, b]`` in slot j, from h and eps at a.
+
+        The bounds are the paper's comparison argument, valid while
+        ``||x - x_hat||_inf <= d_e``: ``h' <= -w h + W eps sqrt(h)`` and eps
+        grows at most at rate ``mu_inf``.  With ``tau = b - a`` and
+        ``perf_bound`` taken at the larger of the two growth rates, on
+        ``(a, b]``:
+
+        - eps stays below ``eps e^{mu_inf tau}``, and h below the larger of
+          h and ``perf_bound(tau)``, which must stay below 1;
+        - for each p that ``clip(psi, 1, pmax)`` takes (psi does not
+          increase within a slot), ``l1`` stays below the larger of
+          ``perf_bound`` at ``T_M(p)`` and at ``T_M(p) + tau``, and ``l2``
+          below ``channel_bound`` for that bound and the largest eps;
+        - ``l3`` stays below its value at a with the capacity floor at b.
+
+        ``perf_bound`` is convex or increasing in its horizon, so its
+        largest value over an interval is at one end.  h and eps enter
+        raised by ``_CERT_MARGIN`` to absorb rounding, and the gate is not
+        read, which only makes the test stricter.  a, h, eps and b are
+        arrays, one entry per stretch.
+        """
+        c = self.plant.constants
+        mu_bar = max(c.growth_rate, c.growth_rate_inf)
+        h, eps = h * (1.0 + _CERT_MARGIN), eps * (1.0 + _CERT_MARGIN)
+        tau = b - a
+        eps_hat = eps * np.exp(c.growth_rate_inf * tau)
+        bound = lambda horizon: perf_bound(self.plant, horizon, h, eps, mu_bar)
+        worst = np.maximum(h, bound(tau))
+        _, psi_a, _ = self.budget(a, j)
+        _, psi_b, floor_b = self.budget(b, j)
+        p_hi, p_lo = (np.clip(np.broadcast_to(psi, a.shape), 1, self.pmax).astype(int)
+                      for psi in (psi_a, psi_b))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for p in range(int(p_lo.min()), int(p_hi.max()) + 1):
+                l1 = np.maximum(bound(self.tm[p]), bound(self.tm[p] + tau))
+                l2 = channel_bound(self.plant, self.config.lookahead, self.tm[p], h, eps_hat, p,
+                                   exp_norm=self.exp_norm_tm[p], hbar=l1, check_domain=False)
+                worst = np.where((p_lo <= p) & (p <= p_hi),
+                                 np.maximum(worst, np.maximum(l1, l2)), worst)
+            return (worst < 1.0) & (self.l3(a, eps, j, floor_b) < 0.0)
+
 
 # ---------------------------------------------------------------------------
 # engine
@@ -391,6 +450,10 @@ class _Engine:
         self.pending: tuple | None = None
         self.transmissions: list[Transmission] = []
         self.rows: list[np.ndarray] = []
+        # Work of all fire searches: rule evaluations (calls and the times they cover), and
+        # the stretches of the scan grid the certificate skipped or left to the scan.
+        self.work = dict.fromkeys(
+            ("rule_points", "rule_calls", "certified_intervals", "scanned_intervals"), 0)
         grid = np.arange(1, int(np.floor(self.horizon / self.sample_step)) + 1) * self.sample_step
         self.sample_times = grid[grid < self.horizon - _TIME_TOL]
         self._sample_idx = 0
@@ -404,17 +467,31 @@ class _Engine:
         transmission uses; right-limit-driven firings at a breakpoint
         whose own gate fails are nudged just inside the next slot.
 
-        Each slot's fixed-step grid is searched by ``first_crossing``.
-        Blackout slots are skipped: no send, so the rule need not be
-        evaluated there.
+        Each slot's fixed-step grid is searched by ``first_crossing``,
+        with ``EventRule.quiet`` as its certificate when the codec
+        invariant holds at t_start.  Blackout slots are skipped: no send,
+        so the rule need not be evaluated there.
         """
         anchor_x = self.x_aug.copy()
+        work = self.work
+
+        def ratios(ts):
+            xs = self.exp_block.apply(np.subtract(ts, t_start), anchor_x)
+            return self.rule.ratios(ts, xs, self.enc.d_e(self.plant, ts))
 
         def fires(ts, j: int):
-            xs = self.exp_block.apply(np.subtract(ts, t_start), anchor_x)
-            h, eps = self.rule.ratios(ts, xs, self.enc.d_e(self.plant, ts))
-            return self.rule.fires(ts, h, eps, j)
+            work["rule_calls"] += 1
+            work["rule_points"] += np.size(ts)
+            return self.rule.fires(ts, *ratios(ts), j)
 
+        def quiet(nodes, j: int):
+            certified = self.rule.quiet(nodes[:-1], *ratios(nodes[:-1]), nodes[1:], j)
+            work["certified_intervals"] += int(np.count_nonzero(certified))
+            work["scanned_intervals"] += certified.size - int(np.count_nonzero(certified))
+            return certified
+
+        invariant = (inf_norm(anchor_x[:self.n] - anchor_x[self.n:])
+                     <= self.enc.d_e(self.plant, t_start))
         cursor = t_start
         while cursor < self.horizon - _TIME_TOL:
             j = self.sched.right_slot_index(cursor)
@@ -437,7 +514,8 @@ class _Engine:
             count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
             grid = np.linspace(cursor, seg_end, count + 1)[1:]
             if self.sched.caps[j] > 0:
-                found = first_crossing(lambda s: fires(s, j), cursor, grid, _TIME_TOL)
+                found = first_crossing(lambda s: fires(s, j), cursor, grid, _TIME_TOL,
+                                       (lambda nodes: quiet(nodes, j)) if invariant else None)
                 if found is not None:
                     # Transmit at the last pre-crossing instant: there the channel
                     # bound is still strictly below 1, so the required bit count
@@ -610,6 +688,7 @@ class _Engine:
         if self.blackout_mode:
             self._check_entry_margins(trace)
         trace.stats = summarize(trace, self.sched)
+        trace.stats["diagnostics"] = {"work": dict(self.work)}
         return trace
 
     def _check_entry_margins(self, trace: SimTrace):

@@ -18,6 +18,14 @@ bracket around that point is then shrunk by ``bisect_crossing``, five
 bisection levels per array call of the predicate.  The thresholds scan
 1000-point grids (the violation time in windows that expand until the
 root lies inside one); the simulator scans each slot at its scan step.
+
+The simulator's fire search also hands ``first_crossing`` a certificate
+(``sim.EventRule.quiet``).  Every ``_NODE_STRIDE``-th grid point is then
+a node; the nodes are walked in doubling chunks, and a stretch between
+two nodes where the certificate shows the predicate false is skipped.
+Only the other stretches' grid points are evaluated, in doubling
+batches, so the first grid point where the predicate holds, and with it
+the bracket, is the one the plain scan finds.
 """
 
 from __future__ import annotations
@@ -37,6 +45,13 @@ ROOT_TOL = 1e-9
 _SCAN_CHUNK = 256
 # Levels of the bisection tree evaluated per call of the predicate: 31 points.
 _TREE_DEPTH = 5
+# Grid points per stretch a certificate judges.
+_NODE_STRIDE = 64
+# Stretches in a certified scan's first chunk of nodes and in its first batch of stretches
+# left open.  One call of the rule costs about as much as a thousand of its points, so
+# smaller chunks would save points but spend more time on calls.
+_NODE_CHUNK = 64
+_OPEN_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -65,14 +80,17 @@ class TriggerConfig:
 # closed-form bounds
 
 
-def perf_bound(plant: PlantModel, tau, h0, eps0):
+def perf_bound(plant: PlantModel, tau, h0, eps0, growth_rate: float | None = None):
     """Upper bound on the performance ratio tau ahead of a state (h0, eps0).
 
     ``(h0 + W*eps0/(w+mu) * (e^{(w+mu) tau} - 1)) / e^{w tau}`` with
-    w the decay gap, W the guarded gap and mu the growth rate.
+    w the decay gap, W the guarded gap and mu the error ratio's growth
+    rate: ``growth_rate`` if given, else the plant's.  As a function of
+    tau it is convex or increasing, so its largest value over an interval
+    of tau is at one of the ends.
     """
     c = plant.constants
-    wm = c.decay_gap + c.growth_rate
+    wm = c.decay_gap + (c.growth_rate if growth_rate is None else growth_rate)
     growth = np.expm1(wm * np.asarray(tau, dtype=float))
     f1 = h0 + (c.guarded_decay_gap * np.asarray(eps0) / wm) * growth
     return f1 / np.exp(c.decay_gap * np.asarray(tau, dtype=float))
@@ -166,24 +184,63 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
     return lo, hi
 
 
-def first_crossing(pred, start: float, grid: np.ndarray, tol: float) -> tuple[float, float] | None:
+def first_crossing(pred, start: float, grid: np.ndarray, tol: float,
+                   quiet=None) -> tuple[float, float] | None:
     """Bracket of the first crossing of pred along grid, or None if pred never holds.
 
-    grid holds increasing times after start.  It is evaluated in chunks
-    of ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ... points up to the first chunk
-    where pred holds somewhere; the bracket from the point before the
-    first such time (start, for the first point) to that time is then
-    shrunk by ``bisect_crossing``.  pred maps an array of times to truth
-    values.
+    grid holds increasing times after start.  With no certificate it is
+    evaluated in chunks of ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ... points
+    up to the first chunk where pred holds somewhere.  quiet, a
+    certificate, maps increasing times ``t_0 < ... < t_m`` (start or grid
+    points) to m truth values, the i-th true only if pred is false at
+    every grid point in ``(t_i, t_{i+1}]``; see ``_certified_hit``.  The
+    bracket from the point before the first time pred holds (start, for
+    the first point) to that time is then shrunk by ``bisect_crossing``.
+    pred maps an array of times to truth values.
     """
-    a, size = 0, _SCAN_CHUNK
-    while a < grid.size:
-        idx = np.flatnonzero(pred(grid[a:a + size]))
+    hit = _first_hit(pred, grid, _SCAN_CHUNK) if quiet is None else _certified_hit(
+        pred, start, grid, quiet)
+    if hit is None:
+        return None
+    lo = float(grid[hit - 1]) if hit else start
+    return bisect_crossing(pred, lo, float(grid[hit]), tol)
+
+
+def _first_hit(pred, points: np.ndarray, size: int) -> int | None:
+    """Index of the first of points where pred holds, scanning chunks of size, 2 size, ..."""
+    a = 0
+    while a < points.size:
+        idx = np.flatnonzero(pred(points[a:a + size]))
         if idx.size:
-            i = a + int(idx[0])
-            lo = float(grid[i - 1]) if i else start
-            return bisect_crossing(pred, lo, float(grid[i]), tol)
+            return a + int(idx[0])
         a, size = a + size, 2 * size
+    return None
+
+
+def _certified_hit(pred, start: float, grid: np.ndarray, quiet) -> int | None:
+    """``_first_hit`` over grid, evaluating pred only where quiet certifies nothing.
+
+    Stretch i holds grid points ``i S .. (i + 1) S - 1`` (S =
+    ``_NODE_STRIDE``; the last may be shorter) and runs from its node,
+    the last point before it (start for the first), to its own last
+    point.  The nodes are handed to quiet in chunks of ``_NODE_CHUNK``,
+    ``2 _NODE_CHUNK``, ... stretches; in each chunk, the points of the
+    stretches quiet leaves open are scanned by ``_first_hit`` in batches
+    of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ... stretches.
+    """
+    stride = _NODE_STRIDE
+    ends = np.minimum(np.arange(stride - 1, grid.size + stride - 1, stride), grid.size - 1)
+    nodes = np.concatenate([[start], grid[ends]])
+    i, size = 0, _NODE_CHUNK
+    while i < ends.size:
+        open_ = i + np.flatnonzero(~np.asarray(quiet(nodes[i:i + size + 1])))
+        if open_.size:
+            idx = (open_[:, None] * stride + np.arange(stride)).ravel()
+            idx = idx[idx < grid.size]
+            hit = _first_hit(pred, grid[idx], _OPEN_CHUNK * stride)
+            if hit is not None:
+                return int(idx[hit])
+        i, size = i + size, 2 * size
     return None
 
 

@@ -25,10 +25,12 @@ def scalar_bisect(pred, lo, hi, tol):
 
 
 class ScanChunks:
-    """The chunks ``triggers.first_crossing`` scans, kept apart from the bisection's calls."""
+    """The chunks ``triggers.first_crossing`` scans, kept apart from the bisection's calls,
+    and the chunks of stretches its certificate judges."""
 
     def __init__(self, monkeypatch):
         self.calls = []  # (points, first index where pred holds or None), one per chunk
+        self.judged = []  # (stretches, indices of those left open), one per certificate call
         self._bisecting = False
         bisect = triggers.bisect_crossing
 
@@ -50,6 +52,14 @@ class ScanChunks:
                 self.calls.append((np.size(ts), int(idx[0]) if idx.size else None))
             return fired
         return counted
+
+    def judging(self, quiet):
+        """quiet, recording each of its calls."""
+        def judging(nodes):
+            certified = quiet(nodes)
+            self.judged.append((len(nodes) - 1, np.flatnonzero(~certified)))
+            return certified
+        return judging
 
 
 @pytest.fixture()

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import SCENARIOS
 
+from etcsim import capacity
 from etcsim.capacity import (
     capacity_exact,
     capacity_fallback,
@@ -16,6 +18,7 @@ from etcsim.capacity import (
 )
 from etcsim.channel import ChannelSchedule, compute_J
 from etcsim.errors import DomainError, ScaleGuardError
+from etcsim.scenario import build_scenario, load_document
 
 
 def random_problem(rng, max_slots=4, allow_blackouts=True):
@@ -286,6 +289,18 @@ class TestPlanner:
             np.testing.assert_array_equal(plan.phi, want.phi)
             built += 1
         assert built == (8 if name == "blackout" else 0)  # sec6: a blackout lies ahead of 0-7
+
+    def test_no_plans_for_slots_past_the_horizon(self, monkeypatch):
+        # sec6 cut at 3 s: only slots 0 and 1 start before the horizon.
+        calls = []
+        plan = capacity.plan_window
+        monkeypatch.setattr(capacity, "plan_window",
+                            lambda *args: calls.append(args) or plan(*args))
+        doc = load_document(SCENARIOS / "sec6.json")
+        doc["sim"]["horizon"] = 3.0
+        rule = build_scenario(doc).rule
+        assert len(calls) == 2
+        assert [plan is not None for plan in rule.plans] == [True, True] + [False] * 8
 
     def test_packet_bound_within_cap(self, blackout_rule):
         sched = blackout_rule.sched

@@ -5,6 +5,8 @@ import scipy.linalg
 
 from etcsim.errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 from etcsim.linalg import (
+    _PADE13,
+    _THETA13,
     ExpKernel,
     inf_norm,
     is_hurwitz,
@@ -77,6 +79,27 @@ def random_stable(rng, n):
     M = rng.normal(size=(n, n))
     shift = max(np.linalg.eigvals(M).real.max(), 0.0) + 0.5
     return M - shift * np.eye(n)
+
+
+def pade13_expression_form(M, ts):
+    """``linalg._pade13_expm`` with U and V each written as one expression."""
+    k = M.shape[0]
+    frac, expo = np.frexp(ts * np.abs(M).sum(axis=0).max() / _THETA13)
+    s = np.maximum(expo - (frac == 0.5), 0)
+    X = np.ldexp(ts, -s)[:, None, None] * M
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    b, eye = _PADE13, np.eye(k)
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    R = eye + np.linalg.solve(V - U, 2.0 * U)
+    for i in range(int(s.max(initial=0))):
+        rows = np.flatnonzero(s > i)
+        R[rows] = R[rows] @ R[rows]
+    return R
 
 
 class TestMatExp:
@@ -175,6 +198,14 @@ class TestMatExp:
             assert np.linalg.cond(np.linalg.eig(M)[1]) >= 1e8
         for t in ORACLE_TIMES:
             assert relative_error(kernel(t), mpmath_expm(M, t)) <= 1e-13, t
+
+    @pytest.mark.parametrize("name", sorted(DEFECTIVE))
+    def test_defective_branch_matches_the_expression_form(self, name):
+        # The in-place sums of U and V add the same terms in the same order as
+        # one expression each, so every float is the same.
+        M = DEFECTIVE[name]
+        ts = np.array([0.0, 1e-6, 0.01, 0.3, 1.0, 4.0, 20.0])
+        assert np.array_equal(ExpKernel(M)(ts), pade13_expression_form(M, ts))
 
     def test_defective_stack_of_mixed_scales_matches_scalar_calls(self):
         kernel = ExpKernel(JORDAN_BLOCK)

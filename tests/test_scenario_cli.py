@@ -304,6 +304,16 @@ class TestCli:
         for suffix in suffixes:
             assert (out / f"a_{suffix}").read_bytes() == (out / f"b_{suffix}").read_bytes()
 
+    def test_directory_rerun_skips_its_own_outputs(self, tmp_path):
+        # With no --out-dir each run writes <stem>_stats.json next to <stem>.json; a
+        # second run of the directory must not read it as a scenario.
+        (tmp_path / "clear10.json").write_bytes((REPO_SCENARIO.parent / "clear10.json").read_bytes())
+        for _ in range(2):
+            assert main(["simulate", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "clear10.json", "clear10_stats.json", "clear10_trace.csv",
+            "clear10_transmissions.csv"]
+
     def test_directory_batch_runs_past_a_failure(self, tmp_path, sec6_doc, capsys):
         (tmp_path / "a_bad.json").write_text("{\"plant\": {}}")
         (tmp_path / "b_good.json").write_text(json.dumps(sec6_doc))

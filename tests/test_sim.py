@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import scalar_bisect
+from conftest import SCENARIOS, scalar_bisect
 
 from etcsim import sim
 from etcsim.capacity import realtime_bound, slot_plans
@@ -13,15 +13,21 @@ from etcsim.codec import initial_state
 from etcsim.errors import (
     AdmissibilityError,
     ConfigurationError,
+    GuaranteeBreachError,
     InvariantBreachError,
     ObjectiveViolationError,
 )
+from etcsim.scenario import build_scenario, load_document, load_scenario
 from etcsim.sim import _NUDGE, _TIME_TOL, Scenario, _Engine, check_admissibility, run
 from etcsim.triggers import (
+    _NODE_CHUNK,
+    _NODE_STRIDE,
+    _OPEN_CHUNK,
     _SCAN_CHUNK,
     TriggerConfig,
     blackout_entry_margin,
     error_threshold,
+    perf_bound,
     resolve_lookahead,
 )
 
@@ -105,10 +111,14 @@ class TestLocateCrossing:
 class TestChunkedScan:
     """The chunked fire scan against a whole-slot scan, and the work it does.
 
-    From the initial state the rule fires after 13 grid points; with no
-    error bound and a zero estimate it fires at 36.1 ms, which a finer
-    step or a nearer horizon places after three doublings or inside a
-    last, partial chunk; from the zero state it never fires.
+    From the initial state the rule fires after 13 grid points, at 2.117 ms.
+    The codec invariant holds there, so the scan is certified; at a 50 ns
+    step the hit lies in the fourth chunk of nodes (stretches 448-959), a
+    full chunk with a 4 ms horizon and a last, partial one with 2.2 ms.
+    With no error bound and a zero estimate the invariant fails, so
+    nothing is certified, and the rule fires at 36.1 ms, which a finer step
+    or a nearer horizon places after three doublings or inside a last,
+    partial chunk.  From the zero state it never fires.
     """
 
     CASES = {
@@ -116,13 +126,22 @@ class TestChunkedScan:
         "first_chunk": (None, None, None, False),
         "after_doublings": (0.0, 36.12e-3 / 2000, 0.5, False),
         "last_partial_chunk": (0.0, 4e-5, 0.04, False),
+        "certified_after_doublings": (None, 5e-8, 4e-3, False),
+        "certified_last_partial_chunk": (None, 5e-8, 2.2e-3, False),
         "no_fire": (0.0, None, None, True),
     }
+    # The chunk that holds the first hit: of grid points when nothing is
+    # certified, else of nodes.
+    HIT_CHUNK = {"first_chunk": 0, "after_doublings": 3, "last_partial_chunk": 2,
+                 "certified_after_doublings": 3, "certified_last_partial_chunk": 3}
+    CERTIFIED = ("first_chunk", "certified_after_doublings", "certified_last_partial_chunk",
+                 "no_fire")
 
     @classmethod
     def engine(cls, request, channel, case):
         de, step, horizon, zero = cls.CASES[case]
         eng = copy.copy(request.getfixturevalue(f"{channel}_engine"))
+        eng.work = dict.fromkeys(eng.work, 0)
         if de is not None:
             eng.enc = initial_state(np.zeros(2), de)
         if step is not None:
@@ -135,38 +154,177 @@ class TestChunkedScan:
 
     @staticmethod
     def counted_scans(monkeypatch, scan_chunks):
-        """Record the chunks of every scan ``_locate_fire`` hands to ``first_crossing``."""
+        """Record the chunks of every scan ``_locate_fire`` hands to ``first_crossing``,
+        and the chunks of stretches its certificate judges."""
         scan = sim.first_crossing
-        monkeypatch.setattr(sim, "first_crossing",
-                            lambda pred, *args: scan(scan_chunks.counted(pred), *args))
-        return scan_chunks.calls
+
+        def counted(pred, start, grid, tol, quiet=None):
+            return scan(scan_chunks.counted(pred), start, grid, tol,
+                        None if quiet is None else scan_chunks.judging(quiet))
+
+        monkeypatch.setattr(sim, "first_crossing", counted)
+        return scan_chunks
 
     @pytest.mark.parametrize("channel", ["blackout", "clear_channel"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_whole_slot_scan(self, request, monkeypatch, scan_chunks, channel, case):
         eng = self.engine(request, channel, case)
-        calls = self.counted_scans(monkeypatch, scan_chunks)
+        chunks = self.counted_scans(monkeypatch, scan_chunks)
         found = eng._locate_fire(0.0)
         assert found == whole_slot_locate_fire(eng, 0.0)
         assert (found is None) == (case == "no_fire")
-        hit_chunk = {"first_chunk": 0, "after_doublings": 3, "last_partial_chunk": 2}.get(case)
+        assert bool(chunks.judged) == (case in self.CERTIFIED)
+        if case in self.CERTIFIED:
+            sizes, first = [size for size, _ in chunks.judged], _NODE_CHUNK
+        else:
+            sizes, first = [size for size, _ in chunks.calls], _SCAN_CHUNK
+        hit_chunk = self.HIT_CHUNK.get(case)
         if hit_chunk is not None:
-            sizes = [size for size, _ in calls]
-            assert len(calls) == hit_chunk + 1 and calls[-1][1] is not None
-            assert sizes == [_SCAN_CHUNK * 2 ** k for k in range(hit_chunk)] + sizes[-1:]
-        if case == "last_partial_chunk":
-            assert calls[-1][0] < _SCAN_CHUNK * 2 ** hit_chunk
+            assert len(sizes) == hit_chunk + 1 and chunks.calls[-1][1] is not None
+            assert sizes == [first * 2 ** k for k in range(hit_chunk)] + sizes[-1:]
+        if case.endswith("last_partial_chunk"):
+            assert sizes[-1] < first * 2 ** hit_chunk
+        if case.startswith("certified"):
+            # Far from the crossing the certificate skips whole stretches.
+            assert sum(size - idx.size for size, idx in chunks.judged) >= 600
 
     @pytest.mark.parametrize("channel", ["blackout", "clear_channel"])
-    @pytest.mark.parametrize("case", ["first_chunk", "after_doublings", "last_partial_chunk"])
+    @pytest.mark.parametrize("case", [case for case in CASES if case != "no_fire"])
     def test_work_bounded_by_first_hit(self, request, monkeypatch, scan_chunks, channel, case):
         eng = self.engine(request, channel, case)
-        calls = self.counted_scans(monkeypatch, scan_chunks)
+        chunks = self.counted_scans(monkeypatch, scan_chunks)
         assert eng._locate_fire(0.0) is not None
+        calls = chunks.calls
         evaluated = sum(size for size, _ in calls)
         hit = evaluated - calls[-1][0] + calls[-1][1]
-        assert calls[0][0] <= _SCAN_CHUNK <= 1024  # the first chunk is a few hundred points
-        assert evaluated <= 2 * (hit + 1) + _SCAN_CHUNK
+        first = _SCAN_CHUNK
+        if chunks.judged:
+            # The points evaluated are those of the open stretches, in order.
+            offsets = np.cumsum([0] + [size for size, _ in chunks.judged])
+            open_ = np.concatenate([off + idx for off, (_, idx) in zip(offsets, chunks.judged)])
+            assert offsets[-1] <= 2 * (open_[hit // _NODE_STRIDE] + 1) + _NODE_CHUNK
+            first = _OPEN_CHUNK * _NODE_STRIDE
+        assert calls[0][0] <= first <= 1024  # the first chunk is at most a thousand points
+        assert evaluated <= 2 * (hit + 1) + first
+
+    @pytest.mark.parametrize("channel", ["blackout", "clear_channel"])
+    def test_violated_codec_invariant_certifies_nothing(self, request, monkeypatch, scan_chunks,
+                                                        channel):
+        # x - x_hat = (6, -4): an error bound of 6 keeps the invariant, one ulp less breaks it.
+        chunks = self.counted_scans(monkeypatch, scan_chunks)
+        for de, certified in ((6.0, True), (math.nextafter(6.0, 0.0), False)):
+            eng = self.engine(request, channel, "first_chunk")
+            eng.enc = initial_state(np.zeros(2), de)
+            chunks.judged.clear()
+            assert eng._locate_fire(0.0) == whole_slot_locate_fire(eng, 0.0)
+            assert bool(chunks.judged) == certified
+            work = eng.work
+            assert (work["certified_intervals"] + work["scanned_intervals"] > 0) == certified
+
+
+def rescaled_sec6(factor):
+    """``scenarios/sec6.json`` with every slot rate multiplied by factor."""
+    doc = load_document(SCENARIOS / "sec6.json")
+    for slot in doc["channel"]["slots"]:
+        slot["R"] *= factor
+    return build_scenario(doc)
+
+
+def jordan_scenario():
+    """A defective plant, ``A = [[1, 1], [0, 1]]``, on a clear channel of four 1 s slots."""
+    return build_scenario({
+        "plant": {"A": [[1, 1], [0, 1]], "B": [[0], [1]], "K": [[-9, -6]],
+                  "Q": [[1, 0], [0, 1]], "a": 1.2, "beta_fraction": 0.8, "Vd0_factor": 2.0},
+        "channel": {"n": 2, "slots": [{"theta_start": lo, "theta_end": lo + 1.0,
+                                       "R": 2400, "pi_bar": 8} for lo in range(4)]},
+        "trigger": {"T_fraction_of_gamma1": 0.1, "sigma": 0.06, "sigma1": 0.8},
+        "sim": {"mode": "no_blackout", "x0": [6, -4], "xhat0": [0, 0], "de0_factor": 1.5,
+                "horizon": 4.0, "sample_step": 0.01},
+    })
+
+
+class TestCertificate:
+    """``EventRule.quiet`` against the rule at every grid point of every fire search of a run."""
+
+    SCENARIOS = {
+        "sec6": lambda: rescaled_sec6(1),
+        "sec6_rates_x3": lambda: rescaled_sec6(3),
+        "sec6_rates_x10": lambda: rescaled_sec6(10),
+        "clear10": lambda: load_scenario(SCENARIOS / "clear10.json")[0],
+        "jordan": jordan_scenario,
+    }
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_bounds_the_comparison_trajectory(self, request, rng, name):
+        # Along (a, b] the ratios stay below the comparison system's worst case: h
+        # following perf_bound at the larger growth rate, eps growing at mu_inf.  Each
+        # sample's eps is pushed to the largest value quiet still certifies (quiet only
+        # grows stricter with eps), and there the rule read at the worst case must stay
+        # quiet.  Half the stretches lie where slot 0's packet bound psi drops (at
+        # 2.437 s on sec6, where the plan still holds slot 1's bits, so l3 stays low).
+        rule = request.getfixturevalue(f"{name}_rule")
+        plant, sched = rule.plant, rule.sched
+        c = plant.constants
+        j = 0
+        lo, hi = float(sched.theta[j]), float(sched.theta[j + 1])
+        ts = np.linspace(lo, hi, 200001)
+        below_cap = ts[rule.psi(ts, j) < sched.caps[j]]
+        drop = below_cap[0] if below_cap.size else 0.5 * (lo + hi)
+        count = 2000
+        a = np.where(rng.random(count) < 0.5, rng.uniform(lo, hi - 0.05, count),
+                     rng.uniform(drop - 0.05, drop, count))
+        b = np.minimum(a + rng.choice([1e-4, 1e-3, 1e-2, 5e-2], count), hi)
+        h = 1.0 - 10.0 ** rng.uniform(-5.0, 0.0, count)
+        log_lo, log_hi = np.full(count, -12.0), np.full(count, 6.0)
+        for _ in range(50):
+            mid = 0.5 * (log_lo + log_hi)
+            certified = rule.quiet(a, h, 10.0 ** mid, b, j)
+            log_lo, log_hi = np.where(certified, mid, log_lo), np.where(certified, log_hi, mid)
+        eps = 10.0 ** log_lo
+        certified = rule.quiet(a, h, eps, b, j)
+        assert np.count_nonzero(certified) > 0.9 * count
+        s = np.linspace(0.0, 1.0, 201)[:, None] * (b - a)
+        worst_h = perf_bound(plant, s, h, eps, max(c.growth_rate, c.growth_rate_inf))
+        worst_eps = eps * np.exp(c.growth_rate_inf * s)
+        _, l1, l2, l3 = rule.terms(a + s, worst_h, worst_eps, j)
+        quiet = np.all((worst_h < 1.0) & (l1 < 1.0) & (l2 < 1.0) & (l3 < 0.0), axis=0)
+        assert not np.any(certified & ~quiet)
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_margin_absorbs_rounding(self, request, name):
+        # With eps = 0 the bounds are h itself, so only the margin keeps a stretch from
+        # being certified when h is within it of 1.
+        rule = request.getfixturevalue(f"{name}_rule")
+        a = np.full(2, 0.1)
+        h = np.array([1.0 - 2.0 * sim._CERT_MARGIN, 1.0 - 0.5 * sim._CERT_MARGIN])
+        assert rule.quiet(a, h, np.zeros(2), a + 1e-3, 0).tolist() == [True, False]
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_no_certified_point_fires(self, monkeypatch, name):
+        scan = sim.first_crossing
+        seen = {"certified": 0, "fired": 0}
+
+        def checked(pred, start, grid, tol, quiet=None):
+            if quiet is not None:
+                # Stretch i holds grid points i S .. (i + 1) S - 1 and starts at the point before.
+                ends = np.minimum(np.arange(_NODE_STRIDE, grid.size + _NODE_STRIDE,
+                                            _NODE_STRIDE), grid.size) - 1
+                certified = np.repeat(quiet(np.r_[start, grid[ends]]), np.diff(np.r_[-1, ends]))
+                fired = pred(grid)
+                assert not np.any(fired & certified), grid[fired & certified][:3]
+                seen["certified"] += int(np.count_nonzero(certified))
+                seen["fired"] += int(np.count_nonzero(fired))
+            return scan(pred, start, grid, tol, quiet)
+
+        monkeypatch.setattr(sim, "first_crossing", checked)
+        scn = self.SCENARIOS[name]()
+        if name == "sec6_rates_x10":
+            # Its l3 firings fall between grid points, so a blackout starts above its margin.
+            with pytest.raises(GuaranteeBreachError):
+                run(scn)
+        else:
+            run(scn)
+        assert seen["certified"] > 0 and seen["fired"] > 0
 
 
 class TestEquilibrium:

@@ -11,6 +11,8 @@ from etcsim.capacity import realtime_bound
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
 from etcsim.triggers import (
+    _NODE_CHUNK,
+    _NODE_STRIDE,
     _SCAN_CHUNK,
     _TREE_DEPTH,
     TriggerConfig,
@@ -167,6 +169,57 @@ class TestFirstCrossing:
             assert hi == grid[hit] and 0.0 < hi - lo <= 1e-9
             assert evaluated - sizes[-1] + scan_chunks.calls[-1][1] == hit
             assert evaluated <= 2 * hit + _SCAN_CHUNK
+
+
+def exact_certificate(pred, grid, nodes_seen):
+    """A certificate that clears exactly the stretches where pred holds at no grid point.
+
+    Each stretch is read off the node times it is given, so nodes that do not bound the
+    stretches the scan evaluates make the scan miss or misplace a hit."""
+    def quiet(nodes):
+        nodes_seen.append(np.array(nodes))
+        return np.array([not np.any(pred(grid[(t0 < grid) & (grid <= t1)]))
+                         for t0, t1 in zip(nodes[:-1], nodes[1:])])
+    return quiet
+
+
+class TestCertifiedFirstCrossing:
+    """``first_crossing`` with a certificate against the scan of every point."""
+
+    GRID = np.linspace(0.0, 1.0, 20001)[1:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.integers(1, 3000), start=st.floats(-1.0, 0.0), where=st.floats(-0.1, 1.1),
+           width=st.floats(0.0, 0.01))
+    def test_matches_scalar_scan(self, points, start, where, width):
+        # pred holds on one window of times, so a stretch is quiet or not point by point.
+        grid = np.linspace(start, 1.0, points + 1)[1:]
+        lo = start + where * (1.0 - start)
+        pred = lambda ts: (lo <= ts) & (ts <= lo + width)
+        quiet = exact_certificate(pred, grid, [])
+        assert (first_crossing(pred, start, grid, 1e-9, quiet)
+                == scalar_first_crossing(pred, start, grid, 1e-9))
+
+    @pytest.mark.parametrize("hit", [0, 1, 63, 64, 65, 4095, 4096, 4097, 12287, 12288, 19999])
+    def test_nodes_bound_the_stretches(self, scan_chunks, hit):
+        # pred holds at one grid point only, so a node one point off makes the scan miss it.
+        grid = self.GRID
+        pred = lambda ts: ts == grid[hit]
+        nodes = []
+        found = first_crossing(scan_chunks.counted(pred), 0.0, grid, 1e-9,
+                               exact_certificate(pred, grid, nodes))
+        assert found == scalar_first_crossing(pred, 0.0, grid, 1e-9)
+        assert found[1] == grid[hit]
+        # Stretch i ends at grid point min((i + 1) S, N) - 1; the nodes are start and those ends.
+        size = _NODE_STRIDE
+        ends = np.minimum(np.arange(1, -(-grid.size // size) + 1) * size, grid.size) - 1
+        seen = np.concatenate([nodes[0]] + [n[1:] for n in nodes[1:]])
+        assert np.array_equal(seen, np.r_[0.0, grid[ends]][:seen.size])
+        assert [n.size - 1 for n in nodes][:-1] == [
+            _NODE_CHUNK * 2 ** k for k in range(len(nodes) - 1)]
+        # Only the one open stretch, the one holding the hit, is evaluated.
+        first = hit - hit % size
+        assert scan_chunks.calls == [(min(size, grid.size - first), hit - first)]
 
 
 class TestPerfBound:
