@@ -25,7 +25,7 @@ for p in range(1, rule.pmax + 1):
     print(f"{p:>13} | {floor:>17.6f} | {tm:>21.6f} | {(p + 2) / tm:>18.1f}")
 print()
 print("Any schedule rate above the last column supports packets of every")
-print("size up to 8 bits per dimension in blackout mode.")
+print("size up to 8 bits per dimension on a channel with blackouts.")
 print()
 
 print("blackout length | tolerable error ratio at its start")

@@ -114,10 +114,7 @@ class ChannelSchedule:
 
     def next_blackout_slot(self, j: int) -> int | None:
         """First blackout slot with index strictly greater than j."""
-        for b in self.blackout_slots():
-            if b > j:
-                return b
-        return None
+        return next((b for b in self.blackout_slots() if b > j), None)
 
 
 def compute_J(schedule: ChannelSchedule, j0: int, jf: int) -> int | None:

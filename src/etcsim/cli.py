@@ -3,6 +3,8 @@
 Exit codes: 0 success, 2 schema or configuration problem, 3 failed
 admissibility, 4 objective violation during a run, 5 theorem-guarantee
 breach; an error's code is its class's ``exit_code`` (see ``errors``).
+A run that ends in exit 4 or 5 still writes its three files, with the
+rows and transmissions recorded before the breach.
 ``simulate`` accepts a scenario file or a directory of scenario files,
 run one after another; a scenario ``<stem>.json`` writes
 ``<stem>_trace.csv``, ``<stem>_transmissions.csv`` and ``<stem>_stats.json``
@@ -31,7 +33,7 @@ from .scenario import load_scenario
 from .sim import TRACE_COLUMNS, SimTrace, check_admissibility, run
 
 EXIT_OK = 0
-_CSV_BLOCK = 256  # trace rows converted to Python floats at a time
+_CSV_BLOCK = 64  # trace rows converted to Python floats at a time: a run peaks in memory here
 
 
 def _fmt(x: float) -> str:
@@ -44,15 +46,15 @@ def write_trace_csv(trace: SimTrace, path: Path) -> None:
     n = trace.x.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"xhat{i+1}" for i in range(n)]
               + [name for _, name in TRACE_COLUMNS])
-    table = np.column_stack([trace.t, trace.x, trace.x_hat]
-                            + [getattr(trace, attr) for attr, _ in TRACE_COLUMNS])
+    columns = [trace.t, trace.x, trace.x_hat] + [getattr(trace, attr) for attr, _ in TRACE_COLUMNS]
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
         # Whole rows at once, formatted as _fmt formats a cell: NaN empty, else repr;
-        # a block of rows at a time, so the table is never all Python floats at once.
-        for start in range(0, len(table), _CSV_BLOCK):
+        # a block of rows at a time, so neither the table nor its Python floats are ever whole.
+        for start in range(0, trace.t.size, _CSV_BLOCK):
+            block = np.column_stack([col[start:start + _CSV_BLOCK] for col in columns])
             fh.writelines(",".join("" if v != v else repr(v) for v in row) + "\r\n"
-                          for row in table[start:start + _CSV_BLOCK].tolist())
+                          for row in block.tolist())
 
 
 def write_transmissions_csv(trace: SimTrace, path: Path) -> None:
@@ -82,7 +84,12 @@ def _simulate_one(path: Path, args) -> int:
         print("admissibility failed (use --force to run anyway)")
         return AdmissibilityError.exit_code
 
-    trace = run(scenario, force=True)
+    try:
+        trace, breach = run(scenario, force=True), None
+    except EtcsimError as exc:
+        if getattr(exc, "trace", None) is None:
+            raise
+        trace, breach = exc.trace, exc  # a breached run still writes what it recorded
 
     out_dir = Path(args.out_dir) if args.out_dir else path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -96,6 +103,8 @@ def _simulate_one(path: Path, args) -> int:
     print(f"transmissions -> {tx_path}")
     print(f"stats -> {stats_path}")
     print(json.dumps(_json_safe(trace.stats), indent=2))
+    if breach is not None:
+        raise breach
     return EXIT_OK
 
 

@@ -5,7 +5,8 @@ inherited from the nearest ancestor that sets one: every
 ``EtcsimError`` exits 2 (schema or configuration problem) unless it is
 an ``AdmissibilityError`` (3), an ``ObjectiveViolationError`` (4) or a
 ``GuaranteeBreachError`` (5).  Invariant, feasibility and causality
-breaches found during a run are guarantee breaches.
+breaches found during a run are guarantee breaches, and the engine sets
+the ``trace`` of each breach it raises to the run's trace up to it.
 """
 
 

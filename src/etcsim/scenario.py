@@ -142,10 +142,11 @@ def normalize_document(doc: dict) -> dict:
 
     sim = dict(doc["sim"])
     out_sim = {}
-    mode = sim.pop("mode", None)
-    if mode not in ("no_blackout", "blackout"):
-        raise SchemaError("sim.mode: expected 'no_blackout' or 'blackout'")
-    out_sim["mode"] = mode
+    if "mode" in sim:  # optional: a zero-cap slot picks the design, and mode must name it
+        design = "blackout" if any(s["pi_bar"] == 0 for s in slots) else "no_blackout"
+        if sim["mode"] != design:
+            raise SchemaError(f"sim.mode: the channel's design is {design!r}, not {sim['mode']!r}")
+        out_sim["mode"] = sim.pop("mode")
     out_sim["x0"] = _vector(sim.pop("x0", None), "sim.x0")
     out_sim["xhat0"] = _vector(sim.pop("xhat0", None), "sim.xhat0")
     key, val = _one_of(sim, "sim", "de0", "de0_factor")
@@ -207,7 +208,6 @@ def build_scenario(doc: dict) -> Scenario:
         plant=plant,
         schedule=schedule,
         trigger=trigger,
-        mode=sm["mode"],
         x0=x0,
         x_hat0=x_hat0,
         d_e0=de0,

@@ -1,5 +1,11 @@
 """Deterministic closed-loop discrete-event simulator.
 
+The channel picks the design: a schedule with a blackout (a zero-cap
+slot) runs the blackout design, with capacity plans, the packet bound
+``psi``, the capacity term ``l3`` and the entry margins; any other runs
+the clear-channel design.  A breach raised by the engine (exit 4 or 5)
+carries the trace recorded before it as its ``trace``.
+
 The plant, estimate and error bound all admit closed-form propagation,
 so there is no integrator error: segments between events are evaluated
 by one exponential kernel of the block dynamics, built once per engine
@@ -60,8 +66,6 @@ _NUDGE = 1e-9
 # good to ~3e-7 relative: 1e-9 would not cover that, and 1e-6 does, three times over.
 _CERT_MARGIN = 1e-6
 
-MODE_NO_BLACKOUT = "no_blackout"
-MODE_BLACKOUT = "blackout"
 POLICY_MAX = "max_bits"
 POLICY_MIN = "min_bits"
 
@@ -81,7 +85,6 @@ class Scenario:
     plant: PlantModel
     schedule: ChannelSchedule
     trigger: TriggerConfig
-    mode: str
     x0: np.ndarray
     x_hat0: np.ndarray
     d_e0: float
@@ -99,8 +102,6 @@ class Scenario:
             raise ConfigurationError("x0 and x_hat0 must be length-n vectors")
         if self.schedule.n != n:
             raise ConfigurationError("channel and plant state dimensions differ")
-        if self.mode not in (MODE_NO_BLACKOUT, MODE_BLACKOUT):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.packet_policy not in (POLICY_MAX, POLICY_MIN):
             raise ConfigurationError(f"unknown packet policy {self.packet_policy!r}")
         if not 0.0 <= self.delay_factor <= 1.0:
@@ -165,7 +166,6 @@ class SimTrace:
     s_hat: np.ndarray
     l3: np.ndarray
     transmissions: list[Transmission]
-    mode: str
     horizon: float
     scan_step: float
     sample_step: float
@@ -203,36 +203,26 @@ class AdmissibilityReport:
 
 
 def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
-    """Evaluate every mode-specific feasibility condition with witnesses."""
+    """The feasibility conditions of the channel's design (blackout or clear), with witnesses."""
     sched, rule = scenario.schedule, scenario.rule
+    blackouts = sched.blackout_slots()
     checks: list[CheckResult] = []
 
     h0, eps0 = rule.ratios(0.0, scenario.x0, scenario.d_e0)
     j0 = sched.right_slot_index(0.0)
     cap0 = int(sched.caps[j0])
 
-    if scenario.mode == MODE_NO_BLACKOUT:
-        bad = [(float(sched.theta[j]), int(sched.caps[j]))
-               for j in range(sched.num_slots) if sched.caps[j] < 1]
-        checks.append(CheckResult("packet_cap_positive", not bad, tuple(bad),
-                                  "every slot must allow at least one bit"))
-        bad = []
-        for j in range(sched.num_slots):
-            for p in range(1, int(sched.caps[j]) + 1):
-                if sched.rates[j] < p / rule.tm[p]:
-                    bad.append((float(sched.theta[j]), p))
-        checks.append(CheckResult("rate_supports_delays", not bad, tuple(bad),
-                                  "need R >= p / T_M(p) for p up to the slot cap"))
-    else:
-        bad = []
-        for j in range(sched.num_slots):
-            if sched.caps[j] == 0:
-                continue  # blackout slot: its rate is never used for transmission
-            for p in range(1, rule.pmax + 1):
-                if sched.rates[j] < (p + 2) / rule.tm[p]:
-                    bad.append((float(sched.theta[j]), p))
-        checks.append(CheckResult("rate_supports_delays", not bad, tuple(bad),
-                                  "need R >= (p+2) / T_M(p) for p up to the global cap"))
+    # Witnesses (theta_j, p), slot by slot: p / T_M(p) for p up to each slot's cap on a clear
+    # channel; with blackouts, (p + 2) / T_M(p) for p up to pmax in every usable slot.
+    ps = np.arange(1, rule.pmax + 1)
+    upto = np.where(sched.caps > 0, rule.pmax, 0) if blackouts else sched.caps
+    need = (ps + 2 if blackouts else ps) / rule.tm[1:]
+    js, ks = np.nonzero((ps <= upto[:, None]) & (sched.rates[:, None] < need))
+    bad = [(float(sched.theta[j]), int(ps[k])) for j, k in zip(js, ks)]
+    checks.append(CheckResult("rate_supports_delays", not bad, tuple(bad),
+                              "need R >= (p+2) / T_M(p) for p up to the global cap" if blackouts
+                              else "need R >= p / T_M(p) for p up to the slot cap"))
+    if blackouts:
         checks.append(CheckResult("initial_cap_positive", cap0 >= 1, ((0.0, cap0),),
                                   "the channel must be usable at t0"))
 
@@ -245,12 +235,12 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
         checks.append(CheckResult("initial_triggers", ok, (witness,),
                                   "psi must allow a bit and l1, l2 must start at or below 1"))
 
-    if scenario.mode == MODE_BLACKOUT:
+    if blackouts:
         l3 = float(rule.l3(0.0, eps0, j0, rule.budget(0.0, j0)[2]))
         checks.append(CheckResult("initial_capacity", l3 <= 0.0, ((0.0, l3),),
                                   "enough capacity must remain before the first blackout"))
         bad = []
-        for b in sched.blackout_slots():
+        for b in blackouts:
             tau_u = float(sched.theta[b + 1])
             if tau_u >= scenario.horizon or b + 1 >= sched.num_slots:
                 continue
@@ -274,13 +264,14 @@ class EventRule:
     ``l1 >= 1``, the channel term ``l2 >= 1`` or the capacity term
     ``l3 >= 0``.  The gate is ``psi >= 1``: wherever the packet bound
     ``psi`` allows no bit the rule is off, so every firing sends a packet
-    that fits ``psi``.  ``psi`` is the slot's packet cap in no-blackout
-    mode and when no blackout lies ahead, and is capped by the slot plan's
-    bits still to launch otherwise; ``l3`` is ``-inf`` in those two cases.
+    that fits ``psi``.  ``psi`` is the slot's packet cap where no blackout
+    lies ahead (everywhere, on a clear channel), and is capped by the slot
+    plan's bits still to launch otherwise; ``l3`` is ``-inf`` where no
+    blackout lies ahead.
 
     The rule reads a state through its ratios (``ratios``).  Everything
     the schedule and plant fix is built once, with the rule: each slot's
-    capacity plan (``plans``, blackout mode only), each blackout slot's
+    capacity plan (``plans``, None where no blackout lies ahead), each blackout slot's
     entry margin (``entry_margins``), and for every p up to the largest
     packet cap the unit violation time ``gamma1``, the delay floors,
     ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p.
@@ -290,8 +281,7 @@ class EventRule:
         self.plant = scenario.plant
         self.sched = scenario.schedule
         self.config = scenario.trigger
-        self.plans = (slot_plans(self.sched, scenario.horizon) if scenario.mode == MODE_BLACKOUT
-                      else [None] * self.sched.num_slots)
+        self.plans = slot_plans(self.sched, scenario.horizon)
         self.entry_margins = {b: blackout_entry_margin(self.plant, float(self.sched.durations[b]))
                               for b in self.sched.blackout_slots()}
         self.pmax = int(self.sched.caps.max())
@@ -405,13 +395,15 @@ class EventRule:
         _, psi_b, floor_b = self.budget(b, j)
         p_hi, p_lo = (np.clip(np.broadcast_to(psi, a.shape), 1, self.pmax).astype(int)
                       for psi in (psi_a, psi_b))
+        # One (P, N) pass over every p any stretch takes; each stretch keeps its own range.
+        ps = np.arange(int(p_lo.min()), int(p_hi.max()) + 1)[:, None]
+        tm = self.tm[ps]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for p in range(int(p_lo.min()), int(p_hi.max()) + 1):
-                l1 = np.maximum(bound(self.tm[p]), bound(self.tm[p] + tau))
-                l2 = channel_bound(self.plant, self.config.lookahead, self.tm[p], h, eps_hat, p,
-                                   exp_norm=self.exp_norm_tm[p], hbar=l1, check_domain=False)
-                worst = np.where((p_lo <= p) & (p <= p_hi),
-                                 np.maximum(worst, np.maximum(l1, l2)), worst)
+            l1 = np.maximum(bound(tm), bound(tm + tau))
+            l2 = channel_bound(self.plant, self.config.lookahead, tm, h, eps_hat, ps,
+                               exp_norm=self.exp_norm_tm[ps], hbar=l1, check_domain=False)
+            in_range = (p_lo <= ps) & (ps <= p_hi)
+            worst = np.maximum(worst, np.where(in_range, np.maximum(l1, l2), -np.inf).max(axis=0))
             return (worst < 1.0) & (self.l3(a, eps, j, floor_b) < 0.0)
 
 
@@ -427,7 +419,7 @@ class _Engine:
         self.rule = scenario.rule
         self.n = self.plant.n
         self.horizon = scenario.horizon
-        self.blackout_mode = scenario.mode == MODE_BLACKOUT
+        self.blackouts = self.sched.blackout_slots()
         if self.rule.pmax < 1:
             raise ConfigurationError("schedule has no usable slot")
 
@@ -559,9 +551,9 @@ class _Engine:
             raise InvariantBreachError(
                 f"estimate error {err[i]} exceeds bound {des[i]} at t={ts[i]}")
         cap_cols = np.full((ts.size, 4), np.nan)
-        if self.blackout_mode:
+        if self.blackouts:
             js = self.sched.slot_at(ts)
-            for j in np.unique(js).tolist():
+            for j in sorted(set(js.tolist())):
                 rows = js == j
                 bits, psi, floor = self.rule.budget(ts[rows], j)
                 cap_cols[rows, 0], cap_cols[rows, 1], cap_cols[rows, 2] = bits, psi, floor
@@ -576,17 +568,13 @@ class _Engine:
         """Propagate exactly to t_target, recording samples and breakpoints."""
         if t_target < self.t - _TIME_TOL:
             raise DomainError("cannot advance backwards")
-        pts = []
-        while (self._sample_idx < self.sample_times.size
-               and self.sample_times[self._sample_idx] <= t_target + 1e-15):
-            s = float(self.sample_times[self._sample_idx])
-            if s > self.t:
-                pts.append(s)
-            self._sample_idx += 1
-        for theta in self.sched.theta:
-            if self.t < theta < t_target:
-                pts.append(float(theta))
-        ts = np.array(sorted(set(pts)))
+        samples, theta, i = self.sample_times, self.sched.theta, self._sample_idx
+        self._sample_idx = max(i, int(np.searchsorted(samples, t_target + 1e-15, "right")))
+        ts = samples[max(i, int(np.searchsorted(samples, self.t, "right"))):self._sample_idx]
+        inner = theta[(self.t < theta) & (theta < t_target)]
+        if inner.size:  # a sample may fall on a breakpoint: one row for both.  Python's sort,
+            # as np.sort's first call pages in ~0.2 MiB of numpy's vectorised sort code.
+            ts = np.array(sorted(set(ts.tolist() + inner.tolist())))
         anchor_t, anchor_x = self.t, self.x_aug
         if t_target > anchor_t:
             self.x_aug = self.exp_block.apply(t_target - anchor_t, anchor_x)
@@ -602,7 +590,7 @@ class _Engine:
     def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
         """Smallest bit count whose channel bound stays at or below 1."""
         ps = np.arange(1, self.rule.pmax + 1)
-        taus = self.rule.tm[ps] if self.blackout_mode else ps / rate
+        taus = self.rule.tm[ps] if self.blackouts else ps / rate
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps,
                                  check_domain=False)
@@ -618,8 +606,7 @@ class _Engine:
         if p_lo is None or p_lo > cap_eff:
             raise GuaranteeBreachError(
                 f"required bits {p_lo} exceed allowed {cap_eff} at t={t}",
-                state={"t": t, "h_pf": h, "eps": eps, "cap": cap_eff, "p_lo": p_lo,
-                       "slot": j, "mode": self.scn.mode})
+                state={"t": t, "h_pf": h, "eps": eps, "cap": cap_eff, "p_lo": p_lo, "slot": j})
         p = cap_eff if self.scn.packet_policy == POLICY_MAX else p_lo
         pkt = codec_mod.encode(self.plant, x, self.enc, p, t)
         self.enc = codec_mod.mark_in_flight(self.enc)
@@ -647,46 +634,50 @@ class _Engine:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> SimTrace:
-        self._record(np.zeros(1), self.x_aug[None], np.array([self.enc.d_e(self.plant, 0.0)]))
-        while self.t < self.horizon - _TIME_TOL:
-            if self.pending is None:
-                fire = self._locate_fire(self.t)
-                if fire is None:
-                    self._advance(self.horizon)
-                    break
-                t_fire, j = fire
-                self._advance(t_fire)
-                self._fire(t_fire, j)
-            else:
-                _, r, _, _ = self.pending
-                if r >= self.horizon - _TIME_TOL:
-                    self._advance(self.horizon)
-                    break
-                self._advance(r)
-                r_tilde = self._locate_update(r)
-                if r_tilde >= self.horizon - _TIME_TOL:
-                    self._advance(self.horizon)
-                    break
-                self._advance(r_tilde, record_end=False)
-                self._apply_update(r, r_tilde)
-        return self._build_trace()
+        """The checked trace of the run; a breach found in it carries the trace so far."""
+        try:
+            self._record(np.zeros(1), self.x_aug[None], np.array([self.enc.d_e(self.plant, 0.0)]))
+            while self.t < self.horizon - _TIME_TOL:
+                if self.pending is None:
+                    fire = self._locate_fire(self.t)
+                    if fire is None:
+                        self._advance(self.horizon)
+                        break
+                    self._advance(fire[0])
+                    self._fire(*fire)
+                else:
+                    _, r, _, _ = self.pending
+                    if r >= self.horizon - _TIME_TOL:
+                        self._advance(self.horizon)
+                        break
+                    self._advance(r)
+                    r_tilde = self._locate_update(r)
+                    if r_tilde >= self.horizon - _TIME_TOL:
+                        self._advance(self.horizon)
+                        break
+                    self._advance(r_tilde, record_end=False)
+                    self._apply_update(r, r_tilde)
+            trace = self._build_trace()
+            validate_sequence(self.transmissions, self.sched)
+            self._check_entry_margins(trace)
+            return trace
+        except (ObjectiveViolationError, GuaranteeBreachError) as exc:
+            exc.trace = self._build_trace()
+            raise
 
     def _build_trace(self) -> SimTrace:
-        rows, n = np.concatenate(self.rows), self.n
+        n = self.n
+        rows = np.concatenate([np.empty((0, 1 + 2 * n + len(TRACE_COLUMNS))), *self.rows])
         trace = SimTrace(
             t=rows[:, 0],
             x=rows[:, 1:1 + n],
             x_hat=rows[:, 1 + n:1 + 2 * n],
             **{attr: col for (attr, _), col in zip(TRACE_COLUMNS, rows[:, 1 + 2 * n:].T)},
             transmissions=self.transmissions,
-            mode=self.scn.mode,
             horizon=self.horizon,
             scan_step=self.scan_step,
             sample_step=self.sample_step,
         )
-        validate_sequence(self.transmissions, self.sched)
-        if self.blackout_mode:
-            self._check_entry_margins(trace)
         trace.stats = summarize(trace, self.sched)
         trace.stats["diagnostics"] = {"work": dict(self.work)}
         return trace
@@ -749,9 +740,9 @@ def summarize(trace: SimTrace, schedule: ChannelSchedule) -> dict:
         "min_intertransmission": float(np.min(intervals)) if intervals.size else None,
         "bits_per_unit_time": total_bits / trace.horizon if trace.horizon > 0 else 0.0,
         "total_bits": int(total_bits),
-        "max_h_pf": float(np.max(trace.h_pf)),
-        "min_de_margin": float(np.min(trace.d_e - np.max(np.abs(trace.x - trace.x_hat),
-                                                         axis=1))),
+        "max_h_pf": float(np.max(trace.h_pf)) if trace.t.size else None,
+        "min_de_margin": (float(np.min(trace.d_e - np.max(np.abs(trace.x - trace.x_hat), axis=1)))
+                          if trace.t.size else None),
         "bits_per_window": bits_per_window,
         "windows": [[float(lo), float(hi)] for lo, hi in windows],
     }

@@ -96,12 +96,6 @@ def perf_bound(plant: PlantModel, tau, h0, eps0, growth_rate: float | None = Non
     return f1 / np.exp(c.decay_gap * np.asarray(tau, dtype=float))
 
 
-def perf_bound_slope0(plant: PlantModel, h0: float, eps0: float) -> float:
-    """d/dtau of perf_bound at tau = 0: ``W*eps0 - w*h0``."""
-    c = plant.constants
-    return c.guarded_decay_gap * eps0 - c.decay_gap * h0
-
-
 def error_threshold(plant: PlantModel, T: float, h0):
     """Error-ratio level below which performance holds for at least T.
 
@@ -256,12 +250,12 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float) -> float:
         raise DomainError("h0 must lie in [0, 1]")
     if eps0 < 0.0:
         raise DomainError("eps0 must be nonnegative")
-    if h0 == 1.0 and perf_bound_slope0(plant, h0, eps0) >= 0.0:
-        return 0.0
+    c = plant.constants
+    if h0 == 1.0 and c.guarded_decay_gap * eps0 - c.decay_gap * h0 >= 0.0:
+        return 0.0  # perf_bound's slope at 0, W eps0 - w h0, is nonnegative
     if eps0 == 0.0:
         return math.inf  # pure decay below 1, never returns
 
-    c = plant.constants
     wm = c.decay_gap + c.growth_rate
     above = lambda tau: perf_bound(plant, tau, h0, eps0) > 1.0
 
@@ -295,9 +289,10 @@ def delay_floor(plant: PlantModel, T: float, p: int) -> float:
         denom = e_wmT - np.exp(wm * tau)
         with np.errstate(divide="ignore"):
             g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
-        return (denom <= 0.0) | (g >= 1.0)
+        return (denom <= 0.0) | (g >= 1.0) | (tau >= T)
 
-    # g diverges at T^-, so g_above holds at the last point, T.
+    # g diverges at T^-, so g_above holds at the last point, T, even where math.exp and
+    # np.exp round e^{(w+mu)T} apart and 2^p is large enough to keep g below 1 there.
     grid = np.minimum(np.arange(1, _SCAN_POINTS + 1) * (T / _SCAN_POINTS), T * (1.0 - 1e-12))
     return first_crossing(g_above, 0.0, np.append(grid, T), ROOT_TOL)[1]
 

@@ -8,7 +8,8 @@ from etcsim import triggers
 from etcsim.channel import ChannelSchedule
 from etcsim.scenario import load_scenario
 from etcsim.sim import _Engine, run
-from etcsim.triggers import TriggerConfig, resolve_lookahead, trigger_constants
+from etcsim.triggers import (TriggerConfig, blackout_entry_margin, resolve_lookahead,
+                             trigger_constants)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -22,6 +23,25 @@ def scalar_bisect(pred, lo, hi, tol):
         else:
             lo = mid
     return lo, hi
+
+
+def check_invariants(scn, trace):
+    """Assert the theorem's invariants on a finished trace: h <= 1, the codec bound,
+    packets that fit psi outside blackouts, and every blackout entry margin."""
+    assert np.all(trace.h_pf <= 1.0)
+    err = np.max(np.abs(trace.x - trace.x_hat), axis=1)
+    assert np.all(err <= trace.d_e * (1 + 1e-9) + 1e-300)
+    sched = scn.schedule
+    for tx in trace.transmissions:
+        j = sched.slot_at(tx.t_k)  # a send at t0 = theta_0 uses slot 0
+        assert sched.caps[j] >= 1
+        assert 1 <= tx.p_k <= scn.rule.psi(tx.t_k, j)
+    for b in sched.blackout_slots():
+        tau_l = float(sched.theta[b])
+        if tau_l < trace.horizon:
+            idx = np.flatnonzero(trace.t == tau_l)
+            margin = blackout_entry_margin(scn.plant, float(sched.theta[b + 1]) - tau_l)
+            assert idx.size and trace.eps[idx[-1]] <= margin
 
 
 class ScanChunks:

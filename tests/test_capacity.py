@@ -270,8 +270,8 @@ class TestPlanner:
 
     @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
     def test_stored_plans_match_hand_built_windows(self, request, name):
-        # Slot j's plan covers [theta_j, next blackout start); the rule keeps
-        # one per slot in blackout mode, and none in no-blackout mode.
+        # Slot j's plan covers [theta_j, next blackout start); the rule keeps one
+        # per slot with a blackout ahead, so none on a clear channel.
         rule = request.getfixturevalue(f"{name}_rule")
         sched = rule.sched
         assert len(rule.plans) == sched.num_slots

@@ -75,7 +75,7 @@ class TestSchema:
         assert scn.trigger.lookahead == pytest.approx(0.05698508383167446, rel=0, abs=1e-9)
         assert (scn.trigger.sigma, scn.trigger.sigma1) == (0.06, 0.8)
         assert etcsim.triggers.ROOT_TOL == 1e-9
-        assert (scn.mode, scn.horizon) == ("blackout", 20.0)
+        assert (scn.schedule.blackout_slots(), scn.horizon) == ([2, 5, 8], 20.0)
 
     @pytest.mark.parametrize("mutate,fragment", [
         (lambda d: d.pop("plant"), "plant"),
@@ -118,6 +118,12 @@ class TestSchema:
         with pytest.raises(ConfigurationError, match=field):
             build_scenario(doc)
 
+    def test_mode_is_optional_and_left_out_of_the_document(self, sec6_doc):
+        doc = copy.deepcopy(sec6_doc)
+        del doc["sim"]["mode"]
+        assert "mode" not in normalize_document(doc)["sim"]
+        assert build_scenario(doc).schedule.blackout_slots() == [2, 5, 8]
+
 
 class TestCli:
     def test_constants_and_triggers_and_capacity(self, capsys):
@@ -153,7 +159,7 @@ class TestCli:
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_simulate_imports_no_scipy(self, tmp_path):
-        # sec6 runs in blackout mode, so this path builds capacity plans; no
+        # sec6 has blackouts, so this path builds capacity plans; no
         # process pool is loaded either.
         probe = ("import atexit, runpy, sys\n"
                  "atexit.register(lambda: print('SCIPY', sorted(m for m in sys.modules"
@@ -166,6 +172,31 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "sec6_trace.csv").exists()
         assert done.stdout.splitlines()[-1] == "SCIPY []"
+
+    def test_simulate_imports_no_numpy_ma(self, tmp_path):
+        # The first np.unique call imports numpy.ma; a blackout run makes none.
+        probe = ("import runpy, sys\n"
+                 "sys.argv = ['etcsim', 'simulate', sys.argv[1], '--out-dir', sys.argv[2]]\n"
+                 "try:\n"
+                 "    runpy.run_module('etcsim', run_name='__main__', alter_sys=True)\n"
+                 "finally:\n"
+                 "    print('MA', 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(REPO_SCENARIO.parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", probe, str(REPO_SCENARIO), str(tmp_path)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert (tmp_path / "sec6_trace.csv").exists(), done.stderr
+        assert done.stdout.splitlines()[-1] == "MA False"
+
+    @pytest.mark.parametrize("scenario,mode", [("sec6.json", "no_blackout"),
+                                               ("clear10.json", "blackout")])
+    def test_mode_against_the_channel_exit_code(self, tmp_path, capsys, scenario, mode):
+        doc = json.loads((REPO_SCENARIO.parent / scenario).read_text())
+        doc["sim"]["mode"] = mode
+        path = tmp_path / scenario
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error: sim.mode: the channel's design is" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_schema_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -247,6 +278,33 @@ class TestCli:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 3
         assert main(["simulate", str(path), "--out-dir", str(tmp_path), "--force"]) == 4
         assert "performance ratio 1.111" in capsys.readouterr().err
+
+    def test_breach_at_the_first_row_writes_empty_outputs(self, tmp_path, sec6_doc):
+        doc = copy.deepcopy(sec6_doc)
+        doc["plant"]["Vd0_factor"] = 0.9
+        path = tmp_path / "tight.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path), "--force"]) == 4
+        assert len((tmp_path / "tight_trace.csv").read_text().splitlines()) == 1
+        assert len((tmp_path / "tight_transmissions.csv").read_text().splitlines()) == 1
+        stats = json.loads((tmp_path / "tight_stats.json").read_text())
+        assert (stats["transmission_count"], stats["max_h_pf"]) == (0, None)
+
+    def test_guarantee_breach_writes_the_whole_run(self, tmp_path, sec6_doc, capsys):
+        # Every rate x10: the default scan step misses a pre-blackout firing, and the
+        # check of the finished run finds the error above the entry margin at 17.05.
+        doc = copy.deepcopy(sec6_doc)
+        for slot in doc["channel"]["slots"]:
+            slot["R"] *= 10
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 5
+        assert "entry margin" in capsys.readouterr().err
+        with (tmp_path / "out" / "fast_trace.csv").open() as fh:
+            assert float(list(csv.DictReader(fh))[-1]["t"]) == 20.0
+        txs = (tmp_path / "out" / "fast_transmissions.csv").read_text().splitlines()
+        stats = json.loads((tmp_path / "out" / "fast_stats.json").read_text())
+        assert stats["transmission_count"] == len(txs) - 1 >= 1
 
     def test_entry_margin_breach_exit_code(self, tmp_path, sec6_doc):
         # Every rate x10: admissible, but the default scan step can miss the

@@ -335,7 +335,7 @@ class TestEquilibrium:
         scn = Scenario(plant=plant, schedule=sched,
                        trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
                                              sigma=0.06, sigma1=0.8),
-                       mode="no_blackout", x0=np.zeros(2), x_hat0=np.zeros(2),
+                       x0=np.zeros(2), x_hat0=np.zeros(2),
                        d_e0=0.0, horizon=4.0, sample_step=0.05)
         trace = run(scn)
         assert not trace.transmissions
@@ -357,6 +357,14 @@ class TestClearChannelRun:
     def test_updates_equal_receptions(self, clear_channel_trace):
         for tx in clear_channel_trace.transmissions:
             assert tx.r_tilde_k == tx.r_k
+
+    def test_sample_on_a_breakpoint_is_one_row(self, clear_channel_trace):
+        # Sample 500 of the 0.01 grid is the breakpoint 5.0 itself, and no update is there.
+        t = clear_channel_trace.t
+        assert 500 * 0.01 == 5.0 and not any(tx.r_tilde_k == 5.0
+                                             for tx in clear_channel_trace.transmissions)
+        assert np.count_nonzero(t == 5.0) == 1
+        assert np.all(np.diff(t) >= 0.0)
 
     def test_min_bits_policy_sends_fewer(self, clear_channel_scn):
         lean = run(dataclasses.replace(clear_channel_scn, packet_policy="min_bits"))
@@ -484,7 +492,7 @@ class TestRecorderOracle:
     @staticmethod
     def scalar_rows(scn, trace):
         plant, sched = scn.plant, scn.schedule
-        plans = slot_plans(sched) if scn.mode == "blackout" else None
+        plans = slot_plans(sched) if sched.blackout_slots() else None
         rows = []
         for t, x, de in zip(trace.t.tolist(), trace.x, trace.d_e.tolist()):
             v = float(x @ plant.P @ x)
@@ -516,7 +524,7 @@ class TestRecorderOracle:
         want = self.scalar_rows(scn, trace)
         got = np.column_stack([getattr(trace, c) for c in self.COLUMNS])
         assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.all(np.isnan(got[:, 5:])) == (scn.mode != "blackout")
+        assert np.all(np.isnan(got[:, 5:])) == (not scn.schedule.blackout_slots())
         for k, column in enumerate(self.COLUMNS):
             np.testing.assert_allclose(got[:, k], want[:, k], rtol=1e-12, atol=0,
                                        err_msg=column)
@@ -546,9 +554,64 @@ class TestRecorderChecks:
             self.record(blackout_engine, [self.OK, self.BOTH_BAD], [1.0, 1.0])
 
 
+class TestAdvanceTimes:
+    """The times ``_advance`` records, against its earlier loop form."""
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_match_the_loop_form(self, request, monkeypatch, name):
+        advance, record, recorded = _Engine._advance, _Engine._record, []
+
+        def recording(self, ts, xs, des):
+            recorded.append(ts.tolist())
+            return record(self, ts, xs, des)
+
+        def checked(self, t_target, record_end=True):
+            t, idx, pts = self.t, self._sample_idx, []
+            while idx < self.sample_times.size and self.sample_times[idx] <= t_target + 1e-15:
+                if self.sample_times[idx] > t:
+                    pts.append(float(self.sample_times[idx]))
+                idx += 1
+            pts += [float(theta) for theta in self.sched.theta if t < theta < t_target]
+            want = sorted(set(pts)) + ([t_target] if record_end and t_target > t else [])
+            recorded.clear()
+            advance(self, t_target, record_end)
+            assert (recorded or [[]]) == [want] and self._sample_idx == idx
+
+        monkeypatch.setattr(_Engine, "_record", recording)
+        monkeypatch.setattr(_Engine, "_advance", checked)
+        _Engine(request.getfixturevalue(f"{name}_scn")).run()
+
+
 class TestAdmissibility:
     def test_reference_scenario_passes(self, blackout_scn):
         assert check_admissibility(blackout_scn).ok
+
+    @staticmethod
+    def loop_rate_witnesses(scn):
+        """rate_supports_delays in its earlier loop form: the reference for the array form."""
+        sched, rule, bad = scn.schedule, scn.rule, []
+        for j in range(sched.num_slots):
+            if not sched.blackout_slots():
+                bad += [(float(sched.theta[j]), p) for p in range(1, int(sched.caps[j]) + 1)
+                        if sched.rates[j] < p / rule.tm[p]]
+            elif sched.caps[j] > 0:
+                bad += [(float(sched.theta[j]), p) for p in range(1, rule.pmax + 1)
+                        if sched.rates[j] < (p + 2) / rule.tm[p]]
+        return tuple(bad)
+
+    @pytest.mark.parametrize("caps", [[8, 3, 5, 1], [8, 0, 5, 1], [2, 8, 0, 4], [0, 6, 7, 0]])
+    def test_rate_witnesses_match_the_loop_form(self, ref_plant, caps):
+        # Rates across the thresholds p / T_M(p) and (p + 2) / T_M(p) of the reference plant.
+        sched = ChannelSchedule(theta=[0.0, 1.0, 2.0, 3.0, 4.0],
+                                rates=[900.0, 2000.0, 2900.0, 3500.0], caps=caps, n=2)
+        scn = Scenario(plant=ref_plant, schedule=sched,
+                       trigger=TriggerConfig(lookahead=resolve_lookahead(ref_plant, 0.1),
+                                             sigma=0.06, sigma1=0.8),
+                       x0=np.array([0.1, 0.1]), x_hat0=np.zeros(2), d_e0=0.5, horizon=4.0)
+        check = next(c for c in check_admissibility(scn).conditions
+                     if c.name == "rate_supports_delays")
+        assert check.witnesses == self.loop_rate_witnesses(scn)
+        assert 0 < len(check.witnesses) < sum(caps)
 
     def test_slow_channel_fails_with_witnesses(self, ref_plant):
         plant = ref_plant
@@ -557,7 +620,7 @@ class TestAdmissibility:
         scn = Scenario(plant=plant, schedule=sched,
                        trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
                                              sigma=0.06, sigma1=0.8),
-                       mode="no_blackout", x0=np.array([6.0, -4.0]),
+                       x0=np.array([6.0, -4.0]),
                        x_hat0=np.zeros(2), d_e0=9.0, horizon=10.0)
         report = check_admissibility(scn)
         rate_check = next(c for c in report.conditions if c.name == "rate_supports_delays")
@@ -577,7 +640,7 @@ class TestAdmissibility:
         scn = Scenario(plant=plant, schedule=sched,
                        trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
                                              sigma=0.06, sigma1=0.8),
-                       mode="blackout", x0=np.array([0.1, 0.1]),
+                       x0=np.array([0.1, 0.1]),
                        x_hat0=np.zeros(2), d_e0=0.5, horizon=6.0)
         report = check_admissibility(scn)
         blackout_check = next(c for c in report.conditions if c.name == "blackout_capacity")
@@ -593,7 +656,7 @@ class TestAdmissibility:
         scn = Scenario(plant=plant, schedule=sched,
                        trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
                                              sigma=0.06, sigma1=0.8),
-                       mode="blackout", x0=np.array([0.1, 0.1]),
+                       x0=np.array([0.1, 0.1]),
                        x_hat0=np.zeros(2), d_e0=0.5, horizon=3.0)
         report = check_admissibility(scn)
         check = next(c for c in report.conditions if c.name == "initial_triggers")
@@ -631,7 +694,7 @@ class TestStats:
         scn = Scenario(plant=plant, schedule=sched,
                        trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
                                              sigma=0.06, sigma1=0.8),
-                       mode="no_blackout", x0=np.zeros(2), x_hat0=np.zeros(2),
+                       x0=np.zeros(2), x_hat0=np.zeros(2),
                        d_e0=0.0, horizon=2.0, sample_step=0.1)
         stats = run(scn).stats
         assert stats["transmission_count"] == 0

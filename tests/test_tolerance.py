@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import check_invariants
 
 from etcsim import codec, linalg, plant
 from etcsim.scenario import build_scenario
 from etcsim.sim import run
-from etcsim.triggers import blackout_entry_margin
 
 CELL_TOL = 1e-6
 T_TOL = 1e-8
@@ -76,23 +76,6 @@ def recorded_run(mp, doc):
     mp.setattr(codec, "encode", recording)
     scn = build_scenario(doc)
     return scn, run(scn), positions
-
-
-def check_invariants(scn, trace):
-    assert np.all(trace.h_pf <= 1.0)
-    err = np.max(np.abs(trace.x - trace.x_hat), axis=1)
-    assert np.all(err <= trace.d_e * (1 + 1e-9) + 1e-300)
-    sched = scn.schedule
-    for tx in trace.transmissions:
-        j = sched.slot_index(tx.t_k)
-        assert sched.caps[j] >= 1
-        assert 1 <= tx.p_k <= scn.rule.psi(tx.t_k, j)
-    for b in sched.blackout_slots():
-        tau_l = float(sched.theta[b])
-        if tau_l < trace.horizon:
-            idx = np.flatnonzero(trace.t == tau_l)
-            margin = blackout_entry_margin(scn.plant, float(sched.theta[b + 1]) - tau_l)
-            assert idx.size and trace.eps[idx[-1]] <= margin
 
 
 def agreeing_prefix(ref_positions, positions):
