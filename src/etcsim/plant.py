@@ -95,9 +95,9 @@ def build_plant(A, B, K, Q, a: float, beta: float | None = None,
     fraction of the certified rate ``lam_min(Q)/lam_max(P)``
     (``beta_fraction``); exactly one of the two must be provided.
 
-    Raises NotHurwitzError when A + B K is unstable and DecayMarginError
+    Raises NotHurwitzError when A + B K is unstable, DecayMarginError
     when the guarded margin ``lam_min(Q)/lam_max(P) - a*beta`` is not
-    positive.
+    positive, and ConfigurationError when ``B K = 0``.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -136,13 +136,16 @@ def build_plant(A, B, K, Q, a: float, beta: float | None = None,
     if guarded <= 0.0:
         raise DecayMarginError(
             f"lam_min(Q)/lam_max(P) - a*beta = {guarded:.6g} must be positive")
+    feedback_gain = spec_norm(P @ B @ K)
+    if feedback_gain == 0.0:
+        raise ConfigurationError("B K = 0: the feedback never acts, so no error scale exists")
 
     constants = RateConstants(
         decay_gap=certified_rate - beta,
         guarded_decay_gap=guarded,
         growth_rate=spec_norm(A) + beta / 2.0,
         growth_rate_inf=inf_norm(A) + beta / 2.0,
-        error_scale=guarded * np.sqrt(p_min) / (2.0 * np.sqrt(n) * spec_norm(P @ B @ K)),
+        error_scale=guarded * np.sqrt(p_min) / (2.0 * np.sqrt(n) * feedback_gain),
     )
     if vd0 <= 0:
         raise ConfigurationError("initial performance level must be positive")

@@ -1,13 +1,13 @@
-"""Scenario file loading and validation.
+"""Scenario files: one JSON document with ``plant``, ``channel``, ``trigger``
+and ``sim`` sections (schema documented in the README).
 
-The on-disk format is a single JSON document with ``plant``, ``channel``,
-``trigger`` and ``sim`` sections (schema documented in the README).
-Numeric fields accept exact decimal strings as well as JSON numbers,
-but no NaN or infinity.
-Derived fields resolve in one pass: ``beta_fraction`` against the
-certified decay rate, ``Vd0_factor`` against the initial Lyapunov value,
-``de0_factor`` against the initial estimate error and
-``T_fraction_of_gamma1`` against the unit-level violation time.
+``build_scenario`` reads each field once, checking the whole document
+before it builds anything; numbers may be exact decimal strings, but not
+NaN or infinity.  Derived fields then resolve against the built plant:
+``beta_fraction`` against the certified decay rate, ``Vd0_factor``
+against the initial Lyapunov value, ``de0_factor`` against the initial
+estimate error and ``T_fraction_of_gamma1`` against the unit-level
+violation time.  ``load_scenario`` parses a file and builds from it.
 """
 
 from __future__ import annotations
@@ -31,15 +31,14 @@ _SECTIONS = ("plant", "channel", "trigger", "sim")
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or value is None:
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        number = float(value)
-    elif isinstance(value, str):
-        try:
-            number = float(value)
-        except ValueError:
-            raise SchemaError(f"{where}: {value!r} is not a decimal number") from None
-    else:
+    if not isinstance(value, (int, float, str)):
         raise SchemaError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except ValueError:
+        raise SchemaError(f"{where}: {value!r} is not a decimal number") from None
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise SchemaError(f"{where}: {value!r} is not a finite number")
     return number
@@ -57,28 +56,31 @@ def _matrix(value, where: str) -> list[list[float]]:
     return out
 
 
-def _vector(value, where: str) -> list[float]:
+def _vector(value, where: str, length: int) -> list[float]:
     if not isinstance(value, list):
         raise SchemaError(f"{where}: expected a vector (list)")
+    if len(value) != length:
+        raise SchemaError(f"{where}: expected {length} entries, one per state, got {len(value)}")
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _one_of(section: dict, where: str, *names, required=True):
+def _one_of(section: dict, where: str, *names) -> tuple[str, float]:
     present = [n for n in names if n in section]
     if len(present) > 1:
         raise SchemaError(f"{where}: give only one of {names}")
     if not present:
-        if required:
-            raise SchemaError(f"{where}: one of {names} is required")
-        return None, None
-    return present[0], section.pop(present[0])
+        raise SchemaError(f"{where}: one of {names} is required")
+    return present[0], _number(section.pop(present[0]), f"{where}.{present[0]}")
 
 
-def normalize_document(doc: dict) -> dict:
-    """Validated document with every numeric field converted to float.
+def build_scenario(doc: dict) -> Scenario:
+    """Check a parsed scenario document, then build the ``Scenario`` it describes.
 
-    Normalization is idempotent, so loading and re-serializing a
-    scenario file reproduces it exactly.
+    The whole document is checked against the schema before any runtime
+    object is built, so a ``SchemaError`` wins over a plant that would be
+    rejected.  The runtime objects raise their own typed errors, and any
+    other ``ValueError`` or ``TypeError`` becomes a ``ConfigurationError``.
+    ``doc`` is not modified.
     """
     if not isinstance(doc, dict):
         raise SchemaError("scenario must be a JSON object")
@@ -90,13 +92,10 @@ def normalize_document(doc: dict) -> dict:
             raise SchemaError(f"missing section {name!r}")
 
     plant = dict(doc["plant"])
-    out_plant = {key: _matrix(plant.pop(key, None), f"plant.{key}")
-                 for key in ("A", "B", "K", "Q")}
-    out_plant["a"] = _number(plant.pop("a", None), "plant.a")
-    key, val = _one_of(plant, "plant", "beta", "beta_fraction")
-    out_plant[key] = _number(val, f"plant.{key}")
-    key, val = _one_of(plant, "plant", "Vd0", "Vd0_factor")
-    out_plant[key] = _number(val, f"plant.{key}")
+    A, B, K, Q = (_matrix(plant.pop(key, None), f"plant.{key}") for key in ("A", "B", "K", "Q"))
+    a = _number(plant.pop("a", None), "plant.a")
+    beta_key, beta = _one_of(plant, "plant", "beta", "beta_fraction")
+    vd0_key, vd0 = _one_of(plant, "plant", "Vd0", "Vd0_factor")
     if plant:
         raise SchemaError(f"plant: unknown fields {sorted(plant)}")
 
@@ -104,127 +103,85 @@ def normalize_document(doc: dict) -> dict:
     n = channel.pop("n", None)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("channel.n: expected a positive integer")
-    slots_in = channel.pop("slots", None)
-    if not isinstance(slots_in, list) or not slots_in:
+    slots = channel.pop("slots", None)
+    if not isinstance(slots, list) or not slots:
         raise SchemaError("channel.slots: expected a nonempty list")
-    slots = []
-    prev_end = None
-    for i, slot in enumerate(slots_in):
+    theta, rates, caps = [], [], []
+    for i, slot in enumerate(slots):
         if not isinstance(slot, dict):
             raise SchemaError(f"channel.slots[{i}]: expected an object")
         extra = set(slot) - {"theta_start", "theta_end", "R", "pi_bar"}
         if extra:
             raise SchemaError(f"channel.slots[{i}]: unknown fields {sorted(extra)}")
-        start = _number(slot.get("theta_start"), f"channel.slots[{i}].theta_start")
-        end = _number(slot.get("theta_end"), f"channel.slots[{i}].theta_end")
-        rate = _number(slot.get("R"), f"channel.slots[{i}].R")
+        start, end, rate = (_number(slot.get(key), f"channel.slots[{i}].{key}")
+                            for key in ("theta_start", "theta_end", "R"))
         cap = slot.get("pi_bar")
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise SchemaError(f"channel.slots[{i}].pi_bar: expected a nonnegative integer")
         if end <= start:
             raise SchemaError(f"channel.slots[{i}]: theta_end must exceed theta_start")
-        if prev_end is not None and start != prev_end:
+        if theta and start != theta[-1]:
             raise SchemaError(f"channel.slots[{i}]: gap or overlap at theta={start}")
-        prev_end = end
-        slots.append({"theta_start": start, "theta_end": end, "R": rate, "pi_bar": cap})
+        theta += [end] if theta else [start, end]
+        rates.append(rate)
+        caps.append(cap)
     if channel:
         raise SchemaError(f"channel: unknown fields {sorted(channel)}")
-    out_channel = {"n": n, "slots": slots}
 
     trig = dict(doc["trigger"])
-    out_trig = {}
-    key, val = _one_of(trig, "trigger", "T", "T_fraction_of_gamma1")
-    out_trig[key] = _number(val, f"trigger.{key}")
-    out_trig["sigma"] = _number(trig.pop("sigma", None), "trigger.sigma")
-    out_trig["sigma1"] = _number(trig.pop("sigma1", None), "trigger.sigma1")
+    lookahead_key, lookahead = _one_of(trig, "trigger", "T", "T_fraction_of_gamma1")
+    sigma = _number(trig.pop("sigma", None), "trigger.sigma")
+    sigma1 = _number(trig.pop("sigma1", None), "trigger.sigma1")
     if trig:
         raise SchemaError(f"trigger: unknown fields {sorted(trig)}")
 
     sim = dict(doc["sim"])
-    out_sim = {}
-    if "mode" in sim:  # optional: a zero-cap slot picks the design, and mode must name it
-        design = "blackout" if any(s["pi_bar"] == 0 for s in slots) else "no_blackout"
-        if sim["mode"] != design:
-            raise SchemaError(f"sim.mode: the channel's design is {design!r}, not {sim['mode']!r}")
-        out_sim["mode"] = sim.pop("mode")
-    out_sim["x0"] = _vector(sim.pop("x0", None), "sim.x0")
-    out_sim["xhat0"] = _vector(sim.pop("xhat0", None), "sim.xhat0")
-    key, val = _one_of(sim, "sim", "de0", "de0_factor")
-    out_sim[key] = _number(val, f"sim.{key}")
-    out_sim["horizon"] = _number(sim.pop("horizon", None), "sim.horizon")
-    for opt in ("delay_factor", "scan_step", "sample_step"):
-        if opt in sim and sim[opt] is not None:
-            out_sim[opt] = _number(sim.pop(opt), f"sim.{opt}")
-        else:
-            sim.pop(opt, None)
+    design = "blackout" if 0 in caps else "no_blackout"  # a zero-cap slot picks the design
+    if sim.pop("mode", design) != design:  # sim.mode is optional
+        raise SchemaError(f"sim.mode: the channel's design is {design!r}, "
+                          f"not {doc['sim']['mode']!r}")
+    x0 = np.asarray(_vector(sim.pop("x0", None), "sim.x0", len(A)))
+    x_hat0 = np.asarray(_vector(sim.pop("xhat0", None), "sim.xhat0", len(A)))
+    de0_key, de0 = _one_of(sim, "sim", "de0", "de0_factor")
+    horizon = _number(sim.pop("horizon", None), "sim.horizon")
+    options = {key: sim.pop(key) for key in ("delay_factor", "scan_step", "sample_step")
+               if key in sim}
+    options = {key: _number(v, f"sim.{key}") for key, v in options.items() if v is not None}
     policy = sim.pop("packet_policy", None)
-    if policy is not None:
-        if policy not in ("max_bits", "min_bits"):
-            raise SchemaError("sim.packet_policy: expected 'max_bits' or 'min_bits'")
-        out_sim["packet_policy"] = policy
+    if policy not in (None, "max_bits", "min_bits"):
+        raise SchemaError("sim.packet_policy: expected 'max_bits' or 'min_bits'")
     if sim:
         raise SchemaError(f"sim: unknown fields {sorted(sim)}")
 
-    return {"plant": out_plant, "channel": out_channel,
-            "trigger": out_trig, "sim": out_sim}
-
-
-def load_document(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return normalize_document(raw)
-
-
-def build_scenario(doc: dict) -> Scenario:
-    """Instantiate the runtime objects described by a normalized document."""
-    doc = normalize_document(doc)
-    p, ch, tg, sm = doc["plant"], doc["channel"], doc["trigger"], doc["sim"]
-
-    plant = build_plant(A=p["A"], B=p["B"], K=p["K"], Q=p["Q"], a=p["a"],
-                        beta=p.get("beta"), beta_fraction=p.get("beta_fraction"))
-    x0 = np.asarray(sm["x0"], dtype=float)
-    x_hat0 = np.asarray(sm["xhat0"], dtype=float)
-    if "Vd0" in p:
-        plant = plant.with_vd0(p["Vd0"])
-    else:
-        plant = plant.with_vd0(p["Vd0_factor"] * plant.lyapunov_value(x0))
-
-    theta = [ch["slots"][0]["theta_start"]] + [s["theta_end"] for s in ch["slots"]]
-    schedule = ChannelSchedule(theta=theta,
-                               rates=[s["R"] for s in ch["slots"]],
-                               caps=[s["pi_bar"] for s in ch["slots"]],
-                               n=ch["n"])
-
-    if "T" in tg:
-        lookahead = tg["T"]
-    else:
-        lookahead = resolve_lookahead(plant, tg["T_fraction_of_gamma1"])
-    trigger = TriggerConfig(lookahead=lookahead, sigma=tg["sigma"], sigma1=tg["sigma1"])
-
-    de0 = sm["de0"] if "de0" in sm else sm["de0_factor"] * inf_norm(x0 - x_hat0)
-    return Scenario(
-        plant=plant,
-        schedule=schedule,
-        trigger=trigger,
-        x0=x0,
-        x_hat0=x_hat0,
-        d_e0=de0,
-        delay_factor=sm.get("delay_factor", 1.0),
-        packet_policy=sm.get("packet_policy", "max_bits"),
-        horizon=sm["horizon"],
-        scan_step=sm.get("scan_step"),
-        sample_step=sm.get("sample_step"),
-    )
-
-
-def load_scenario(path) -> tuple[Scenario, dict]:
-    """Scenario plus its normalized document."""
-    doc = load_document(path)
-    try:
-        return build_scenario(doc), doc
+        model = build_plant(A=A, B=B, K=K, Q=Q, a=a, **{beta_key: beta})
+        model = model.with_vd0(vd0 if vd0_key == "Vd0" else vd0 * model.lyapunov_value(x0))
+        schedule = ChannelSchedule(theta=theta, rates=rates, caps=caps, n=n)
+        if lookahead_key == "T_fraction_of_gamma1":
+            lookahead = resolve_lookahead(model, lookahead)
+        return Scenario(
+            plant=model,
+            schedule=schedule,
+            trigger=TriggerConfig(lookahead=lookahead, sigma=sigma, sigma1=sigma1),
+            x0=x0,
+            x_hat0=x_hat0,
+            d_e0=de0 if de0_key == "de0" else de0 * inf_norm(x0 - x_hat0),
+            delay_factor=options.get("delay_factor", 1.0),
+            packet_policy=policy or "max_bits",
+            horizon=horizon,
+            scan_step=options.get("scan_step"),
+            sample_step=options.get("sample_step"),
+        )
     except EtcsimError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(str(exc)) from exc
+
+
+def load_scenario(path) -> tuple[Scenario, dict]:
+    """Scenario built from a JSON file, plus the parsed file as it stands."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    return build_scenario(doc), doc

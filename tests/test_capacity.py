@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from etcsim.capacity import (
 )
 from etcsim.channel import ChannelSchedule, compute_J
 from etcsim.errors import DomainError, ScaleGuardError
-from etcsim.scenario import build_scenario, load_document
+from etcsim.scenario import build_scenario
 
 
 def random_problem(rng, max_slots=4, allow_blackouts=True):
@@ -296,7 +297,7 @@ class TestPlanner:
         plan = capacity.plan_window
         monkeypatch.setattr(capacity, "plan_window",
                             lambda *args: calls.append(args) or plan(*args))
-        doc = load_document(SCENARIOS / "sec6.json")
+        doc = json.loads((SCENARIOS / "sec6.json").read_text())
         doc["sim"]["horizon"] = 3.0
         rule = build_scenario(doc).rule
         assert len(calls) == 2

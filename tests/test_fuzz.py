@@ -74,11 +74,24 @@ _FAST_PLANT_WIDE_PACKETS = {
             "horizon": 0.4, "sample_step": 0.01},
 }
 
+# B = 0 makes the LQR gain K = 0: build_plant divided by ||P B K|| = 0 (a RuntimeWarning)
+# and the run read eps = 0 throughout.
+_STABLE_PLANT_NO_FEEDBACK = {
+    "plant": {"A": [[-0.1]], "B": [[0.0]], "K": [[0.0]], "Q": [[1.0]],
+              "a": 1.2, "beta_fraction": 0.5, "Vd0_factor": 1.2},
+    "channel": {"n": 1, "slots": [{"theta_start": 0.0, "theta_end": 0.5, "R": 500.0, "pi_bar": 1},
+                                  {"theta_start": 0.5, "theta_end": 1.0, "R": 500.0, "pi_bar": 1}]},
+    "trigger": {"T_fraction_of_gamma1": 0.1, "sigma": 0.06, "sigma1": 0.8},
+    "sim": {"x0": [0.1], "xhat0": [0.0], "de0_factor": 1.5, "horizon": 1.0,
+            "sample_step": 0.005},
+}
+
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(doc=documents())
 @example(doc=_FAST_PLANT_WIDE_PACKETS)
+@example(doc=_STABLE_PLANT_NO_FEEDBACK)
 def test_run_ends_in_a_typed_error_or_a_valid_trace(doc):
     try:
         scn = build_scenario(doc)

@@ -57,6 +57,11 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             reference_plant(a=1.0)
 
+    def test_rejects_a_feedback_that_never_acts(self):
+        # A stable plant with B K = 0: the error scale would divide by ||P B K|| = 0.
+        with pytest.raises(ConfigurationError, match="B K = 0"):
+            build_plant(A=[[-0.1]], B=[[0.0]], K=[[0.0]], Q=[[1.0]], a=1.2, beta_fraction=0.5)
+
     def test_constants_deterministic(self):
         assert reference_plant().constants == reference_plant().constants
 

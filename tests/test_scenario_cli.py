@@ -14,8 +14,8 @@ import etcsim.errors
 import etcsim.sim
 import etcsim.triggers
 from etcsim.cli import main
-from etcsim.errors import ConfigurationError, SchemaError
-from etcsim.scenario import build_scenario, load_document, load_scenario, normalize_document
+from etcsim.errors import ConfigurationError, NotHurwitzError, SchemaError
+from etcsim.scenario import build_scenario, load_scenario
 from etcsim.triggers import blackout_entry_margin
 
 REPO_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
@@ -30,28 +30,63 @@ EXIT_CODES = {
 
 @pytest.fixture(scope="module")
 def sec6_doc():
-    return load_document(REPO_SCENARIO)
+    return json.loads(REPO_SCENARIO.read_text())
+
+
+def scenario_numbers(scn):
+    """Every number a Scenario holds, as plain lists and floats that compare exactly."""
+    plant, sched = scn.plant, scn.schedule
+    return {
+        "plant": [plant.A.tolist(), plant.B.tolist(), plant.K.tolist(), plant.Q.tolist(),
+                  plant.P.tolist(), plant.a, plant.beta, plant.vd0, plant.constants],
+        "schedule": [sched.theta.tolist(), sched.rates.tolist(), sched.caps.tolist(), sched.n],
+        "trigger": scn.trigger,
+        "sim": [scn.x0.tolist(), scn.x_hat0.tolist(), scn.d_e0, scn.delay_factor,
+                scn.packet_policy, scn.horizon, scn.scan_step, scn.sample_step],
+    }
+
+
+def as_decimal_strings(value, key=None):
+    """``value`` with every JSON number but the integers ``n`` and ``pi_bar`` as a string."""
+    if isinstance(value, dict):
+        return {k: as_decimal_strings(v, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [as_decimal_strings(v, key) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and key not in ("n", "pi_bar"):
+        return repr(value)
+    return value
 
 
 class TestSchema:
-    def test_normalization_idempotent(self, sec6_doc):
-        assert normalize_document(sec6_doc) == sec6_doc
-
-    def test_dump_load_round_trip(self, sec6_doc, tmp_path):
-        def dump_document(doc, path):
-            path.write_text(json.dumps(normalize_document(doc), indent=2) + "\n")
-
-        out = tmp_path / "copy.json"
-        dump_document(sec6_doc, out)
-        assert load_document(out) == sec6_doc
-        dump_document(load_document(out), out)
-        assert load_document(out) == sec6_doc
-
     def test_decimal_strings_accepted(self, sec6_doc):
         doc = copy.deepcopy(sec6_doc)
         doc["sim"]["horizon"] = "20.0"
         doc["plant"]["a"] = "1.2"
-        assert normalize_document(doc) == sec6_doc
+        scn = build_scenario(doc)
+        assert (scn.horizon, scn.plant.a) == (20.0, 1.2)
+        assert scenario_numbers(scn) == scenario_numbers(build_scenario(sec6_doc))
+
+    def test_every_number_as_a_decimal_string_builds_the_same_scenario(self, sec6_doc):
+        doc = as_decimal_strings(sec6_doc)
+        assert doc["channel"]["slots"][0] == {"theta_start": "0.0", "theta_end": "2.44",
+                                              "R": "3000", "pi_bar": 8}
+        assert scenario_numbers(build_scenario(doc)) == scenario_numbers(build_scenario(sec6_doc))
+
+    def test_schema_error_wins_over_a_plant_error(self, sec6_doc):
+        # K = [[0, 0]] leaves A + B K = A unstable, but the schema is checked first.
+        doc = copy.deepcopy(sec6_doc)
+        doc["plant"]["K"] = [[0, 0]]
+        with pytest.raises(NotHurwitzError):
+            build_scenario(doc)
+        doc["sim"]["bogus"] = 1
+        with pytest.raises(SchemaError, match=r"sim: unknown fields \['bogus'\]"):
+            build_scenario(doc)
+
+    def test_load_returns_the_parsed_file(self, sec6_doc):
+        _, doc = load_scenario(REPO_SCENARIO)
+        assert doc == sec6_doc
+        assert type(doc["channel"]["slots"][0]["R"]) is int  # as written, not converted
 
     def test_bundled_scenario_matches_preset(self, blackout_scn):
         # The fixture loads the file, so its derived values are pinned to
@@ -96,18 +131,27 @@ class TestSchema:
         (lambda d: d["channel"].update(n=True), "channel.n: expected"),
         (lambda d: d["channel"]["slots"][0].update(pi_bar=True), "pi_bar: expected"),
         (lambda d: d["trigger"].update(root_tol=1e-9), "trigger: unknown fields"),
+        (lambda d: d["sim"].update(x0=[6, -4, 1]), "sim.x0: expected 2 entries"),
+        (lambda d: d["sim"].update(xhat0=[0, 0, 0]), "sim.xhat0: expected 2 entries"),
     ])
     def test_schema_errors_carry_field_context(self, sec6_doc, mutate, fragment):
         doc = copy.deepcopy(sec6_doc)
         mutate(doc)
         with pytest.raises(SchemaError, match=fragment):
-            normalize_document(doc)
+            build_scenario(doc)
 
     def test_json_nan_literal_rejected(self, sec6_doc, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(sec6_doc).replace('"horizon": 20.0', '"horizon": NaN'))
         with pytest.raises(SchemaError, match="sim.horizon"):
-            load_document(path)
+            load_scenario(path)
+
+    def test_integer_beyond_float_range_rejected(self, sec6_doc, tmp_path):
+        path = tmp_path / "huge.json"
+        huge = "1" + "0" * 400  # a JSON integer with no float value
+        path.write_text(json.dumps(sec6_doc).replace('"horizon": 20.0', f'"horizon": {huge}'))
+        with pytest.raises(SchemaError, match="sim.horizon: 10* is not a finite number"):
+            load_scenario(path)
 
     @pytest.mark.parametrize("field,value", [
         ("sample_step", 0), ("sample_step", -0.01), ("scan_step", 0), ("scan_step", -1),
@@ -121,8 +165,9 @@ class TestSchema:
     def test_mode_is_optional_and_left_out_of_the_document(self, sec6_doc):
         doc = copy.deepcopy(sec6_doc)
         del doc["sim"]["mode"]
-        assert "mode" not in normalize_document(doc)["sim"]
-        assert build_scenario(doc).schedule.blackout_slots() == [2, 5, 8]
+        scn = build_scenario(doc)
+        assert scn.schedule.blackout_slots() == [2, 5, 8]
+        assert scenario_numbers(scn) == scenario_numbers(build_scenario(sec6_doc))
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from etcsim.errors import (
     InvariantBreachError,
     ObjectiveViolationError,
 )
-from etcsim.scenario import build_scenario, load_document, load_scenario
+from etcsim.scenario import build_scenario, load_scenario
 from etcsim.sim import _NUDGE, _TIME_TOL, Scenario, _Engine, check_admissibility, run
 from etcsim.triggers import (
     _NODE_CHUNK,
@@ -224,7 +225,7 @@ class TestChunkedScan:
 
 def rescaled_sec6(factor):
     """``scenarios/sec6.json`` with every slot rate multiplied by factor."""
-    doc = load_document(SCENARIOS / "sec6.json")
+    doc = json.loads((SCENARIOS / "sec6.json").read_text())
     for slot in doc["channel"]["slots"]:
         slot["R"] *= factor
     return build_scenario(doc)
