@@ -22,7 +22,10 @@ from .errors import CausalityError, DomainError, InvariantBreachError
 from .linalg import inf_norm
 from .plant import PlantModel
 
-_CHECK_SLACK = 1e-9
+# Relative slack of the codec invariant ``||x - x_hat||_inf <= d_e`` in the encoder's and the
+# engine recorder's checks, ``err <= d_e (1 + CHECK_SLACK) + 1e-300``; the absolute 1e-300
+# matters only where d_e is below ~1e-290.
+CHECK_SLACK = 1e-9
 # Most bits per dimension: a cell index plus 1/2 is exact in float64 only below 2^52.
 MAX_BITS = 52
 
@@ -91,7 +94,7 @@ def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
     bound = state.d_e(plant, t)
     err = x - x_hat
     worst = inf_norm(err)
-    if worst > bound * (1.0 + _CHECK_SLACK) + 1e-300:
+    if worst > bound * (1.0 + CHECK_SLACK) + 1e-300:
         raise InvariantBreachError(
             f"encoding error {worst:.6g} exceeds bound {bound:.6g} at t={t}")
     cells = 1 << p

@@ -59,6 +59,10 @@ class PlantModel:
     exp_A: ExpKernel = field(repr=False, compare=False)
     exp_Abar: ExpKernel = field(repr=False, compare=False)
 
+    def __post_init__(self):  # also checks the vd0 of with_vd0, through dataclasses.replace
+        if not 0.0 < self.vd0 < np.inf:
+            raise ConfigurationError("initial performance level must be positive and finite")
+
     @cached_property
     def gamma1(self) -> float:
         """Time the performance bound takes to return to 1 from ``h = eps = 1``."""
@@ -82,8 +86,6 @@ class PlantModel:
         return self.vd0 * np.exp(-self.beta * ts)
 
     def with_vd0(self, vd0: float) -> "PlantModel":
-        if vd0 <= 0:
-            raise ConfigurationError("initial performance level must be positive")
         return dataclasses.replace(self, vd0=vd0)
 
 
@@ -147,9 +149,6 @@ def build_plant(A, B, K, Q, a: float, beta: float | None = None,
         growth_rate_inf=inf_norm(A) + beta / 2.0,
         error_scale=guarded * np.sqrt(p_min) / (2.0 * np.sqrt(n) * feedback_gain),
     )
-    if vd0 <= 0:
-        raise ConfigurationError("initial performance level must be positive")
-
     frozen = lambda M: _readonly(M)
     return PlantModel(A=frozen(A), B=frozen(B), K=frozen(K), Q=frozen(Q),
                       P=frozen(P), Abar=frozen(Abar), a=float(a),

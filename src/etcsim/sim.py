@@ -14,13 +14,13 @@ first crossing of the rule along each slot's fixed-step grid
 (``triggers.first_crossing``: a chunked scan refined by bisection), with
 channel breakpoints and their right limits always evaluated explicitly.
 
-The fire search skips the stretches of its grid where the paper's
+Every fire search skips the stretches of its grid where the paper's
 bounds show the rule cannot fire (``EventRule.quiet``, the comparison
 argument behind ``triggers.perf_bound``) and evaluates the rule only on
 the others, so it finds the same first grid crossing as a scan of every
 point.  The bounds hold while the codec invariant
-``||x - x_hat||_inf <= d_e`` does; a search that starts where it fails
-certifies nothing.  Each run's stats carry the search's work counts
+``||x - x_hat||_inf <= d_e`` does, which the recorder has checked at
+each search's start.  Each run's stats carry the search's work counts
 under ``diagnostics.work``.
 """
 
@@ -64,6 +64,8 @@ _NUDGE = 1e-9
 # numbers it accepts (< 1e8; its Pade branch is good to ~1e-13).  A state entry of an
 # n <= 6 plant sums up to 12 such terms and h is quadratic in the state, so h and eps are
 # good to ~3e-7 relative: 1e-9 would not cover that, and 1e-6 does, three times over.
+# It also covers the codec invariant's slack: the recorder, whose rows start every fire
+# search, lets the error exceed d_e by codec.CHECK_SLACK (1e-9 relative).
 _CERT_MARGIN = 1e-6
 
 POLICY_MAX = "max_bits"
@@ -110,6 +112,9 @@ class Scenario:
             step = getattr(self, name)
             if step is not None and not step > 0:
                 raise ConfigurationError(f"{name} must be positive")
+        c = self.plant.constants
+        if (c.decay_gap + c.growth_rate) * self.trigger.lookahead > math.log(np.finfo(float).max):
+            raise ConfigurationError("lookahead T is too long: e^{(w+mu) T} overflows a float")
         if self.d_e0 < inf_norm(self.x0 - self.x_hat0):
             raise ConfigurationError("d_e0 must dominate the initial estimate error")
         caps = self.schedule.caps
@@ -439,7 +444,6 @@ class _Engine:
         self.x_aug = np.concatenate([scenario.x0, scenario.x_hat0])
         self.enc = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0, 0.0)
         self.dec = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0, 0.0)
-        self.pending: tuple | None = None
         self.transmissions: list[Transmission] = []
         self.rows: list[np.ndarray] = []
         # Work of all fire searches: rule evaluations (calls and the times they cover), and
@@ -460,9 +464,9 @@ class _Engine:
         whose own gate fails are nudged just inside the next slot.
 
         Each slot's fixed-step grid is searched by ``first_crossing``,
-        with ``EventRule.quiet`` as its certificate when the codec
-        invariant holds at t_start.  Blackout slots are skipped: no send,
-        so the rule need not be evaluated there.
+        with ``EventRule.quiet`` as its certificate (t_start is a recorded
+        row, so the codec invariant holds there).  Blackout slots are
+        skipped: no send, so the rule need not be evaluated there.
         """
         anchor_x = self.x_aug.copy()
         work = self.work
@@ -482,8 +486,6 @@ class _Engine:
             work["scanned_intervals"] += certified.size - int(np.count_nonzero(certified))
             return certified
 
-        invariant = (inf_norm(anchor_x[:self.n] - anchor_x[self.n:])
-                     <= self.enc.d_e(self.plant, t_start))
         cursor = t_start
         while cursor < self.horizon - _TIME_TOL:
             j = self.sched.right_slot_index(cursor)
@@ -507,7 +509,7 @@ class _Engine:
             grid = np.linspace(cursor, seg_end, count + 1)[1:]
             if self.sched.caps[j] > 0:
                 found = first_crossing(lambda s: fires(s, j), cursor, grid, _TIME_TOL,
-                                       (lambda nodes: quiet(nodes, j)) if invariant else None)
+                                       lambda nodes: quiet(nodes, j))
                 if found is not None:
                     # Transmit at the last pre-crossing instant: there the channel
                     # bound is still strictly below 1, so the required bit count
@@ -543,7 +545,7 @@ class _Engine:
         h, eps = self.rule.ratios(ts, xs, des)
         err = np.max(np.abs(xs[:, :n] - xs[:, n:]), axis=1)
         perf_bad = h > 1.0
-        bad = np.flatnonzero(perf_bad | (err > des * (1.0 + 1e-9) + 1e-300))
+        bad = np.flatnonzero(perf_bad | (err > des * (1.0 + codec_mod.CHECK_SLACK) + 1e-300))
         if bad.size:
             i = bad[0]
             if perf_bad[i]:
@@ -590,14 +592,16 @@ class _Engine:
     def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
         """Smallest bit count whose channel bound stays at or below 1."""
         ps = np.arange(1, self.rule.pmax + 1)
-        taus = self.rule.tm[ps] if self.blackouts else ps / rate
+        taus, exp_norm = ((self.rule.tm[ps], self.rule.exp_norm_tm[ps]) if self.blackouts
+                          else (ps / rate, None))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps,
-                                 check_domain=False)
+                                 exp_norm=exp_norm, check_domain=False)
         fits = np.flatnonzero(vals <= 1.0)
         return int(ps[fits[0]]) if fits.size else None
 
     def _fire(self, t: float, j: int):
+        """Send at t in slot j: the packet, its reception time and the ratios h, eps at t."""
         x = self.x_aug[:self.n]
         h, eps = map(float, self.rule.ratios(t, self.x_aug, self.enc.d_e(self.plant, t)))
         rate = float(self.sched.rates[j])
@@ -610,11 +614,9 @@ class _Engine:
         p = cap_eff if self.scn.packet_policy == POLICY_MAX else p_lo
         pkt = codec_mod.encode(self.plant, x, self.enc, p, t)
         self.enc = codec_mod.mark_in_flight(self.enc)
-        r = t + self.scn.delay_factor * (p / rate)
-        self.pending = (pkt, r, h, eps)
+        return pkt, t + self.scn.delay_factor * (p / rate), h, eps
 
-    def _apply_update(self, r: float, r_tilde: float):
-        pkt, _, h_tx, eps_tx = self.pending
+    def _apply_update(self, pkt, r: float, r_tilde: float, h_tx: float, eps_tx: float):
         self.enc = codec_mod.decode_and_update(self.plant, pkt, self.enc, r_tilde)
         self.dec = codec_mod.decode_and_update(self.plant, pkt, self.dec, r_tilde)
         if not (np.array_equal(self.enc.x_hat, self.dec.x_hat)
@@ -628,7 +630,6 @@ class _Engine:
             k=len(self.transmissions) + 1, t_k=pkt.t_k, p_k=pkt.p_k,
             r_k=r, r_tilde_k=r_tilde, h_pf_tx=h_tx, eps_tx=eps_tx,
             h_ch_update=float(h_ch), eps_update=float(eps), symbols=pkt.symbols))
-        self.pending = None
         self._record(np.array([r_tilde]), self.x_aug[None], np.array([de]))
 
     # -- main loop ----------------------------------------------------------------
@@ -637,26 +638,18 @@ class _Engine:
         """The checked trace of the run; a breach found in it carries the trace so far."""
         try:
             self._record(np.zeros(1), self.x_aug[None], np.array([self.enc.d_e(self.plant, 0.0)]))
-            while self.t < self.horizon - _TIME_TOL:
-                if self.pending is None:
-                    fire = self._locate_fire(self.t)
-                    if fire is None:
-                        self._advance(self.horizon)
-                        break
-                    self._advance(fire[0])
-                    self._fire(*fire)
-                else:
-                    _, r, _, _ = self.pending
-                    if r >= self.horizon - _TIME_TOL:
-                        self._advance(self.horizon)
-                        break
-                    self._advance(r)
-                    r_tilde = self._locate_update(r)
-                    if r_tilde >= self.horizon - _TIME_TOL:
-                        self._advance(self.horizon)
-                        break
-                    self._advance(r_tilde, record_end=False)
-                    self._apply_update(r, r_tilde)
+            while (fire := self._locate_fire(self.t)) is not None:
+                self._advance(fire[0])
+                pkt, r, h, eps = self._fire(*fire)
+                if r >= self.horizon - _TIME_TOL:
+                    break
+                self._advance(r)
+                r_tilde = self._locate_update(r)
+                if r_tilde >= self.horizon - _TIME_TOL:
+                    break
+                self._advance(r_tilde, record_end=False)
+                self._apply_update(pkt, r, r_tilde, h, eps)
+            self._advance(self.horizon)
             trace = self._build_trace()
             validate_sequence(self.transmissions, self.sched)
             self._check_entry_margins(trace)

@@ -5,21 +5,45 @@ documented exit code (2 to 5), or a trace that passes the channel rules
 (``validate_sequence``) and the theorem's invariants (``check_invariants``).
 The documents carry no ``sim.mode``: the channel picks the design.  The
 runs are forced, so scenarios that fail admissibility run too.
+
+Three admissible documents of the same shape still breach a blackout's
+entry margin when run unforced; they are pinned as strict xfails.
 """
 
 import numpy as np
+import pytest
 from conftest import check_invariants
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
 from etcsim.channel import validate_sequence
-from etcsim.errors import EtcsimError
+from etcsim.errors import EtcsimError, GuaranteeBreachError
 from etcsim.scenario import build_scenario
 from etcsim.sim import run
 
 # Entries on a 0.1 grid, so a failing document reads back exactly.
 _ENTRY = st.integers(-20, 20).map(lambda k: k / 10)
+
+
+def _lqr_gain(A, B):
+    """``-B^T P`` with P from the control ARE (identity weights): A + B K is Hurwitz."""
+    return -B.T @ solve_continuous_are(A, B, np.eye(len(A)), np.eye(B.shape[1]))
+
+
+def _document(A, B, K, theta, rates, caps, x0, beta_fraction):
+    """A scenario on the slots between the times theta, with the strategy's fixed fields."""
+    n = len(A)
+    slots = [{"theta_start": lo, "theta_end": hi, "R": r, "pi_bar": c}
+             for lo, hi, r, c in zip(theta, theta[1:], rates, caps)]
+    return {
+        "plant": {"A": A.tolist(), "B": B.tolist(), "K": K.tolist(), "Q": np.eye(n).tolist(),
+                  "a": 1.2, "beta_fraction": beta_fraction, "Vd0_factor": 1.2},
+        "channel": {"n": n, "slots": slots},
+        "trigger": {"T_fraction_of_gamma1": 0.1, "sigma": 0.06, "sigma1": 0.8},
+        "sim": {"x0": x0, "xhat0": [0.0] * n, "de0_factor": 1.5, "horizon": theta[-1],
+                "sample_step": theta[-1] / 200},
+    }
 
 
 def _matrix(draw, rows, cols):
@@ -32,11 +56,10 @@ def documents(draw):
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     A, B = _matrix(draw, n, n), _matrix(draw, n, m)
     try:
-        P = solve_continuous_are(A, B, np.eye(n), np.eye(m))
+        K = _lqr_gain(A, B)
     except (ValueError, np.linalg.LinAlgError):
-        P = None
-    assume(P is not None and np.all(np.isfinite(P)))
-    K = -B.T @ P  # the LQR gain: A + B K is Hurwitz
+        K = None
+    assume(K is not None and np.all(np.isfinite(K)))
 
     k = draw(st.integers(2, 5))
     lengths = draw(st.lists(st.integers(5, 30).map(lambda v: v / 10), min_size=k, max_size=k))
@@ -46,18 +69,9 @@ def documents(draw):
         if j == 0 or caps[j - 1] > 0:  # blackouts never adjacent
             caps[j] = 0
     theta = np.concatenate([[0.0], np.cumsum(lengths)]).round(1).tolist()
-    slots = [{"theta_start": lo, "theta_end": hi, "R": r, "pi_bar": c}
-             for lo, hi, r, c in zip(theta, theta[1:], rates, caps)]
-    return {
-        "plant": {"A": A.tolist(), "B": B.tolist(), "K": K.tolist(), "Q": np.eye(n).tolist(),
-                  "a": 1.2, "beta_fraction": draw(st.sampled_from([0.5, 0.8])),
-                  "Vd0_factor": 1.2},
-        "channel": {"n": n, "slots": slots},
-        "trigger": {"T_fraction_of_gamma1": 0.1, "sigma": 0.06, "sigma1": 0.8},
-        "sim": {"x0": draw(st.lists(_ENTRY.filter(bool), min_size=n, max_size=n)),
-                "xhat0": [0.0] * n, "de0_factor": 1.5, "horizon": theta[-1],
-                "sample_step": theta[-1] / 200},
-    }
+    beta_fraction = draw(st.sampled_from([0.5, 0.8]))
+    x0 = draw(st.lists(_ENTRY.filter(bool), min_size=n, max_size=n))
+    return _document(A, B, K, theta, rates, caps, x0, beta_fraction)
 
 
 # Packets of up to 48 bits on a fast plant: triggers.delay_floor found no crossing for
@@ -100,4 +114,28 @@ def test_run_ends_in_a_typed_error_or_a_valid_trace(doc):
         assert 2 <= exc.exit_code <= 5, exc
         return
     validate_sequence(trace.transmissions, scn.schedule)
+    check_invariants(scn, trace)
+
+
+# Admissible, yet the last planned bits before a blackout are lost: l3 reaches 0 only where
+# the capacity floor steps down, and the gate is shut when it does.  The run enters the
+# blackout above its entry margin (ROADMAP item 1).
+_A1, _B1 = np.zeros((1, 1)), np.array([[-1.2, 0.6]])
+_ONE_D = (np.array([[0.6]]), np.array([[-0.29]]), np.array([[4.367]]))
+_ENTRY_MARGIN_BREACHES = {
+    # eps 0.4376 against the margin 0.3656 at t = 2.1
+    "fuzz_found": _document(_A1, _B1, _lqr_gain(_A1, _B1), [0.0, 2.1, 3.6], [5000.0] * 2,
+                            [1, 0], [0.6], 0.5),
+    # eps 0.657 against the margin 0.393 at t = 2.0, for a packet cap of 1 or 2
+    **{f"one_d_cap{cap}": _document(*_ONE_D, [0.0, 2.0, 3.0, 5.0, 6.0], [20000.0] * 4,
+                                     [cap, 0, cap, 0], [1.0], 0.5) for cap in (1, 2)},
+}
+
+
+@pytest.mark.xfail(strict=True, raises=GuaranteeBreachError,
+                   reason="ROADMAP item 1: the rule loses its last packet before a blackout")
+@pytest.mark.parametrize("name", list(_ENTRY_MARGIN_BREACHES))
+def test_admissible_run_holds_the_invariants(name):
+    scn = build_scenario(_ENTRY_MARGIN_BREACHES[name])
+    trace = run(scn)
     check_invariants(scn, trace)

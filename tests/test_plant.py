@@ -65,6 +65,14 @@ class TestBuild:
     def test_constants_deterministic(self):
         assert reference_plant().constants == reference_plant().constants
 
+    @pytest.mark.parametrize("vd0", [0.0, -1.0, np.inf, np.nan])
+    def test_initial_level_must_be_positive_and_finite(self, vd0):
+        # Both paths share one check: build_plant's vd0 and with_vd0's.
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            reference_plant(vd0=vd0)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            reference_plant().with_vd0(vd0)
+
 
 class TestPerformance:
     def test_lyapunov_value_at_origin(self):

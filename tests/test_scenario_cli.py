@@ -280,6 +280,29 @@ class TestCli:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_overlong_lookahead_exit_code(self, tmp_path, capsys):
+        # e^{(w+mu) T} past the float range: triggers.delay_floor raised OverflowError (exit 1).
+        doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
+        del doc["trigger"]["T_fraction_of_gamma1"]
+        doc["trigger"]["T"] = 1e9
+        path = tmp_path / "long_T.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: lookahead T is too long" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_overflowing_initial_level_exit_code(self, tmp_path, capsys, force):
+        # V(x0) overflows, so vd0 = Vd0_factor V(x0) is NaN: it exited 3 unforced, and a
+        # forced run overflowed in the engine.
+        doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
+        doc["sim"]["x0"] = [1e300, 1e300]
+        path = tmp_path / "huge_x0.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", str(path), "--out-dir", str(tmp_path)] + ["--force"] * force
+        assert main(argv) == 2
+        assert "initial performance level must be positive and finite" in capsys.readouterr().err
+
     def test_margin_violation_exit_code(self, tmp_path, sec6_doc):
         doc = copy.deepcopy(sec6_doc)
         doc["plant"]["a"] = 10.0  # pushes the guarded decay margin negative
