@@ -106,9 +106,11 @@ class ExpKernel:
 
     def _times(self, t) -> np.ndarray:
         ts = np.asarray(t, dtype=float)
-        hi = ts.max(initial=0.0)
-        # Two reductions and no temporary array; a NaN fails the first test.
-        if not (0.0 <= ts.min(initial=np.inf) and hi < np.inf):
+        if ts.ndim:  # two reductions and no temporary array
+            lo, hi = ts.min(initial=np.inf), ts.max(initial=0.0)
+        else:
+            lo = hi = float(ts)
+        if not (0.0 <= lo and hi < np.inf):  # a NaN fails the first test
             raise DomainError("exp(M t) requires a finite t >= 0")
         if hi > self._t_max:
             raise NumericalError(f"exp(M t) may overflow past t = {self._t_max:.6g}, got {hi:.6g}")
@@ -139,19 +141,30 @@ class ExpKernel:
         return inf_norm(entries.reshape(ts.shape + self.M.shape))
 
     def apply(self, t, x) -> np.ndarray:
-        """``exp(M t) x``; an array of times gives one row per time.
+        """``exp(M t) x``; an array of times gives one row per time."""
+        return self.flow(x)(t)
+
+    def flow(self, x):
+        """The map ``t -> exp(M t) x`` of one x, for a time or an array of times.
 
         The closed form evaluates ``V (e^{w t} * V^{-1} x)`` in O(N k) work
-        and memory for N times, with no ``(N, k, k)`` stack.
+        and memory for N times, with no ``(N, k, k)`` stack; ``V^{-1} x`` is
+        taken once, when the map is made.
         """
-        ts = self._times(t)
         x = np.asarray(x, dtype=float)
-        if ts.ndim == 0 and ts == 0.0:
-            return x.copy()
-        if self._eig is None:
-            return self(ts) @ x
-        w, V, Vi = self._eig
-        return ((np.exp(ts[..., None] * w) * (Vi @ x)) @ V.T).real
+        if self._eig is not None:
+            w, V, Vi = self._eig
+            modes, VT = Vi @ x, V.T
+
+        def at(t) -> np.ndarray:
+            ts = self._times(t)
+            if ts.ndim == 0 and ts == 0.0:
+                return x.copy()
+            if self._eig is None:
+                return self(ts) @ x
+            return ((np.exp(ts[..., None] * w) * modes) @ VT).real
+
+        return at
 
 
 def _overflow_time(M: np.ndarray, w: np.ndarray, spread: float) -> float:

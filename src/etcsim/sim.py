@@ -13,6 +13,12 @@ and called on whole arrays of times, and event times are found as the
 first crossing of the rule along each slot's fixed-step grid
 (``triggers.first_crossing``: a chunked scan refined by bisection), with
 channel breakpoints and their right limits always evaluated explicitly.
+A fire search pays per point, not per call: the grid is a
+``triggers.LinearGrid``, read only where the scan reaches; every
+evaluation of the search, and of the stretch the engine then advances
+over, reads one ``_Orbit`` from the starting state (the modal
+coefficients of the block state, the codec's anchor and step); and the
+rule reads ``l1`` and ``l2`` from per-p tables built with it.
 
 Every fire search skips the stretches of its grid where the paper's
 bounds show the rule cannot fire (``EventRule.quiet``, the comparison
@@ -46,6 +52,7 @@ from .errors import (
 from .linalg import ExpKernel, inf_norm
 from .plant import PlantModel
 from .triggers import (
+    LinearGrid,
     TriggerConfig,
     blackout_entry_margin,
     channel_bound,
@@ -279,7 +286,8 @@ class EventRule:
     capacity plan (``plans``, None where no blackout lies ahead), each blackout slot's
     entry margin (``entry_margins``), and for every p up to the largest
     packet cap the unit violation time ``gamma1``, the delay floors,
-    ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p.
+    ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p,
+    with the tables ``terms`` reads ``l1`` and ``l2`` from.
     """
 
     def __init__(self, scenario: Scenario):
@@ -294,6 +302,14 @@ class EventRule:
             self.plant, self.config, self.pmax)
         self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
         self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
+        # perf_bound's factors e^{(w+mu) T_M(p)} - 1 and e^{w T_M(p)}, channel_bound's 2^p
+        # (indexed by p, like tm) and error_threshold's denominator W (e^{(w+mu) T} - 1).
+        c = self.plant.constants
+        self._wm = c.decay_gap + c.growth_rate
+        self._growth = np.expm1(self._wm * self.tm)
+        self._decay = np.exp(c.decay_gap * self.tm)
+        self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
+        self._rho_denom = c.guarded_decay_gap * math.expm1(self._wm * self.config.lookahead)
 
     def ratios(self, ts, xs, des):
         """Performance ratio ``h = V(x)/V_d(t)`` and error ratio ``eps = d_e/(c sqrt(V_d(t)))``.
@@ -302,9 +318,14 @@ class EventRule:
         plant state, are read) and the error bounds des may be one time
         or arrays of times.
         """
-        vd = self.plant.desired_performance(ts)
-        h = self.plant.lyapunov_value(xs[..., :self.plant.n]) / vd
-        return h, des / (self.plant.constants.error_scale * np.sqrt(vd))
+        return self.levels(ts, xs, des)[:2]
+
+    def levels(self, ts, xs, des):
+        """``(h, eps, V, V_d)``: ``ratios`` and the values ``V(x)`` and ``V_d(t)`` they divide."""
+        plant = self.plant
+        vd = plant.desired_performance(ts)
+        v = plant.lyapunov_value(xs[..., :plant.n])
+        return v / vd, des / (plant.constants.error_scale * np.sqrt(vd)), v, vd
 
     def budget(self, ts, j: int):
         """Bits still to launch, packet bound ``psi`` and capacity floor at times ts in slot j.
@@ -345,19 +366,22 @@ class EventRule:
     def terms(self, ts, h, eps, j: int):
         """``(gate, l1, l2, l3)`` at times ts in slot j, for ratios h and eps.
 
+        ``l1`` and ``l2`` are ``perf_bound`` and ``channel_bound`` at
+        ``T_M(p)`` for ``p = max(psi, 1)``, read from the per-p tables in
+        those functions' order of operations, so they are the same floats.
         Scalars stay scalars.  Where the gate is off at every t no term is
         evaluated and all three read ``-inf``.
         """
         _, psi, floor = self.budget(ts, j)
         gate = psi >= 1
-        if not np.any(gate):
+        if not (gate if isinstance(gate, bool) else gate.any()):
             return gate, -math.inf, -math.inf, -math.inf
-        p = np.clip(psi, 1, self.pmax).astype(int)
-        tm = self.tm[p]
-        l1 = perf_bound(self.plant, tm, h, eps)
+        p = np.maximum(psi, 1).astype(int)  # psi never exceeds pmax
+        wm, W = self._wm, self.plant.constants.guarded_decay_gap
+        l1 = (h + W * eps / wm * self._growth[p]) / self._decay[p]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            l2 = channel_bound(self.plant, self.config.lookahead, tm, h, eps, p,
-                               exp_norm=self.exp_norm_tm[p], hbar=l1, check_domain=False)
+            rho = wm * (1.0 - l1) / self._rho_denom + 1.0
+            l2 = self.exp_norm_tm[p] * eps / rho / self._pow2[p]
             l3 = self.l3(ts, eps, j, floor)
         return gate, l1, l2, l3
 
@@ -377,7 +401,7 @@ class EventRule:
 
         - eps stays below ``eps e^{mu_inf tau}``, and h below the larger of
           h and ``perf_bound(tau)``, which must stay below 1;
-        - for each p that ``clip(psi, 1, pmax)`` takes (psi does not
+        - for each p that ``max(psi, 1)`` takes (psi does not
           increase within a slot), ``l1`` stays below the larger of
           ``perf_bound`` at ``T_M(p)`` and at ``T_M(p) + tau``, and ``l2``
           below ``channel_bound`` for that bound and the largest eps;
@@ -398,8 +422,7 @@ class EventRule:
         worst = np.maximum(h, bound(tau))
         _, psi_a, _ = self.budget(a, j)
         _, psi_b, floor_b = self.budget(b, j)
-        p_hi, p_lo = (np.clip(np.broadcast_to(psi, a.shape), 1, self.pmax).astype(int)
-                      for psi in (psi_a, psi_b))
+        p_hi, p_lo = np.maximum(psi_a, 1), np.maximum(psi_b, 1)
         # One (P, N) pass over every p any stretch takes; each stretch keeps its own range.
         ps = np.arange(int(p_lo.min()), int(p_hi.max()) + 1)[:, None]
         tm = self.tm[ps]
@@ -414,6 +437,36 @@ class EventRule:
 
 # ---------------------------------------------------------------------------
 # engine
+
+
+class _Orbit:
+    """The closed loop from one state, at times not before it, until the next send or update.
+
+    The augmented state follows ``exp_block`` from ``x_aug`` at ``t0``
+    through ``ExpKernel.flow``, which takes the modal coefficients
+    ``V^{-1} x_aug`` once, and the error bound ``d_e`` follows the codec
+    state's anchor and step.  Each value is the float that
+    ``ExpKernel.apply``, ``CodecState.d_e`` and ``EventRule.ratios`` give
+    at that time.
+    """
+
+    def __init__(self, rule: EventRule, kernel: ExpKernel, t0: float, x_aug, enc):
+        self.rule, self.t0 = rule, t0
+        self._flow = kernel.flow(x_aug)
+        self._norm = rule.plant.exp_A.inf_norm
+        self._anchor, self._step = enc.anchor_time, enc.step
+
+    def x(self, ts):
+        """Augmented states (plant, estimate) at times ts >= t0, one row per time."""
+        return self._flow(np.subtract(ts, self.t0))
+
+    def d_e(self, ts):
+        """Error bound at times ts."""
+        return self._norm(np.subtract(ts, self._anchor)) * self._step
+
+    def ratios(self, ts):
+        """``(h, eps)`` at times ts >= t0."""
+        return self.rule.ratios(ts, self.x(ts), self.d_e(ts))
 
 
 class _Engine:
@@ -463,25 +516,23 @@ class _Engine:
         transmission uses; right-limit-driven firings at a breakpoint
         whose own gate fails are nudged just inside the next slot.
 
-        Each slot's fixed-step grid is searched by ``first_crossing``,
-        with ``EventRule.quiet`` as its certificate (t_start is a recorded
-        row, so the codec invariant holds there).  Blackout slots are
-        skipped: no send, so the rule need not be evaluated there.
+        Each slot's fixed-step grid, a ``LinearGrid`` read only where the
+        scan reaches, is searched by ``first_crossing``, with
+        ``EventRule.quiet`` as its certificate (t_start is a recorded row,
+        so the codec invariant holds there).  Every evaluation reads one
+        orbit from the state at t_start.  Blackout slots are skipped: no
+        send, so the rule need not be evaluated there.
         """
-        anchor_x = self.x_aug.copy()
+        orbit = _Orbit(self.rule, self.exp_block, t_start, self.x_aug, self.enc)
         work = self.work
-
-        def ratios(ts):
-            xs = self.exp_block.apply(np.subtract(ts, t_start), anchor_x)
-            return self.rule.ratios(ts, xs, self.enc.d_e(self.plant, ts))
 
         def fires(ts, j: int):
             work["rule_calls"] += 1
             work["rule_points"] += np.size(ts)
-            return self.rule.fires(ts, *ratios(ts), j)
+            return self.rule.fires(ts, *orbit.ratios(ts), j)
 
         def quiet(nodes, j: int):
-            certified = self.rule.quiet(nodes[:-1], *ratios(nodes[:-1]), nodes[1:], j)
+            certified = self.rule.quiet(nodes[:-1], *orbit.ratios(nodes[:-1]), nodes[1:], j)
             work["certified_intervals"] += int(np.count_nonzero(certified))
             work["scanned_intervals"] += certified.size - int(np.count_nonzero(certified))
             return certified
@@ -505,10 +556,10 @@ class _Engine:
                 # validation stay consistent.
                 return min(cursor + _NUDGE, self.horizon), j
             seg_end = min(float(self.sched.theta[j + 1]), self.horizon)
-            count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
-            grid = np.linspace(cursor, seg_end, count + 1)[1:]
             if self.sched.caps[j] > 0:
-                found = first_crossing(lambda s: fires(s, j), cursor, grid, _TIME_TOL,
+                count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
+                found = first_crossing(lambda s: fires(s, j), cursor,
+                                       LinearGrid(cursor, seg_end, count), _TIME_TOL,
                                        lambda nodes: quiet(nodes, j))
                 if found is not None:
                     # Transmit at the last pre-crossing instant: there the channel
@@ -542,7 +593,7 @@ class _Engine:
         failing that, whose estimate error exceeds its bound.
         """
         n = self.n
-        h, eps = self.rule.ratios(ts, xs, des)
+        h, eps, v, vd = self.rule.levels(ts, xs, des)
         err = np.max(np.abs(xs[:, :n] - xs[:, n:]), axis=1)
         perf_bad = h > 1.0
         bad = np.flatnonzero(perf_bad | (err > des * (1.0 + codec_mod.CHECK_SLACK) + 1e-300))
@@ -562,9 +613,7 @@ class _Engine:
                 cap_cols[rows, 3] = self.rule.l3(ts[rows], eps[rows], j, floor)
         rho = error_threshold(self.plant, self.scn.trigger.lookahead, h)
         # columns: t, x, x_hat, then TRACE_COLUMNS
-        self.rows.append(np.column_stack([
-            ts, xs, self.plant.lyapunov_value(xs[:, :n]), self.plant.desired_performance(ts),
-            h, eps, eps / rho, des, cap_cols]))
+        self.rows.append(np.column_stack([ts, xs, v, vd, h, eps, eps / rho, des, cap_cols]))
 
     def _advance(self, t_target: float, record_end: bool = True):
         """Propagate exactly to t_target, recording samples and breakpoints."""
@@ -577,15 +626,14 @@ class _Engine:
         if inner.size:  # a sample may fall on a breakpoint: one row for both.  Python's sort,
             # as np.sort's first call pages in ~0.2 MiB of numpy's vectorised sort code.
             ts = np.array(sorted(set(ts.tolist() + inner.tolist())))
-        anchor_t, anchor_x = self.t, self.x_aug
-        if t_target > anchor_t:
-            self.x_aug = self.exp_block.apply(t_target - anchor_t, anchor_x)
+        orbit = _Orbit(self.rule, self.exp_block, self.t, self.x_aug, self.enc)
+        if t_target > self.t:
+            self.x_aug = orbit.x(t_target)
             self.t = t_target
             if record_end:
                 ts = np.append(ts, t_target)
         if ts.size:
-            self._record(ts, self.exp_block.apply(ts - anchor_t, anchor_x),
-                         self.enc.d_e(self.plant, ts))
+            self._record(ts, orbit.x(ts), orbit.d_e(ts))
 
     # -- packet sizing ---------------------------------------------------------
 

@@ -25,7 +25,10 @@ a node; the nodes are walked in doubling chunks, and a stretch between
 two nodes where the certificate shows the predicate false is skipped.
 Only the other stretches' grid points are evaluated, in doubling
 batches, so the first grid point where the predicate holds, and with it
-the bracket, is the one the plain scan finds.
+the bracket, is the one the plain scan finds.  Its grid is a
+``LinearGrid``: the floats of ``np.linspace``, computed only at the node
+chunks and points the scan reads, so a search costs the same on a slot of
+any length.
 """
 
 from __future__ import annotations
@@ -178,19 +181,53 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
     return lo, hi
 
 
-def first_crossing(pred, start: float, grid: np.ndarray, tol: float,
+@dataclass(frozen=True)
+class LinearGrid:
+    """``np.linspace(start, stop, count + 1)[1:]``, computed only where it is read.
+
+    An int, a slice or an array of indices (nonnegative, below ``size``)
+    gives the floats linspace puts there: ``k * step + start`` at its
+    index k, with ``step = (stop - start) / count`` (``k / count * (stop -
+    start) + start`` where step underflows to 0), and stop at the last.
+    """
+
+    start: float
+    stop: float
+    count: int
+
+    @property
+    def size(self) -> int:
+        return self.count
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            key = np.arange(*key.indices(self.count))
+        elif not isinstance(key, np.ndarray) and not 0 <= key < self.count:
+            raise IndexError(f"index {key} outside a grid of {self.count} points")
+        k = key + 1.0  # linspace's index, as the floats of its arange
+        delta = self.stop - self.start
+        step = delta / self.count
+        points = (k / self.count * delta if step == 0 else k * step) + self.start
+        if not isinstance(points, np.ndarray):
+            return self.stop if k == self.count else points
+        points[k == self.count] = self.stop
+        return points
+
+
+def first_crossing(pred, start: float, grid, tol: float,
                    quiet=None) -> tuple[float, float] | None:
     """Bracket of the first crossing of pred along grid, or None if pred never holds.
 
-    grid holds increasing times after start.  With no certificate it is
-    evaluated in chunks of ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ... points
-    up to the first chunk where pred holds somewhere.  quiet, a
-    certificate, maps increasing times ``t_0 < ... < t_m`` (start or grid
-    points) to m truth values, the i-th true only if pred is false at
-    every grid point in ``(t_i, t_{i+1}]``; see ``_certified_hit``.  The
-    bracket from the point before the first time pred holds (start, for
-    the first point) to that time is then shrunk by ``bisect_crossing``.
-    pred maps an array of times to truth values.
+    grid holds increasing times after start: an array or a
+    ``LinearGrid``.  With no certificate it is evaluated in chunks of
+    ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ... points up to the first chunk
+    where pred holds somewhere.  quiet, a certificate, maps increasing
+    times ``t_0 < ... < t_m`` (start or grid points) to m truth values,
+    the i-th true only if pred is false at every grid point in
+    ``(t_i, t_{i+1}]``; see ``_certified_hit``.  The bracket from the
+    point before the first time pred holds (start, for the first point)
+    to that time is then shrunk by ``bisect_crossing``.  pred maps an
+    array of times to truth values.
     """
     hit = _first_hit(pred, grid, _SCAN_CHUNK) if quiet is None else _certified_hit(
         pred, start, grid, quiet)
@@ -200,7 +237,7 @@ def first_crossing(pred, start: float, grid: np.ndarray, tol: float,
     return bisect_crossing(pred, lo, float(grid[hit]), tol)
 
 
-def _first_hit(pred, points: np.ndarray, size: int) -> int | None:
+def _first_hit(pred, points, size: int) -> int | None:
     """Index of the first of points where pred holds, scanning chunks of size, 2 size, ..."""
     a = 0
     while a < points.size:
@@ -211,7 +248,7 @@ def _first_hit(pred, points: np.ndarray, size: int) -> int | None:
     return None
 
 
-def _certified_hit(pred, start: float, grid: np.ndarray, quiet) -> int | None:
+def _certified_hit(pred, start: float, grid, quiet) -> int | None:
     """``_first_hit`` over grid, evaluating pred only where quiet certifies nothing.
 
     Stretch i holds grid points ``i S .. (i + 1) S - 1`` (S =
@@ -220,21 +257,26 @@ def _certified_hit(pred, start: float, grid: np.ndarray, quiet) -> int | None:
     point.  The nodes are handed to quiet in chunks of ``_NODE_CHUNK``,
     ``2 _NODE_CHUNK``, ... stretches; in each chunk, the points of the
     stretches quiet leaves open are scanned by ``_first_hit`` in batches
-    of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ... stretches.
+    of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ... stretches.  grid is read
+    only at the nodes and open points of the chunks reached.
     """
     stride = _NODE_STRIDE
-    ends = np.minimum(np.arange(stride - 1, grid.size + stride - 1, stride), grid.size - 1)
-    nodes = np.concatenate([[start], grid[ends]])
+    stretches = -(-grid.size // stride)
     i, size = 0, _NODE_CHUNK
-    while i < ends.size:
-        open_ = i + np.flatnonzero(~np.asarray(quiet(nodes[i:i + size + 1])))
+    while i < stretches:
+        last = min(i + size, stretches)
+        # Node m > 0 is the last point of stretch m - 1.
+        nodes = grid[np.minimum(np.arange(max(i, 1), last + 1) * stride, grid.size) - 1]
+        if i == 0:
+            nodes = np.concatenate([[start], nodes])
+        open_ = i + np.flatnonzero(~np.asarray(quiet(nodes)))
         if open_.size:
             idx = (open_[:, None] * stride + np.arange(stride)).ravel()
             idx = idx[idx < grid.size]
             hit = _first_hit(pred, grid[idx], _OPEN_CHUNK * stride)
             if hit is not None:
                 return int(idx[hit])
-        i, size = i + size, 2 * size
+        i, size = last, 2 * size
     return None
 
 
@@ -287,7 +329,9 @@ def delay_floor(plant: PlantModel, T: float, p: int) -> float:
 
     def g_above(tau):
         denom = e_wmT - np.exp(wm * tau)
-        with np.errstate(divide="ignore"):
+        # The product before the division overflows only where g >= 1: denom is at most
+        # e^{(w+mu)T}, which is finite, so the inf it then gives still reads g_above.
+        with np.errstate(divide="ignore", over="ignore"):
             g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
         return (denom <= 0.0) | (g >= 1.0) | (tau >= T)
 

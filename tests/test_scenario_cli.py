@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -290,6 +291,21 @@ class TestCli:
         assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error: lookahead T is too long" in err and "Traceback" not in err
+
+    def test_longest_lookahead_warns_nothing(self, tmp_path, capsys):
+        # T at 0.999 of ln(float max) / (w + mu), just inside the bound above: the product in
+        # triggers.delay_floor overflowed before its division, a RuntimeWarning that this
+        # suite's filter turns into an error (exit 1).  The floors exist; the rule's terms
+        # exceed 1 at t0, so the run fails admissibility.
+        doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
+        c = build_scenario(doc).plant.constants
+        del doc["trigger"]["T_fraction_of_gamma1"]
+        doc["trigger"]["T"] = 0.999 * math.log(np.finfo(float).max) / (
+            c.decay_gap + c.growth_rate)
+        path = tmp_path / "longest_T.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 3
+        assert "[FAIL] initial_triggers" in capsys.readouterr().out
 
     @pytest.mark.parametrize("force", [False, True])
     def test_overflowing_initial_level_exit_code(self, tmp_path, capsys, force):

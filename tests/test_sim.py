@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ class TestLocateCrossing:
         t1, _ = blackout_engine._locate_fire(0.0)
         t2, _ = fine._locate_fire(0.0)
         assert abs(t1 - t2) <= 2e-9
+
+
+class TestSearchMemory:
+    def test_search_reads_the_slot_grid_lazily(self, clear_channel_scn):
+        # The clear channel stretched to two 30 s slots, as the clear60 benchmark workload: a
+        # slot's scan grid has about 190k points, 1.5 MB as floats.  The search from t = 0
+        # finds its crossing within the first few points and reads little more.
+        sched = ChannelSchedule(theta=[0.0, 30.0, 60.0], rates=[2400.0, 2400.0], caps=[8, 8],
+                                n=2)
+        eng = _Engine(dataclasses.replace(clear_channel_scn, schedule=sched, horizon=60.0))
+        whole = 8 * (math.ceil(30.0 / eng.scan_step) + 1)
+        assert whole > 1.5e6
+        eng._locate_fire(0.0)  # numpy's first calls set up state of their own
+        tracemalloc.start()
+        try:
+            found = eng._locate_fire(0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is not None and found[0] < 0.01
+        assert peak < whole / 4
 
 
 class TestChunkedScan:
@@ -281,12 +303,13 @@ class TestCertificate:
 
         def checked(pred, start, grid, tol, quiet=None):
             assert quiet is not None  # every fire search is certified
+            points = grid[:]  # the slot's lazy grid, every point of it
             # Stretch i holds grid points i S .. (i + 1) S - 1 and starts at the point before.
-            ends = np.minimum(np.arange(_NODE_STRIDE, grid.size + _NODE_STRIDE,
-                                        _NODE_STRIDE), grid.size) - 1
-            certified = np.repeat(quiet(np.r_[start, grid[ends]]), np.diff(np.r_[-1, ends]))
-            fired = pred(grid)
-            assert not np.any(fired & certified), grid[fired & certified][:3]
+            ends = np.minimum(np.arange(_NODE_STRIDE, points.size + _NODE_STRIDE,
+                                        _NODE_STRIDE), points.size) - 1
+            certified = np.repeat(quiet(np.r_[start, points[ends]]), np.diff(np.r_[-1, ends]))
+            fired = pred(points)
+            assert not np.any(fired & certified), points[fired & certified][:3]
             seen["certified"] += int(np.count_nonzero(certified))
             seen["fired"] += int(np.count_nonzero(fired))
             return scan(pred, start, grid, tol, quiet)

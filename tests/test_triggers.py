@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import scalar_bisect
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from etcsim.capacity import realtime_bound
+from etcsim.channel import ChannelSchedule
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
 from etcsim.triggers import (
@@ -15,12 +17,14 @@ from etcsim.triggers import (
     _NODE_STRIDE,
     _SCAN_CHUNK,
     _TREE_DEPTH,
+    LinearGrid,
     TriggerConfig,
     bisect_crossing,
     blackout_entry_margin,
     channel_bound,
     delay_floor,
     error_threshold,
+    exp_growth_inf,
     first_crossing,
     perf_bound,
     time_to_perf_violation,
@@ -169,6 +173,56 @@ class TestFirstCrossing:
             assert hi == grid[hit] and 0.0 < hi - lo <= 1e-9
             assert evaluated - sizes[-1] + scan_chunks.calls[-1][1] == hit
             assert evaluated <= 2 * hit + _SCAN_CHUNK
+
+
+def same_bits(a, b):
+    """Equal float arrays, down to the sign of a zero."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLinearGrid:
+    """``LinearGrid`` against the ``np.linspace(start, stop, count + 1)[1:]`` it stands for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(start=st.floats(-1e6, 1e6), span=st.one_of(st.floats(-1e6, 1e6), st.floats(0.0, 1e-300)),
+           count=st.one_of(st.integers(1, 5000), st.integers(2 ** 20, 2 ** 20 + 10 ** 5)),
+           data=st.data())
+    @example(start=0.0, span=5e-324, count=3, data=None)  # the step underflows to zero
+    @example(start=1.0, span=0.0, count=1, data=None)
+    def test_matches_linspace_bit_for_bit(self, start, span, count, data):
+        stop = start + span
+        grid = LinearGrid(start, stop, count)
+        want = np.linspace(start, stop, count + 1)[1:]
+        assert grid.size == want.size
+        indices = st.integers(0, count - 1)
+        idx = np.array([0, count - 1] + ([] if data is None else data.draw(
+            st.lists(indices, max_size=64))), dtype=np.intp)
+        assert same_bits(grid[idx], want[idx])
+        for i in idx.tolist():
+            assert same_bits(grid[i], want[i]) and isinstance(grid[i], float)
+        a, b = (0, count) if data is None else sorted(data.draw(st.tuples(indices, indices)))
+        assert same_bits(grid[a:b + 1], want[a:b + 1])
+
+    def test_only_the_reach_of_a_search_is_read(self, scan_chunks):
+        # A crossing at point 100 of a million-point grid reads its first chunk of nodes,
+        # the points of one open stretch and the bracket's ends.
+        grid = LinearGrid(0.0, 1.0, 10 ** 6)
+        read = []
+        getitem = LinearGrid.__getitem__
+
+        class Counted(LinearGrid):
+            def __getitem__(self, key):
+                read.append(np.size(key))
+                return getitem(self, key)
+
+        counted = Counted(grid.start, grid.stop, grid.count)
+        hit = grid[100]
+        pred = lambda ts: ts >= hit
+        quiet = lambda nodes: ~((nodes[:-1] < hit) & (hit <= nodes[1:]))
+        found = first_crossing(scan_chunks.counted(pred), 0.0, counted, 1e-9, quiet)
+        assert found[1] == hit
+        assert read == [_NODE_CHUNK, _NODE_STRIDE, 1, 1]
 
 
 def exact_certificate(pred, grid, nodes_seen):
@@ -455,6 +509,43 @@ class TestTriggerSuite:
         assert l2 == 0.0
         assert l1 == pytest.approx(h * math.exp(-w * clear_channel_rule.tm[8]), rel=1e-12)
         assert l3 == -math.inf
+
+    @staticmethod
+    def generic_terms(rule, h, eps, p):
+        """``l1`` and ``l2`` from ``perf_bound`` and ``channel_bound`` (and so ``error_threshold``)."""
+        tm = rule.tm[p]
+        l1 = perf_bound(rule.plant, tm, h, eps)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            l2 = channel_bound(rule.plant, rule.config.lookahead, tm, h, eps, p,
+                               exp_norm=rule.exp_norm_tm[p], hbar=l1, check_domain=False)
+        return l1, l2
+
+    def test_tables_match_generic_bounds_for_each_p(self, clear_channel_scn, rng):
+        # A clear channel whose slot p - 1 has cap p, so terms reads p there, for every p.
+        sched = ChannelSchedule(theta=np.arange(9.0), rates=np.full(8, 2400.0),
+                                caps=np.arange(1, 9), n=2)
+        rule = dataclasses.replace(clear_channel_scn, schedule=sched, horizon=8.0).rule
+        h, eps = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-8.0, 2.0, 200)
+        for p in range(1, rule.pmax + 1):
+            ts = p - 1 + rng.uniform(0.0, 1.0, h.size)
+            for t, hh, ee in [(ts, h, eps)] + [(float(t), float(a), float(b))
+                                               for t, a, b in zip(ts[:5], h, eps)]:
+                gate, l1, l2, _ = rule.terms(t, hh, ee, p - 1)
+                want1, want2 = self.generic_terms(rule, hh, ee, p)
+                assert np.all(gate)
+                assert np.array_equal(l1, want1) and np.array_equal(l2, want2)
+
+    def test_tables_match_generic_bounds_for_array_p(self, blackout_rule, rng):
+        # Slot 0 of sec6 where its planned bits run out: psi falls from 8 to 0 after 2.437 s.
+        ts = np.linspace(2.435, 2.44, 4000)
+        psi = blackout_rule.psi(ts, 0)
+        p = np.maximum(psi, 1).astype(int)
+        assert set(psi.tolist()) == set(range(blackout_rule.pmax + 1))
+        h, eps = rng.uniform(0.0, 1.0, ts.size), 10.0 ** rng.uniform(-8.0, 2.0, ts.size)
+        gate, l1, l2, _ = blackout_rule.terms(ts, h, eps, 0)
+        want1, want2 = self.generic_terms(blackout_rule, h, eps, p)
+        assert np.array_equal(gate, psi >= 1)
+        assert np.array_equal(l1, want1) and np.array_equal(l2, want2)
 
     def test_zero_cap_rejected(self, blackout_rule, blackout_scn):
         blackout_slot = blackout_scn.schedule.slot_index(5.0)
