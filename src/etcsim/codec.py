@@ -45,10 +45,6 @@ class Packet:
         if any(not 0 <= s < hi for s in self.symbols):
             raise DomainError("symbol outside the packet alphabet")
 
-    @property
-    def total_bits(self) -> int:
-        return self.p_k * len(self.symbols)
-
 
 @dataclass(frozen=True)
 class CodecState:

@@ -16,9 +16,10 @@ channel breakpoints and their right limits always evaluated explicitly.
 A fire search pays per point, not per call: the grid is a
 ``triggers.LinearGrid``, read only where the scan reaches; every
 evaluation of the search, and of the stretch the engine then advances
-over, reads one ``_Orbit`` from the starting state (the modal
-coefficients of the block state, the codec's anchor and step); and the
-rule reads ``l1`` and ``l2`` from per-p tables built with it.
+over, reads the state through one ``ExpKernel.flow`` from its start
+(which takes the modal coefficients once) and ``d_e`` from the codec
+state; and the rule and its certificate read their bounds at ``T_M(p)``
+from per-p tables built with it.
 
 Every fire search skips the stretches of its grid where the paper's
 bounds show the rule cannot fire (``EventRule.quiet``, the comparison
@@ -64,6 +65,8 @@ from .triggers import (
 )
 
 _TIME_TOL = 1e-9
+# Most samples a run records on its sample grid (clear60's 60 s at 0.01 s is 6,000).
+_MAX_SAMPLES = 1e6
 _NUDGE = 1e-9
 # Relative amount by which EventRule.quiet raises h and eps before bounding the rule, to
 # cover the rounding of the ratios it bounds.  They come from ExpKernel, whose closed form
@@ -137,6 +140,13 @@ class Scenario:
         if not 0.0 < horizon <= self.schedule.end:
             raise ConfigurationError("horizon must lie within the channel schedule")
         object.__setattr__(self, "horizon", float(horizon))
+        # The engine holds the sample grid whole; LinearGrid's index arithmetic is exact
+        # only below 2^53 points.
+        if self.sample_step is not None and self.horizon / self.sample_step > _MAX_SAMPLES:
+            raise ConfigurationError(
+                f"sample_step gives more than {_MAX_SAMPLES:.0e} samples over the horizon")
+        if self.scan_step is not None and self.horizon / self.scan_step >= 2.0 ** 53:
+            raise ConfigurationError("scan_step gives 2^53 or more scan points over the horizon")
 
     @cached_property
     def rule(self) -> EventRule:
@@ -287,7 +297,10 @@ class EventRule:
     entry margin (``entry_margins``), and for every p up to the largest
     packet cap the unit violation time ``gamma1``, the delay floors,
     ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p,
-    with the tables ``terms`` reads ``l1`` and ``l2`` from.
+    with the tables both ``terms`` and ``quiet`` read their bounds at
+    ``T_M(p)`` from: ``perf_bound`` at the plant's growth rate and at
+    ``mu_bar = max(mu, mu_inf)`` (``_perf_tm``), and from it
+    ``channel_bound`` (``_channel_tm``).
     """
 
     def __init__(self, scenario: Scenario):
@@ -302,13 +315,16 @@ class EventRule:
             self.plant, self.config, self.pmax)
         self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
         self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
-        # perf_bound's factors e^{(w+mu) T_M(p)} - 1 and e^{w T_M(p)}, channel_bound's 2^p
-        # (indexed by p, like tm) and error_threshold's denominator W (e^{(w+mu) T} - 1).
+        # perf_bound's factors e^{(w+mu) T_M(p)} - 1, at the plant's mu and at quiet's
+        # mu_bar = max(mu, mu_inf), and e^{w T_M(p)}; channel_bound's 2^p (indexed by p, like
+        # tm); error_threshold's denominator W (e^{(w+mu) T} - 1).
         c = self.plant.constants
-        self._wm = c.decay_gap + c.growth_rate
-        self._growth = np.expm1(self._wm * self.tm)
+        self.mu_bar = max(c.growth_rate, c.growth_rate_inf)
+        self._growth = {mu: (c.decay_gap + mu, np.expm1((c.decay_gap + mu) * self.tm))
+                        for mu in (c.growth_rate, self.mu_bar)}
         self._decay = np.exp(c.decay_gap * self.tm)
         self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
+        self._wm = c.decay_gap + c.growth_rate
         self._rho_denom = c.guarded_decay_gap * math.expm1(self._wm * self.config.lookahead)
 
     def ratios(self, ts, xs, des):
@@ -367,8 +383,8 @@ class EventRule:
         """``(gate, l1, l2, l3)`` at times ts in slot j, for ratios h and eps.
 
         ``l1`` and ``l2`` are ``perf_bound`` and ``channel_bound`` at
-        ``T_M(p)`` for ``p = max(psi, 1)``, read from the per-p tables in
-        those functions' order of operations, so they are the same floats.
+        ``T_M(p)`` for ``p = max(psi, 1)``, read from the per-p tables
+        (``_perf_tm``, ``_channel_tm``), so they are the same floats.
         Scalars stay scalars.  Where the gate is off at every t no term is
         evaluated and all three read ``-inf``.
         """
@@ -377,18 +393,28 @@ class EventRule:
         if not (gate if isinstance(gate, bool) else gate.any()):
             return gate, -math.inf, -math.inf, -math.inf
         p = np.maximum(psi, 1).astype(int)  # psi never exceeds pmax
-        wm, W = self._wm, self.plant.constants.guarded_decay_gap
-        l1 = (h + W * eps / wm * self._growth[p]) / self._decay[p]
+        l1 = self._perf_tm(p, h, eps, self.plant.constants.growth_rate)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rho = wm * (1.0 - l1) / self._rho_denom + 1.0
-            l2 = self.exp_norm_tm[p] * eps / rho / self._pow2[p]
-            l3 = self.l3(ts, eps, j, floor)
-        return gate, l1, l2, l3
+            return gate, l1, self._channel_tm(p, l1, eps), self.l3(ts, eps, j, floor)
 
     def fires(self, ts, h, eps, j: int):
         """Where the rule fires: the gate holds and some term reaches its threshold."""
         gate, l1, l2, l3 = self.terms(ts, h, eps, j)
         return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
+
+    def _perf_tm(self, p, h, eps, mu: float):
+        """``perf_bound(plant, T_M(p), h, eps, mu)`` from the tables, for mu the plant's
+        growth rate or ``mu_bar``: its operations in its order, so the same floats."""
+        wm, growth = self._growth[mu]
+        return (h + self.plant.constants.guarded_decay_gap * eps / wm * growth[p]) / self._decay[p]
+
+    def _rho(self, h):
+        """``error_threshold`` at the lookahead T, with its denominator from the tables."""
+        return self._wm * (1.0 - h) / self._rho_denom + 1.0
+
+    def _channel_tm(self, p, hbar, eps):
+        """``channel_bound`` at ``T_M(p)`` for the perf bound hbar there, from the tables."""
+        return self.exp_norm_tm[p] * eps / self._rho(hbar) / self._pow2[p]
 
     def quiet(self, a, h, eps, b, j: int):
         """Where the rule cannot fire at any time of ``(a, b]`` in slot j, from h and eps at a.
@@ -396,8 +422,8 @@ class EventRule:
         The bounds are the paper's comparison argument, valid while
         ``||x - x_hat||_inf <= d_e``: ``h' <= -w h + W eps sqrt(h)`` and eps
         grows at most at rate ``mu_inf``.  With ``tau = b - a`` and
-        ``perf_bound`` taken at the larger of the two growth rates, on
-        ``(a, b]``:
+        ``perf_bound`` taken at ``mu_bar``, the larger of the two growth
+        rates, on ``(a, b]``:
 
         - eps stays below ``eps e^{mu_inf tau}``, and h below the larger of
           h and ``perf_bound(tau)``, which must stay below 1;
@@ -408,28 +434,28 @@ class EventRule:
         - ``l3`` stays below its value at a with the capacity floor at b.
 
         ``perf_bound`` is convex or increasing in its horizon, so its
-        largest value over an interval is at one end.  h and eps enter
-        raised by ``_CERT_MARGIN`` to absorb rounding, and the gate is not
-        read, which only makes the test stricter.  a, h, eps and b are
-        arrays, one entry per stretch.
+        largest value over an interval is at one end.  The bounds at
+        ``T_M(p)``, and ``channel_bound``, are read from the per-p tables
+        as ``terms`` reads them; only those at ``tau`` and ``T_M(p) + tau``
+        are ``perf_bound`` calls.  h and eps enter raised by
+        ``_CERT_MARGIN`` to absorb rounding, and the gate is not read,
+        which only makes the test stricter.  a, h, eps and b are arrays,
+        one entry per stretch.
         """
         c = self.plant.constants
-        mu_bar = max(c.growth_rate, c.growth_rate_inf)
         h, eps = h * (1.0 + _CERT_MARGIN), eps * (1.0 + _CERT_MARGIN)
         tau = b - a
         eps_hat = eps * np.exp(c.growth_rate_inf * tau)
-        bound = lambda horizon: perf_bound(self.plant, horizon, h, eps, mu_bar)
+        bound = lambda horizon: perf_bound(self.plant, horizon, h, eps, self.mu_bar)
         worst = np.maximum(h, bound(tau))
         _, psi_a, _ = self.budget(a, j)
         _, psi_b, floor_b = self.budget(b, j)
         p_hi, p_lo = np.maximum(psi_a, 1), np.maximum(psi_b, 1)
         # One (P, N) pass over every p any stretch takes; each stretch keeps its own range.
         ps = np.arange(int(p_lo.min()), int(p_hi.max()) + 1)[:, None]
-        tm = self.tm[ps]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            l1 = np.maximum(bound(tm), bound(tm + tau))
-            l2 = channel_bound(self.plant, self.config.lookahead, tm, h, eps_hat, ps,
-                               exp_norm=self.exp_norm_tm[ps], hbar=l1, check_domain=False)
+            l1 = np.maximum(self._perf_tm(ps, h, eps, self.mu_bar), bound(self.tm[ps] + tau))
+            l2 = self._channel_tm(ps, l1, eps_hat)
             in_range = (p_lo <= ps) & (ps <= p_hi)
             worst = np.maximum(worst, np.where(in_range, np.maximum(l1, l2), -np.inf).max(axis=0))
             return (worst < 1.0) & (self.l3(a, eps, j, floor_b) < 0.0)
@@ -437,36 +463,6 @@ class EventRule:
 
 # ---------------------------------------------------------------------------
 # engine
-
-
-class _Orbit:
-    """The closed loop from one state, at times not before it, until the next send or update.
-
-    The augmented state follows ``exp_block`` from ``x_aug`` at ``t0``
-    through ``ExpKernel.flow``, which takes the modal coefficients
-    ``V^{-1} x_aug`` once, and the error bound ``d_e`` follows the codec
-    state's anchor and step.  Each value is the float that
-    ``ExpKernel.apply``, ``CodecState.d_e`` and ``EventRule.ratios`` give
-    at that time.
-    """
-
-    def __init__(self, rule: EventRule, kernel: ExpKernel, t0: float, x_aug, enc):
-        self.rule, self.t0 = rule, t0
-        self._flow = kernel.flow(x_aug)
-        self._norm = rule.plant.exp_A.inf_norm
-        self._anchor, self._step = enc.anchor_time, enc.step
-
-    def x(self, ts):
-        """Augmented states (plant, estimate) at times ts >= t0, one row per time."""
-        return self._flow(np.subtract(ts, self.t0))
-
-    def d_e(self, ts):
-        """Error bound at times ts."""
-        return self._norm(np.subtract(ts, self._anchor)) * self._step
-
-    def ratios(self, ts):
-        """``(h, eps)`` at times ts >= t0."""
-        return self.rule.ratios(ts, self.x(ts), self.d_e(ts))
 
 
 class _Engine:
@@ -519,20 +515,23 @@ class _Engine:
         Each slot's fixed-step grid, a ``LinearGrid`` read only where the
         scan reaches, is searched by ``first_crossing``, with
         ``EventRule.quiet`` as its certificate (t_start is a recorded row,
-        so the codec invariant holds there).  Every evaluation reads one
-        orbit from the state at t_start.  Blackout slots are skipped: no
-        send, so the rule need not be evaluated there.
+        so the codec invariant holds there).  Every evaluation reads the
+        state through one ``ExpKernel.flow`` from t_start.  Blackout slots
+        are skipped: no send, so the rule need not be evaluated there.
         """
-        orbit = _Orbit(self.rule, self.exp_block, t_start, self.x_aug, self.enc)
-        work = self.work
+        flow, work = self.exp_block.flow(self.x_aug), self.work
+
+        def ratios(ts):
+            xs = flow(np.subtract(ts, t_start))
+            return self.rule.ratios(ts, xs, self.enc.d_e(self.plant, ts))
 
         def fires(ts, j: int):
             work["rule_calls"] += 1
             work["rule_points"] += np.size(ts)
-            return self.rule.fires(ts, *orbit.ratios(ts), j)
+            return self.rule.fires(ts, *ratios(ts), j)
 
         def quiet(nodes, j: int):
-            certified = self.rule.quiet(nodes[:-1], *orbit.ratios(nodes[:-1]), nodes[1:], j)
+            certified = self.rule.quiet(nodes[:-1], *ratios(nodes[:-1]), nodes[1:], j)
             work["certified_intervals"] += int(np.count_nonzero(certified))
             work["scanned_intervals"] += certified.size - int(np.count_nonzero(certified))
             return certified
@@ -626,25 +625,24 @@ class _Engine:
         if inner.size:  # a sample may fall on a breakpoint: one row for both.  Python's sort,
             # as np.sort's first call pages in ~0.2 MiB of numpy's vectorised sort code.
             ts = np.array(sorted(set(ts.tolist() + inner.tolist())))
-        orbit = _Orbit(self.rule, self.exp_block, self.t, self.x_aug, self.enc)
-        if t_target > self.t:
-            self.x_aug = orbit.x(t_target)
+        flow, t0 = self.exp_block.flow(self.x_aug), self.t
+        if t_target > t0:
+            self.x_aug = flow(t_target - t0)
             self.t = t_target
             if record_end:
                 ts = np.append(ts, t_target)
         if ts.size:
-            self._record(ts, orbit.x(ts), orbit.d_e(ts))
+            self._record(ts, flow(ts - t0), self.enc.d_e(self.plant, ts))
 
     # -- packet sizing ---------------------------------------------------------
 
     def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
         """Smallest bit count whose channel bound stays at or below 1."""
         ps = np.arange(1, self.rule.pmax + 1)
-        taus, exp_norm = ((self.rule.tm[ps], self.rule.exp_norm_tm[ps]) if self.blackouts
-                          else (ps / rate, None))
+        taus = self.rule.tm[ps] if self.blackouts else ps / rate
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps,
-                                 exp_norm=exp_norm, check_domain=False)
+                                 check_domain=False)
         fits = np.flatnonzero(vals <= 1.0)
         return int(ps[fits[0]]) if fits.size else None
 

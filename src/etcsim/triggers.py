@@ -116,24 +116,20 @@ def exp_growth_inf(plant: PlantModel, tau):
     return plant.exp_A.inf_norm(taus) * np.exp(plant.beta / 2.0 * taus)
 
 
-def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p, *,
-                  exp_norm=None, hbar=None, check_domain: bool = True):
+def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p, *, check_domain: bool = True):
     """Upper bound on the channel ratio after a p-bit update tau ahead.
 
     ``||e^{A tau}||_inf e^{(beta/2) tau} eps0 / rho_T(perf_bound(tau)) / 2^p``.
     The perf bound at tau must not exceed 1 (the threshold is undefined
     past that point); pass ``check_domain=False`` only when the caller
-    handles that case itself.  ``exp_norm`` and ``hbar`` optionally supply
-    ``||e^{A tau}||_inf e^{(beta/2) tau}`` and ``perf_bound(tau)``, precomputed.
+    handles that case itself.  ``sim.EventRule`` reads the same floats at
+    ``tau = T_M(p)`` from per-p tables; this is the reference form.
     """
-    if hbar is None:
-        hbar = perf_bound(plant, tau, h0, eps0)
+    hbar = perf_bound(plant, tau, h0, eps0)
     if check_domain and np.any(hbar > 1.0 + 1e-12):
         raise DomainError("performance bound exceeds 1 at the requested horizon")
-    if exp_norm is None:
-        exp_norm = exp_growth_inf(plant, tau)
     rho = error_threshold(plant, T, hbar)
-    return exp_norm * np.asarray(eps0) / rho / np.power(2.0, p)
+    return exp_growth_inf(plant, tau) * np.asarray(eps0) / rho / np.power(2.0, p)
 
 
 def blackout_entry_margin(plant: PlantModel, blackout_len: float) -> float:

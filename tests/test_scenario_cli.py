@@ -259,6 +259,26 @@ class TestCli:
         assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["sample_step", "scan_step"])
+    def test_step_too_fine_for_the_horizon_exit_code(self, tmp_path, field, capsys):
+        doc = json.loads(REPO_SCENARIO.with_name("clear10.json").read_text())
+        doc["sim"][field] = 1e-320
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert field in capsys.readouterr().err and not out.exists()
+
+    def test_triggers_table_file(self, tmp_path, blackout_rule):
+        assert main(["triggers", str(REPO_SCENARIO), "--out-dir", str(tmp_path / "out")]) == 0
+        with (tmp_path / "out" / "triggers.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["p", "delay_floor", "max_comm_delay"]
+        assert [int(p) for p, _, _ in rows] == list(range(1, blackout_rule.pmax + 1))
+        for p, floor, tm in rows:
+            assert float(floor) == blackout_rule.delay_floor[int(p)]
+            assert float(tm) == blackout_rule.tm[int(p)]
+
     def test_output_names_field_exit_code(self, tmp_path, sec6_doc, capsys):
         # Output names come from the file name; a scenario cannot set them.
         doc = copy.deepcopy(sec6_doc)

@@ -296,6 +296,17 @@ class TestCertificate:
         h = np.array([1.0 - 2.0 * sim._CERT_MARGIN, 1.0 - 0.5 * sim._CERT_MARGIN])
         assert rule.quiet(a, h, np.zeros(2), a + 1e-3, 0).tolist() == [True, False]
 
+    @pytest.mark.parametrize("name", ["sec6", "jordan"])
+    def test_tables_match_perf_bound_at_mu_bar(self, rng, name):
+        # quiet's bound at T_M(p), on the (P, N) grid it evaluates; jordan's kernel is Pade.
+        rule = self.SCENARIOS[name]().rule
+        ps = np.arange(1, rule.pmax + 1)[:, None]
+        h, eps = rng.uniform(0.0, 1.0, 300), 10.0 ** rng.uniform(-8.0, 2.0, 300)
+        got = rule._perf_tm(ps, h, eps, rule.mu_bar)
+        want = perf_bound(rule.plant, rule.tm[ps], h, eps, rule.mu_bar)
+        assert rule.mu_bar > rule.plant.constants.growth_rate
+        assert got.shape == (rule.pmax, h.size) and np.array_equal(got, want)
+
     @pytest.mark.parametrize("name", list(SCENARIOS))
     def test_no_certified_point_fires(self, monkeypatch, name):
         scan = sim.first_crossing
@@ -683,6 +694,23 @@ class TestScenarioValidation:
         assert with_cap(52).schedule.caps.max() == 52
         with pytest.raises(ConfigurationError, match="52"):
             with_cap(53)
+
+    @pytest.mark.parametrize("field,fine,coarse", [
+        ("sample_step", 1.9e-5, 2e-5),  # 20 s over ~1.05e6 points, and just under 1e6
+        ("scan_step", 20.0 / 2 ** 53, 20.0 / 2 ** 52),
+    ])
+    def test_steps_too_fine_for_the_horizon_rejected(self, blackout_scn, field, fine, coarse):
+        # Only the scenario is built: no run, and no grid of either step.
+        tracemalloc.start()
+        try:
+            assert getattr(dataclasses.replace(blackout_scn, **{field: coarse}), field) == coarse
+            for step in (fine, 1e-320):
+                with pytest.raises(ConfigurationError, match=field):
+                    dataclasses.replace(blackout_scn, **{field: step})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestStats:

@@ -516,8 +516,7 @@ class TestTriggerSuite:
         tm = rule.tm[p]
         l1 = perf_bound(rule.plant, tm, h, eps)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            l2 = channel_bound(rule.plant, rule.config.lookahead, tm, h, eps, p,
-                               exp_norm=rule.exp_norm_tm[p], hbar=l1, check_domain=False)
+            l2 = channel_bound(rule.plant, rule.config.lookahead, tm, h, eps, p, check_domain=False)
         return l1, l2
 
     def test_tables_match_generic_bounds_for_each_p(self, clear_channel_scn, rng):
@@ -546,6 +545,15 @@ class TestTriggerSuite:
         want1, want2 = self.generic_terms(blackout_rule, h, eps, p)
         assert np.array_equal(gate, psi >= 1)
         assert np.array_equal(l1, want1) and np.array_equal(l2, want2)
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_rho_matches_error_threshold(self, request, rng, name):
+        rule = request.getfixturevalue(f"{name}_rule")
+        h = np.r_[rng.uniform(-1.0, 1.0, 500), 0.0, 1.0, 1.5]
+        want = error_threshold(rule.plant, rule.config.lookahead, h)
+        assert np.array_equal(rule._rho(h), want)
+        for x in h[:20].tolist() + [0.0, 1.0]:
+            assert rule._rho(x) == error_threshold(rule.plant, rule.config.lookahead, x)
 
     def test_zero_cap_rejected(self, blackout_rule, blackout_scn):
         blackout_slot = blackout_scn.schedule.slot_index(5.0)
