@@ -1,9 +1,10 @@
 """Explore the threshold constants behind the event-triggering rules.
 
-Shows the time a marginal state takes to violate performance, how the
-per-bit-count delay floor grows with packet size, the resulting maximum
-communication delays, and the error margin required before blackouts of
-different lengths.
+Shows the time a marginal state takes to violate performance (the
+plant's ``gamma1``), how the per-bit-count delay floor grows with packet
+size, the resulting maximum communication delays (the two tables the
+scenario's event rule builds in one pass), and the error margin required
+before blackouts of different lengths.
 """
 
 from pathlib import Path
@@ -13,9 +14,9 @@ from etcsim.scenario import load_scenario
 
 scenario, _ = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json")
 plant = scenario.plant
-rule = scenario.rule  # the scenario's event rule holds the constant table
+rule = scenario.rule  # the scenario's event rule holds the delay-floor and T_M tables
 
-print(f"unit-level violation time..... {rule.gamma1:.6f}")
+print(f"unit-level violation time..... {plant.gamma1:.6f}")
 print(f"lookahead horizon T........... {scenario.trigger.lookahead:.6f}  (10% of the above)")
 print()
 print("packet size p | delay floor T*(p) | max comm delay T_M(p) | min rate (p+2)/T_M")

@@ -46,7 +46,6 @@ from .triggers import (
     TriggerConfig,
     blackout_entry_margin,
     channel_bound,
-    delay_floor,
     error_threshold,
     perf_bound,
     resolve_lookahead,

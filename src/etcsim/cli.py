@@ -156,7 +156,7 @@ def cmd_triggers(args) -> int:
     rule = scenario.rule
     rows = [(p, float(rule.delay_floor[p]), float(rule.tm[p]))
             for p in range(1, rule.pmax + 1)]
-    print(f"unit violation time = {rule.gamma1:.9f}")
+    print(f"unit violation time = {scenario.plant.gamma1:.9f}")
     print(f"lookahead T = {scenario.trigger.lookahead:.9f}")
     print(f"{'p':>3} {'delay_floor':>14} {'max_comm_delay':>16}")
     for p, floor_, tm in rows:

@@ -61,11 +61,17 @@ def spec_norm(M) -> float:
     """Spectral norm: largest singular value (Euclidean norm for vectors).
 
     Computed as ``sqrt(lambda_max(M^T M))`` to avoid a general SVD.
+    Raises DomainError when ``M^T M`` is not finite.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim == 1:
         return float(np.linalg.norm(A))
-    _, lam_max = sym_eig_extremes(A.T @ A)
+    with np.errstate(over="ignore"):  # reported below, as a DomainError
+        gram = A.T @ A
+    if not np.all(np.isfinite(gram)):
+        raise DomainError(f"spectral norm out of float range: M^T M overflows for entries "
+                          f"up to {np.abs(A).max():.3g}")
+    _, lam_max = sym_eig_extremes(gram)
     return float(np.sqrt(max(lam_max, 0.0)))
 
 

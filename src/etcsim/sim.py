@@ -11,7 +11,7 @@ so there is no integrator error: segments between events are evaluated
 by one exponential kernel of the block dynamics, built once per engine
 and called on whole arrays of times, and event times are found as the
 first crossing of the rule along each slot's fixed-step grid
-(``triggers.first_crossing``: a chunked scan refined by bisection), with
+(``triggers.first_crossing``: a certified scan refined by bisection), with
 channel breakpoints and their right limits always evaluated explicitly.
 A fire search pays per point, not per call: the grid is a
 ``triggers.LinearGrid``, read only where the scan reaches; every
@@ -67,6 +67,7 @@ from .triggers import (
 _TIME_TOL = 1e-9
 # Most samples a run records on its sample grid (clear60's 60 s at 0.01 s is 6,000).
 _MAX_SAMPLES = 1e6
+_MAX_SCAN_POINTS = 2.0 ** 53  # below this, LinearGrid's index arithmetic is exact
 _NUDGE = 1e-9
 # Relative amount by which EventRule.quiet raises h and eps before bounding the rule, to
 # cover the rounding of the ratios it bounds.  They come from ExpKernel, whose closed form
@@ -140,12 +141,12 @@ class Scenario:
         if not 0.0 < horizon <= self.schedule.end:
             raise ConfigurationError("horizon must lie within the channel schedule")
         object.__setattr__(self, "horizon", float(horizon))
-        # The engine holds the sample grid whole; LinearGrid's index arithmetic is exact
-        # only below 2^53 points.
+        # The engine holds the sample grid whole.  The default scan step, which needs the
+        # rule's T_M(1), is checked where the engine resolves it.
         if self.sample_step is not None and self.horizon / self.sample_step > _MAX_SAMPLES:
             raise ConfigurationError(
                 f"sample_step gives more than {_MAX_SAMPLES:.0e} samples over the horizon")
-        if self.scan_step is not None and self.horizon / self.scan_step >= 2.0 ** 53:
+        if self.scan_step is not None and self.horizon / self.scan_step >= _MAX_SCAN_POINTS:
             raise ConfigurationError("scan_step gives 2^53 or more scan points over the horizon")
 
     @cached_property
@@ -295,10 +296,10 @@ class EventRule:
     the schedule and plant fix is built once, with the rule: each slot's
     capacity plan (``plans``, None where no blackout lies ahead), each blackout slot's
     entry margin (``entry_margins``), and for every p up to the largest
-    packet cap the unit violation time ``gamma1``, the delay floors,
-    ``T_M(p)`` and ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p,
-    with the tables both ``terms`` and ``quiet`` read their bounds at
-    ``T_M(p)`` from: ``perf_bound`` at the plant's growth rate and at
+    packet cap the delay floors, ``T_M(p)`` and
+    ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p, with the tables
+    both ``terms`` and ``quiet`` read their bounds at ``T_M(p)`` from:
+    ``perf_bound`` at the plant's growth rate and at
     ``mu_bar = max(mu, mu_inf)`` (``_perf_tm``), and from it
     ``channel_bound`` (``_channel_tm``).
     """
@@ -311,8 +312,7 @@ class EventRule:
         self.entry_margins = {b: blackout_entry_margin(self.plant, float(self.sched.durations[b]))
                               for b in self.sched.blackout_slots()}
         self.pmax = int(self.sched.caps.max())
-        self.gamma1, self.delay_floor, self.tm = trigger_constants(
-            self.plant, self.config, self.pmax)
+        self.delay_floor, self.tm = trigger_constants(self.plant, self.config, self.pmax)
         self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
         self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
         # perf_bound's factors e^{(w+mu) T_M(p)} - 1, at the plant's mu and at quiet's
@@ -485,6 +485,9 @@ class _Engine:
         else:
             self.scan_step = min(float(np.min(self.sched.durations)) / 50.0,
                                  self.rule.tm[1] / 10.0)
+            if self.horizon / self.scan_step >= _MAX_SCAN_POINTS:
+                raise ConfigurationError(f"the default scan step {self.scan_step:.3g} gives "
+                                         "2^53 or more scan points over the horizon")
         self.sample_step = (scenario.sample_step if scenario.sample_step is not None
                             else self.horizon / 2000.0)
 

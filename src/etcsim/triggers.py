@@ -4,28 +4,23 @@ All bounds are closed-form scalar maps parameterised by a PlantModel
 (through its rate constants) and, where a look-ahead enters, by the
 design horizon T.  They accept numpy arrays in their time/level
 arguments so the simulator can evaluate dense grids in one call; the
-event rule that combines them lives in ``etcsim.sim``.  The per-plant
-constant table (the unit violation time, the delay floors and
-``T_M(p)``) is computed by ``trigger_constants``, which
-``sim.EventRule`` calls once when a scenario's rule is built.
+event rule that combines them lives in ``etcsim.sim``, which builds the
+delay-floor and ``T_M(p)`` tables (``trigger_constants``) once per rule.
 
-Every root found here and in the simulator is a first crossing, and
-``first_crossing`` is the one scan that finds it: it walks a grid of
-times in chunks that double in length and stops at the first chunk that
-holds a point where the predicate is true, so a crossing at grid index k
-costs at most 2k + ``_SCAN_CHUNK`` points, not the whole grid.  The
-bracket around that point is then shrunk by ``bisect_crossing``, five
-bisection levels per array call of the predicate.  The thresholds scan
-1000-point grids (the violation time in windows that expand until the
-root lies inside one); the simulator scans each slot at its scan step.
+Every root found here and in the simulator is a first crossing along a
+grid of times: ``_bracket_hit`` shrinks the bracket that ends at the first
+grid point where the predicate holds with ``bisect_crossing``, five
+bisection levels per array call.  The thresholds evaluate each 1000-point
+grid in one call (the violation time in windows that expand until the
+root lies inside one); the delay floors share one grid of [0, T] for all p.
 
-The simulator's fire search also hands ``first_crossing`` a certificate
-(``sim.EventRule.quiet``).  Every ``_NODE_STRIDE``-th grid point is then
-a node; the nodes are walked in doubling chunks, and a stretch between
-two nodes where the certificate shows the predicate false is skipped.
-Only the other stretches' grid points are evaluated, in doubling
-batches, so the first grid point where the predicate holds, and with it
-the bracket, is the one the plain scan finds.  Its grid is a
+The simulator's fire search, ``first_crossing``, has a certificate
+(``sim.EventRule.quiet``).  Every ``_NODE_STRIDE``-th grid point is a
+node; the nodes are walked in chunks that double up to
+``_NODE_CHUNK_MAX`` stretches, a stretch between two nodes where the
+certificate shows the predicate false is skipped, and only the others'
+points are evaluated, in doubling batches: the first grid point where the
+predicate holds is the one a scan of every point finds.  Its grid is a
 ``LinearGrid``: the floats of ``np.linspace``, computed only at the node
 chunks and points the scan reads, so a search costs the same on a slot of
 any length.
@@ -44,8 +39,6 @@ from .plant import PlantModel
 _SCAN_POINTS = 1000
 # Bracket width at which every root search here stops.
 ROOT_TOL = 1e-9
-# Grid points in the first chunk of a scan; each chunk with no hit doubles it.
-_SCAN_CHUNK = 256
 # Levels of the bisection tree evaluated per call of the predicate: 31 points.
 _TREE_DEPTH = 5
 # Grid points per stretch a certificate judges.
@@ -55,6 +48,8 @@ _NODE_STRIDE = 64
 # smaller chunks would save points but spend more time on calls.
 _NODE_CHUNK = 64
 _OPEN_CHUNK = 16
+# Stretches in a certified scan's largest chunk of nodes: it bounds a search's memory.
+_NODE_CHUNK_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -181,10 +176,10 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
 class LinearGrid:
     """``np.linspace(start, stop, count + 1)[1:]``, computed only where it is read.
 
-    An int, a slice or an array of indices (nonnegative, below ``size``)
-    gives the floats linspace puts there: ``k * step + start`` at its
-    index k, with ``step = (stop - start) / count`` (``k / count * (stop -
-    start) + start`` where step underflows to 0), and stop at the last.
+    An int or an array of indices (nonnegative, below ``size``) gives the
+    floats linspace puts there: ``k * step + start`` at its index k, with
+    ``step = (stop - start) / count`` (``k / count * (stop - start) +
+    start`` where step underflows to 0), and stop at the last.
     """
 
     start: float
@@ -196,9 +191,7 @@ class LinearGrid:
         return self.count
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            key = np.arange(*key.indices(self.count))
-        elif not isinstance(key, np.ndarray) and not 0 <= key < self.count:
+        if not isinstance(key, np.ndarray) and not 0 <= key < self.count:
             raise IndexError(f"index {key} outside a grid of {self.count} points")
         k = key + 1.0  # linspace's index, as the floats of its arange
         delta = self.stop - self.start
@@ -210,27 +203,23 @@ class LinearGrid:
         return points
 
 
-def first_crossing(pred, start: float, grid, tol: float,
-                   quiet=None) -> tuple[float, float] | None:
+def _bracket_hit(pred, start: float, grid, hit: int, tol: float) -> tuple[float, float]:
+    """``bisect_crossing`` from the point before ``grid[hit]`` (start, for the first) to it."""
+    lo = float(grid[hit - 1]) if hit else start
+    return bisect_crossing(pred, lo, float(grid[hit]), tol)
+
+
+def first_crossing(pred, start: float, grid, tol: float, quiet) -> tuple[float, float] | None:
     """Bracket of the first crossing of pred along grid, or None if pred never holds.
 
     grid holds increasing times after start: an array or a
-    ``LinearGrid``.  With no certificate it is evaluated in chunks of
-    ``_SCAN_CHUNK``, ``2 _SCAN_CHUNK``, ... points up to the first chunk
-    where pred holds somewhere.  quiet, a certificate, maps increasing
-    times ``t_0 < ... < t_m`` (start or grid points) to m truth values,
-    the i-th true only if pred is false at every grid point in
-    ``(t_i, t_{i+1}]``; see ``_certified_hit``.  The bracket from the
-    point before the first time pred holds (start, for the first point)
-    to that time is then shrunk by ``bisect_crossing``.  pred maps an
-    array of times to truth values.
+    ``LinearGrid``.  pred maps an array of times to truth values.  quiet,
+    a certificate, maps increasing times ``t_0 < ... < t_m`` (start or grid
+    points) to m truth values, the i-th true only if pred is false at every
+    grid point in ``(t_i, t_{i+1}]``; see ``_certified_hit``.
     """
-    hit = _first_hit(pred, grid, _SCAN_CHUNK) if quiet is None else _certified_hit(
-        pred, start, grid, quiet)
-    if hit is None:
-        return None
-    lo = float(grid[hit - 1]) if hit else start
-    return bisect_crossing(pred, lo, float(grid[hit]), tol)
+    hit = _certified_hit(pred, start, grid, quiet)
+    return None if hit is None else _bracket_hit(pred, start, grid, hit, tol)
 
 
 def _first_hit(pred, points, size: int) -> int | None:
@@ -251,10 +240,11 @@ def _certified_hit(pred, start: float, grid, quiet) -> int | None:
     ``_NODE_STRIDE``; the last may be shorter) and runs from its node,
     the last point before it (start for the first), to its own last
     point.  The nodes are handed to quiet in chunks of ``_NODE_CHUNK``,
-    ``2 _NODE_CHUNK``, ... stretches; in each chunk, the points of the
-    stretches quiet leaves open are scanned by ``_first_hit`` in batches
-    of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ... stretches.  grid is read
-    only at the nodes and open points of the chunks reached.
+    ``2 _NODE_CHUNK``, ... stretches, up to ``_NODE_CHUNK_MAX``; in each
+    chunk, the points of the stretches quiet leaves open are scanned by
+    ``_first_hit`` in batches of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ...
+    stretches.  grid is read only at the nodes and open points of the
+    chunks reached.
     """
     stride = _NODE_STRIDE
     stretches = -(-grid.size // stride)
@@ -272,7 +262,7 @@ def _certified_hit(pred, start: float, grid, quiet) -> int | None:
             hit = _first_hit(pred, grid[idx], _OPEN_CHUNK * stride)
             if hit is not None:
                 return int(idx[hit])
-        i, size = last, 2 * size
+        i, size = last, min(2 * size, _NODE_CHUNK_MAX)
     return None
 
 
@@ -301,55 +291,52 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float) -> float:
     # Expand geometrically until the bound has crossed 1; it always does
     # for eps0 > 0 since the bound grows like e^{mu tau}.
     for _ in range(200):
-        found = first_crossing(above, lo, np.linspace(lo, hi, _SCAN_POINTS + 1)[1:], ROOT_TOL)
-        if found is not None:
-            return found[1]
+        grid = np.linspace(lo, hi, _SCAN_POINTS + 1)[1:]
+        hits = np.flatnonzero(above(grid))
+        if hits.size:
+            return _bracket_hit(above, lo, grid, int(hits[0]), ROOT_TOL)[1]
         lo, hi = hi, hi + 2.0 * (hi - lo)
     raise DomainError("performance bound crossing not found (scan exhausted)")
 
 
-def delay_floor(plant: PlantModel, T: float, p: int) -> float:
-    """Uniform lower bound on the tolerable update delay after p bits.
+def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
+    """``(floors, tm)``: the delay floors and ``T_M(p)``, indexed by bit count p <= pmax.
 
-    Smallest tau in [0, T) where
-    ``||e^{A tau}||_inf e^{(beta/2) tau} / 2^p *
-      (e^{(w+mu)T}-1)/(e^{(w+mu)T}-e^{(w+mu) tau})`` reaches 1; zero for p = 0.
+    ``floors[p]`` is the smallest tau in [0, T) where ``||e^{A tau}||_inf
+    e^{(beta/2) tau} / 2^p * (e^{(w+mu)T}-1)/(e^{(w+mu)T}-e^{(w+mu) tau})``
+    reaches 1, and ``tm[p] = sigma * min(gamma1, T, floors[p])``; both are
+    NaN at p = 0.  The growth factor, which p does not enter, is evaluated
+    once on a grid of [0, T]; each p's bracket at its first grid hit is
+    shrunk by ``_bracket_hit``.
     """
-    if p < 0:
-        raise DomainError("bit count must be nonnegative")
-    if p == 0:
-        return 0.0
+    T = config.lookahead
     c = plant.constants
     wm = c.decay_gap + c.growth_rate
     e_wmT = math.exp(wm * T)
 
-    def g_above(tau):
-        denom = e_wmT - np.exp(wm * tau)
-        # The product before the division overflows only where g >= 1: denom is at most
-        # e^{(w+mu)T}, which is finite, so the inf it then gives still reads g_above.
-        with np.errstate(divide="ignore", over="ignore"):
-            g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
+    def factors(tau):
+        return exp_growth_inf(plant, tau), e_wmT - np.exp(wm * tau)
+
+    def reached(p, tau, growth, denom):
+        # The product overflows only where g >= 1 (denom <= e^{(w+mu)T} is finite), so its inf
+        # still reads reached.  Where e^{(w+mu)T} and e^{(w+mu) tau} both round to 1 (T near
+        # 0), g is 0/0 and denom <= 0 decides.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = growth / 2.0 ** p * (e_wmT - 1.0) / denom
         return (denom <= 0.0) | (g >= 1.0) | (tau >= T)
 
-    # g diverges at T^-, so g_above holds at the last point, T, even where math.exp and
+    # g diverges at T^-, so reached holds at the last point, T, even where math.exp and
     # np.exp round e^{(w+mu)T} apart and 2^p is large enough to keep g below 1 there.
-    grid = np.minimum(np.arange(1, _SCAN_POINTS + 1) * (T / _SCAN_POINTS), T * (1.0 - 1e-12))
-    return first_crossing(g_above, 0.0, np.append(grid, T), ROOT_TOL)[1]
-
-
-def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
-    """The unit violation time and the delay-floor and ``T_M`` tables up to pmax bits.
-
-    Returns ``(gamma1, floors, tm)``: gamma1 is the time the performance
-    bound takes to return to 1 from (1, 1), and ``floors[p]`` and
-    ``tm[p] = sigma * min(gamma1, T, floors[p])`` are indexed by the bit
-    count p, with NaN at p = 0.
-    """
-    gamma1 = plant.gamma1
+    grid = np.append(np.minimum(np.arange(1, _SCAN_POINTS + 1) * (T / _SCAN_POINTS),
+                                T * (1.0 - 1e-12)), T)
+    on_grid = factors(grid)
     floors = np.full(pmax + 1, np.nan)
-    floors[1:] = [delay_floor(plant, config.lookahead, p) for p in range(1, pmax + 1)]
-    tm = config.sigma * np.minimum(min(gamma1, config.lookahead), floors)
-    return gamma1, floors, tm
+    for p in range(1, pmax + 1):
+        hit = int(np.argmax(reached(p, grid, *on_grid)))
+        floors[p] = _bracket_hit(lambda tau: reached(p, tau, *factors(tau)), 0.0, grid, hit,
+                                ROOT_TOL)[1]
+    tm = config.sigma * np.minimum(min(plant.gamma1, T), floors)
+    return floors, tm
 
 
 def resolve_lookahead(plant: PlantModel, fraction: float) -> float:

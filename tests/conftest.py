@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ from etcsim import triggers
 from etcsim.channel import ChannelSchedule
 from etcsim.scenario import load_scenario
 from etcsim.sim import _Engine, run
-from etcsim.triggers import (TriggerConfig, blackout_entry_margin, resolve_lookahead,
-                             trigger_constants)
+from etcsim.triggers import (ROOT_TOL, TriggerConfig, bisect_crossing, blackout_entry_margin,
+                             exp_growth_inf, resolve_lookahead, trigger_constants)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -23,6 +24,34 @@ def scalar_bisect(pred, lo, hi, tol):
         else:
             lo = mid
     return lo, hi
+
+
+def delay_floor_oracle(plant, T, p):
+    """The per-p search ``triggers.trigger_constants`` replaced, the oracle for its table.
+
+    Smallest tau in [0, T) where ``||e^{A tau}||_inf e^{(beta/2) tau} / 2^p *
+    (e^{(w+mu)T}-1)/(e^{(w+mu)T}-e^{(w+mu) tau})`` reaches 1: its own growth factor on
+    chunks of 256, 512, ... points of the 1001-point grid up to the first hit, then
+    bisection of that bracket.
+    """
+    c = plant.constants
+    wm = c.decay_gap + c.growth_rate
+    e_wmT = math.exp(wm * T)
+
+    def g_above(tau):
+        denom = e_wmT - np.exp(wm * tau)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            g = exp_growth_inf(plant, tau) / 2.0 ** p * (e_wmT - 1.0) / denom
+        return (denom <= 0.0) | (g >= 1.0) | (tau >= T)
+
+    grid = np.minimum(np.arange(1, 1001) * (T / 1000), T * (1.0 - 1e-12))
+    grid = np.append(grid, T)
+    a, size = 0, 256
+    while not (hits := np.flatnonzero(g_above(grid[a:a + size]))).size:  # holds at T
+        a, size = a + size, 2 * size
+    hit = a + int(hits[0])
+    return bisect_crossing(g_above, float(grid[hit - 1]) if hit else 0.0, float(grid[hit]),
+                           ROOT_TOL)[1]
 
 
 def check_invariants(scn, trace):
@@ -101,7 +130,7 @@ def ref_config(ref_plant):
 
 @pytest.fixture(scope="session")
 def ref_constants(ref_plant, ref_config):
-    """``(gamma1, delay floors, T_M)`` of the reference plant for p = 1..8."""
+    """``(delay floors, T_M)`` of the reference plant for p = 1..8."""
     return trigger_constants(ref_plant, ref_config, 8)
 
 

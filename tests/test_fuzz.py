@@ -3,6 +3,7 @@
 Every run must end in one of two ways: a typed ``EtcsimError`` with a
 documented exit code (2 to 5), or a trace that passes the channel rules
 (``validate_sequence``) and the theorem's invariants (``check_invariants``).
+The rule's delay floors must equal the per-p search, bit for bit.
 The documents carry no ``sim.mode``: the channel picks the design.  The
 runs are forced, so scenarios that fail admissibility run too.
 
@@ -12,7 +13,7 @@ entry margin when run unforced; they are pinned as strict xfails.
 
 import numpy as np
 import pytest
-from conftest import check_invariants
+from conftest import check_invariants, delay_floor_oracle
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
@@ -74,7 +75,7 @@ def documents(draw):
     return _document(A, B, K, theta, rates, caps, x0, beta_fraction)
 
 
-# Packets of up to 48 bits on a fast plant: triggers.delay_floor found no crossing for
+# Packets of up to 48 bits on a fast plant: the delay-floor search found no crossing for
 # p >= 44 (a stray TypeError), as math.exp and np.exp rounded e^{(w+mu)T} one ulp apart.
 _FAST_PLANT_WIDE_PACKETS = {
     "plant": {"A": [[4.5, 3.1, -4.1], [-0.6, -1.4, -3.3], [-1.8, 0.8, -1.4]],
@@ -109,6 +110,9 @@ _STABLE_PLANT_NO_FEEDBACK = {
 def test_run_ends_in_a_typed_error_or_a_valid_trace(doc):
     try:
         scn = build_scenario(doc)
+        rule = scn.rule
+        for p in range(1, min(rule.pmax, 8) + 1):
+            assert rule.delay_floor[p] == delay_floor_oracle(scn.plant, scn.trigger.lookahead, p)
         trace = run(scn, force=True)
     except EtcsimError as exc:
         assert 2 <= exc.exit_code <= 5, exc

@@ -302,7 +302,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_overlong_lookahead_exit_code(self, tmp_path, capsys):
-        # e^{(w+mu) T} past the float range: triggers.delay_floor raised OverflowError (exit 1).
+        # e^{(w+mu) T} past the float range: the delay floors raised OverflowError (exit 1).
         doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
         del doc["trigger"]["T_fraction_of_gamma1"]
         doc["trigger"]["T"] = 1e9
@@ -314,7 +314,7 @@ class TestCli:
 
     def test_longest_lookahead_warns_nothing(self, tmp_path, capsys):
         # T at 0.999 of ln(float max) / (w + mu), just inside the bound above: the product in
-        # triggers.delay_floor overflowed before its division, a RuntimeWarning that this
+        # the delay-floor predicate overflowed before its division, a RuntimeWarning that this
         # suite's filter turns into an error (exit 1).  The floors exist; the rule's terms
         # exceed 1 at t0, so the run fails admissibility.
         doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
@@ -326,6 +326,38 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 3
         assert "[FAIL] initial_triggers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("force", [False, True])
+    @pytest.mark.parametrize("trigger", [
+        {"sigma": 1e-15},  # the default scan step, T_M(1) / 10, gives 3.8e18 points
+        {"T": 1e-300},  # e^{(w+mu) T} rounds to 1, every delay floor is T / 1000: 1.6e306 points
+    ])
+    def test_default_scan_step_too_fine_exit_code(self, tmp_path, capsys, trigger, force):
+        # Unforced, admissibility fails; the T = 1e-300 delay floors divided 0 by 0 there, a
+        # RuntimeWarning that this suite's filter turns into an error (exit 1).  Forced, the
+        # default step's grid, past 2^53 points, ran numpy out of memory or overflowed a C long.
+        doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
+        if "T" in trigger:
+            del doc["trigger"]["T_fraction_of_gamma1"]
+        doc["trigger"].update(trigger)
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["simulate", str(path), "--out-dir", str(out)] + ["--force"] * force
+        assert main(argv) == (2 if force else 3)
+        if force:
+            assert "default scan step" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_certificate_exit_code(self, tmp_path, capsys):
+        # Q = 1e300 I: the spectral norm of P B K overflowed in M^T M, a RuntimeWarning that
+        # this suite's filter turns into an error (exit 1).
+        doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
+        doc["plant"]["Q"] = [[1e300, 0.0], [0.0, 1e300]]
+        path = tmp_path / "big_Q.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error: spectral norm out of float range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("force", [False, True])
     def test_overflowing_initial_level_exit_code(self, tmp_path, capsys, force):
@@ -485,14 +517,14 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_trigger_constants_built_once_per_simulate(self, tmp_path, monkeypatch):
-        calls = {"delay_floor": [], "admissibility": 0, "entry_margin": []}
-        delay_floor = etcsim.triggers.delay_floor
+        calls = {"trigger_constants": [], "admissibility": 0, "entry_margin": []}
+        constants = etcsim.sim.trigger_constants
         check = etcsim.sim.check_admissibility
         entry_margin = etcsim.sim.blackout_entry_margin
 
-        def counting_delay_floor(plant, T, p, *args, **kwargs):
-            calls["delay_floor"].append(p)
-            return delay_floor(plant, T, p, *args, **kwargs)
+        def counting_constants(plant, config, pmax):
+            calls["trigger_constants"].append(pmax)
+            return constants(plant, config, pmax)
 
         def counting_check(scenario):
             calls["admissibility"] += 1
@@ -502,12 +534,12 @@ class TestCli:
             calls["entry_margin"].append(blackout_len)
             return entry_margin(plant, blackout_len)
 
-        monkeypatch.setattr(etcsim.triggers, "delay_floor", counting_delay_floor)
+        monkeypatch.setattr(etcsim.sim, "trigger_constants", counting_constants)
         monkeypatch.setattr(etcsim.sim, "check_admissibility", counting_check)
         monkeypatch.setattr(etcsim.cli, "check_admissibility", counting_check)
         monkeypatch.setattr(etcsim.sim, "blackout_entry_margin", counting_entry_margin)
         assert main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)]) == 0
-        assert sorted(calls["delay_floor"]) == list(range(1, 9))  # p = 1..pmax
+        assert calls["trigger_constants"] == [8]  # one table, p = 1..pmax
         assert calls["admissibility"] == 1
         assert calls["entry_margin"] == [2.0, 2.0, 2.0]  # once per blackout
 
@@ -522,6 +554,7 @@ class TestCli:
         monkeypatch.setattr(etcsim.triggers, "time_to_perf_violation", counting_root_find)
         scenario, doc = load_scenario(REPO_SCENARIO)
         assert "T_fraction_of_gamma1" in doc["trigger"]
-        rule = scenario.rule
+        scenario.rule  # its tables read the plant's gamma1
         assert calls == [(1.0, 1.0)]
-        assert scenario.trigger.lookahead == doc["trigger"]["T_fraction_of_gamma1"] * rule.gamma1
+        assert (scenario.trigger.lookahead
+                == doc["trigger"]["T_fraction_of_gamma1"] * scenario.plant.gamma1)

@@ -3,30 +3,33 @@ import math
 
 import numpy as np
 import pytest
-from conftest import scalar_bisect
+from conftest import delay_floor_oracle, scalar_bisect
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from etcsim import triggers
 from etcsim.capacity import realtime_bound
 from etcsim.channel import ChannelSchedule
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
+from etcsim.plant import build_plant
 from etcsim.triggers import (
     _NODE_CHUNK,
+    _NODE_CHUNK_MAX,
     _NODE_STRIDE,
-    _SCAN_CHUNK,
     _TREE_DEPTH,
     LinearGrid,
     TriggerConfig,
+    _certified_hit,
     bisect_crossing,
     blackout_entry_margin,
     channel_bound,
-    delay_floor,
     error_threshold,
     exp_growth_inf,
     first_crossing,
     perf_bound,
+    resolve_lookahead,
     time_to_perf_violation,
     trigger_constants,
 )
@@ -143,36 +146,40 @@ def scalar_first_crossing(pred, start, grid, tol):
     return None
 
 
-class TestFirstCrossing:
-    # 2000 points: chunks of 256, 512 and 1024 points, then a last, partial one of 208.
-    GRID = np.linspace(0.0, 1.0, 2001)[1:]
+def certify_nothing(nodes):
+    """A certificate that leaves every stretch open, so every grid point is scanned."""
+    return np.zeros(len(nodes) - 1, dtype=bool)
 
+
+class TestFirstCrossing:
     @settings(max_examples=300, deadline=None)
     @given(points=st.integers(1, 3000), start=st.floats(-1.0, 0.0), where=st.floats(-0.1, 1.1),
            strict=st.booleans())
     def test_matches_scalar_scan(self, points, start, where, strict):
         grid = np.linspace(start, 1.0, points + 1)[1:]
         threshold = start + where * (1.0 - start)
-        assert (first_crossing(Counted(threshold, strict), start, grid, 1e-9)
+        assert (first_crossing(Counted(threshold, strict), start, grid, 1e-9, certify_nothing)
                 == scalar_first_crossing(Counted(threshold, strict), start, grid, 1e-9))
 
-    @pytest.mark.parametrize("hit", [0, 1, 255, 256, 767, 768, 1791, 1792, 1999, None])
-    def test_stops_at_first_hit_chunk(self, scan_chunks, hit):
-        grid = self.GRID
-        threshold = 2.0 if hit is None else grid[hit]
-        found = first_crossing(scan_chunks.counted(lambda ts: ts >= threshold), 0.0, grid, 1e-9)
-        sizes = [size for size, _ in scan_chunks.calls]
-        assert all(idx is None for _, idx in scan_chunks.calls[:-1])
-        assert sizes[:-1] == [_SCAN_CHUNK * 2 ** k for k in range(len(sizes) - 1)]
-        evaluated = sum(sizes)
-        if hit is None:
-            assert found is None and scan_chunks.calls[-1][1] is None
-            assert evaluated == grid.size and sizes[-1] == 208  # the last, partial chunk
-        else:
-            lo, hi = found
-            assert hi == grid[hit] and 0.0 < hi - lo <= 1e-9
-            assert evaluated - sizes[-1] + scan_chunks.calls[-1][1] == hit
-            assert evaluated <= 2 * hit + _SCAN_CHUNK
+    def test_node_chunks_stop_growing_at_the_cap(self):
+        # A grid of 2^40 points: with every stretch certified, the chunks of nodes double up
+        # to the cap and then stay there, whatever is left of the grid.
+        grid = LinearGrid(0.0, 1.0, 2 ** 40)
+        sizes = []
+
+        class Enough(Exception):
+            pass
+
+        def certify_all(nodes):
+            sizes.append(len(nodes))
+            if len(sizes) == 12:
+                raise Enough  # the cap has held for several chunks
+            return np.ones(len(nodes) - 1, dtype=bool)
+
+        with pytest.raises(Enough):
+            _certified_hit(lambda ts: ts > 2.0, 0.0, grid, certify_all)
+        assert max(sizes) == _NODE_CHUNK_MAX + 1
+        assert sizes[0] == _NODE_CHUNK + 1 and sizes[-3:] == [_NODE_CHUNK_MAX + 1] * 3
 
 
 def same_bits(a, b):
@@ -201,8 +208,9 @@ class TestLinearGrid:
         assert same_bits(grid[idx], want[idx])
         for i in idx.tolist():
             assert same_bits(grid[i], want[i]) and isinstance(grid[i], float)
-        a, b = (0, count) if data is None else sorted(data.draw(st.tuples(indices, indices)))
-        assert same_bits(grid[a:b + 1], want[a:b + 1])
+        a, b = (0, count - 1) if data is None else sorted(data.draw(st.tuples(indices, indices)))
+        run = np.arange(a, b + 1)
+        assert same_bits(grid[run], want[run])
 
     def test_only_the_reach_of_a_search_is_read(self, scan_chunks):
         # A crossing at point 100 of a million-point grid reads its first chunk of nodes,
@@ -418,33 +426,58 @@ class TestDelayExceeds:
             channel_delay_exceeds(ref_plant, T, 0.5, above, 2, 0.01)
 
 
-class TestDelayFloor:
-    def test_zero_bits(self, ref_plant, ref_config):
-        assert delay_floor(ref_plant, ref_config.lookahead, 0) == 0.0
+# The benchmark's jordan plant: A has no eigenvector basis, so exp(A t) takes the Pade branch.
+JORDAN = build_plant([[1, 1], [0, 1]], [[0], [1]], [[-9, -6]], np.eye(2), 1.2, beta_fraction=0.8)
 
-    def test_residual_self_certifying(self, ref_plant, ref_config):
+
+class TestDelayFloor:
+    """The delay floors of ``trigger_constants``."""
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("plant", ["reference", "jordan"])
+    def test_table_matches_per_p_search_bit_for_bit(self, ref_plant, plant, fraction):
+        plant = ref_plant if plant == "reference" else JORDAN
+        config = TriggerConfig(lookahead=resolve_lookahead(plant, fraction), sigma=0.06,
+                               sigma1=0.8)
+        floors, _ = trigger_constants(plant, config, 52)
+        want = [delay_floor_oracle(plant, config.lookahead, p) for p in range(1, 53)]
+        assert same_bits(floors[1:], want)
+
+    def test_growth_factor_evaluated_once_on_the_grid(self, monkeypatch, ref_plant, ref_config):
+        sizes = []
+        growth = triggers.exp_growth_inf
+
+        def counted(plant, tau):
+            sizes.append(np.size(tau))
+            return growth(plant, tau)
+
+        monkeypatch.setattr(triggers, "exp_growth_inf", counted)
+        trigger_constants(ref_plant, ref_config, 8)
+        assert sizes[0] == 1001
+        assert len(sizes) > 1 and all(size <= 2 ** _TREE_DEPTH - 1 for size in sizes[1:])
+
+    def test_residual_self_certifying(self, ref_constants, ref_plant, ref_config):
         T = ref_config.lookahead
         c = ref_plant.constants
         wm = c.decay_gap + c.growth_rate
-        tstar = delay_floor(ref_plant, T, 4)
+        tstar = ref_constants[0][4]
         g = (inf_norm(expm(ref_plant.A * tstar)) * math.exp(ref_plant.beta / 2 * tstar)
              / 2 ** 4 * math.expm1(wm * T) / (math.exp(wm * T) - math.exp(wm * tstar)))
         assert g == pytest.approx(1.0, abs=1e-5)
 
-    def test_monotone_in_bits(self, ref_plant, ref_config):
-        T = ref_config.lookahead
-        vals = [delay_floor(ref_plant, T, p) for p in range(1, 9)]
+    def test_monotone_in_bits(self, ref_constants, ref_config):
+        vals = ref_constants[0][1:].tolist()
         assert all(a < b for a, b in zip(vals, vals[1:]))
-        assert all(0.0 < v < T for v in vals)
+        assert all(0.0 < v < ref_config.lookahead for v in vals)
 
-    def test_lower_bounds_channel_crossing(self, ref_plant, ref_config):
+    def test_lower_bounds_channel_crossing(self, ref_constants, ref_plant, ref_config):
         T = ref_config.lookahead
         for h0 in (0.3, 0.8):
             rho = float(error_threshold(ref_plant, T, h0))
             for frac in (0.4, 1.0):
                 for p in (1, 4):
                     gamma2 = gamma2_oracle(ref_plant, T, h0, frac * rho, p)
-                    assert gamma2 >= delay_floor(ref_plant, T, p) - 1e-7
+                    assert gamma2 >= ref_constants[0][p] - 1e-7
 
 
 class TestMaxCommDelay:
@@ -452,27 +485,26 @@ class TestMaxCommDelay:
 
     def test_reference_construction(self, ref_constants, ref_plant, ref_config):
         T = ref_config.lookahead
-        gamma1, floors, tm = ref_constants
-        assert gamma1 == pytest.approx(GAMMA_UNIT, rel=1e-9)
+        floors, tm = ref_constants
+        assert ref_plant.gamma1 == pytest.approx(GAMMA_UNIT, rel=1e-9)
         for p in (1, 4, 8):
-            assert floors[p] == delay_floor(ref_plant, T, p)
-            want = 0.06 * min(GAMMA_UNIT, T, delay_floor(ref_plant, T, p))
+            want = 0.06 * min(GAMMA_UNIT, T, floors[p])
             assert tm[p] == pytest.approx(want, rel=1e-9)
 
     def test_monotone_and_saturating(self, ref_constants, ref_config):
-        vals = ref_constants[2][1:].tolist()
+        vals = ref_constants[1][1:].tolist()
         assert len(vals) == 8
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 0.06 * min(GAMMA_UNIT, ref_config.lookahead) + 1e-15
 
     def test_vanishes_with_sigma(self, ref_plant, ref_config):
         tiny = TriggerConfig(lookahead=ref_config.lookahead, sigma=1e-6, sigma1=0.8)
-        _, _, tm = trigger_constants(ref_plant, tiny, 4)
+        _, tm = trigger_constants(ref_plant, tiny, 4)
         assert tm[4] < 1e-7
 
     def test_rejects_zero_bits(self, ref_constants):
         # T_M(0) is undefined: the table holds NaN at p = 0, never a delay.
-        _, floors, tm = ref_constants
+        floors, tm = ref_constants
         assert math.isnan(floors[0]) and math.isnan(tm[0])
 
 
