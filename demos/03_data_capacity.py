@@ -4,8 +4,9 @@
 oracle), ``capacity_lp_floor`` floors the relaxed optimum when no slot's
 spillover can outlast its successor, and ``capacity_fallback`` keeps
 every slot's bits in-slot.  A window is a ``ChannelSchedule``, the same
-type the simulator transmits on.  The real-time bound then tracks how the
-remaining capacity decays inside the first slot without re-solving.
+type the simulator transmits on.  The real-time bound, the capacity floor
+of ``launch_budget``, then tracks how the remaining capacity decays inside
+the first slot without re-solving.
 """
 
 import numpy as np
@@ -15,9 +16,9 @@ from etcsim import (
     capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
-    realtime_bound,
     replay_allocation,
 )
+from etcsim.capacity import launch_budget
 
 window = ChannelSchedule(
     theta=[0.0, 1.0, 2.5, 3.5, 4.5],
@@ -45,4 +46,4 @@ print()
 
 print("real-time decay of the stored plan inside the first slot:")
 for t in np.linspace(0.0, 0.99, 6):
-    print(f"  t={t:.2f}  remaining capacity >= {realtime_bound(relaxed, t):>3.0f} bits")
+    print(f"  t={t:.2f}  remaining capacity >= {launch_budget(relaxed, t)[1]:>3.0f} bits")

@@ -11,7 +11,6 @@ from .capacity import (
     capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
-    realtime_bound,
     replay_allocation,
     slot_plans,
 )
@@ -48,7 +47,6 @@ from .triggers import (
     channel_bound,
     error_threshold,
     perf_bound,
-    resolve_lookahead,
     time_to_perf_violation,
     trigger_constants,
 )

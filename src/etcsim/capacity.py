@@ -9,7 +9,9 @@ allocation reduces to a single forward replay of busy times.  The exact
 capacity maximises the total over integer allocations (exponential,
 guarded by size limits); the LP route solves the relaxation valid when
 no slot's spillover can outlast its successor slot, then floors; the
-fallback keeps every slot's bits inside the slot itself.
+fallback keeps every slot's bits inside the slot itself.  A plan's bits
+are summed in Python integers: ``ChannelSchedule`` keeps each slot's
+bits within int64, but not their sum over a window.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def capacity_exact(problem: ChannelSchedule) -> CapacityPlan:
             dfs(j + 1, nxt, total + bits, phi + [bits])
 
     dfs(0, float(theta[0]), 0, [])
-    return CapacityPlan(phi=best_vec, value_bits=problem.n * int(best_vec.sum()),
+    return CapacityPlan(phi=best_vec, value_bits=problem.n * sum(best_vec.tolist()),
                         kind="exact", problem=problem)
 
 
@@ -181,7 +183,7 @@ def capacity_lp_floor(problem: ChannelSchedule) -> CapacityPlan:
             tau[j] = max(0.0, float(slack.min()))
     x = problem.rates * tau
     phi = np.array([floor_nudged(v) for v in x], dtype=int)
-    return CapacityPlan(phi=phi, value_bits=problem.n * int(phi.sum()),
+    return CapacityPlan(phi=phi, value_bits=problem.n * sum(phi.tolist()),
                         kind="lp_floor", lp_phi=x, problem=problem)
 
 
@@ -190,7 +192,7 @@ def capacity_fallback(problem: ChannelSchedule) -> CapacityPlan:
     phi = np.array([floor_nudged(problem.rates[j] * problem.durations[j])
                     if problem.caps[j] > 0 else 0
                     for j in range(problem.num_slots)], dtype=int)
-    return CapacityPlan(phi=phi, value_bits=problem.n * int(phi.sum()),
+    return CapacityPlan(phi=phi, value_bits=problem.n * sum(phi.tolist()),
                         kind="fallback", problem=problem)
 
 
@@ -205,27 +207,16 @@ def launch_budget(plan: CapacityPlan, t):
     """Bits still to launch in the plan's first slot at t, and the capacity floor.
 
     bits is ``max(0, floor(phi_0 - R_0 (t - theta_0)))`` (0 in a zero-cap
-    slot) and the floor ``n (bits + sum(phi_1..))``; t is unchecked.
+    slot) and the floor ``n (bits + sum(phi_1..))``, the real-time lower
+    bound on the data capacity from t, reusing the stored plan: within n
+    bits of re-solving the window from t.  t may be one time or an array
+    of times; it is unchecked, and the bound holds in the closed first
+    slot (its end gives the left limit there).
     """
     problem = plan.problem
     decayed = plan.phi[0] - problem.rates[0] * (t - problem.theta[0])
     bits = np.maximum(0.0, np.floor(decayed + _FLOOR_NUDGE))
-    return bits, problem.n * (bits + int(np.sum(plan.phi[1:])))
-
-
-def realtime_bound(plan: CapacityPlan, t):
-    """Capacity lower bound from time t in the plan's first slot, reusing the stored plan.
-
-    ``n * max(0, floor(phi_0 - R_0 (t - theta_0))) + n * sum(phi_1..)``;
-    within n bits of re-solving from t.  t may be one time or an array of
-    times in the closed first slot (its end gives the left limit there).
-    """
-    problem = plan.problem
-    ts = np.asarray(t, dtype=float)
-    start, end = problem.theta[0], problem.theta[1]
-    if not (start <= ts.min(initial=start) and ts.max(initial=start) <= end):
-        raise DomainError("realtime bound only valid inside the plan's first slot")
-    return launch_budget(plan, ts)[1]
+    return bits, problem.n * (bits + sum(plan.phi[1:].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +230,10 @@ def slot_plans(schedule: ChannelSchedule, horizon: float = np.inf) -> list[Capac
     or after the horizon, where a run reads no plan.  Plans are a pure
     function of the schedule, so a run builds them once.
     """
+    blackouts = schedule.blackout_slots()
     plans = []
     for j in range(schedule.num_slots):
-        jb = schedule.next_blackout_slot(j)
+        jb = next((b for b in blackouts if b > j), None)
         if jb is None or schedule.theta[j] >= horizon:
             plans.append(None)
             continue

@@ -22,6 +22,9 @@ from .errors import (
 )
 
 _REL_SLACK = 1e-12
+# Largest bit budget R_j (theta_{j+1} - theta_j) + pi_j of a usable slot: capacity plans
+# hold per-slot bits in int64 arrays, and a plan's floats may round a few ulps past the budget.
+_MAX_SLOT_BITS = 2.0 ** 63 * (1.0 - 1e-12)
 
 
 class ChannelSchedule:
@@ -47,6 +50,13 @@ class ChannelSchedule:
             raise ConfigurationError("a usable slot must carry bits (R > 0)")
         if n < 1:
             raise ConfigurationError("state dimension must be positive")
+        with np.errstate(over="ignore"):  # an inf budget is reported below
+            budgets = rates * np.diff(theta) + caps
+        big = np.flatnonzero((caps > 0) & ~(budgets < _MAX_SLOT_BITS))
+        if big.size:
+            raise ConfigurationError(
+                f"slot {big[0]}: bit budget R (theta_end - theta_start) + pi_bar = "
+                f"{budgets[big[0]]:.3g} exceeds the {_MAX_SLOT_BITS:.3g} bits a plan can hold")
         self.theta = theta
         self.rates = rates
         self.caps = caps
@@ -111,10 +121,6 @@ class ChannelSchedule:
 
     def blackout_slots(self) -> list[int]:
         return [int(j) for j in np.flatnonzero(self.caps == 0)]
-
-    def next_blackout_slot(self, j: int) -> int | None:
-        """First blackout slot with index strictly greater than j."""
-        return next((b for b in self.blackout_slots() if b > j), None)
 
 
 def compute_J(schedule: ChannelSchedule, j0: int, jf: int) -> int | None:

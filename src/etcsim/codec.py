@@ -58,7 +58,7 @@ class CodecState:
 
     def x_hat_at(self, plant: PlantModel, t: float) -> np.ndarray:
         """Estimate at time t (no update in between): closed-loop flow of x_hat."""
-        return plant.exp_Abar.apply(t - self.base_time, self.x_hat)
+        return plant.exp_Abar.flow(self.x_hat)(t - self.base_time)
 
     def d_e(self, plant: PlantModel, t):
         """Error bound at time t (scalar or array), recomputed from the anchor."""
@@ -121,7 +121,7 @@ def decode_and_update(plant: PlantModel, pkt: Packet, state: CodecState,
     width = 2.0 * bound_tx / cells
     centres = np.array([-bound_tx + (s + 0.5) * width for s in pkt.symbols])
     delay = r_tilde - pkt.t_k
-    jump = plant.exp_Abar.apply(delay, x_hat_tx) + plant.exp_A.apply(delay, centres)
+    jump = plant.exp_Abar.flow(x_hat_tx)(delay) + plant.exp_A.flow(centres)(delay)
     jump.setflags(write=False)
     return CodecState(x_hat=jump, base_time=r_tilde,
                       anchor_time=pkt.t_k, step=bound_tx / cells, in_flight=False)

@@ -58,14 +58,12 @@ def inf_norm(M):
 
 
 def spec_norm(M) -> float:
-    """Spectral norm: largest singular value (Euclidean norm for vectors).
+    """Spectral norm of a matrix: its largest singular value.
 
     Computed as ``sqrt(lambda_max(M^T M))`` to avoid a general SVD.
     Raises DomainError when ``M^T M`` is not finite.
     """
     A = np.asarray(M, dtype=float)
-    if A.ndim == 1:
-        return float(np.linalg.norm(A))
     with np.errstate(over="ignore"):  # reported below, as a DomainError
         gram = A.T @ A
     if not np.all(np.isfinite(gram)):
@@ -145,10 +143,6 @@ class ExpKernel:
             return inf_norm(_pade13_expm(self.M, ts))
         entries = (np.exp(ts[..., None] * self._eig[0]) @ self._terms).real
         return inf_norm(entries.reshape(ts.shape + self.M.shape))
-
-    def apply(self, t, x) -> np.ndarray:
-        """``exp(M t) x``; an array of times gives one row per time."""
-        return self.flow(x)(t)
 
     def flow(self, x):
         """The map ``t -> exp(M t) x`` of one x, for a time or an array of times.

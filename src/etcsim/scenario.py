@@ -23,7 +23,7 @@ from .errors import ConfigurationError, EtcsimError, SchemaError
 from .linalg import inf_norm
 from .plant import build_plant
 from .sim import Scenario
-from .triggers import TriggerConfig, resolve_lookahead
+from .triggers import TriggerConfig
 
 _SECTIONS = ("plant", "channel", "trigger", "sim")
 
@@ -158,7 +158,7 @@ def build_scenario(doc: dict) -> Scenario:
         model = model.with_vd0(vd0 if vd0_key == "Vd0" else vd0 * model.lyapunov_value(x0))
         schedule = ChannelSchedule(theta=theta, rates=rates, caps=caps, n=n)
         if lookahead_key == "T_fraction_of_gamma1":
-            lookahead = resolve_lookahead(model, lookahead)
+            lookahead *= model.gamma1
         return Scenario(
             plant=model,
             schedule=schedule,

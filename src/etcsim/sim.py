@@ -53,6 +53,7 @@ from .errors import (
 from .linalg import ExpKernel, inf_norm
 from .plant import PlantModel
 from .triggers import (
+    ROOT_TOL,
     LinearGrid,
     TriggerConfig,
     blackout_entry_margin,
@@ -64,7 +65,6 @@ from .triggers import (
     trigger_constants,
 )
 
-_TIME_TOL = 1e-9
 # Most samples a run records on its sample grid (clear60's 60 s at 0.01 s is 6,000).
 _MAX_SAMPLES = 1e6
 _MAX_SCAN_POINTS = 2.0 ** 53  # below this, LinearGrid's index arithmetic is exact
@@ -191,7 +191,6 @@ class SimTrace:
     transmissions: list[Transmission]
     horizon: float
     scan_step: float
-    sample_step: float
     stats: dict = field(default_factory=dict)
 
 
@@ -313,19 +312,20 @@ class EventRule:
                               for b in self.sched.blackout_slots()}
         self.pmax = int(self.sched.caps.max())
         self.delay_floor, self.tm = trigger_constants(self.plant, self.config, self.pmax)
+        if not np.all(self.tm[1:] > 0.0):
+            raise ConfigurationError(
+                f"the communication delay T_M(1) is {self.tm[1]:.3g}: no packet can be sent "
+                f"(unit violation time gamma1 = {self.plant.gamma1:.3g})")
         self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
         self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
         # perf_bound's factors e^{(w+mu) T_M(p)} - 1, at the plant's mu and at quiet's
-        # mu_bar = max(mu, mu_inf), and e^{w T_M(p)}; channel_bound's 2^p (indexed by p, like
-        # tm); error_threshold's denominator W (e^{(w+mu) T} - 1).
+        # mu_bar = max(mu, mu_inf), and e^{w T_M(p)}; channel_bound's 2^p (indexed by p, like tm).
         c = self.plant.constants
         self.mu_bar = max(c.growth_rate, c.growth_rate_inf)
         self._growth = {mu: (c.decay_gap + mu, np.expm1((c.decay_gap + mu) * self.tm))
                         for mu in (c.growth_rate, self.mu_bar)}
         self._decay = np.exp(c.decay_gap * self.tm)
         self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
-        self._wm = c.decay_gap + c.growth_rate
-        self._rho_denom = c.guarded_decay_gap * math.expm1(self._wm * self.config.lookahead)
 
     def ratios(self, ts, xs, des):
         """Performance ratio ``h = V(x)/V_d(t)`` and error ratio ``eps = d_e/(c sqrt(V_d(t)))``.
@@ -408,13 +408,10 @@ class EventRule:
         wm, growth = self._growth[mu]
         return (h + self.plant.constants.guarded_decay_gap * eps / wm * growth[p]) / self._decay[p]
 
-    def _rho(self, h):
-        """``error_threshold`` at the lookahead T, with its denominator from the tables."""
-        return self._wm * (1.0 - h) / self._rho_denom + 1.0
-
     def _channel_tm(self, p, hbar, eps):
         """``channel_bound`` at ``T_M(p)`` for the perf bound hbar there, from the tables."""
-        return self.exp_norm_tm[p] * eps / self._rho(hbar) / self._pow2[p]
+        rho = error_threshold(self.plant, self.config.lookahead, hbar)
+        return self.exp_norm_tm[p] * eps / rho / self._pow2[p]
 
     def quiet(self, a, h, eps, b, j: int):
         """Where the rule cannot fire at any time of ``(a, b]`` in slot j, from h and eps at a.
@@ -503,7 +500,7 @@ class _Engine:
         self.work = dict.fromkeys(
             ("rule_points", "rule_calls", "certified_intervals", "scanned_intervals"), 0)
         grid = np.arange(1, int(np.floor(self.horizon / self.sample_step)) + 1) * self.sample_step
-        self.sample_times = grid[grid < self.horizon - _TIME_TOL]
+        self.sample_times = grid[grid < self.horizon - ROOT_TOL]
         self._sample_idx = 0
 
     # -- fire location ---------------------------------------------------------
@@ -540,7 +537,7 @@ class _Engine:
             return certified
 
         cursor = t_start
-        while cursor < self.horizon - _TIME_TOL:
+        while cursor < self.horizon - ROOT_TOL:
             j = self.sched.right_slot_index(cursor)
             # Explicit test at the segment start: left slot values when the
             # cursor is mid-slot or a right-closed boundary, then the right
@@ -561,7 +558,7 @@ class _Engine:
             if self.sched.caps[j] > 0:
                 count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
                 found = first_crossing(lambda s: fires(s, j), cursor,
-                                       LinearGrid(cursor, seg_end, count), _TIME_TOL,
+                                       LinearGrid(cursor, seg_end, count), ROOT_TOL,
                                        lambda nodes: quiet(nodes, j))
                 if found is not None:
                     # Transmit at the last pre-crossing instant: there the channel
@@ -619,7 +616,7 @@ class _Engine:
 
     def _advance(self, t_target: float, record_end: bool = True):
         """Propagate exactly to t_target, recording samples and breakpoints."""
-        if t_target < self.t - _TIME_TOL:
+        if t_target < self.t - ROOT_TOL:
             raise DomainError("cannot advance backwards")
         samples, theta, i = self.sample_times, self.sched.theta, self._sample_idx
         self._sample_idx = max(i, int(np.searchsorted(samples, t_target + 1e-15, "right")))
@@ -690,11 +687,11 @@ class _Engine:
             while (fire := self._locate_fire(self.t)) is not None:
                 self._advance(fire[0])
                 pkt, r, h, eps = self._fire(*fire)
-                if r >= self.horizon - _TIME_TOL:
+                if r >= self.horizon - ROOT_TOL:
                     break
                 self._advance(r)
                 r_tilde = self._locate_update(r)
-                if r_tilde >= self.horizon - _TIME_TOL:
+                if r_tilde >= self.horizon - ROOT_TOL:
                     break
                 self._advance(r_tilde, record_end=False)
                 self._apply_update(pkt, r, r_tilde, h, eps)
@@ -718,7 +715,6 @@ class _Engine:
             transmissions=self.transmissions,
             horizon=self.horizon,
             scan_step=self.scan_step,
-            sample_step=self.sample_step,
         )
         trace.stats = summarize(trace, self.sched)
         trace.stats["diagnostics"] = {"work": dict(self.work)}

@@ -37,7 +37,8 @@ from .errors import ConfigurationError, DomainError
 from .plant import PlantModel
 
 _SCAN_POINTS = 1000
-# Bracket width at which every root search here stops.
+# Bracket width at which every root search stops, the simulator's fire search included; the
+# simulator also takes a time closer than this to the horizon as the horizon.
 ROOT_TOL = 1e-9
 # Levels of the bisection tree evaluated per call of the predicate: 31 points.
 _TREE_DEPTH = 5
@@ -338,9 +339,3 @@ def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
     tm = config.sigma * np.minimum(min(plant.gamma1, T), floors)
     return floors, tm
 
-
-def resolve_lookahead(plant: PlantModel, fraction: float) -> float:
-    """Lookahead horizon as a fraction of the unit-level violation time."""
-    if fraction <= 0:
-        raise ConfigurationError("lookahead fraction must be positive")
-    return fraction * plant.gamma1

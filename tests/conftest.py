@@ -10,7 +10,7 @@ from etcsim.channel import ChannelSchedule
 from etcsim.scenario import load_scenario
 from etcsim.sim import _Engine, run
 from etcsim.triggers import (ROOT_TOL, TriggerConfig, bisect_crossing, blackout_entry_margin,
-                             exp_growth_inf, resolve_lookahead, trigger_constants)
+                             exp_growth_inf, trigger_constants)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -124,7 +124,7 @@ def ref_plant(blackout_scn):
 
 @pytest.fixture(scope="session")
 def ref_config(ref_plant):
-    return TriggerConfig(lookahead=resolve_lookahead(ref_plant, 0.1),
+    return TriggerConfig(lookahead=0.1 * ref_plant.gamma1,
                          sigma=0.06, sigma1=0.8)
 
 
@@ -180,7 +180,8 @@ def clear_channel_trace(clear_channel_scn):
 
 @pytest.fixture(scope="session")
 def sliced_at():
-    """Re-solve oracle for ``realtime_bound``: the window re-anchored at t in its first slot."""
+    """Re-solve oracle for the real-time bound ``launch_budget(plan, t)[1]``: the window
+    re-anchored at t in its first slot."""
     def sliced(problem, t):
         return ChannelSchedule(np.r_[t, problem.theta[1:]], problem.rates, problem.caps, problem.n)
     return sliced

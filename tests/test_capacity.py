@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import SCENARIOS
 
-from etcsim import capacity
+from etcsim import capacity, channel
 from etcsim.capacity import (
     capacity_exact,
     capacity_fallback,
@@ -13,12 +13,11 @@ from etcsim.capacity import (
     floor_nudged,
     launch_budget,
     plan_window,
-    realtime_bound,
     replay_allocation,
     slot_plans,
 )
 from etcsim.channel import ChannelSchedule, compute_J
-from etcsim.errors import DomainError, ScaleGuardError
+from etcsim.errors import ConfigurationError, DomainError, ScaleGuardError
 from etcsim.scenario import build_scenario
 
 
@@ -211,7 +210,7 @@ class TestRealtimeBound:
         prob = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[2.0, 2.0],
                                caps=[1, 1], n=2)
         plan = capacity_lp_floor(prob)
-        assert realtime_bound(plan, 0.0) == plan.value_bits
+        assert launch_budget(plan, 0.0)[1] == plan.value_bits
 
     def test_first_slot_exhaustion(self):
         # A fractional in-slot budget exhausts strictly before the slot ends.
@@ -220,7 +219,7 @@ class TestRealtimeBound:
         plan = capacity_fallback(prob)
         t_done = float(plan.phi[0]) / 2.5
         assert t_done < 1.0
-        assert realtime_bound(plan, t_done) == int(np.sum(plan.phi[1:]))
+        assert launch_budget(plan, t_done)[1] == int(np.sum(plan.phi[1:]))
 
     def test_within_n_of_resolve(self, rng, sliced_at):
         checked = 0
@@ -233,7 +232,7 @@ class TestRealtimeBound:
             for frac in (0.1, 0.5, 0.9):
                 t = float(prob.theta[0] + frac * prob.durations[0])
                 resolved = capacity_lp_floor(sliced_at(prob, t)).value_bits
-                bound = realtime_bound(plan, t)
+                bound = launch_budget(plan, t)[1]
                 assert 0 <= resolved - bound <= prob.n
 
     def test_nonincreasing_within_slot(self, rng):
@@ -241,25 +240,16 @@ class TestRealtimeBound:
                                caps=[2, 2], n=1)
         plan = capacity_lp_floor(prob)
         ts = np.linspace(0.0, 2.0 - 1e-9, 40)
-        vals = [realtime_bound(plan, t) for t in ts]
+        vals = [launch_budget(plan, t)[1] for t in ts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_arrays_of_times_match_scalar_calls(self):
         prob = ChannelSchedule(theta=[0.0, 2.0, 3.0], rates=[3.0, 3.0],
                                caps=[2, 2], n=2)
         plan = capacity_lp_floor(prob)
-        ts = np.linspace(0.0, 2.0, 9)  # the slot end is accepted, as the engine's left limit
-        assert realtime_bound(plan, ts).tolist() == [realtime_bound(plan, t) for t in ts]
-        assert realtime_bound(plan, np.array([])).shape == (0,)
-        with pytest.raises(DomainError):
-            realtime_bound(plan, np.array([1.0, 2.5]))
-
-    def test_outside_first_slot_rejected(self):
-        prob = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[2.0, 2.0],
-                               caps=[1, 1], n=1)
-        plan = capacity_lp_floor(prob)
-        with pytest.raises(DomainError):
-            realtime_bound(plan, 1.5)
+        ts = np.linspace(0.0, 2.0, 9)  # the slot end gives the engine's left limit
+        assert launch_budget(plan, ts)[1].tolist() == [launch_budget(plan, t)[1] for t in ts]
+        assert launch_budget(plan, np.array([]))[1].shape == (0,)
 
 
 class TestPlanner:
@@ -267,7 +257,7 @@ class TestPlanner:
         plan = slot_plans(blackout_scn.schedule)[0]
         bits, floor = launch_budget(plan, 0.0)
         assert bits == int(plan.phi[0])
-        assert floor == realtime_bound(plan, 0.0) == plan.value_bits
+        assert floor == plan.value_bits
 
     @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
     def test_stored_plans_match_hand_built_windows(self, request, name):
@@ -329,3 +319,31 @@ class TestPlanner:
         sched = blackout_rule.sched
         b = sched.blackout_slots()[0]
         assert blackout_rule.budget(float(sched.theta[b]) + 0.5, b)[0] == 0
+
+
+class TestSlotBitBudget:
+    """Plans hold a slot's bits in int64: the schedule bounds each usable slot's budget."""
+
+    def test_budget_at_the_bound_rejected_and_just_inside_planned(self):
+        limit = channel._MAX_SLOT_BITS
+        with pytest.raises(ConfigurationError, match="slot 1: bit budget"):
+            ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[1.0, limit], caps=[1, 1], n=1)
+        # A blackout's rate is bookkeeping: its budget is never planned.
+        ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[1.0, limit], caps=[1, 0], n=1)
+        rate = float(np.nextafter(limit, 0.0))
+        sched = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[rate, rate], caps=[1, 1], n=2)
+        for plan in (capacity_lp_floor(sched), capacity_fallback(sched)):
+            assert plan.phi.tolist() == [int(rate)] * 2
+            assert plan.value_bits == 2 * 2 * int(rate)  # past int64, without wrapping
+            assert launch_budget(plan, 0.0)[1] == float(plan.value_bits)
+
+    def test_sec6_just_inside_the_bound_builds(self):
+        # Every R just below 2^63 / 2.44, sec6's longest slot: the plans' sums of per-slot
+        # bits pass int64, and read negative when int64 sums wrapped (from R = 2e18).
+        doc = json.loads((SCENARIOS / "sec6.json").read_text())
+        rate = 0.999 * channel._MAX_SLOT_BITS / 2.44
+        for slot in doc["channel"]["slots"]:
+            slot["R"] = rate
+        rule = build_scenario(doc).rule
+        for plan in filter(None, rule.plans):
+            assert plan.value_bits == 2 * sum(int(v) for v in plan.phi) > 0

@@ -68,8 +68,11 @@ class TestSlotLookup:
 
 class TestBlackouts:
     @staticmethod
-    def window(sched, j):
-        b = sched.next_blackout_slot(j)
+    def next_blackout(sched, j):
+        return next((b for b in sched.blackout_slots() if b > j), None)
+
+    def window(self, sched, j):
+        b = self.next_blackout(sched, j)
         return None if b is None else (float(sched.theta[b]), float(sched.theta[b + 1]))
 
     def test_reference_first_blackout(self, blackout_scn):
@@ -82,14 +85,15 @@ class TestBlackouts:
     def test_no_blackout_returns_none(self):
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[1.0, 1.0],
                                 caps=[1, 2], n=1)
-        assert sched.next_blackout_slot(0) is None
+        assert sched.blackout_slots() == []
+        assert self.window(sched, 0) is None
 
     def test_after_blackout_strictly_later_or_none(self, blackout_scn):
         sched = blackout_scn.schedule
-        first = sched.next_blackout_slot(0)
-        second = sched.next_blackout_slot(first)
+        first = self.next_blackout(sched, 0)
+        second = self.next_blackout(sched, first)
         assert sched.theta[second] > sched.theta[first + 1]
-        assert sched.next_blackout_slot(sched.blackout_slots()[-1]) is None
+        assert self.next_blackout(sched, sched.blackout_slots()[-1]) is None
 
 
 class TestComputeJ:

@@ -136,7 +136,7 @@ class TestMatExp:
             with pytest.raises(DomainError):
                 ExpKernel(M)(-1.0)
             with pytest.raises(DomainError):
-                ExpKernel(M).apply(np.array([0.5, -1e-3]), np.ones(2))
+                ExpKernel(M).flow(np.ones(2))(np.array([0.5, -1e-3]))
 
     @pytest.mark.parametrize("M", [A_REF, JORDAN], ids=["eigen", "expm"])
     def test_rejects_non_finite_time(self, M):
@@ -147,9 +147,9 @@ class TestMatExp:
             with pytest.raises(DomainError):
                 kernel(np.array([0.5, bad]))
             with pytest.raises(DomainError):
-                kernel.apply(bad, np.ones(2))
+                kernel.flow(np.ones(2))(bad)
             with pytest.raises(DomainError):
-                kernel.apply(np.array([bad, 0.5]), np.ones(2))
+                kernel.flow(np.ones(2))(np.array([bad, 0.5]))
 
     def test_semigroup_property(self, rng):
         for _ in range(10):
@@ -181,13 +181,13 @@ class TestMatExp:
         kernel = ExpKernel(M)
         x = np.array([0.7, -1.3])
         ts = np.linspace(0.0, 2.0, 9)
-        rows = kernel.apply(ts, x)
+        rows = kernel.flow(x)(ts)
         assert rows.shape == (9, 2)
         for t, row in zip(ts, rows):
             want = kernel(t) @ x
             assert inf_norm(row - want) <= 1e-12 * inf_norm(want)
-            assert inf_norm(kernel.apply(t, x) - want) <= 1e-12 * inf_norm(want)
-        assert np.array_equal(kernel.apply(0.0, x), x)
+            assert inf_norm(kernel.flow(x)(t) - want) <= 1e-12 * inf_norm(want)
+        assert np.array_equal(kernel.flow(x)(0.0), x)
 
     @pytest.mark.parametrize("name", sorted(DEFECTIVE))
     def test_defective_branch_against_mpmath_oracle(self, name):
@@ -229,7 +229,7 @@ class TestMatExp:
         assert np.array_equal(stack[0], np.eye(4))
         assert np.array_equal(stack[2], np.eye(4))
         x = np.array([0.7, -1.3, 2.0, 0.1])
-        rows = kernel.apply(np.array([0.0, 1.0]), x)
+        rows = kernel.flow(x)(np.array([0.0, 1.0]))
         assert np.array_equal(rows[0], x)
 
     def test_defective_branch_solves_once_per_call(self, monkeypatch):
@@ -259,9 +259,9 @@ class TestMatExp:
         with pytest.raises(NumericalError):
             kernel(np.array([0.0, 1.0, t]))
         with pytest.raises(NumericalError):
-            kernel.apply(t, np.ones(2))
+            kernel.flow(np.ones(2))(t)
         with pytest.raises(NumericalError):
-            kernel.apply(np.array([t, 0.5]), np.ones(2))
+            kernel.flow(np.ones(2))(np.array([t, 0.5]))
 
     @pytest.mark.parametrize("M", [A_REF, JORDAN], ids=["eigen", "expm"])
     def test_overflow_bound_is_safe_and_tight(self, M):

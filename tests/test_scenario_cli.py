@@ -179,6 +179,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2.25" in out and "delay_floor" in out and "lp_floor" in out
 
+    def test_capacity_of_a_small_schedule_prints_the_exact_value(self, tmp_path, capsys):
+        # clear10 at R = 2: 18 bits per slot, inside the exact oracle's guard of 20 (clear10
+        # as shipped has 12,008 and prints "exact: omitted").
+        doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
+        for slot in doc["channel"]["slots"]:
+            slot["R"] = 2
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc))
+        assert main(["capacity", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "lp_floor: value = 40 bits, phi = [10, 10]" in out
+        assert "exact: value = 40 bits, phi = [18, 2]" in out
+        assert "sub-optimality gap = 0 bits (certified bound 4)" in out
+
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         code = main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)])
         assert code == 0
@@ -348,6 +362,23 @@ class TestCli:
         if force:
             assert "default scan step" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "capacity"])
+    @pytest.mark.parametrize("name", ["sec6", "clear10"])
+    def test_slot_bit_budget_past_int64_exit_code(self, tmp_path, capsys, name, command):
+        # Every R = 1e19: a plan's per-slot bits overflowed a C long in capacity_lp_floor, an
+        # OverflowError (exit 1).  The schedule now rejects the slot.
+        doc = json.loads((REPO_SCENARIO.parent / f"{name}.json").read_text())
+        for slot in doc["channel"]["slots"]:
+            slot["R"] = 1e19
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out-dir", str(out)] if command == "simulate" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: slot 0: bit budget" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fast.json"]
 
     def test_overflowing_certificate_exit_code(self, tmp_path, capsys):
         # Q = 1e300 I: the spectral norm of P B K overflowed in M^T M, a RuntimeWarning that

@@ -6,11 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import SCENARIOS, scalar_bisect
+from conftest import SCENARIOS, check_invariants, scalar_bisect
 
 from etcsim import sim
-from etcsim.capacity import realtime_bound, slot_plans
-from etcsim.channel import ChannelSchedule
+from etcsim.capacity import launch_budget, slot_plans
+from etcsim.channel import ChannelSchedule, TransmissionRecord
 from etcsim.codec import CHECK_SLACK, initial_state
 from etcsim.errors import (
     AdmissibilityError,
@@ -20,16 +20,16 @@ from etcsim.errors import (
     ObjectiveViolationError,
 )
 from etcsim.scenario import build_scenario, load_scenario
-from etcsim.sim import _NUDGE, _TIME_TOL, Scenario, _Engine, check_admissibility, run
+from etcsim.sim import _NUDGE, Scenario, _Engine, check_admissibility, run
 from etcsim.triggers import (
     _NODE_CHUNK,
     _NODE_STRIDE,
     _OPEN_CHUNK,
+    ROOT_TOL,
     TriggerConfig,
     blackout_entry_margin,
     error_threshold,
     perf_bound,
-    resolve_lookahead,
 )
 
 
@@ -38,12 +38,12 @@ def whole_slot_locate_fire(eng, t_start):
     anchor_x = eng.x_aug.copy()
 
     def fires(ts, j):
-        xs = eng.exp_block.apply(np.subtract(ts, t_start), anchor_x)
+        xs = eng.exp_block.flow(anchor_x)(np.subtract(ts, t_start))
         h, eps = eng.rule.ratios(ts, xs, eng.enc.d_e(eng.plant, ts))
         return eng.rule.fires(ts, h, eps, j)
 
     cursor = t_start
-    while cursor < eng.horizon - _TIME_TOL:
+    while cursor < eng.horizon - ROOT_TOL:
         if cursor >= eng.sched.end:
             return None
         j, j_left = eng.sched.right_slot_index(cursor), eng.sched.slot_at(cursor)
@@ -60,7 +60,7 @@ def whole_slot_locate_fire(eng, t_start):
         if len(hits):
             hit = hits[0]
             lo = cursor if hit == 0 else float(grid[hit - 1])
-            lo, _ = scalar_bisect(lambda t: bool(fires(t, j)), lo, float(grid[hit]), _TIME_TOL)
+            lo, _ = scalar_bisect(lambda t: bool(fires(t, j)), lo, float(grid[hit]), ROOT_TOL)
             return lo, j
         cursor = seg_end
     return None
@@ -95,6 +95,27 @@ class TestLocateCrossing:
         t, j = eng._locate_fire(2.44 - 1e-4)
         assert j == 1
         assert t == pytest.approx(2.44 + 1e-9, abs=1e-15)
+
+    def test_right_limit_fires_at_breakpoint_under_the_old_slot(self):
+        # clear10 with slot 1's cap cut to 2: l2 at T_M(2) is about 60 times l2 at T_M(8).
+        # From h = 0.1 and eps = 4000 at the breakpoint 5.0, l2 reaches 1 only under slot
+        # 1's values; slot 0's gate is still on, so the send is at 5.0 under slot 0's values.
+        doc = json.loads((SCENARIOS / "clear10.json").read_text())
+        doc["channel"]["slots"][1]["pi_bar"] = 2
+        scn = build_scenario(doc)
+        plant, rule, t = scn.plant, scn.rule, 5.0
+        vd = plant.desired_performance(t)
+        x = np.array([1.0, 0.0]) * math.sqrt(0.1 * vd / plant.P[0, 0])
+        eng = _Engine(scn)
+        eng.x_aug = np.concatenate([x, x])
+        eng.enc = initial_state(x, 4000.0 * plant.constants.error_scale * math.sqrt(vd), t)
+        h, eps = rule.ratios(t, eng.x_aug, eng.enc.d_e(plant, t))
+        assert h == pytest.approx(0.1) and eps == pytest.approx(4000.0)
+        assert not rule.fires(t, h, eps, 0) and rule.fires(t, h, eps, 1)
+        assert eng._locate_fire(t) == (t, 0)
+        pkt, r, _, _ = eng._fire(t, 0)
+        assert scn.schedule.caps[1] < pkt.p_k <= scn.schedule.caps[0]
+        TransmissionRecord(t_k=t, p_k=pkt.p_k, r_k=r, r_tilde_k=r).validate(scn.schedule)
 
     def test_none_when_no_crossing(self, blackout_engine):
         eng = self.engine_with_error(blackout_engine, 0.0)
@@ -341,7 +362,7 @@ class TestEquilibrium:
         sched = ChannelSchedule(theta=[0.0, 2.0, 4.0], rates=[3000.0, 3000.0],
                                 caps=[8, 8], n=2)
         scn = Scenario(plant=plant, schedule=sched,
-                       trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
+                       trigger=TriggerConfig(lookahead=0.1 * plant.gamma1,
                                              sigma=0.06, sigma1=0.8),
                        x0=np.zeros(2), x_hat0=np.zeros(2),
                        d_e0=0.0, horizon=4.0, sample_step=0.05)
@@ -379,6 +400,68 @@ class TestClearChannelRun:
         for tx in lean.transmissions:
             assert 1 <= tx.p_k <= 8
         assert any(tx.p_k < 8 for tx in lean.transmissions)
+
+
+class TestRunEnds:
+    """Runs whose horizon falls inside a transmission, and a run on a fallback plan."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        """The ``(args, result)`` of each call of the engine method ``name``, as it runs."""
+        calls = []
+        method = getattr(_Engine, name)
+
+        def counted(self, *args):
+            out = method(self, *args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(_Engine, name, counted)
+        return calls
+
+    def test_reception_at_the_horizon_is_not_logged(self, monkeypatch):
+        # The second packet's reception, 1.9635, lands past the horizon.
+        doc = json.loads((SCENARIOS / "clear10.json").read_text())
+        doc["sim"]["horizon"] = 1.961817
+        scn = build_scenario(doc)
+        fired = self.counting(monkeypatch, "_fire")
+        trace = run(scn)
+        assert len(fired) == 2 and len(trace.transmissions) == 1
+        assert fired[1][1][1] > scn.horizon  # its reception time
+        assert trace.transmissions[0].t_k == fired[0][0][0]
+        assert trace.t[-1] == scn.horizon
+        check_invariants(scn, trace)
+
+    def test_update_waiting_past_the_horizon_is_not_logged(self, monkeypatch):
+        # sec6 with slot 1 at R = 3401: its plan's 8298 bits run out at 4.87987, before the
+        # blackout at 4.88, so the last burst packet's update waits for 4.88.  The horizon
+        # lies between, so the update walk stops at the horizon.  On the shipped sec6 the
+        # bits run out at 4.88 itself, within the fire search's 1e-9 of the reception.
+        doc = json.loads((SCENARIOS / "sec6.json").read_text())
+        doc["channel"]["slots"][1]["R"] = 3401
+        doc["sim"]["horizon"] = 4.87995
+        scn = build_scenario(doc)
+        updates = self.counting(monkeypatch, "_locate_update")
+        fired = self.counting(monkeypatch, "_fire")
+        trace = run(scn)
+        (r,), r_tilde = updates[-1]
+        assert r < scn.horizon - ROOT_TOL and r_tilde == scn.horizon
+        assert scn.rule.psi(r, 1) == 0
+        assert len(fired) == 7 and len(trace.transmissions) == 6
+        check_invariants(scn, trace)
+
+    def test_fallback_plan_in_a_run(self):
+        # sec6 with slot 0 split at 2.438: slot 0's 8-bit spill, 8 / 3000 s, outlasts the
+        # 2 ms second part, so slot 0's window takes the in-slot fallback.
+        doc = json.loads((SCENARIOS / "sec6.json").read_text())
+        first = doc["channel"]["slots"][0]
+        doc["channel"]["slots"][0:1] = [dict(first, theta_end=2.438),
+                                        dict(first, theta_start=2.438)]
+        scn = build_scenario(doc)
+        assert [plan.kind for plan in scn.rule.plans[:2]] == ["fallback", "lp_floor"]
+        trace = run(scn)
+        assert len(trace.transmissions) == 15 and trace.stats["total_bits"] == 226
+        check_invariants(scn, trace)
 
 
 class TestBlackoutRun:
@@ -435,8 +518,8 @@ class TestBlackoutRun:
             plan_up = plans[j_up]
             if plan_up is None:
                 continue
-            before = realtime_bound(plans[j_tx], tx.t_k)
-            after = realtime_bound(plan_up, tx.r_tilde_k)
+            before = launch_budget(plans[j_tx], tx.t_k)[1]
+            after = launch_budget(plan_up, tx.r_tilde_k)[1]
             assert after >= before - n * tx.p_k - 1e-9
 
     def test_logged_deficit_matches_recomputation(self, blackout_scn, blackout_trace):
@@ -451,7 +534,7 @@ class TestBlackoutRun:
             if t <= 0 or t >= blackout_trace.horizon:
                 continue
             j = sched.slot_index(t)
-            b = sched.next_blackout_slot(j)
+            b = next((b for b in sched.blackout_slots() if b > j), None)
             logged = blackout_trace.l3[idx]
             if b is None:
                 assert logged == -math.inf
@@ -519,7 +602,7 @@ class TestRecorderOracle:
                     first = plan.problem
                     left = plan.phi[0] - first.rates[0] * (t - first.theta[0])
                     planned = max(0.0, math.floor(left + 1e-9))
-                    floor = float(realtime_bound(plan, t))
+                    floor = float(first.n * (planned + int(np.sum(plan.phi[1:]))))
                 cap_cols = (planned, min(float(sched.caps[j]), planned), floor,
                             float(scn.rule.l3(t, eps, j, floor)))
             rows.append((v, vd, h, eps, h_ch) + cap_cols)
@@ -613,7 +696,7 @@ class TestAdmissibility:
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.0, 3.0, 4.0],
                                 rates=[900.0, 2000.0, 2900.0, 3500.0], caps=caps, n=2)
         scn = Scenario(plant=ref_plant, schedule=sched,
-                       trigger=TriggerConfig(lookahead=resolve_lookahead(ref_plant, 0.1),
+                       trigger=TriggerConfig(lookahead=0.1 * ref_plant.gamma1,
                                              sigma=0.06, sigma1=0.8),
                        x0=np.array([0.1, 0.1]), x_hat0=np.zeros(2), d_e0=0.5, horizon=4.0)
         check = next(c for c in check_admissibility(scn).conditions
@@ -626,7 +709,7 @@ class TestAdmissibility:
         sched = ChannelSchedule(theta=[0.0, 5.0, 10.0], rates=[100.0, 100.0],
                                 caps=[8, 8], n=2)
         scn = Scenario(plant=plant, schedule=sched,
-                       trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
+                       trigger=TriggerConfig(lookahead=0.1 * plant.gamma1,
                                              sigma=0.06, sigma1=0.8),
                        x0=np.array([6.0, -4.0]),
                        x_hat0=np.zeros(2), d_e0=9.0, horizon=10.0)
@@ -646,7 +729,7 @@ class TestAdmissibility:
             rates=[2000.0, 2000.0, 2000.0, 2000.0, 2000.0],
             caps=[1, 0, 1, 0, 1], n=2)
         scn = Scenario(plant=plant, schedule=sched,
-                       trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
+                       trigger=TriggerConfig(lookahead=0.1 * plant.gamma1,
                                              sigma=0.06, sigma1=0.8),
                        x0=np.array([0.1, 0.1]),
                        x_hat0=np.zeros(2), d_e0=0.5, horizon=6.0)
@@ -662,7 +745,7 @@ class TestAdmissibility:
         sched = ChannelSchedule(theta=[0.0, 0.0002, 1.0, 2.0, 3.0],
                                 rates=[3000.0] * 4, caps=[8, 8, 0, 8], n=2)
         scn = Scenario(plant=plant, schedule=sched,
-                       trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
+                       trigger=TriggerConfig(lookahead=0.1 * plant.gamma1,
                                              sigma=0.06, sigma1=0.8),
                        x0=np.array([0.1, 0.1]),
                        x_hat0=np.zeros(2), d_e0=0.5, horizon=3.0)
@@ -717,7 +800,7 @@ class TestStats:
         plant = ref_plant.with_vd0(1.0)
         sched = ChannelSchedule(theta=[0.0, 2.0], rates=[3000.0], caps=[8], n=2)
         scn = Scenario(plant=plant, schedule=sched,
-                       trigger=TriggerConfig(lookahead=resolve_lookahead(plant, 0.1),
+                       trigger=TriggerConfig(lookahead=0.1 * plant.gamma1,
                                              sigma=0.06, sigma1=0.8),
                        x0=np.zeros(2), x_hat0=np.zeros(2),
                        d_e0=0.0, horizon=2.0, sample_step=0.1)

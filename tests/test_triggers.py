@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from etcsim import triggers
-from etcsim.capacity import realtime_bound
+from etcsim.capacity import launch_budget
 from etcsim.channel import ChannelSchedule
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
@@ -29,7 +29,6 @@ from etcsim.triggers import (
     exp_growth_inf,
     first_crossing,
     perf_bound,
-    resolve_lookahead,
     time_to_perf_violation,
     trigger_constants,
 )
@@ -437,7 +436,7 @@ class TestDelayFloor:
     @pytest.mark.parametrize("plant", ["reference", "jordan"])
     def test_table_matches_per_p_search_bit_for_bit(self, ref_plant, plant, fraction):
         plant = ref_plant if plant == "reference" else JORDAN
-        config = TriggerConfig(lookahead=resolve_lookahead(plant, fraction), sigma=0.06,
+        config = TriggerConfig(lookahead=fraction * plant.gamma1, sigma=0.06,
                                sigma1=0.8)
         floors, _ = trigger_constants(plant, config, 52)
         want = [delay_floor_oracle(plant, config.lookahead, p) for p in range(1, 53)]
@@ -578,15 +577,6 @@ class TestTriggerSuite:
         assert np.array_equal(gate, psi >= 1)
         assert np.array_equal(l1, want1) and np.array_equal(l2, want2)
 
-    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
-    def test_rho_matches_error_threshold(self, request, rng, name):
-        rule = request.getfixturevalue(f"{name}_rule")
-        h = np.r_[rng.uniform(-1.0, 1.0, 500), 0.0, 1.0, 1.5]
-        want = error_threshold(rule.plant, rule.config.lookahead, h)
-        assert np.array_equal(rule._rho(h), want)
-        for x in h[:20].tolist() + [0.0, 1.0]:
-            assert rule._rho(x) == error_threshold(rule.plant, rule.config.lookahead, x)
-
     def test_zero_cap_rejected(self, blackout_rule, blackout_scn):
         blackout_slot = blackout_scn.schedule.slot_index(5.0)
         assert blackout_scn.schedule.caps[blackout_slot] == 0
@@ -621,7 +611,7 @@ class TestTriggerSuite:
         t, tau_l, length = 2.0, 4.88, 2.0
         margin = blackout_entry_margin(ref_plant, length)
         eps = margin * math.exp(-ref_plant.constants.growth_rate_inf * (tau_l - t))
-        floor = realtime_bound(blackout_rule.plans[0], t)
+        floor = launch_budget(blackout_rule.plans[0], t)[1]
         assert blackout_rule.budget(t, 0)[2] == floor
         budget = blackout_rule.config.sigma1 * floor
         assert float(blackout_rule.l3(t, eps, 0, floor)) == pytest.approx(-budget, abs=1e-9)
