@@ -144,8 +144,7 @@ def build_scenario(doc: dict) -> Scenario:
     x_hat0 = np.asarray(_vector(sim.pop("xhat0", None), "sim.xhat0", len(A)))
     de0_key, de0 = _one_of(sim, "sim", "de0", "de0_factor")
     horizon = _number(sim.pop("horizon", None), "sim.horizon")
-    options = {key: sim.pop(key) for key in ("delay_factor", "scan_step", "sample_step")
-               if key in sim}
+    options = {key: sim.pop(key) for key in ("delay_factor", "sample_step") if key in sim}
     options = {key: _number(v, f"sim.{key}") for key, v in options.items() if v is not None}
     policy = sim.pop("packet_policy", None)
     if policy not in (None, "max_bits", "min_bits"):
@@ -169,7 +168,6 @@ def build_scenario(doc: dict) -> Scenario:
             delay_factor=options.get("delay_factor", 1.0),
             packet_policy=policy or "max_bits",
             horizon=horizon,
-            scan_step=options.get("scan_step"),
             sample_step=options.get("sample_step"),
         )
     except EtcsimError:

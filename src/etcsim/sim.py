@@ -104,7 +104,6 @@ class Scenario:
     delay_factor: float = 1.0
     packet_policy: str = POLICY_MAX
     horizon: float | None = None
-    scan_step: float | None = None
     sample_step: float | None = None
 
     def __post_init__(self):
@@ -119,10 +118,8 @@ class Scenario:
             raise ConfigurationError(f"unknown packet policy {self.packet_policy!r}")
         if not 0.0 <= self.delay_factor <= 1.0:
             raise ConfigurationError("delay_factor must lie in [0, 1]")
-        for name in ("scan_step", "sample_step"):
-            step = getattr(self, name)
-            if step is not None and not step > 0:
-                raise ConfigurationError(f"{name} must be positive")
+        if self.sample_step is not None and not self.sample_step > 0:
+            raise ConfigurationError("sample_step must be positive")
         c = self.plant.constants
         if (c.decay_gap + c.growth_rate) * self.trigger.lookahead > math.log(np.finfo(float).max):
             raise ConfigurationError("lookahead T is too long: e^{(w+mu) T} overflows a float")
@@ -141,13 +138,11 @@ class Scenario:
         if not 0.0 < horizon <= self.schedule.end:
             raise ConfigurationError("horizon must lie within the channel schedule")
         object.__setattr__(self, "horizon", float(horizon))
-        # The engine holds the sample grid whole.  The default scan step, which needs the
-        # rule's T_M(1), is checked where the engine resolves it.
+        # The engine holds the sample grid whole.  The scan step, which needs the rule's
+        # T_M(1), is checked where the engine derives it.
         if self.sample_step is not None and self.horizon / self.sample_step > _MAX_SAMPLES:
             raise ConfigurationError(
                 f"sample_step gives more than {_MAX_SAMPLES:.0e} samples over the horizon")
-        if self.scan_step is not None and self.horizon / self.scan_step >= _MAX_SCAN_POINTS:
-            raise ConfigurationError("scan_step gives 2^53 or more scan points over the horizon")
 
     @cached_property
     def rule(self) -> EventRule:
@@ -298,9 +293,8 @@ class EventRule:
     packet cap the delay floors, ``T_M(p)`` and
     ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p, with the tables
     both ``terms`` and ``quiet`` read their bounds at ``T_M(p)`` from:
-    ``perf_bound`` at the plant's growth rate and at
-    ``mu_bar = max(mu, mu_inf)`` (``_perf_tm``), and from it
-    ``channel_bound`` (``_channel_tm``).
+    ``perf_bound`` (``_perf_tm``), and from it ``channel_bound``
+    (``_channel_tm``).
     """
 
     def __init__(self, scenario: Scenario):
@@ -318,12 +312,11 @@ class EventRule:
                 f"(unit violation time gamma1 = {self.plant.gamma1:.3g})")
         self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
         self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
-        # perf_bound's factors e^{(w+mu) T_M(p)} - 1, at the plant's mu and at quiet's
-        # mu_bar = max(mu, mu_inf), and e^{w T_M(p)}; channel_bound's 2^p (indexed by p, like tm).
+        # perf_bound's factors e^{(w+mu) T_M(p)} - 1 and e^{w T_M(p)}; channel_bound's 2^p
+        # (indexed by p, like tm).
         c = self.plant.constants
-        self.mu_bar = max(c.growth_rate, c.growth_rate_inf)
-        self._growth = {mu: (c.decay_gap + mu, np.expm1((c.decay_gap + mu) * self.tm))
-                        for mu in (c.growth_rate, self.mu_bar)}
+        self._wm = c.decay_gap + c.growth_rate
+        self._growth = np.expm1(self._wm * self.tm)
         self._decay = np.exp(c.decay_gap * self.tm)
         self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
 
@@ -393,7 +386,7 @@ class EventRule:
         if not (gate if isinstance(gate, bool) else gate.any()):
             return gate, -math.inf, -math.inf, -math.inf
         p = np.maximum(psi, 1).astype(int)  # psi never exceeds pmax
-        l1 = self._perf_tm(p, h, eps, self.plant.constants.growth_rate)
+        l1 = self._perf_tm(p, h, eps)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return gate, l1, self._channel_tm(p, l1, eps), self.l3(ts, eps, j, floor)
 
@@ -402,11 +395,11 @@ class EventRule:
         gate, l1, l2, l3 = self.terms(ts, h, eps, j)
         return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
 
-    def _perf_tm(self, p, h, eps, mu: float):
-        """``perf_bound(plant, T_M(p), h, eps, mu)`` from the tables, for mu the plant's
-        growth rate or ``mu_bar``: its operations in its order, so the same floats."""
-        wm, growth = self._growth[mu]
-        return (h + self.plant.constants.guarded_decay_gap * eps / wm * growth[p]) / self._decay[p]
+    def _perf_tm(self, p, h, eps):
+        """``perf_bound(plant, T_M(p), h, eps)`` from the tables: its operations in its
+        order, so the same floats."""
+        gap = self.plant.constants.guarded_decay_gap
+        return (h + gap * eps / self._wm * self._growth[p]) / self._decay[p]
 
     def _channel_tm(self, p, hbar, eps):
         """``channel_bound`` at ``T_M(p)`` for the perf bound hbar there, from the tables."""
@@ -418,43 +411,38 @@ class EventRule:
 
         The bounds are the paper's comparison argument, valid while
         ``||x - x_hat||_inf <= d_e``: ``h' <= -w h + W eps sqrt(h)`` and eps
-        grows at most at rate ``mu_inf``.  With ``tau = b - a`` and
-        ``perf_bound`` taken at ``mu_bar``, the larger of the two growth
-        rates, on ``(a, b]``:
+        grows at most at rate ``mu_inf``.  With ``tau = b - a``, on ``(a, b]``
+        eps stays below ``E = eps e^{mu_inf tau}``, and h below ``H``, the
+        larger of h and ``perf_bound(tau)`` at the growth rate ``mu_inf``
+        (convex or increasing in its horizon, so largest at an end).  The rule
+        is then read at that worst state, by ``terms``' own table step:
 
-        - eps stays below ``eps e^{mu_inf tau}``, and h below the larger of
-          h and ``perf_bound(tau)``, which must stay below 1;
-        - for each p that ``max(psi, 1)`` takes (psi does not
-          increase within a slot), ``l1`` stays below the larger of
-          ``perf_bound`` at ``T_M(p)`` and at ``T_M(p) + tau``, and ``l2``
-          below ``channel_bound`` for that bound and the largest eps;
+        - ``H`` must stay below 1;
+        - for each p that ``max(psi, 1)`` takes (psi does not increase within
+          a slot), ``l1 = _perf_tm(p, H, E)`` and ``l2 = _channel_tm(p, l1,
+          E)`` must stay below 1: ``perf_bound`` rises with h and eps, and
+          ``channel_bound`` with its perf bound and eps;
         - ``l3`` stays below its value at a with the capacity floor at b.
 
-        ``perf_bound`` is convex or increasing in its horizon, so its
-        largest value over an interval is at one end.  The bounds at
-        ``T_M(p)``, and ``channel_bound``, are read from the per-p tables
-        as ``terms`` reads them; only those at ``tau`` and ``T_M(p) + tau``
-        are ``perf_bound`` calls.  h and eps enter raised by
-        ``_CERT_MARGIN`` to absorb rounding, and the gate is not read,
-        which only makes the test stricter.  a, h, eps and b are arrays,
-        one entry per stretch.
+        h and eps enter raised by ``_CERT_MARGIN`` to absorb rounding, and
+        the gate is not read, which only makes the test stricter.  a, h, eps
+        and b are arrays, one entry per stretch.
         """
         c = self.plant.constants
         h, eps = h * (1.0 + _CERT_MARGIN), eps * (1.0 + _CERT_MARGIN)
         tau = b - a
-        eps_hat = eps * np.exp(c.growth_rate_inf * tau)
-        bound = lambda horizon: perf_bound(self.plant, horizon, h, eps, self.mu_bar)
-        worst = np.maximum(h, bound(tau))
+        worst_eps = eps * np.exp(c.growth_rate_inf * tau)
+        worst_h = np.maximum(h, perf_bound(self.plant, tau, h, eps, c.growth_rate_inf))
         _, psi_a, _ = self.budget(a, j)
         _, psi_b, floor_b = self.budget(b, j)
         p_hi, p_lo = np.maximum(psi_a, 1), np.maximum(psi_b, 1)
         # One (P, N) pass over every p any stretch takes; each stretch keeps its own range.
         ps = np.arange(int(p_lo.min()), int(p_hi.max()) + 1)[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            l1 = np.maximum(self._perf_tm(ps, h, eps, self.mu_bar), bound(self.tm[ps] + tau))
-            l2 = self._channel_tm(ps, l1, eps_hat)
+            l1 = self._perf_tm(ps, worst_h, worst_eps)
+            l2 = self._channel_tm(ps, l1, worst_eps)
             in_range = (p_lo <= ps) & (ps <= p_hi)
-            worst = np.maximum(worst, np.where(in_range, np.maximum(l1, l2), -np.inf).max(axis=0))
+            worst = np.maximum(worst_h, np.where(in_range, np.maximum(l1, l2), -np.inf).max(axis=0))
             return (worst < 1.0) & (self.l3(a, eps, j, floor_b) < 0.0)
 
 
@@ -477,14 +465,10 @@ class _Engine:
         A, B, K, Abar = self.plant.A, self.plant.B, self.plant.K, self.plant.Abar
         self.exp_block = ExpKernel(np.block([[A, B @ K], [np.zeros_like(A), Abar]]))
 
-        if scenario.scan_step is not None:
-            self.scan_step = scenario.scan_step
-        else:
-            self.scan_step = min(float(np.min(self.sched.durations)) / 50.0,
-                                 self.rule.tm[1] / 10.0)
-            if self.horizon / self.scan_step >= _MAX_SCAN_POINTS:
-                raise ConfigurationError(f"the default scan step {self.scan_step:.3g} gives "
-                                         "2^53 or more scan points over the horizon")
+        self.scan_step = min(float(np.min(self.sched.durations)) / 50.0, self.rule.tm[1] / 10.0)
+        if self.horizon / self.scan_step >= _MAX_SCAN_POINTS:
+            raise ConfigurationError(f"the default scan step {self.scan_step:.3g} gives "
+                                     "2^53 or more scan points over the horizon")
         self.sample_step = (scenario.sample_step if scenario.sample_step is not None
                             else self.horizon / 2000.0)
 

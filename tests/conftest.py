@@ -1,18 +1,64 @@
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_are
 from scipy.optimize import linprog
 
 from etcsim import triggers
 from etcsim.channel import ChannelSchedule
+from etcsim.errors import AdmissibilityError
 from etcsim.scenario import load_scenario
-from etcsim.sim import _Engine, run
+from etcsim.sim import _Engine, check_admissibility, run
 from etcsim.triggers import (ROOT_TOL, TriggerConfig, bisect_crossing, blackout_entry_margin,
                              exp_growth_inf, trigger_constants)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def lqr_gain(A, B):
+    """``-B^T P`` with P from the control ARE (identity weights): A + B K is Hurwitz."""
+    return -B.T @ solve_continuous_are(A, B, np.eye(len(A)), np.eye(B.shape[1]))
+
+
+def slotted_document(A, B, K, theta, rates, caps, x0, beta_fraction):
+    """A scenario on the slots between the times theta, with the fuzz strategy's fixed fields."""
+    n = len(A)
+    slots = [{"theta_start": lo, "theta_end": hi, "R": r, "pi_bar": c}
+             for lo, hi, r, c in zip(theta, theta[1:], rates, caps)]
+    return {
+        "plant": {"A": A.tolist(), "B": B.tolist(), "K": K.tolist(), "Q": np.eye(n).tolist(),
+                  "a": 1.2, "beta_fraction": beta_fraction, "Vd0_factor": 1.2},
+        "channel": {"n": n, "slots": slots},
+        "trigger": {"T_fraction_of_gamma1": 0.1, "sigma": 0.06, "sigma1": 0.8},
+        "sim": {"x0": x0, "xhat0": [0.0] * n, "de0_factor": 1.5, "horizon": theta[-1],
+                "sample_step": theta[-1] / 200},
+    }
+
+
+# (A, B) of a plant whose growth rate mu exceeds mu_inf, the rate that bounds eps: at
+# beta_fraction 0.8 they are 1.6485 and 1.2343.
+SHEAR_PLANT = (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.0], [0.0]]))
+
+
+def rescaled_sec6(factor):
+    """The ``scenarios/sec6.json`` document with every slot rate multiplied by factor."""
+    doc = json.loads((SCENARIOS / "sec6.json").read_text())
+    for slot in doc["channel"]["slots"]:
+        slot["R"] *= factor
+    return doc
+
+
+def run_refined(scn, divisor):
+    """``sim.run(scn)`` with the engine's scan step divided by divisor."""
+    report = check_admissibility(scn)
+    if not report.ok:
+        raise AdmissibilityError(report)
+    eng = _Engine(scn)
+    eng.scan_step /= divisor
+    return eng.run()
 
 
 def scalar_bisect(pred, lo, hi, tol):

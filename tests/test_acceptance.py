@@ -6,7 +6,6 @@ reference schedule between blackouts is reconstructed rather than
 published.
 """
 
-import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_refined
 
 from etcsim.capacity import (
     capacity_exact,
@@ -193,8 +193,7 @@ def test_criterion_9_non_zeno_scan_stability(blackout_scn, blackout_trace):
         base_min = blackout_trace.stats["min_intertransmission"]
         prev_min, prev_step = base_min, base_step
         for k in (2, 4):
-            finer = dataclasses.replace(blackout_scn, scan_step=base_step / k)
-            stats = run(finer).stats
+            stats = run_refined(blackout_scn, k).stats
             assert abs(stats["min_intertransmission"] - prev_min) < 2.0 * prev_step
             prev_min, prev_step = stats["min_intertransmission"], base_step / k
 

@@ -8,7 +8,9 @@ The documents carry no ``sim.mode``: the channel picks the design.  The
 runs are forced, so scenarios that fail admissibility run too.
 
 Three admissible documents of the same shape still breach a blackout's
-entry margin when run unforced; they are pinned as strict xfails.
+entry margin when run unforced; they are pinned as strict xfails.  So are
+five admissible documents whose runs miss a firing at the engine's scan
+step; at a sixteenth of it they exit 0 and hold the invariants.
 
 The shipped scenarios with one field out of range must raise nothing
 but a typed error, with every warning an error, when built, checked and
@@ -20,38 +22,23 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import SCENARIOS, check_invariants, delay_floor_oracle
+from conftest import (SCENARIOS, SHEAR_PLANT, check_invariants, delay_floor_oracle,
+                      lqr_gain, rescaled_sec6, run_refined, slotted_document)
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_continuous_are
 
 from etcsim.channel import validate_sequence
-from etcsim.errors import ConfigurationError, EtcsimError, GuaranteeBreachError
+from etcsim.errors import (
+    ConfigurationError,
+    EtcsimError,
+    GuaranteeBreachError,
+    ObjectiveViolationError,
+)
 from etcsim.scenario import build_scenario
 from etcsim.sim import _Engine, check_admissibility, run
 
 # Entries on a 0.1 grid, so a failing document reads back exactly.
 _ENTRY = st.integers(-20, 20).map(lambda k: k / 10)
-
-
-def _lqr_gain(A, B):
-    """``-B^T P`` with P from the control ARE (identity weights): A + B K is Hurwitz."""
-    return -B.T @ solve_continuous_are(A, B, np.eye(len(A)), np.eye(B.shape[1]))
-
-
-def _document(A, B, K, theta, rates, caps, x0, beta_fraction):
-    """A scenario on the slots between the times theta, with the strategy's fixed fields."""
-    n = len(A)
-    slots = [{"theta_start": lo, "theta_end": hi, "R": r, "pi_bar": c}
-             for lo, hi, r, c in zip(theta, theta[1:], rates, caps)]
-    return {
-        "plant": {"A": A.tolist(), "B": B.tolist(), "K": K.tolist(), "Q": np.eye(n).tolist(),
-                  "a": 1.2, "beta_fraction": beta_fraction, "Vd0_factor": 1.2},
-        "channel": {"n": n, "slots": slots},
-        "trigger": {"T_fraction_of_gamma1": 0.1, "sigma": 0.06, "sigma1": 0.8},
-        "sim": {"x0": x0, "xhat0": [0.0] * n, "de0_factor": 1.5, "horizon": theta[-1],
-                "sample_step": theta[-1] / 200},
-    }
 
 
 def _matrix(draw, rows, cols):
@@ -64,7 +51,7 @@ def documents(draw):
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     A, B = _matrix(draw, n, n), _matrix(draw, n, m)
     try:
-        K = _lqr_gain(A, B)
+        K = lqr_gain(A, B)
     except (ValueError, np.linalg.LinAlgError):
         K = None
     assume(K is not None and np.all(np.isfinite(K)))
@@ -79,7 +66,7 @@ def documents(draw):
     theta = np.concatenate([[0.0], np.cumsum(lengths)]).round(1).tolist()
     beta_fraction = draw(st.sampled_from([0.5, 0.8]))
     x0 = draw(st.lists(_ENTRY.filter(bool), min_size=n, max_size=n))
-    return _document(A, B, K, theta, rates, caps, x0, beta_fraction)
+    return slotted_document(A, B, K, theta, rates, caps, x0, beta_fraction)
 
 
 # Packets of up to 48 bits on a fast plant: the delay-floor search found no crossing for
@@ -135,11 +122,11 @@ _A1, _B1 = np.zeros((1, 1)), np.array([[-1.2, 0.6]])
 _ONE_D = (np.array([[0.6]]), np.array([[-0.29]]), np.array([[4.367]]))
 _ENTRY_MARGIN_BREACHES = {
     # eps 0.4376 against the margin 0.3656 at t = 2.1
-    "fuzz_found": _document(_A1, _B1, _lqr_gain(_A1, _B1), [0.0, 2.1, 3.6], [5000.0] * 2,
-                            [1, 0], [0.6], 0.5),
+    "fuzz_found": slotted_document(_A1, _B1, lqr_gain(_A1, _B1), [0.0, 2.1, 3.6],
+                                   [5000.0] * 2, [1, 0], [0.6], 0.5),
     # eps 0.657 against the margin 0.393 at t = 2.0, for a packet cap of 1 or 2
-    **{f"one_d_cap{cap}": _document(*_ONE_D, [0.0, 2.0, 3.0, 5.0, 6.0], [20000.0] * 4,
-                                     [cap, 0, cap, 0], [1.0], 0.5) for cap in (1, 2)},
+    **{f"one_d_cap{cap}": slotted_document(*_ONE_D, [0.0, 2.0, 3.0, 5.0, 6.0], [20000.0] * 4,
+                                           [cap, 0, cap, 0], [1.0], 0.5) for cap in (1, 2)},
 }
 
 
@@ -149,6 +136,35 @@ _ENTRY_MARGIN_BREACHES = {
 def test_admissible_run_holds_the_invariants(name):
     scn = build_scenario(_ENTRY_MARGIN_BREACHES[name])
     trace = run(scn)
+    check_invariants(scn, trace)
+
+
+# Admissible, yet the rule's crossing before a blackout falls between two points of the
+# default scan grid: the window to fire in shrinks as 1/R and the step does not (ROADMAP
+# item 2).  At a sixteenth of the step each run exits 0.
+_MISSED_FIRINGS = {
+    # eps 4.2 and 23 times the entry margin
+    **{f"sec6_rates_x{factor}": rescaled_sec6(factor) for factor in (10, 30)},
+    # cap 4: eps 39.2 against the margin 0.322 at t = 2 (exit 5); cap 8: V/V_d = 1.096 at
+    # t = 5.94 (exit 4)
+    **{f"one_d_cap{cap}": slotted_document(*_ONE_D, [0.0, 2.0, 3.0, 5.0, 6.0], [20000.0] * 4,
+                                           [cap, 0, cap, 0], [1.0], 0.8) for cap in (4, 8)},
+    # eps 31.5 against the margin 0.539 at t = 2
+    "shear": slotted_document(*SHEAR_PLANT, lqr_gain(*SHEAR_PLANT), [0.0, 2.0, 2.5, 4.0],
+                              [40000.0] * 3, [8, 0, 8], [1.0, -1.0], 0.8),
+}
+
+
+@pytest.mark.parametrize("divisor", [
+    pytest.param(1, marks=pytest.mark.xfail(
+        strict=True, raises=(GuaranteeBreachError, ObjectiveViolationError),
+        reason="ROADMAP item 2: the default scan step misses a firing")),
+    16,
+])
+@pytest.mark.parametrize("name", list(_MISSED_FIRINGS))
+def test_missed_firing_is_caught_on_a_finer_grid(name, divisor):
+    scn = build_scenario(_MISSED_FIRINGS[name])
+    trace = run_refined(scn, divisor)
     check_invariants(scn, trace)
 
 
@@ -172,6 +188,7 @@ _OUT_OF_RANGE = [
     ("sim", "horizon", 1e300),
     ("sim", "sample_step", 1e-300),
     ("sim", "sample_step", 1e300),
+    # No longer a field (the engine derives its scan step): any value is a SchemaError.
     ("sim", "scan_step", 1e-9),
     ("sim", "scan_step", 1e300),
     ("sim", "de0_factor", 1e-300),

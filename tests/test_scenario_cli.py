@@ -43,7 +43,7 @@ def scenario_numbers(scn):
         "schedule": [sched.theta.tolist(), sched.rates.tolist(), sched.caps.tolist(), sched.n],
         "trigger": scn.trigger,
         "sim": [scn.x0.tolist(), scn.x_hat0.tolist(), scn.d_e0, scn.delay_factor,
-                scn.packet_policy, scn.horizon, scn.scan_step, scn.sample_step],
+                scn.packet_policy, scn.horizon, scn.sample_step],
     }
 
 
@@ -125,7 +125,7 @@ class TestSchema:
         (lambda d: d["trigger"].update(sigma="not-a-number"), "sigma"),
         (lambda d: d["channel"]["slots"][0].update(R="nan"), "R: 'nan'"),
         (lambda d: d["sim"].update(sample_step="nan"), "sim.sample_step"),
-        (lambda d: d["sim"].update(scan_step="nan"), "sim.scan_step"),
+        (lambda d: d["sim"].update(scan_step=0.01), "'scan_step'"),  # no longer a field
         (lambda d: d["plant"].update(Vd0_factor="inf"), "plant.Vd0_factor"),
         (lambda d: d["sim"].update(horizon=float("nan")), "sim.horizon"),  # JSON NaN
         (lambda d: d["trigger"].update(sigma="-inf"), "trigger.sigma"),
@@ -155,7 +155,7 @@ class TestSchema:
             load_scenario(path)
 
     @pytest.mark.parametrize("field,value", [
-        ("sample_step", 0), ("sample_step", -0.01), ("scan_step", 0), ("scan_step", -1),
+        ("sample_step", 0), ("sample_step", -0.01),
     ])
     def test_nonpositive_steps_rejected(self, sec6_doc, field, value):
         doc = copy.deepcopy(sec6_doc)
@@ -264,16 +264,19 @@ class TestCli:
         assert main(["simulate", str(bad)]) == 2
 
     @pytest.mark.parametrize("step", ["-1", "0", "nan"])
-    def test_nonpositive_scan_step_exit_code(self, tmp_path, sec6_doc, step):
+    def test_nonpositive_scan_step_exit_code(self, tmp_path, sec6_doc, step, capsys):
+        # scan_step is no longer a field (the engine derives the step), so a document that
+        # still sets it, to any value, fails the schema: exit 2, nothing written.
         doc = copy.deepcopy(sec6_doc)
         doc["sim"]["scan_step"] = step
         path = tmp_path / "step.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert "sim: unknown fields ['scan_step']" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field", ["sample_step", "scan_step"])
+    @pytest.mark.parametrize("field", ["sample_step"])
     def test_step_too_fine_for_the_horizon_exit_code(self, tmp_path, field, capsys):
         doc = json.loads(REPO_SCENARIO.with_name("clear10.json").read_text())
         doc["sim"][field] = 1e-320
