@@ -13,13 +13,12 @@ and called on whole arrays of times, and event times are found as the
 first crossing of the rule along each slot's fixed-step grid
 (``triggers.first_crossing``: a certified scan refined by bisection), with
 channel breakpoints and their right limits always evaluated explicitly.
-A fire search pays per point, not per call: the grid is a
-``triggers.LinearGrid``, read only where the scan reaches; every
-evaluation of the search, and of the stretch the engine then advances
-over, reads the state through one ``ExpKernel.flow`` from its start
-(which takes the modal coefficients once) and ``d_e`` from the codec
-state; and the rule and its certificate read their bounds at ``T_M(p)``
-from per-p tables built with it.
+A fire search pays per point, not per call: it computes the grid's times
+only where its scan reaches; every evaluation of the search, and of the
+stretch the engine then advances over, reads the state through one
+``ExpKernel.flow`` from its start (which takes the modal coefficients
+once) and ``d_e`` from the codec state; and the rule and its certificate
+read their bounds at ``T_M(p)`` from per-p tables built with it.
 
 Every fire search skips the stretches of its grid where the paper's
 bounds show the rule cannot fire (``EventRule.quiet``, the comparison
@@ -54,7 +53,6 @@ from .linalg import ExpKernel, inf_norm
 from .plant import PlantModel
 from .triggers import (
     ROOT_TOL,
-    LinearGrid,
     TriggerConfig,
     blackout_entry_margin,
     channel_bound,
@@ -67,7 +65,7 @@ from .triggers import (
 
 # Most samples a run records on its sample grid (clear60's 60 s at 0.01 s is 6,000).
 _MAX_SAMPLES = 1e6
-_MAX_SCAN_POINTS = 2.0 ** 53  # below this, LinearGrid's index arithmetic is exact
+_MAX_SCAN_POINTS = 2.0 ** 53  # below this, first_crossing's index arithmetic is exact
 _NUDGE = 1e-9
 # Relative amount by which EventRule.quiet raises h and eps before bounding the rule, to
 # cover the rounding of the ratios it bounds.  They come from ExpKernel, whose closed form
@@ -496,10 +494,10 @@ class _Engine:
         transmission uses; right-limit-driven firings at a breakpoint
         whose own gate fails are nudged just inside the next slot.
 
-        Each slot's fixed-step grid, a ``LinearGrid`` read only where the
-        scan reaches, is searched by ``first_crossing``, with
-        ``EventRule.quiet`` as its certificate (t_start is a recorded row,
-        so the codec invariant holds there).  Every evaluation reads the
+        Each slot's fixed-step grid, from the cursor to the slot's end in
+        steps of at most ``scan_step``, is searched by ``first_crossing``,
+        with ``EventRule.quiet`` as its certificate (t_start is a recorded
+        row, so the codec invariant holds there).  Every evaluation reads the
         state through one ``ExpKernel.flow`` from t_start.  Blackout slots
         are skipped: no send, so the rule need not be evaluated there.
         """
@@ -541,9 +539,8 @@ class _Engine:
             seg_end = min(float(self.sched.theta[j + 1]), self.horizon)
             if self.sched.caps[j] > 0:
                 count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
-                found = first_crossing(lambda s: fires(s, j), cursor,
-                                       LinearGrid(cursor, seg_end, count), ROOT_TOL,
-                                       lambda nodes: quiet(nodes, j))
+                found = first_crossing(lambda s: fires(s, j), cursor, seg_end, count,
+                                       ROOT_TOL, lambda nodes: quiet(nodes, j))
                 if found is not None:
                     # Transmit at the last pre-crossing instant: there the channel
                     # bound is still strictly below 1, so the required bit count

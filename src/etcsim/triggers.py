@@ -8,22 +8,21 @@ event rule that combines them lives in ``etcsim.sim``, which builds the
 delay-floor and ``T_M(p)`` tables (``trigger_constants``) once per rule.
 
 Every root found here and in the simulator is a first crossing along a
-grid of times: ``_bracket_hit`` shrinks the bracket that ends at the first
-grid point where the predicate holds with ``bisect_crossing``, five
-bisection levels per array call.  The thresholds evaluate each 1000-point
-grid in one call (the violation time in windows that expand until the
-root lies inside one); the delay floors share one grid of [0, T] for all p.
+grid of times: ``bisect_crossing`` shrinks the bracket that ends at the
+first grid point where the predicate holds, five bisection levels per
+array call.  The thresholds evaluate each 1000-point grid in one call
+(the violation time in windows that expand until the root lies inside
+one); the delay floors share one grid of [0, T] for all p.
 
 The simulator's fire search, ``first_crossing``, has a certificate
-(``sim.EventRule.quiet``).  Every ``_NODE_STRIDE``-th grid point is a
-node; the nodes are walked in chunks that double up to
-``_NODE_CHUNK_MAX`` stretches, a stretch between two nodes where the
-certificate shows the predicate false is skipped, and only the others'
-points are evaluated, in doubling batches: the first grid point where the
-predicate holds is the one a scan of every point finds.  Its grid is a
-``LinearGrid``: the floats of ``np.linspace``, computed only at the node
-chunks and points the scan reads, so a search costs the same on a slot of
-any length.
+(``sim.EventRule.quiet``).  It reads the floats of ``np.linspace`` only
+at the points it reaches, so a search costs the same on a slot of any
+length.  Every ``_NODE_STRIDE``-th point is a node; the nodes are walked
+in chunks that double up to ``_NODE_CHUNK_MAX`` stretches, a stretch
+between two nodes where the certificate shows the predicate false is
+skipped, and only the others' points are evaluated, in doubling batches:
+the first point where the predicate holds is the one a scan of every
+point finds.
 """
 
 from __future__ import annotations
@@ -173,96 +172,60 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
     return lo, hi
 
 
-@dataclass(frozen=True)
-class LinearGrid:
-    """``np.linspace(start, stop, count + 1)[1:]``, computed only where it is read.
-
-    An int or an array of indices (nonnegative, below ``size``) gives the
-    floats linspace puts there: ``k * step + start`` at its index k, with
-    ``step = (stop - start) / count`` (``k / count * (stop - start) +
-    start`` where step underflows to 0), and stop at the last.
-    """
-
-    start: float
-    stop: float
-    count: int
-
-    @property
-    def size(self) -> int:
-        return self.count
-
-    def __getitem__(self, key):
-        if not isinstance(key, np.ndarray) and not 0 <= key < self.count:
-            raise IndexError(f"index {key} outside a grid of {self.count} points")
-        k = key + 1.0  # linspace's index, as the floats of its arange
-        delta = self.stop - self.start
-        step = delta / self.count
-        points = (k / self.count * delta if step == 0 else k * step) + self.start
-        if not isinstance(points, np.ndarray):
-            return self.stop if k == self.count else points
-        points[k == self.count] = self.stop
-        return points
-
-
 def _bracket_hit(pred, start: float, grid, hit: int, tol: float) -> tuple[float, float]:
     """``bisect_crossing`` from the point before ``grid[hit]`` (start, for the first) to it."""
     lo = float(grid[hit - 1]) if hit else start
     return bisect_crossing(pred, lo, float(grid[hit]), tol)
 
 
-def first_crossing(pred, start: float, grid, tol: float, quiet) -> tuple[float, float] | None:
-    """Bracket of the first crossing of pred along grid, or None if pred never holds.
+def first_crossing(pred, start: float, stop: float, count: int, tol: float,
+                   quiet) -> tuple[float, float] | None:
+    """Bracket of pred's first crossing along ``np.linspace(start, stop, count + 1)[1:]``.
 
-    grid holds increasing times after start: an array or a
-    ``LinearGrid``.  pred maps an array of times to truth values.  quiet,
-    a certificate, maps increasing times ``t_0 < ... < t_m`` (start or grid
-    points) to m truth values, the i-th true only if pred is false at every
-    grid point in ``(t_i, t_{i+1}]``; see ``_certified_hit``.
+    Returns None if pred holds at no point.  The points are linspace's floats,
+    computed only where the search reads them: ``k * step + start`` at
+    linspace's index k, with ``step = (stop - start) / count`` (``k / count *
+    (stop - start) + start`` where step underflows to 0), and stop at the last.
+    pred maps an array of times to truth values.  quiet, a certificate, maps
+    increasing times ``t_0 < ... < t_m`` to m truth values, the i-th true only
+    if pred is false at every point in ``(t_i, t_{i+1}]``.
+
+    Stretch i holds points ``i S .. (i + 1) S - 1`` (S = ``_NODE_STRIDE``;
+    the last may be shorter) and runs from its node, the last point before
+    it (start for the first), to its own last point.  The nodes are handed to
+    quiet in chunks of ``_NODE_CHUNK``, ``2 _NODE_CHUNK``, ... stretches, up to
+    ``_NODE_CHUNK_MAX``; in each chunk, the points of the stretches quiet leaves
+    open are scanned in batches of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ...
+    stretches.  The first point where pred holds is the one a scan of every
+    point finds; ``bisect_crossing`` shrinks the bracket from the point before it.
     """
-    hit = _certified_hit(pred, start, grid, quiet)
-    return None if hit is None else _bracket_hit(pred, start, grid, hit, tol)
+    delta = stop - start
+    step = delta / count
 
+    def points(idx):
+        k = idx + 1.0  # linspace's index, as the floats of its arange
+        return np.where(k == count, stop, (k / count * delta if step == 0 else k * step) + start)
 
-def _first_hit(pred, points, size: int) -> int | None:
-    """Index of the first of points where pred holds, scanning chunks of size, 2 size, ..."""
-    a = 0
-    while a < points.size:
-        idx = np.flatnonzero(pred(points[a:a + size]))
-        if idx.size:
-            return a + int(idx[0])
-        a, size = a + size, 2 * size
-    return None
-
-
-def _certified_hit(pred, start: float, grid, quiet) -> int | None:
-    """``_first_hit`` over grid, evaluating pred only where quiet certifies nothing.
-
-    Stretch i holds grid points ``i S .. (i + 1) S - 1`` (S =
-    ``_NODE_STRIDE``; the last may be shorter) and runs from its node,
-    the last point before it (start for the first), to its own last
-    point.  The nodes are handed to quiet in chunks of ``_NODE_CHUNK``,
-    ``2 _NODE_CHUNK``, ... stretches, up to ``_NODE_CHUNK_MAX``; in each
-    chunk, the points of the stretches quiet leaves open are scanned by
-    ``_first_hit`` in batches of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ...
-    stretches.  grid is read only at the nodes and open points of the
-    chunks reached.
-    """
     stride = _NODE_STRIDE
-    stretches = -(-grid.size // stride)
+    stretches = -(-count // stride)
     i, size = 0, _NODE_CHUNK
     while i < stretches:
         last = min(i + size, stretches)
         # Node m > 0 is the last point of stretch m - 1.
-        nodes = grid[np.minimum(np.arange(max(i, 1), last + 1) * stride, grid.size) - 1]
+        nodes = points(np.minimum(np.arange(max(i, 1), last + 1) * stride, count) - 1)
         if i == 0:
             nodes = np.concatenate([[start], nodes])
         open_ = i + np.flatnonzero(~np.asarray(quiet(nodes)))
-        if open_.size:
-            idx = (open_[:, None] * stride + np.arange(stride)).ravel()
-            idx = idx[idx < grid.size]
-            hit = _first_hit(pred, grid[idx], _OPEN_CHUNK * stride)
-            if hit is not None:
-                return int(idx[hit])
+        idx = (open_[:, None] * stride + np.arange(stride)).ravel()
+        idx = idx[idx < count]
+        a, batch = 0, _OPEN_CHUNK * stride
+        while a < idx.size:
+            fired = np.flatnonzero(pred(points(idx[a:a + batch])))
+            if fired.size:
+                hit = int(idx[a + fired[0]])
+                lo = float(points(hit - 1)) if hit else start
+                return bisect_crossing(pred, lo, float(points(hit)), tol)
+            a, batch = a + batch, 2 * batch
         i, size = last, min(2 * size, _NODE_CHUNK_MAX)
     return None
 

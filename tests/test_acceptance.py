@@ -209,10 +209,12 @@ def test_criterion_10_trigger_bound_soundness(blackout_scn, blackout_trace,
                 inside = np.flatnonzero((trace.t >= lo) & (trace.t < hi))
                 if inside.size < 2:
                     continue
-                a = inside[0]
-                taus = trace.t[inside[1:]] - trace.t[a]
-                bound = perf_bound(plant, taus, trace.h_pf[a], trace.eps[a])
-                assert np.all(trace.h_pf[inside[1:]] <= bound)
+                # The window starts from the post-update state: the last row at its start
+                # time (an update records the pre-update row first).
+                a = inside[trace.t[inside] == trace.t[inside[0]]][-1]
+                later = inside[inside > a]
+                bound = perf_bound(plant, trace.t[later] - trace.t[a], trace.h_pf[a], trace.eps[a])
+                assert np.all(trace.h_pf[later] <= bound)
             for tx in trace.transmissions:
                 bound = float(channel_bound(plant, T, tx.r_tilde_k - tx.t_k,
                                             tx.h_pf_tx, tx.eps_tx, tx.p_k,

@@ -194,8 +194,9 @@ class TestChunkedScan:
         and the chunks of stretches its certificate judges."""
         scan = sim.first_crossing
 
-        def counted(pred, start, grid, tol, quiet):
-            return scan(scan_chunks.counted(pred), start, grid, tol, scan_chunks.judging(quiet))
+        def counted(pred, start, stop, count, tol, quiet):
+            return scan(scan_chunks.counted(pred), start, stop, count, tol,
+                        scan_chunks.judging(quiet))
 
         monkeypatch.setattr(sim, "first_crossing", counted)
         return scan_chunks
@@ -342,8 +343,8 @@ class TestCertificate:
         scan = sim.first_crossing
         seen = {"certified": 0, "fired": 0}
 
-        def checked(pred, start, grid, tol, quiet):
-            points = grid[np.arange(grid.size)]  # the slot's lazy grid, every point of it
+        def checked(pred, start, stop, count, tol, quiet):
+            points = np.linspace(start, stop, count + 1)[1:]  # the slot's grid, every point
             # Stretch i holds grid points i S .. (i + 1) S - 1 and starts at the point before.
             ends = np.minimum(np.arange(_NODE_STRIDE, points.size + _NODE_STRIDE,
                                         _NODE_STRIDE), points.size) - 1
@@ -352,7 +353,7 @@ class TestCertificate:
             assert not np.any(fired & certified), points[fired & certified][:3]
             seen["certified"] += int(np.count_nonzero(certified))
             seen["fired"] += int(np.count_nonzero(fired))
-            return scan(pred, start, grid, tol, quiet)
+            return scan(pred, start, stop, count, tol, quiet)
 
         monkeypatch.setattr(sim, "first_crossing", checked)
         scn = self.SCENARIOS[name]()

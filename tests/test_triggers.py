@@ -19,9 +19,7 @@ from etcsim.triggers import (
     _NODE_CHUNK_MAX,
     _NODE_STRIDE,
     _TREE_DEPTH,
-    LinearGrid,
     TriggerConfig,
-    _certified_hit,
     bisect_crossing,
     blackout_entry_margin,
     channel_bound,
@@ -157,13 +155,13 @@ class TestFirstCrossing:
     def test_matches_scalar_scan(self, points, start, where, strict):
         grid = np.linspace(start, 1.0, points + 1)[1:]
         threshold = start + where * (1.0 - start)
-        assert (first_crossing(Counted(threshold, strict), start, grid, 1e-9, certify_nothing)
+        assert (first_crossing(Counted(threshold, strict), start, 1.0, points, 1e-9,
+                               certify_nothing)
                 == scalar_first_crossing(Counted(threshold, strict), start, grid, 1e-9))
 
     def test_node_chunks_stop_growing_at_the_cap(self):
         # A grid of 2^40 points: with every stretch certified, the chunks of nodes double up
         # to the cap and then stay there, whatever is left of the grid.
-        grid = LinearGrid(0.0, 1.0, 2 ** 40)
         sizes = []
 
         class Enough(Exception):
@@ -176,7 +174,7 @@ class TestFirstCrossing:
             return np.ones(len(nodes) - 1, dtype=bool)
 
         with pytest.raises(Enough):
-            _certified_hit(lambda ts: ts > 2.0, 0.0, grid, certify_all)
+            first_crossing(lambda ts: ts > 2.0, 0.0, 1.0, 2 ** 40, 1e-9, certify_all)
         assert max(sizes) == _NODE_CHUNK_MAX + 1
         assert sizes[0] == _NODE_CHUNK + 1 and sizes[-3:] == [_NODE_CHUNK_MAX + 1] * 3
 
@@ -187,8 +185,21 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestLinearGrid:
-    """``LinearGrid`` against the ``np.linspace(start, stop, count + 1)[1:]`` it stands for."""
+def opening(stretches, nodes_seen):
+    """A certificate that leaves open exactly the given stretches, numbered in the order
+    their nodes arrive, and records the nodes it is given."""
+    judged = [0]
+
+    def quiet(nodes):
+        nodes_seen.append(np.array(nodes))
+        first, judged[0] = judged[0], judged[0] + len(nodes) - 1
+        return ~np.isin(np.arange(first, judged[0]), stretches)
+    return quiet
+
+
+class TestSearchTimes:
+    """The times ``first_crossing`` hands to pred and quiet against the
+    ``np.linspace(start, stop, count + 1)[1:]`` they stand for."""
 
     @settings(max_examples=150, deadline=None)
     @given(start=st.floats(-1e6, 1e6), span=st.one_of(st.floats(-1e6, 1e6), st.floats(0.0, 1e-300)),
@@ -198,38 +209,45 @@ class TestLinearGrid:
     @example(start=1.0, span=0.0, count=1, data=None)
     def test_matches_linspace_bit_for_bit(self, start, span, count, data):
         stop = start + span
-        grid = LinearGrid(start, stop, count)
         want = np.linspace(start, stop, count + 1)[1:]
-        assert grid.size == want.size
         indices = st.integers(0, count - 1)
         idx = np.array([0, count - 1] + ([] if data is None else data.draw(
             st.lists(indices, max_size=64))), dtype=np.intp)
-        assert same_bits(grid[idx], want[idx])
-        for i in idx.tolist():
-            assert same_bits(grid[i], want[i]) and isinstance(grid[i], float)
         a, b = (0, count - 1) if data is None else sorted(data.draw(st.tuples(indices, indices)))
-        run = np.arange(a, b + 1)
-        assert same_bits(grid[run], want[run])
+        # With the stretches of idx and of the run a..b open and pred false everywhere, the
+        # search hands pred every point of those stretches, in order, and quiet every node.
+        size = _NODE_STRIDE
+        stretches = np.union1d(idx // size, np.arange(a // size, b // size + 1))
+        handed, nodes = [], []
+        pred = lambda ts: handed.append(np.array(ts)) or np.zeros(np.size(ts), dtype=bool)
+        assert first_crossing(pred, start, stop, count, 1e-9, opening(stretches, nodes)) is None
+        points = (stretches[:, None] * size + np.arange(size)).ravel()
+        assert same_bits(np.concatenate(handed), want[points[points < count]])
+        ends = np.minimum(np.arange(1, -(-count // size) + 1) * size, count) - 1
+        seen = np.concatenate([nodes[0]] + [n[1:] for n in nodes[1:]])
+        assert same_bits(seen, np.r_[start, want[ends]])
+        # With pred first holding at point i and no bisection (tol = inf), the bracket is the
+        # point before i (start, for the first) and point i, as floats.
+        for i in idx.tolist():
+            pred = lambda ts, at=i % size: np.arange(np.size(ts)) == at
+            found = first_crossing(pred, start, stop, count, math.inf, opening([i // size], []))
+            assert same_bits(found, [start if i == 0 else want[i - 1], want[i]])
+            assert all(isinstance(t, float) for t in found)
 
-    def test_only_the_reach_of_a_search_is_read(self, scan_chunks):
-        # A crossing at point 100 of a million-point grid reads its first chunk of nodes,
-        # the points of one open stretch and the bracket's ends.
-        grid = LinearGrid(0.0, 1.0, 10 ** 6)
-        read = []
-        getitem = LinearGrid.__getitem__
-
-        class Counted(LinearGrid):
-            def __getitem__(self, key):
-                read.append(np.size(key))
-                return getitem(self, key)
-
-        counted = Counted(grid.start, grid.stop, grid.count)
-        hit = grid[100]
-        pred = lambda ts: ts >= hit
-        quiet = lambda nodes: ~((nodes[:-1] < hit) & (hit <= nodes[1:]))
-        found = first_crossing(scan_chunks.counted(pred), 0.0, counted, 1e-9, quiet)
+    def test_only_the_reach_of_a_search_is_read(self):
+        # A crossing at point 100 of a million-point grid hands quiet its first chunk of
+        # nodes and pred the points of one open stretch; the bisection then stays inside
+        # the bracket that ends at the crossing.
+        count = 10 ** 6
+        before, hit = np.linspace(0.0, 1.0, count + 1)[100:102]
+        handed, nodes = [], []
+        pred = lambda ts: handed.append(np.array(ts)) or ts >= hit
+        quiet = lambda n: nodes.append(len(n)) or ~((n[:-1] < hit) & (hit <= n[1:]))
+        found = first_crossing(pred, 0.0, 1.0, count, 1e-9, quiet)
         assert found[1] == hit
-        assert read == [_NODE_CHUNK, _NODE_STRIDE, 1, 1]
+        assert nodes == [_NODE_CHUNK + 1]
+        assert handed[0].size == _NODE_STRIDE
+        assert all(np.all((before < ts) & (ts < hit)) for ts in handed[1:])
 
 
 def exact_certificate(pred, grid, nodes_seen):
@@ -258,7 +276,7 @@ class TestCertifiedFirstCrossing:
         lo = start + where * (1.0 - start)
         pred = lambda ts: (lo <= ts) & (ts <= lo + width)
         quiet = exact_certificate(pred, grid, [])
-        assert (first_crossing(pred, start, grid, 1e-9, quiet)
+        assert (first_crossing(pred, start, 1.0, points, 1e-9, quiet)
                 == scalar_first_crossing(pred, start, grid, 1e-9))
 
     @pytest.mark.parametrize("hit", [0, 1, 63, 64, 65, 4095, 4096, 4097, 12287, 12288, 19999])
@@ -267,7 +285,7 @@ class TestCertifiedFirstCrossing:
         grid = self.GRID
         pred = lambda ts: ts == grid[hit]
         nodes = []
-        found = first_crossing(scan_chunks.counted(pred), 0.0, grid, 1e-9,
+        found = first_crossing(scan_chunks.counted(pred), 0.0, 1.0, grid.size, 1e-9,
                                exact_certificate(pred, grid, nodes))
         assert found == scalar_first_crossing(pred, 0.0, grid, 1e-9)
         assert found[1] == grid[hit]
