@@ -4,8 +4,8 @@ Everything here works on matrices of dimension ~2..6.  ``ExpKernel`` is
 the one matrix exponential: built once per matrix, it evaluates
 ``exp(M t)`` at one time or a whole array of times, in closed form
 through an eigendecomposition when the eigenvector basis is well
-conditioned and otherwise by scaling and squaring around the degree-13
-Pade approximant, evaluated over the whole stack of times at once.  The
+conditioned and otherwise by scaling and squaring around a truncated
+Taylor series whose matrix powers are tabulated once per kernel.  The
 Lyapunov equation is solved by Kronecker vectorisation to an ``n^2 x n^2``
 linear system with partially pivoted elimination.
 """
@@ -25,12 +25,9 @@ _EIG_COND_MAX = 1e8
 _SYM_TOL = 1e-10
 _LYAP_BACKWARD_TOL = 1e-12
 
-# Coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the
-# largest 1-norm of X for which it meets unit roundoff (Higham, SIMAX 2005).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# Degree and scaled-norm limit of the Taylor branch; ExpKernel's docstring derives them.
+_TAYLOR_DEGREE = 18
+_TAYLOR_THETA = 1.0
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
@@ -92,20 +89,42 @@ class ExpKernel:
 
     When the eigenvector basis V of M is well conditioned every query is
     the closed form ``V diag(e^{w t}) V^{-1}``, with no step-to-step
-    drift.  Otherwise (a defective or nearly defective M) the whole stack
-    of times goes through one scaling-and-squaring Pade-13 evaluation
-    (``_pade13_expm``).  At a scalar ``t = 0`` both return the identity
-    exactly; t must be finite and nonnegative, and a t past the time at
-    which the result could overflow raises NumericalError.
+    drift.  Otherwise (a defective or nearly defective M) the kernel keeps
+    the powers ``A^j``, j = 0..m, of ``A = M / nu``, ``nu = ||M||_1``, and
+    ``_series`` gives each time its own scale ``s = max(0, ceil(log2(t nu / theta)))``,
+    sums ``exp(z A) = sum_j z^j / j! A^j`` at ``z = t nu / 2^s <= theta`` and
+    squares the sum s times (Moler & Van Loan, SIAM Review 2003).
+
+    The degree m and the limit theta (``_TAYLOR_DEGREE``, ``_TAYLOR_THETA``):
+    with ``||z A||_1 <= theta`` the dropped tail is at most
+    ``theta^{m+1} / (m+1)! e^theta``, and at theta = 1 the least m that puts
+    it below the unit roundoff u = 2^-53 is 18 (2.2e-17; m = 17 gives
+    4.2e-16).  Rounding in a sum of terms of norm up to e^theta whose result
+    has norm down to e^-theta grows to about ``e^{2 theta} u``: 8.2e-16 at
+    theta = 1, against 6.1e-15 at theta = 2 and 3.3e-13 at theta = 4, while
+    theta = 1/2 would save four terms at the cost of a squaring per time.
+    Each squaring can double the relative error, so a time's result is good
+    to about ``2^s e^{2 theta} u <= max(1, 2 t nu / theta) e^{2 theta} u``.
+
+    At a scalar ``t = 0`` both branches return the identity exactly; t must
+    be finite and nonnegative, and a t past the time at which the result
+    could overflow raises NumericalError.
     """
 
     def __init__(self, M):
         self.M = _as_square(M)
         w, V = np.linalg.eig(self.M)
         self._eig = (w, V, np.linalg.inv(V)) if np.linalg.cond(V) < _EIG_COND_MAX else None
-        if self._eig is not None:  # row l: V[i, l] Vi[l, j], the rank-one term of e^{w_l t}
+        if self._eig is None:  # row j: the entries of A^j
+            self._nu = float(np.abs(self.M).sum(axis=0).max())
+            A, powers = self.M / self._nu, [np.eye(len(w))]
+            for _ in range(_TAYLOR_DEGREE):
+                powers.append(powers[-1] @ A)
+            self._powers = np.reshape(powers, (_TAYLOR_DEGREE + 1, -1))
+            spread = 1.0
+        else:  # row l: V[i, l] Vi[l, j], the rank-one term of e^{w_l t}
             self._terms = (V.T[:, :, None] * self._eig[2][:, None, :]).reshape(len(w), -1)
-        spread = 1.0 if self._eig is None else max(1.0, float(np.abs(self._eig[2]).max()))
+            spread = max(1.0, float(np.abs(self._eig[2]).max()))
         self._t_max = _overflow_time(self.M, w, spread)
 
     def _times(self, t) -> np.ndarray:
@@ -126,7 +145,7 @@ class ExpKernel:
         if ts.ndim == 0 and ts == 0.0:
             return np.eye(self.M.shape[0])
         if self._eig is None:
-            return _pade13_expm(self.M, ts)
+            return self._series(ts)
         w, V, Vi = self._eig
         return ((V * np.exp(ts[..., None, None] * w)) @ Vi).real
 
@@ -140,7 +159,7 @@ class ExpKernel:
         if ts.ndim == 0 and ts == 0.0:
             return 1.0
         if self._eig is None:
-            return inf_norm(_pade13_expm(self.M, ts))
+            return inf_norm(self._series(ts))
         entries = (np.exp(ts[..., None] * self._eig[0]) @ self._terms).real
         return inf_norm(entries.reshape(ts.shape + self.M.shape))
 
@@ -161,10 +180,32 @@ class ExpKernel:
             if ts.ndim == 0 and ts == 0.0:
                 return x.copy()
             if self._eig is None:
-                return self(ts) @ x
+                return self._series(ts) @ x
             return ((np.exp(ts[..., None] * w) * modes) @ VT).real
 
         return at
+
+    def _series(self, ts: np.ndarray) -> np.ndarray:
+        """``exp(M t)`` for every t in ts by the scaled Taylor series, shape ``ts.shape + (k, k)``.
+
+        The rows ``z^j / j!`` come from one cumulative product, and one stacked
+        product ``(N, 1, m+1) @ (m+1, k^2)`` gives every ``exp(t M / 2^s)``: unlike
+        one ``(N, m+1) @ (m+1, k^2)`` GEMM, it gives each time the floats of a
+        one-time call.  The squarings run masked, so each time stops after its own s.
+        """
+        k = self.M.shape[0]
+        flat = ts.reshape(-1) * self._nu
+        # frexp gives y = f 2^e with f in [0.5, 1), so ceil(log2 y) = e - (f == 0.5).
+        frac, expo = np.frexp(flat / _TAYLOR_THETA)
+        s = np.maximum(expo - (frac == 0.5), 0)
+        coef = np.ones((flat.size, _TAYLOR_DEGREE + 1))
+        np.divide(np.ldexp(flat, -s)[:, None], np.arange(1.0, _TAYLOR_DEGREE + 1),
+                  out=coef[:, 1:])
+        R = np.matmul(np.cumprod(coef, axis=1)[:, None, :], self._powers).reshape(-1, k, k)
+        for i in range(int(s.max(initial=0))):
+            rows = np.flatnonzero(s > i)
+            R[rows] = R[rows] @ R[rows]
+        return R.reshape(ts.shape + (k, k))
 
 
 def _overflow_time(M: np.ndarray, w: np.ndarray, spread: float) -> float:
@@ -190,56 +231,6 @@ def _overflow_time(M: np.ndarray, w: np.ndarray, spread: float) -> float:
     for _ in range(20):
         t += (budget - a * t - b * np.log1p(d * t)) / (a + b * d / (1.0 + d * t))
     return float(t)
-
-
-def _pade13_expm(M: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """``exp(M t)`` for every finite ``t >= 0`` in ts, stack shape ``ts.shape + (k, k)``.
-
-    Scaling and squaring around the degree-13 Pade approximant (Higham,
-    SIMAX 2005; Al-Mohy & Higham, SIMAX 2009), vectorised over times:
-    each time gets its own scale ``s = max(0, ceil(log2(t ||M||_1 / theta_13)))``,
-    one batched solve gives every ``r_13(t M / 2^s)``, and the squarings
-    run masked so each time stops after its own s.  ``r_13`` is taken as
-    ``I + 2 (V - U)^{-1} U``, equal to ``(V - U)^{-1} (V + U)``, so that
-    ``t = 0`` gives the identity exactly.
-    """
-    k = M.shape[0]
-    flat = ts.reshape(-1)
-    # frexp gives y = f 2^e with f in [0.5, 1), so ceil(log2 y) = e - (f == 0.5).
-    frac, expo = np.frexp(flat * np.abs(M).sum(axis=0).max() / _THETA13)
-    s = np.maximum(expo - (frac == 0.5), 0)
-    X = np.ldexp(flat, -s)[:, None, None] * M
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    b = _PADE13
-    eye = np.eye(k)
-
-    def add(out, scratch, *terms):
-        """``out + c P + ...`` over the ``(c, P)`` terms, added left to right into out."""
-        for c, power in terms:
-            out += np.multiply(power, c, out=scratch)
-        return out
-
-    def half(c, work, out):
-        """``X6 (c0 X6 + c1 X4 + c2 X2) + c3 X6 + c4 X4 + c5 X2 + c6 I`` into out, work as scratch.
-
-        The same terms in the same order as that expression, so the same floats, with no
-        temporary stack.
-        """
-        add(np.multiply(X6, c[0], out=work), out, (c[1], X4), (c[2], X2))
-        return add(np.matmul(X6, work, out=out), work, (c[3], X6), (c[4], X4), (c[5], X2),
-                   (c[6], eye))
-
-    work, out = np.empty_like(X), np.empty_like(X)
-    U = X @ half(b[13::-2], work, out)
-    V = half(b[12::-2], work, out)
-    del X, X2, X4, X6, work  # with V - U and 2 U in place, the solve holds fewer stacks
-    R = eye + np.linalg.solve(np.subtract(V, U, out=V), np.multiply(U, 2.0, out=U))
-    for i in range(int(s.max(initial=0))):
-        rows = np.flatnonzero(s > i)
-        R[rows] = R[rows] @ R[rows]
-    return R.reshape(ts.shape + (k, k))
 
 
 def is_hurwitz(M) -> bool:

@@ -70,11 +70,13 @@ _NUDGE = 1e-9
 # Relative amount by which EventRule.quiet raises h and eps before bounding the rule, to
 # cover the rounding of the ratios it bounds.  They come from ExpKernel, whose closed form
 # has a relative error of about cond(V) * 1.1e-16 <= 1.1e-8 for the eigenbasis condition
-# numbers it accepts (< 1e8; its Pade branch is good to ~1e-13).  A state entry of an
-# n <= 6 plant sums up to 12 such terms and h is quadratic in the state, so h and eps are
-# good to ~3e-7 relative: 1e-9 would not cover that, and 1e-6 does, three times over.
-# It also covers the codec invariant's slack: the recorder, whose rows start every fire
-# search, lets the error exceed d_e by codec.CHECK_SLACK (1e-9 relative).
+# numbers it accepts (< 1e8).  Its Taylor branch, for a defective M, is good to about
+# max(1, 2 t ||M||_1) e^2 u relative (ExpKernel's docstring), which is below 1.1e-8
+# for every t ||M||_1 < 6e6.  A state entry of an n <= 6 plant sums up to 12 such terms
+# and h is quadratic in the state, so h and eps are good to ~3e-7 relative: 1e-9 would
+# not cover that, and 1e-6 does, three times over.  It also covers the codec invariant's
+# slack: the recorder, whose rows start every fire search, lets the error exceed d_e by
+# codec.CHECK_SLACK (1e-9 relative).
 _CERT_MARGIN = 1e-6
 
 POLICY_MAX = "max_bits"

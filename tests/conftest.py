@@ -100,6 +100,39 @@ def delay_floor_oracle(plant, T, p):
                            ROOT_TOL)[1]
 
 
+# Coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the largest
+# 1-norm of X for which it meets unit roundoff (Higham, SIMAX 2005).
+PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+          33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+THETA13 = 5.371920351148152
+
+
+def pade13_expression_form(M, ts):
+    """``exp(M t)`` for every t in the 1-D array ts, an oracle apart from ``ExpKernel``.
+
+    Scaling and squaring around the degree-13 Pade approximant ``r_13 = I + 2 (V - U)^{-1} U``,
+    each time with its own scale ``s = max(0, ceil(log2(t ||M||_1 / theta_13)))``.
+    """
+    k = M.shape[0]
+    frac, expo = np.frexp(ts * np.abs(M).sum(axis=0).max() / THETA13)
+    s = np.maximum(expo - (frac == 0.5), 0)
+    X = np.ldexp(ts, -s)[:, None, None] * M
+    X2 = X @ X
+    X4 = X2 @ X2
+    X6 = X4 @ X2
+    b, eye = PADE13, np.eye(k)
+    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
+    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
+    R = eye + np.linalg.solve(V - U, 2.0 * U)
+    for i in range(int(s.max(initial=0))):
+        rows = np.flatnonzero(s > i)
+        R[rows] = R[rows] @ R[rows]
+    return R
+
+
 def check_invariants(scn, trace):
     """Assert the theorem's invariants on a finished trace: h <= 1, the codec bound,
     packets that fit psi outside blackouts, and every blackout entry margin."""

@@ -2,11 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import pade13_expression_form
 
 from etcsim.errors import DimensionError, DomainError, NotHurwitzError, NumericalError
 from etcsim.linalg import (
-    _PADE13,
-    _THETA13,
+    _TAYLOR_THETA,
     ExpKernel,
     inf_norm,
     is_hurwitz,
@@ -81,29 +81,8 @@ def random_stable(rng, n):
     return M - shift * np.eye(n)
 
 
-def pade13_expression_form(M, ts):
-    """``linalg._pade13_expm`` with U and V each written as one expression."""
-    k = M.shape[0]
-    frac, expo = np.frexp(ts * np.abs(M).sum(axis=0).max() / _THETA13)
-    s = np.maximum(expo - (frac == 0.5), 0)
-    X = np.ldexp(ts, -s)[:, None, None] * M
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    b, eye = _PADE13, np.eye(k)
-    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * eye)
-    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * eye)
-    R = eye + np.linalg.solve(V - U, 2.0 * U)
-    for i in range(int(s.max(initial=0))):
-        rows = np.flatnonzero(s > i)
-        R[rows] = R[rows] @ R[rows]
-    return R
-
-
 class TestMatExp:
-    """``ExpKernel``: the closed form on A_REF, the batched Pade-13 on JORDAN."""
+    """``ExpKernel``: the closed form on A_REF, the scaled Taylor series on JORDAN."""
 
     def test_zero_matrix_is_identity(self):
         assert np.array_equal(ExpKernel(np.zeros((3, 3)))(5.0), np.eye(3))
@@ -201,17 +180,62 @@ class TestMatExp:
 
     @pytest.mark.parametrize("name", sorted(DEFECTIVE))
     def test_defective_branch_matches_the_expression_form(self, name):
-        # The in-place sums of U and V add the same terms in the same order as
-        # one expression each, so every float is the same.
+        # The Pade-13 expression form is an independent formula for the same matrices;
+        # they agree to 4.3e-14 at worst here (jordan_block at t = 20).
         M = DEFECTIVE[name]
         ts = np.array([0.0, 1e-6, 0.01, 0.3, 1.0, 4.0, 20.0])
-        assert np.array_equal(ExpKernel(M)(ts), pade13_expression_form(M, ts))
+        for t, got, want in zip(ts, ExpKernel(M)(ts), pade13_expression_form(M, ts)):
+            assert relative_error(got, want) <= 1e-13, t
+
+    def test_defective_stack_gives_the_floats_of_one_time_calls(self, rng):
+        # Each time's matrix, flow row and norm are bit for bit those of a call with that
+        # time alone, whatever the other times in the stack.
+        kernel = ExpKernel(JORDAN_BLOCK)
+        x = np.array([6.0, -4.0, 0.0, 0.0])
+        flow = kernel.flow(x)
+        ts = rng.permutation(np.concatenate([ORACLE_TIMES, [0.0], rng.uniform(0.0, 4.0, 4088)]))
+        alone = [(kernel(t), flow(t), kernel.inf_norm(t)) for t in ts]
+        for size in (1, 2, 31, 1024, 4096):
+            stacks = kernel(ts[:size]), flow(ts[:size]), kernel.inf_norm(ts[:size])
+            for i, (E, row, norm) in enumerate(alone[:size]):
+                assert np.array_equal(stacks[0][i], E), ts[i]
+                assert np.array_equal(stacks[1][i], row), ts[i]
+                assert stacks[2][i] == norm, ts[i]
+
+    def test_defective_branch_calls_no_solve(self, monkeypatch):
+        def no_solve(a, b):
+            raise AssertionError("np.linalg.solve called")
+
+        kernel = ExpKernel(JORDAN_BLOCK)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        for ts in (0.7, np.linspace(0.0, 4.0, 4096)):
+            assert kernel(ts).shape == np.shape(ts) + (4, 4)
+            assert kernel.flow(np.ones(4))(ts).shape == np.shape(ts) + (4,)
+            assert np.shape(kernel.inf_norm(ts)) == np.shape(ts)
+
+    def test_jordan_block_flow_against_mpmath(self):
+        # The benchmark's jordan propagator from its x0.  The docstring bounds a time's
+        # relative error by about max(1, 2 t ||M||_1) e^2 u (theta = 1), so each entry of
+        # exp(M t) x is within that times ||exp(M t)||_inf ||x||_inf of the exact flow,
+        # here taken at 60 digits.
+        x = np.array([6.0, -4.0, 0.0, 0.0])
+        ts = np.linspace(0.0, 4.0, 41)
+        kernel = ExpKernel(JORDAN_BLOCK)
+        rows = kernel.flow(x)(ts)
+        nu = np.abs(JORDAN_BLOCK).sum(axis=0).max()
+        with mpmath.workdps(60):
+            M, x_mp = mpmath.matrix(JORDAN_BLOCK.tolist()), mpmath.matrix(x.tolist())
+            for t, row in zip(ts, rows):
+                want = np.array((mpmath.expm(M * mpmath.mpf(t)) * x_mp).tolist(),
+                                dtype=float).ravel()
+                bound = max(2.0 * t * nu, 1.0) * np.e ** 2 * 2.0 ** -53
+                assert inf_norm(row - want) <= bound * kernel.inf_norm(t) * inf_norm(x), t
 
     def test_defective_stack_of_mixed_scales_matches_scalar_calls(self):
         kernel = ExpKernel(JORDAN_BLOCK)
         ts = np.array([20.0, 1e-6, 4.0, 0.0, 50.0, 0.01, 1.0, 0.3])
-        # The squaring count s = ceil(log2(t ||M||_1 / theta_13)) differs along the stack.
-        scaled = ts[ts > 0] * np.abs(JORDAN_BLOCK).sum(axis=0).max() / 5.371920351148152
+        # The squaring count s = ceil(log2(t ||M||_1 / theta)) differs along the stack.
+        scaled = ts[ts > 0] * np.abs(JORDAN_BLOCK).sum(axis=0).max() / _TAYLOR_THETA
         assert len(set(np.maximum(np.ceil(np.log2(scaled)), 0))) >= 4
         stack = kernel(ts)
         for t, E in zip(ts, stack):
@@ -231,23 +255,6 @@ class TestMatExp:
         x = np.array([0.7, -1.3, 2.0, 0.1])
         rows = kernel.flow(x)(np.array([0.0, 1.0]))
         assert np.array_equal(rows[0], x)
-
-    def test_defective_branch_solves_once_per_call(self, monkeypatch):
-        # One batched solve per call, whatever the number of times: a
-        # per-time loop would make one solve per time.
-        calls = []
-        solve = np.linalg.solve
-
-        def counting_solve(a, b):
-            calls.append(np.shape(a))
-            return solve(a, b)
-
-        kernel = ExpKernel(JORDAN_BLOCK)
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        for ts in (0.7, np.linspace(0.0, 4.0, 4096)):
-            calls.clear()
-            assert kernel(ts).shape == np.shape(ts) + (4, 4)
-            assert len(calls) == 1
 
     @pytest.mark.parametrize("M, t", [(A_REF, 400.0), (JORDAN, 1e4)], ids=["eigen", "expm"])
     def test_overflow_raises_typed_error(self, M, t):

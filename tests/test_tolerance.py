@@ -13,18 +13,19 @@ program with the old formulas patched back in:
 - both runs satisfy every invariant of the theorem (``check_invariants``).
 
 The reference formulas are those before ``ExpKernel.inf_norm`` (the norm
-of the stack of ``exp(A t)``) and before the two-operand quadratic form in
-``PlantModel.lyapunov_value``.
+of the stack of ``exp(A t)``), before the two-operand quadratic form in
+``PlantModel.lyapunov_value`` and, for a plant with no eigenvector basis
+(``jordan``), before the Taylor series of ``ExpKernel``'s defective branch:
+there the reference takes every ``exp(M t)`` from the Pade-13 expression form.
 """
 
 import json
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import check_invariants
+from conftest import SCENARIOS, check_invariants, pade13_expression_form
 
 from etcsim import codec, linalg, plant
 from etcsim.scenario import build_scenario
@@ -32,12 +33,13 @@ from etcsim.sim import run
 
 CELL_TOL = 1e-6
 T_TOL = 1e-8
-SEC6 = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
 
 
 def reference_formulas(mp):
     """Patch the formulas this contract was written for back to their earlier form."""
     mp.setattr(linalg.ExpKernel, "inf_norm", lambda self, t: linalg.inf_norm(self(t)))
+    mp.setattr(linalg.ExpKernel, "_series", lambda self, ts: pade13_expression_form(
+        self.M, ts.reshape(-1)).reshape(ts.shape + self.M.shape))
 
     def lyapunov_value(self, x):
         v = np.asarray(x, dtype=float)
@@ -47,9 +49,10 @@ def reference_formulas(mp):
 
 
 def document(name, seed):
-    """sec6 as shipped, or the clear channel stretched to 60 s in two slots; any
-    seed but 0 rotates x0 by the angle the benchmark gives that seed."""
-    doc = json.loads(SEC6.read_text())
+    """sec6 or jordan4 as shipped, or the clear channel stretched to 60 s in two slots;
+    any seed but 0 rotates x0 by the angle the benchmark gives that seed."""
+    stem = "jordan4" if name == "jordan" else "sec6"
+    doc = json.loads((SCENARIOS / f"{stem}.json").read_text())
     if name == "clear60":
         doc["channel"]["slots"] = [{"theta_start": lo, "theta_end": lo + 30.0,
                                     "R": 2400, "pi_bar": 8} for lo in (0.0, 30.0)]
@@ -87,7 +90,7 @@ def agreeing_prefix(ref_positions, positions):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", ["sec6", "clear60"])
+@pytest.mark.parametrize("name", ["sec6", "clear60", "jordan"])
 def test_trace_matches_reference_up_to_first_cell_divergence(name, seed):
     doc = document(name, seed)
     with pytest.MonkeyPatch.context() as mp:

@@ -443,7 +443,7 @@ class TestDelayExceeds:
             channel_delay_exceeds(ref_plant, T, 0.5, above, 2, 0.01)
 
 
-# The benchmark's jordan plant: A has no eigenvector basis, so exp(A t) takes the Pade branch.
+# The benchmark's jordan plant: A has no eigenvector basis, so exp(A t) takes the Taylor branch.
 JORDAN = build_plant([[1, 1], [0, 1]], [[0], [1]], [[-9, -6]], np.eye(2), 1.2, beta_fraction=0.8)
 
 
