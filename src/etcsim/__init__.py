@@ -8,18 +8,11 @@ deterministic closed-loop simulator, plus a small CLI.
 
 from .capacity import (
     CapacityPlan,
-    capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
-    replay_allocation,
     slot_plans,
 )
-from .channel import (
-    ChannelSchedule,
-    TransmissionRecord,
-    compute_J,
-    validate_sequence,
-)
+from .channel import ChannelSchedule, TransmissionRecord, validate_sequence
 from .codec import CodecState, Packet, decode_and_update, encode, initial_state
 from .errors import (
     AdmissibilityError,

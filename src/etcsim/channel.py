@@ -123,37 +123,17 @@ class ChannelSchedule:
         return [int(j) for j in np.flatnonzero(self.caps == 0)]
 
 
-def compute_J(schedule: ChannelSchedule, j0: int, jf: int) -> int | None:
-    """Smallest J bounding how many later slots one slot's spillover can occupy.
+def chained_spillover(schedule: ChannelSchedule, j0: int, jf: int) -> bool:
+    """Whether a usable slot j in [j0, jf), other than the last, spills past the slot after it.
 
-    Checks, for every slot j in [j0, jf) whose look-ahead window is nonempty,
-    that ``pi_j / R_j < sum of the next J+1 slot lengths``.  Slots whose
-    window is empty (nothing scheduled after them) are excluded.  Returns
-    None when the schedule ends too soon to certify any J.
+    True when some ``pi_j / R_j >= theta_{j+2} - theta_{j+1}``: a packet launched at
+    the end of slot j may still be on the channel when slot j+1 ends, and the LP
+    route's one-slot spillover bound does not hold.
     """
-    if not 0 <= j0 < jf <= schedule.num_slots:
-        raise DomainError(f"invalid slot range [{j0}, {jf})")
-    durations = schedule.durations
-    last = schedule.num_slots - 1
-    spill = np.zeros(schedule.num_slots)
-    usable = schedule.caps > 0
-    spill[usable] = schedule.caps[usable] / schedule.rates[usable]
-    for J in range(schedule.num_slots + 1):
-        ok = True
-        for j in range(j0, jf):
-            hi = j + 1 + J
-            if j + 1 > last:
-                continue  # empty look-ahead window: excluded
-            window = durations[j + 1:min(hi, last) + 1].sum()
-            if spill[j] < window:
-                continue
-            if hi > last:
-                return None  # window truncated by the horizon and still failing
-            ok = False
-            break
-        if ok:
-            return J
-    return None
+    stop = min(jf, schedule.num_slots - 1)
+    caps = schedule.caps[j0:stop]
+    spill = caps / np.where(caps > 0, schedule.rates[j0:stop], 1.0)
+    return bool(np.any(spill >= schedule.durations[j0 + 1:stop + 1]))
 
 
 @dataclass(frozen=True)
@@ -189,9 +169,20 @@ class TransmissionRecord:
 
 
 def validate_sequence(records, schedule: ChannelSchedule) -> None:
-    """Validate each record plus the one-packet-in-flight rule between them."""
+    """Validate each record, that none is in flight when a blackout starts, and the
+    one-packet-in-flight rule between them.
+
+    A packet sent at or before a blackout start ``tau_l`` must be received by
+    ``tau_l``: ``t_k <= tau_l < r_k`` is refused, with no slack.
+    """
+    starts = schedule.theta[:-1][schedule.caps == 0]
     for rec in records:
         rec.validate(schedule)
+        crossed = starts[(rec.t_k <= starts) & (starts < rec.r_k)]
+        if crossed.size:
+            raise FeasibilityError(
+                f"packet sent at {rec.t_k} is received at {rec.r_k}, after the blackout "
+                f"start {crossed[0]}")
     for prev, nxt in zip(records, records[1:]):
         if nxt.t_k < prev.r_tilde_k - _REL_SLACK * max(1.0, abs(prev.r_tilde_k)):
             raise FeasibilityError(

@@ -1,5 +1,10 @@
 """Command-line interface: simulate, capacity, triggers, constants.
 
+``capacity`` prints the capacity plans a run reads: for each slot that
+starts before the horizon with a blackout ahead, its window [slot start,
+blackout start), the plan's kind (``lp_floor`` or ``fallback``), its value
+in bits and its per-slot allocation ``phi``.
+
 Exit codes: 0 success, 2 schema or configuration problem, 3 failed
 admissibility, 4 objective violation during a run, 5 theorem-guarantee
 breach; an error's code is its class's ``exit_code`` (see ``errors``).
@@ -26,9 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import capacity_exact, plan_window
-from .channel import compute_J
-from .errors import AdmissibilityError, EtcsimError, ScaleGuardError
+from .capacity import slot_plans
+from .errors import AdmissibilityError, EtcsimError
 from .scenario import load_scenario
 from .sim import TRACE_COLUMNS, SimTrace, check_admissibility, run
 
@@ -133,21 +137,15 @@ def _guarded(func, *args) -> int:
 def cmd_capacity(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     sched = scenario.schedule
-    J = compute_J(sched, 0, sched.num_slots)
-    print(f"slots: {sched.num_slots}, window [{sched.start}, {sched.end}], "
-          f"J = {'unbounded' if J is None else J}")
-    plan = plan_window(sched, J != 0)
-    print(f"{plan.kind}: value = {plan.value_bits} bits, phi = {plan.phi.tolist()}")
-    if plan.lp_phi is not None:
-        print(f"relaxed phi = {[round(float(v), 6) for v in plan.lp_phi]}")
-    try:
-        exact = capacity_exact(sched)
-        print(f"exact: value = {exact.value_bits} bits, phi = {exact.phi.tolist()}")
-        gap = exact.value_bits - plan.value_bits
-        usable = int(np.sum(sched.caps > 0))
-        print(f"sub-optimality gap = {gap} bits (certified bound {sched.n * usable})")
-    except ScaleGuardError as exc:
-        print(f"exact: omitted ({exc})")
+    plans = slot_plans(sched, scenario.horizon)
+    print(f"slots: {sched.num_slots}, schedule [{sched.start}, {sched.end}], "
+          f"horizon {scenario.horizon}")
+    for j, plan in enumerate(plans):
+        if plan is not None:
+            print(f"slot {j}: window [{plan.problem.start}, {plan.problem.end}), {plan.kind}: "
+                  f"value = {plan.value_bits} bits, phi = {plan.phi.tolist()}")
+    if all(plan is None for plan in plans):
+        print("no blackout lies ahead of a slot before the horizon: a run reads no plan")
     return EXIT_OK
 
 
@@ -202,7 +200,7 @@ def main(argv=None) -> int:
                        help="run even when admissibility fails")
     sim_p.set_defaults(func=cmd_simulate)
 
-    cap_p = sub.add_parser("capacity", help="data-capacity values for the schedule")
+    cap_p = sub.add_parser("capacity", help="the per-slot capacity plans a run reads")
     cap_p.add_argument("scenario")
     cap_p.set_defaults(func=cmd_capacity)
 

@@ -52,10 +52,6 @@ class InfeasibleTransmissionError(EtcsimError):
     """A transmission was requested at a time the channel cannot carry it."""
 
 
-class ScaleGuardError(EtcsimError):
-    """An exhaustive oracle was invoked beyond its intended instance size."""
-
-
 class AdmissibilityError(EtcsimError):
     """A scenario failed its pre-run admissibility checks."""
 

@@ -8,6 +8,7 @@ from scipy.linalg import solve_continuous_are
 from scipy.optimize import linprog
 
 from etcsim import triggers
+from etcsim.capacity import _FLOOR_NUDGE, CapacityPlan, floor_nudged
 from etcsim.channel import ChannelSchedule
 from etcsim.errors import AdmissibilityError
 from etcsim.scenario import load_scenario
@@ -135,15 +136,18 @@ def pade13_expression_form(M, ts):
 
 def check_invariants(scn, trace):
     """Assert the theorem's invariants on a finished trace: h <= 1, the codec bound,
-    packets that fit psi outside blackouts, and every blackout entry margin."""
+    packets that fit psi outside blackouts and are received by the next blackout start,
+    and every blackout entry margin."""
     assert np.all(trace.h_pf <= 1.0)
     err = np.max(np.abs(trace.x - trace.x_hat), axis=1)
     assert np.all(err <= trace.d_e * (1 + 1e-9) + 1e-300)
     sched = scn.schedule
+    starts = sched.theta[:-1][sched.caps == 0]
     for tx in trace.transmissions:
         j = sched.slot_at(tx.t_k)  # a send at t0 = theta_0 uses slot 0
         assert sched.caps[j] >= 1
         assert 1 <= tx.p_k <= scn.rule.psi(tx.t_k, j)
+        assert not np.any((tx.t_k <= starts) & (starts < tx.r_k)), tx
     for b in sched.blackout_slots():
         tau_l = float(sched.theta[b])
         if tau_l < trace.horizon:
@@ -319,6 +323,93 @@ def lexicographic_lp():
             b_eq.append(float(x[j]))
         return x
     return solve
+
+
+def replay_allocation(problem, phi):
+    """Busy-until time after replaying an allocation earliest-first, an oracle of plan
+    feasibility.
+
+    Returns the time the last bit is received, or None when the allocation is
+    infeasible (cap exceeded, slot fully occupied, or a bit not received by the
+    window end, up to the nudge's ``_FLOOR_NUDGE / R``).
+    """
+    phi = np.asarray(phi)
+    busy = float(problem.theta[0])
+    slack = _FLOOR_NUDGE / max(float(problem.rates.max(initial=0.0)), 1.0)
+    for j in range(problem.num_slots):
+        bits = int(phi[j])
+        if bits < 0:
+            return None
+        if bits == 0:
+            continue
+        if problem.caps[j] == 0:
+            return None
+        start = max(busy, float(problem.theta[j]))
+        avail = float(problem.theta[j + 1]) - start
+        if avail <= 0.0:
+            return None
+        if bits > problem.rates[j] * avail + problem.caps[j] + _FLOOR_NUDGE:
+            return None
+        busy = start + bits / problem.rates[j]
+    if busy > problem.end + slack:
+        return None
+    return busy
+
+
+def capacity_exact(problem):
+    """Globally optimal integer allocation by exhaustive search: the oracle that certifies
+    the LP floor and the fallback.
+
+    Asserts a window of at most 8 slots, each with at most 20 allocatable bits.
+    """
+    m = problem.num_slots
+    static = np.array([floor_nudged(problem.rates[j] * problem.durations[j] + problem.caps[j])
+                       if problem.caps[j] > 0 else 0 for j in range(m)], dtype=int)
+    assert m <= 8 and np.all(static <= 20), "exact capacity limited to 8 slots, 20 bits a slot"
+
+    end = problem.end
+    theta = problem.theta
+    rates = problem.rates
+    caps = problem.caps
+    tail_static = np.concatenate([np.cumsum(static[::-1])[::-1], [0]])
+    rate_from = np.zeros(m)
+    rmax = 0.0
+    for j in range(m - 1, -1, -1):
+        if caps[j] > 0:
+            rmax = max(rmax, rates[j])
+        rate_from[j] = rmax
+
+    best_val = 0
+    best_vec = np.zeros(m, dtype=int)
+
+    def dfs(j, busy, total, phi):
+        nonlocal best_val, best_vec
+        if j == m:
+            if total > best_val:
+                best_val = total
+                best_vec = np.array(phi, dtype=int)
+            return
+        start = max(busy, float(theta[j]))
+        optimistic = total + int(tail_static[j])
+        if rate_from[j] > 0.0 and start < end:
+            optimistic = min(optimistic, total + floor_nudged((end - start) * rate_from[j]))
+        elif rate_from[j] == 0.0:
+            optimistic = total
+        if optimistic <= best_val:
+            return
+        if caps[j] == 0 or start >= float(theta[j + 1]) - 1e-15:
+            dfs(j + 1, busy, total, phi + [0])
+            return
+        avail = float(theta[j + 1]) - start
+        ub = floor_nudged(rates[j] * avail + caps[j])
+        ub = min(ub, floor_nudged(rates[j] * (end - start)))
+        for bits in range(ub, -1, -1):
+            nxt = busy if bits == 0 else start + bits / rates[j]
+            dfs(j + 1, nxt, total + bits, phi + [bits])
+
+    dfs(0, float(theta[0]), 0, [])
+    return CapacityPlan(phi=best_vec, value_bits=problem.n * sum(best_vec.tolist()),
+                        kind="exact", problem=problem)
 
 
 @pytest.fixture()

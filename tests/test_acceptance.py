@@ -13,14 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_refined
+from conftest import capacity_exact, run_refined
 
-from etcsim.capacity import (
-    capacity_exact,
-    capacity_lp_floor,
-    launch_budget,
-    slot_plans,
-)
+from etcsim.capacity import capacity_lp_floor, launch_budget, slot_plans
 from etcsim.channel import ChannelSchedule
 from etcsim.linalg import solve_lyapunov
 from etcsim.scenario import load_scenario

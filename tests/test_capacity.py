@@ -3,21 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from conftest import SCENARIOS
+from conftest import SCENARIOS, capacity_exact, replay_allocation
 
 from etcsim import capacity, channel
 from etcsim.capacity import (
-    capacity_exact,
     capacity_fallback,
     capacity_lp_floor,
     floor_nudged,
     launch_budget,
     plan_window,
-    replay_allocation,
     slot_plans,
 )
-from etcsim.channel import ChannelSchedule, compute_J
-from etcsim.errors import ConfigurationError, DomainError, ScaleGuardError
+from etcsim.channel import ChannelSchedule, chained_spillover
+from etcsim.errors import ConfigurationError, DomainError
 from etcsim.scenario import build_scenario
 
 
@@ -59,6 +57,8 @@ def is_no_chain(problem):
 
 
 class TestCapacityExact:
+    """The exhaustive oracle of ``conftest`` that certifies the LP floor and the fallback."""
+
     def test_constant_rate_formula(self, rng):
         # Constant rate with positive caps: value is n*floor(R * window).
         for _ in range(20):
@@ -109,12 +109,6 @@ class TestCapacityExact:
                 theta=prob.theta[k:], rates=prob.rates[k:],
                 caps=prob.caps[k:], n=prob.n)).value_bits
             assert whole >= left + right
-
-    def test_scale_guard(self):
-        prob = ChannelSchedule(theta=np.arange(10.0), rates=[1.0] * 9,
-                               caps=[1] * 9, n=1)
-        with pytest.raises(ScaleGuardError):
-            capacity_exact(prob)
 
 
 class TestLpFloor:
@@ -275,7 +269,7 @@ class TestPlanner:
             jb = ahead[0]
             window = ChannelSchedule(theta=sched.theta[j:jb + 1], rates=sched.rates[j:jb],
                                      caps=sched.caps[j:jb], n=sched.n)
-            want = plan_window(window, compute_J(sched, j, jb) != 0)
+            want = plan_window(window, chained_spillover(sched, j, jb))
             assert (plan.kind, plan.value_bits) == (want.kind, want.value_bits), j
             np.testing.assert_array_equal(plan.phi, want.phi)
             built += 1

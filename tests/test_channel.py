@@ -3,7 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from etcsim.channel import ChannelSchedule, TransmissionRecord, compute_J, validate_sequence
+from etcsim.channel import (
+    ChannelSchedule,
+    TransmissionRecord,
+    chained_spillover,
+    validate_sequence,
+)
 from etcsim.errors import (
     ConfigurationError,
     FeasibilityError,
@@ -96,31 +101,75 @@ class TestBlackouts:
         assert self.next_blackout(sched, sched.blackout_slots()[-1]) is None
 
 
-class TestComputeJ:
-    def test_zero_when_spill_fits_next_slot(self):
+def compute_J(schedule, j0, jf):
+    """Smallest J such that each slot j in [j0, jf) with a slot after it has ``pi_j / R_j``
+    below the length of the next J + 1 slots, or None when the schedule ends first: the
+    look-ahead search ``chained_spillover`` replaced, kept as its reference."""
+    durations = schedule.durations
+    last = schedule.num_slots - 1
+    spill = np.zeros(schedule.num_slots)
+    usable = schedule.caps > 0
+    spill[usable] = schedule.caps[usable] / schedule.rates[usable]
+    for J in range(schedule.num_slots + 1):
+        ok = True
+        for j in range(j0, jf):
+            hi = j + 1 + J
+            if j + 1 > last:
+                continue  # empty look-ahead window: excluded
+            window = durations[j + 1:min(hi, last) + 1].sum()
+            if spill[j] < window:
+                continue
+            if hi > last:
+                return None  # window truncated by the horizon and still failing
+            ok = False
+            break
+        if ok:
+            return J
+    return None
+
+
+class TestChainedSpillover:
+    def test_spill_fits_next_slot(self):
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.0, 3.0],
                                 rates=[2.0, 4.0, 2.0],
                                 caps=[1, 0, 2], n=1)
-        assert compute_J(sched, 0, 3) == 0
+        assert chained_spillover(sched, 0, 3) is False
 
     def test_spill_exceeding_next_slot(self):
-        assert compute_J(simple_schedule(), 0, 3) == 1
+        assert chained_spillover(simple_schedule(), 0, 3) is True
 
-    def test_one_slot_lookahead_needed(self):
+    def test_spill_past_next_slot_within_two(self):
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.1, 3.2],
                                 rates=[2.0, 1.0, 1.0],
                                 caps=[4, 1, 1], n=1)
-        # First slot's spill lasts 2.0 > 1.1, but fits within two slots.
-        assert compute_J(sched, 0, 3) == 1
+        # First slot's spill lasts 2.0 > 1.1: it chains, though two slots would hold it.
+        assert chained_spillover(sched, 0, 3) is True
 
     def test_final_slot_excluded(self):
         sched = ChannelSchedule(theta=[0.0, 1.0], rates=[2.0], caps=[5], n=1)
-        assert compute_J(sched, 0, 1) == 0
+        assert chained_spillover(sched, 0, 1) is False
 
-    def test_unbounded_when_horizon_too_short(self):
+    def test_spill_past_the_schedule_end(self):
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[1.0, 1.0],
                                 caps=[5, 1], n=1)
-        assert compute_J(sched, 0, 2) is None
+        assert chained_spillover(sched, 0, 2) is True
+
+    def test_matches_the_look_ahead_search(self, rng):
+        # Quarter-unit slots and integer caps and rates make spill equal to a slot length
+        # often, so the boundary case pi_j / R_j = theta_{j+2} - theta_{j+1} is covered.
+        seen = {False: 0, True: 0}
+        for _ in range(3000):
+            m = int(rng.integers(1, 8))
+            theta = np.concatenate([[0.0], np.cumsum(rng.integers(1, 9, size=m) * 0.25)])
+            rates = rng.integers(0, 5, size=m).astype(float)
+            caps = np.where(rates > 0, rng.integers(0, 6, size=m), 0)
+            sched = ChannelSchedule(theta=theta, rates=rates, caps=caps, n=1)
+            j0 = int(rng.integers(0, m))
+            jf = int(rng.integers(j0 + 1, m + 1))
+            chained = chained_spillover(sched, j0, jf)
+            assert chained == (compute_J(sched, j0, jf) != 0), (sched.theta, rates, caps, j0, jf)
+            seen[chained] += 1
+        assert min(seen.values()) >= 500, seen
 
 
 class TestDelays:
@@ -213,3 +262,15 @@ class TestTransmissionRecords:
                 TransmissionRecord(t_k=2.2, p_k=2, r_k=3.2, r_tilde_k=3.2)]
         with pytest.raises(FeasibilityError):
             validate_sequence(recs, self._sched())
+
+    def test_packet_in_flight_at_a_blackout_start_rejected(self):
+        # A packet sent at or before the blackout start 2.0 must be received by it, with
+        # no slack: received exactly at 2.0 passes, one ulp later does not.
+        sched = ChannelSchedule(theta=[0.0, 2.0, 3.0, 5.0], rates=[2.0, 2.0, 2.0],
+                                caps=[4, 0, 4], n=1)
+        validate_sequence([TransmissionRecord(t_k=1.0, p_k=2, r_k=2.0, r_tilde_k=2.0)], sched)
+        for t_k, r_k in ((1.5, 2.5), (1.0, float(np.nextafter(2.0, 3.0))), (2.0, 2.5)):
+            rec = TransmissionRecord(t_k=t_k, p_k=2, r_k=r_k, r_tilde_k=r_k)
+            rec.validate(sched)  # each record alone keeps the cap and the delay bound
+            with pytest.raises(FeasibilityError, match="after the blackout start 2.0"):
+                validate_sequence([rec], sched)

@@ -23,7 +23,7 @@ REPO_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
 EXIT_CODES = {
     "EtcsimError": 2, "SchemaError": 2, "ConfigurationError": 2, "DimensionError": 2,
     "NotHurwitzError": 2, "DecayMarginError": 2, "DomainError": 2, "NumericalError": 2,
-    "HorizonError": 2, "InfeasibleTransmissionError": 2, "ScaleGuardError": 2,
+    "HorizonError": 2, "InfeasibleTransmissionError": 2,
     "AdmissibilityError": 3, "ObjectiveViolationError": 4, "GuaranteeBreachError": 5,
     "InvariantBreachError": 5, "CausalityError": 5, "FeasibilityError": 5,
 }
@@ -179,19 +179,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2.25" in out and "delay_floor" in out and "lp_floor" in out
 
-    def test_capacity_of_a_small_schedule_prints_the_exact_value(self, tmp_path, capsys):
-        # clear10 at R = 2: 18 bits per slot, inside the exact oracle's guard of 20 (clear10
-        # as shipped has 12,008 and prints "exact: omitted").
-        doc = json.loads((REPO_SCENARIO.parent / "clear10.json").read_text())
-        for slot in doc["channel"]["slots"]:
-            slot["R"] = 2
-        path = tmp_path / "slow.json"
-        path.write_text(json.dumps(doc))
-        assert main(["capacity", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "lp_floor: value = 40 bits, phi = [10, 10]" in out
-        assert "exact: value = 40 bits, phi = [18, 2]" in out
-        assert "sub-optimality gap = 0 bits (certified bound 4)" in out
+    def test_capacity_prints_the_plans_a_run_reads(self, blackout_scn, capsys):
+        # One line per slot whose plan the run keeps, in slot order; none on a clear channel.
+        assert main(["capacity", str(REPO_SCENARIO)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("slot ")]
+        want = [f"slot {j}: window [{plan.problem.start}, {plan.problem.end}), {plan.kind}: "
+                f"value = {plan.value_bits} bits, phi = {plan.phi.tolist()}"
+                for j, plan in enumerate(blackout_scn.rule.plans) if plan is not None]
+        assert lines == want and len(want) == 8
+        assert main(["capacity", str(REPO_SCENARIO.parent / "clear10.json")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "no blackout lies ahead of a slot before the horizon: a run reads no plan"
+        assert not any(line.startswith("slot ") for line in out)
 
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         code = main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)])
