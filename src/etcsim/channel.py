@@ -5,6 +5,9 @@ theta_N`` with a per-slot rate ``R_j`` (bits per state dimension per unit
 time) and packet cap ``pi_j`` (per-dimension bits) on slot
 ``I_j = (theta_j, theta_{j+1}]``.  A blackout is a slot with ``pi_j = 0``;
 its rate is retained for bookkeeping but transmission is forbidden.
+``TransmissionRecord.validate`` checks a send against its slot: causality,
+the cap and the delay bound ``p_k / R_j`` (a slot that admits a bit has
+``R_j > 0``); ``validate_sequence`` adds the rules between records.
 """
 
 from __future__ import annotations
@@ -13,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    FeasibilityError,
-    HorizonError,
-    InfeasibleTransmissionError,
-)
+from .errors import ConfigurationError, DomainError, FeasibilityError, HorizonError
 
 _REL_SLACK = 1e-12
 # Largest bit budget R_j (theta_{j+1} - theta_j) + pi_j of a usable slot: capacity plans
@@ -104,19 +101,6 @@ class ChannelSchedule:
         ts = np.asarray(t, dtype=float)
         return self.slot_index(np.where(ts == self.start, self.theta[1], ts))
 
-    # -- channel functions --------------------------------------------------
-
-    def max_delay(self, t: float, p: int) -> float:
-        """Upper bound p / R(t) on the communication time of an n*p-bit packet."""
-        if p < 0:
-            raise DomainError("packet size must be nonnegative")
-        if p == 0:
-            return 0.0
-        rate = float(self.rates[self.slot_at(t)])
-        if rate <= 0.0:
-            raise InfeasibleTransmissionError(f"channel rate is zero at t={t}")
-        return p / rate
-
     # -- blackouts ----------------------------------------------------------
 
     def blackout_slots(self) -> list[int]:
@@ -145,27 +129,22 @@ class TransmissionRecord:
     r_k: float
     r_tilde_k: float
 
-    @property
-    def delta(self) -> float:
-        return self.r_k - self.t_k
-
-    @property
-    def delta_tilde(self) -> float:
-        return self.r_tilde_k - self.t_k
-
     def validate(self, schedule: ChannelSchedule) -> None:
-        """Check the causality, delay-bound and packet-cap rules."""
-        if not self.delta_tilde >= self.delta >= 0.0:
+        """Check causality, the packet cap and the delay bound p_k / R of the send's slot."""
+        delta, delta_tilde = self.r_k - self.t_k, self.r_tilde_k - self.t_k
+        if not delta_tilde >= delta >= 0.0:
             raise FeasibilityError(
-                f"causal communication violated: delta_tilde={self.delta_tilde}, delta={self.delta}")
-        cap = int(schedule.caps[schedule.slot_at(self.t_k)])
+                f"causal communication violated: delta_tilde={delta_tilde}, delta={delta}")
+        if self.p_k < 0:
+            raise DomainError("packet size must be nonnegative")
+        j = schedule.slot_at(self.t_k)
+        cap = int(schedule.caps[j])
         if self.p_k > cap:
             raise FeasibilityError(f"packet of {self.p_k} bits exceeds cap {cap} at t={self.t_k}")
-        bound = schedule.max_delay(self.t_k, self.p_k)
-        slack = _REL_SLACK * max(1.0, abs(self.t_k))
-        if self.delta > bound + slack:
+        bound = self.p_k / float(schedule.rates[j]) if self.p_k else 0.0
+        if delta > bound + _REL_SLACK * max(1.0, abs(self.t_k)):
             raise FeasibilityError(
-                f"communication time {self.delta} exceeds bound {bound} at t={self.t_k}")
+                f"communication time {delta} exceeds bound {bound} at t={self.t_k}")
 
 
 def validate_sequence(records, schedule: ChannelSchedule) -> None:

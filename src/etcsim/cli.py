@@ -40,12 +40,6 @@ EXIT_OK = 0
 _CSV_BLOCK = 64  # trace rows converted to Python floats at a time: a run peaks in memory here
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return ""
-    return repr(float(x))
-
-
 def write_trace_csv(trace: SimTrace, path: Path) -> None:
     n = trace.x.shape[1]
     header = (["t"] + [f"x{i+1}" for i in range(n)] + [f"xhat{i+1}" for i in range(n)]
@@ -53,8 +47,8 @@ def write_trace_csv(trace: SimTrace, path: Path) -> None:
     columns = [trace.t, trace.x, trace.x_hat] + [getattr(trace, attr) for attr, _ in TRACE_COLUMNS]
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        # Whole rows at once, formatted as _fmt formats a cell: NaN empty, else repr;
-        # a block of rows at a time, so neither the table nor its Python floats are ever whole.
+        # Whole rows at once, a NaN cell empty and any other its repr; a block of
+        # rows at a time, so neither the table nor its Python floats are ever whole.
         for start in range(0, trace.t.size, _CSV_BLOCK):
             block = np.column_stack([col[start:start + _CSV_BLOCK] for col in columns])
             fh.writelines(",".join("" if v != v else repr(v) for v in row) + "\r\n"
@@ -66,7 +60,7 @@ def write_transmissions_csv(trace: SimTrace, path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["k", "tk", "pk", "rk", "rtk"])
         for tx in trace.transmissions:
-            writer.writerow([tx.k, _fmt(tx.t_k), tx.p_k, _fmt(tx.r_k), _fmt(tx.r_tilde_k)])
+            writer.writerow([tx.k, tx.t_k, tx.p_k, tx.r_k, tx.r_tilde_k])
 
 
 def _json_safe(obj):
@@ -174,9 +168,9 @@ def cmd_constants(args) -> int:
     scenario, _ = load_scenario(args.scenario)
     plant = scenario.plant
     c = plant.constants
-    np.set_printoptions(precision=6, suppress=True)
     print("P =")
-    print(plant.P)
+    with np.printoptions(precision=6, suppress=True):
+        print(plant.P)
     print(f"beta               = {plant.beta:.9f}")
     print(f"decay_gap (w)      = {c.decay_gap:.9f}")
     print(f"guarded_gap (W)    = {c.guarded_decay_gap:.9f}")

@@ -48,10 +48,6 @@ class HorizonError(EtcsimError):
     """A channel query lies outside the scheduled horizon."""
 
 
-class InfeasibleTransmissionError(EtcsimError):
-    """A transmission was requested at a time the channel cannot carry it."""
-
-
 class AdmissibilityError(EtcsimError):
     """A scenario failed its pre-run admissibility checks."""
 

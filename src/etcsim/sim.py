@@ -624,8 +624,7 @@ class _Engine:
         ps = np.arange(1, self.rule.pmax + 1)
         taus = self.rule.tm[ps] if self.blackouts else ps / rate
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps,
-                                 check_domain=False)
+            vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps)
         fits = np.flatnonzero(vals <= 1.0)
         return int(ps[fits[0]]) if fits.size else None
 

@@ -111,18 +111,16 @@ def exp_growth_inf(plant: PlantModel, tau):
     return plant.exp_A.inf_norm(taus) * np.exp(plant.beta / 2.0 * taus)
 
 
-def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p, *, check_domain: bool = True):
+def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p):
     """Upper bound on the channel ratio after a p-bit update tau ahead.
 
     ``||e^{A tau}||_inf e^{(beta/2) tau} eps0 / rho_T(perf_bound(tau)) / 2^p``.
-    The perf bound at tau must not exceed 1 (the threshold is undefined
-    past that point); pass ``check_domain=False`` only when the caller
-    handles that case itself.  ``sim.EventRule`` reads the same floats at
-    ``tau = T_M(p)`` from per-p tables; this is the reference form.
+    Where the perf bound at tau exceeds 1 the threshold is undefined and the
+    value bounds nothing; the caller handles that case (``sim._Engine._min_bits``
+    reads it under its own ``np.errstate``).  ``sim.EventRule`` reads the same
+    floats at ``tau = T_M(p)`` from per-p tables; this is the reference form.
     """
     hbar = perf_bound(plant, tau, h0, eps0)
-    if check_domain and np.any(hbar > 1.0 + 1e-12):
-        raise DomainError("performance bound exceeds 1 at the requested horizon")
     rho = error_threshold(plant, T, hbar)
     return exp_growth_inf(plant, tau) * np.asarray(eps0) / rho / np.power(2.0, p)
 

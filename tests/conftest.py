@@ -52,6 +52,13 @@ def rescaled_sec6(factor):
     return doc
 
 
+def sec6_with_cap(slot, cap):
+    """The ``scenarios/sec6.json`` document with the packet cap of one slot set to cap."""
+    doc = json.loads((SCENARIOS / "sec6.json").read_text())
+    doc["channel"]["slots"][slot]["pi_bar"] = cap
+    return doc
+
+
 def run_refined(scn, divisor):
     """``sim.run(scn)`` with the engine's scan step divided by divisor."""
     report = check_admissibility(scn)

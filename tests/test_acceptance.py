@@ -212,6 +212,5 @@ def test_criterion_10_trigger_bound_soundness(blackout_scn, blackout_trace,
                 assert np.all(trace.h_pf[later] <= bound)
             for tx in trace.transmissions:
                 bound = float(channel_bound(plant, T, tx.r_tilde_k - tx.t_k,
-                                            tx.h_pf_tx, tx.eps_tx, tx.p_k,
-                                            check_domain=False))
+                                            tx.h_pf_tx, tx.eps_tx, tx.p_k))
                 assert tx.h_ch_update <= bound

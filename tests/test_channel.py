@@ -9,12 +9,7 @@ from etcsim.channel import (
     chained_spillover,
     validate_sequence,
 )
-from etcsim.errors import (
-    ConfigurationError,
-    FeasibilityError,
-    HorizonError,
-    InfeasibleTransmissionError,
-)
+from etcsim.errors import ConfigurationError, DomainError, FeasibilityError, HorizonError
 
 
 def simple_schedule():
@@ -173,22 +168,32 @@ class TestChainedSpillover:
 
 
 class TestDelays:
+    """``validate``'s delay bound: a packet of p_k bits is on the channel for at most p_k / R."""
+
     def test_zero_bits_zero_delay(self):
-        assert simple_schedule().max_delay(0.5, 0) == 0.0
+        # In a zero-rate blackout slot too: the bound is 0, not 0 / R.
+        sched = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[0.0, 1.0], caps=[0, 1], n=1)
+        TransmissionRecord(t_k=0.5, p_k=0, r_k=0.5, r_tilde_k=0.7).validate(sched)
+        with pytest.raises(FeasibilityError, match="exceeds bound 0.0 "):
+            TransmissionRecord(t_k=0.5, p_k=0, r_k=0.5 + 1e-9, r_tilde_k=0.7).validate(sched)
 
     def test_simple_division(self):
         sched = ChannelSchedule(theta=[0.0, 10.0], rates=[4.0], caps=[10], n=1)
-        assert sched.max_delay(1.0, 8) == 2.0
+        TransmissionRecord(t_k=1.0, p_k=8, r_k=3.0, r_tilde_k=3.0).validate(sched)
+        with pytest.raises(FeasibilityError, match="exceeds bound 2.0 "):
+            TransmissionRecord(t_k=1.0, p_k=8, r_k=3.0 + 1e-9, r_tilde_k=3.5).validate(sched)
 
     def test_huge_rate_means_instant(self):
         sched = ChannelSchedule(theta=[0.0, 1.0], rates=[1e12], caps=[4], n=1)
-        assert sched.max_delay(0.5, 4) == pytest.approx(0.0, abs=1e-11)
+        TransmissionRecord(t_k=0.5, p_k=4, r_k=0.5, r_tilde_k=0.5).validate(sched)
+        with pytest.raises(FeasibilityError):
+            TransmissionRecord(t_k=0.5, p_k=4, r_k=0.5 + 1e-11, r_tilde_k=0.6).validate(sched)
 
-    def test_zero_rate_infeasible(self):
-        sched = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[0.0, 1.0],
-                                caps=[0, 1], n=1)
-        with pytest.raises(InfeasibleTransmissionError):
-            sched.max_delay(0.5, 1)
+    def test_negative_bits_is_a_domain_error(self):
+        # A transmissions CSV may carry any integer: a negative pk is a typed error.
+        rec = TransmissionRecord(t_k=0.5, p_k=-1, r_k=0.5, r_tilde_k=0.5)
+        with pytest.raises(DomainError, match="nonnegative"):
+            validate_sequence([rec], simple_schedule())
 
 
 class TestValidation:
@@ -250,8 +255,9 @@ class TestTransmissionRecords:
         # the right limit, as the simulator does.
         sched = ChannelSchedule(theta=[0.0, 1.0, 10.0], rates=[2.0, 4.0], caps=[4, 8], n=1)
         assert sched.slot_at(0.0) == 0
-        assert sched.max_delay(0.0, 4) == 2.0
         TransmissionRecord(t_k=0.0, p_k=4, r_k=2.0, r_tilde_k=2.0).validate(sched)
+        with pytest.raises(FeasibilityError, match="exceeds bound 2.0 "):
+            TransmissionRecord(t_k=0.0, p_k=4, r_k=2.0 + 1e-9, r_tilde_k=2.0 + 1e-9).validate(sched)
         with pytest.raises(FeasibilityError):
             TransmissionRecord(t_k=0.0, p_k=5, r_k=2.5, r_tilde_k=2.5).validate(sched)
         with pytest.raises(HorizonError):

@@ -7,10 +7,12 @@ The rule's delay floors must equal the per-p search, bit for bit.
 The documents carry no ``sim.mode``: the channel picks the design.  The
 runs are forced, so scenarios that fail admissibility run too.
 
-Three admissible documents of the same shape still breach a blackout's
-entry margin when run unforced; they are pinned as strict xfails.  So are
-five admissible documents whose runs miss a firing at the engine's scan
-step; at a sixteenth of it they exit 0 and hold the invariants.
+Three admissible documents of the same shape, and three copies of the
+reference scenario with one pre-blackout packet cap lowered, still breach
+a blackout's entry margin when run unforced; they are pinned as strict
+xfails.  So are five admissible documents whose runs miss a firing at the
+engine's scan step; at a sixteenth of it they exit 0 and hold the
+invariants.
 
 The shipped scenarios with one field out of range must raise nothing
 but a typed error, with every warning an error, when built, checked and
@@ -23,7 +25,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import (SCENARIOS, SHEAR_PLANT, check_invariants, delay_floor_oracle,
-                      lqr_gain, rescaled_sec6, run_refined, slotted_document)
+                      lqr_gain, rescaled_sec6, run_refined, sec6_with_cap, slotted_document)
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +129,11 @@ _ENTRY_MARGIN_BREACHES = {
     # eps 0.657 against the margin 0.393 at t = 2.0, for a packet cap of 1 or 2
     **{f"one_d_cap{cap}": slotted_document(*_ONE_D, [0.0, 2.0, 3.0, 5.0, 6.0], [20000.0] * 4,
                                            [cap, 0, cap, 0], [1.0], 0.5) for cap in (1, 2)},
+    # The reference plant, whose entry margin is 3.36e-5: eps 3.85e-5 at t = 4.88 (slot 1
+    # at cap 1), 3.80e-5 at t = 11.52 (slot 4 at cap 2) and 4.30e-5 at t = 17.05 (slot 7
+    # at cap 1)
+    **{f"sec6_slot{slot}_cap{cap}": sec6_with_cap(slot, cap)
+       for slot, cap in ((1, 1), (4, 2), (7, 1))},
 }
 
 
@@ -137,6 +144,18 @@ def test_admissible_run_holds_the_invariants(name):
     scn = build_scenario(_ENTRY_MARGIN_BREACHES[name])
     trace = run(scn)
     check_invariants(scn, trace)
+
+
+def test_sec6_at_a_lower_cap_fires_at_the_previous_update():
+    # Slot 4 at cap 1 keeps every entry margin.  18 of its packets are sent the moment the
+    # previous one is applied: the rule is clear there, and its crossing lies within the
+    # bisection's tolerance of the search start.
+    scn = build_scenario(sec6_with_cap(4, 1))
+    trace = run(scn)
+    check_invariants(scn, trace)
+    txs = trace.transmissions
+    assert len(txs) == 44
+    assert sum(nxt.t_k == prev.r_tilde_k for prev, nxt in zip(txs, txs[1:])) == 18
 
 
 # Admissible, yet the rule's crossing before a blackout falls between two points of the

@@ -23,7 +23,7 @@ REPO_SCENARIO = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
 EXIT_CODES = {
     "EtcsimError": 2, "SchemaError": 2, "ConfigurationError": 2, "DimensionError": 2,
     "NotHurwitzError": 2, "DecayMarginError": 2, "DomainError": 2, "NumericalError": 2,
-    "HorizonError": 2, "InfeasibleTransmissionError": 2,
+    "HorizonError": 2,
     "AdmissibilityError": 3, "ObjectiveViolationError": 4, "GuaranteeBreachError": 5,
     "InvariantBreachError": 5, "CausalityError": 5, "FeasibilityError": 5,
 }
@@ -179,6 +179,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2.25" in out and "delay_floor" in out and "lp_floor" in out
 
+    def test_constants_leaves_the_callers_print_options(self, capsys):
+        # P prints at precision 6 with small values suppressed, whatever the caller's
+        # numpy print options; those options are the same after the call.
+        with np.printoptions(precision=8, suppress=False):
+            before = np.get_printoptions()
+            assert main(["constants", str(REPO_SCENARIO)]) == 0
+            assert np.get_printoptions() == before
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "P =", "[[ 2.25     -0.916667]", " [-0.916667  0.583333]]",
+            "beta               = 0.301260883"]
+
     def test_capacity_prints_the_plans_a_run_reads(self, blackout_scn, capsys):
         # One line per slot whose plan the run keeps, in slot order; none on a clear channel.
         assert main(["capacity", str(REPO_SCENARIO)]) == 0
@@ -214,7 +225,8 @@ class TestCli:
             writer.writerow(["t", "x1", "x2", "xhat1", "xhat2", "V", "Vd", "hpf", "eps", "hch",
                              "de", "Phi", "psi", "Shat", "L3"])
             for i in range(trace.t.size):
-                writer.writerow([etcsim.cli._fmt(v) for col in columns for v in col[i]])
+                writer.writerow(["" if math.isnan(v) else repr(float(v))
+                                 for col in columns for v in col[i]])
         etcsim.cli.write_trace_csv(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

@@ -563,7 +563,8 @@ class TestBlackoutRun:
                                         sample_step=0.05))
         assert np.all(quick.h_pf <= 1.0)
         for tx in quick.transmissions:
-            assert tx.r_k - tx.t_k <= blackout_scn.schedule.max_delay(tx.t_k, tx.p_k)
+            rate = blackout_scn.schedule.rates[blackout_scn.schedule.slot_at(tx.t_k)]
+            assert tx.r_k - tx.t_k <= tx.p_k / rate
 
     def test_audited_packets_drive_a_fresh_decoder(self, blackout_scn, blackout_trace):
         # Replaying the recorded packet stream through a fresh replica must

@@ -45,12 +45,12 @@ def gamma2_oracle(plant, T, h0, eps0, p, hi=0.2, steps=4000):
     taus = np.linspace(0.0, hi, steps + 1)
     prev = 0.0
     for tau in taus[1:]:
-        val = float(channel_bound(plant, T, tau, h0, eps0, p, check_domain=False))
+        val = float(channel_bound(plant, T, tau, h0, eps0, p))
         if val >= 1.0:
             lo, hi_ = prev, tau
             for _ in range(80):
                 mid = 0.5 * (lo + hi_)
-                v = float(channel_bound(plant, T, mid, h0, eps0, p, check_domain=False))
+                v = float(channel_bound(plant, T, mid, h0, eps0, p))
                 if v >= 1.0:
                     hi_ = mid
                 else:
@@ -408,10 +408,6 @@ class TestChannelBound:
         assert float(channel_bound(ref_plant, T, tau, h0, eps0, p)) == pytest.approx(
             want, rel=1e-12)
 
-    def test_domain_error_past_violation(self, ref_plant, ref_config):
-        with pytest.raises(DomainError):
-            channel_bound(ref_plant, ref_config.lookahead, 1.0, 1.0, 50.0, 2)
-
 
 class TestDelayExceeds:
     def test_large_bit_count_always_exceeds(self, ref_plant, ref_config):
@@ -565,7 +561,7 @@ class TestTriggerSuite:
         tm = rule.tm[p]
         l1 = perf_bound(rule.plant, tm, h, eps)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            l2 = channel_bound(rule.plant, rule.config.lookahead, tm, h, eps, p, check_domain=False)
+            l2 = channel_bound(rule.plant, rule.config.lookahead, tm, h, eps, p)
         return l1, l2
 
     def test_tables_match_generic_bounds_for_each_p(self, clear_channel_scn, rng):
