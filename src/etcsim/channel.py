@@ -12,6 +12,7 @@ the cap and the delay bound ``p_k / R_j`` (a slot that admits a bit has
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,7 @@ class ChannelSchedule:
                 f"slot {big[0]}: bit budget R (theta_end - theta_start) + pi_bar = "
                 f"{budgets[big[0]]:.3g} exceeds the {_MAX_SLOT_BITS:.3g} bits a plan can hold")
         self.theta = theta
+        self._breaks = theta.tolist()
         self.rates = rates
         self.caps = caps
         self.n = int(n)
@@ -80,24 +82,34 @@ class ChannelSchedule:
         return np.diff(self.theta)
 
     def slot_index(self, t):
-        """Index j with t in (theta_j, theta_{j+1}]; an array of times gives an array."""
-        ts = np.asarray(t, dtype=float)
-        if not np.all((self.start < ts) & (ts <= self.end)):
-            raise HorizonError(f"t={t} outside schedule horizon ({self.start}, {self.end}]")
-        js = np.searchsorted(self.theta, ts, side="left") - 1
-        return int(js) if js.ndim == 0 else js
+        """Index j with t in (theta_j, theta_{j+1}]; an array of times gives an array.
+
+        One float is looked up by ``bisect`` in the breakpoints' Python floats:
+        the comparisons of ``np.searchsorted``, without its per-call cost.
+        """
+        if isinstance(t, float):
+            if self.start < t <= self.end:
+                return bisect.bisect_left(self._breaks, t) - 1
+        else:
+            ts = np.asarray(t, dtype=float)
+            if np.all((self.start < ts) & (ts <= self.end)):
+                js = np.searchsorted(self.theta, ts, side="left") - 1
+                return int(js) if js.ndim == 0 else js
+        raise HorizonError(f"t={t} outside schedule horizon ({self.start}, {self.end}]")
 
     def right_slot_index(self, t: float) -> int:
         """Index of the slot that applies just after t (valid on [theta_0, theta_N))."""
         if not self.start <= t < self.end:
             raise HorizonError(f"t={t} outside [{self.start}, {self.end}) for right limits")
-        return int(np.searchsorted(self.theta, t, side="right")) - 1
+        return bisect.bisect_right(self._breaks, t) - 1
 
     def slot_at(self, t):
         """Slot whose values a send at t uses: slot_index, or the right limit at theta_0.
 
         An array of times gives the array of their slots.
         """
+        if isinstance(t, float):
+            return self.slot_index(self._breaks[1] if t == self._breaks[0] else t)
         ts = np.asarray(t, dtype=float)
         return self.slot_index(np.where(ts == self.start, self.theta[1], ts))
 

@@ -81,7 +81,7 @@ class PlantModel:
     def desired_performance(self, t):
         """Target performance level ``vd0 * exp(-beta t)`` (t0 = 0), scalar or array t."""
         ts = np.asarray(t, dtype=float)
-        if ts.min(initial=0.0) < 0:  # one reduction, no temporary array
+        if np.minimum.reduce(ts, axis=None, initial=0.0) < 0:  # one reduction, no temporary
             raise DomainError("desired_performance requires t >= t0 = 0")
         return self.vd0 * np.exp(-self.beta * ts)
 

@@ -56,7 +56,6 @@ from .triggers import (
     TriggerConfig,
     blackout_entry_margin,
     channel_bound,
-    error_threshold,
     exp_growth_inf,
     first_crossing,
     perf_bound,
@@ -294,7 +293,10 @@ class EventRule:
     ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p, with the tables
     both ``terms`` and ``quiet`` read their bounds at ``T_M(p)`` from:
     ``perf_bound`` (``_perf_tm``), and from it ``channel_bound``
-    (``_channel_tm``).
+    (``_channel_tm``), whose ``error_threshold`` reads its denominator from
+    a per-run constant (``threshold``).  On a slot with no plan ``psi`` is
+    the slot's cap, one int, so ``fires`` and ``quiet`` read the tables at
+    that one p, with no gate or ``l3`` to evaluate.
     """
 
     def __init__(self, scenario: Scenario):
@@ -319,6 +321,10 @@ class EventRule:
         self._growth = np.expm1(self._wm * self.tm)
         self._decay = np.exp(c.decay_gap * self.tm)
         self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
+        # error_threshold's denominator W (e^{(w+mu) T} - 1), which only the plant and T fix.
+        self._rho_den = c.guarded_decay_gap * math.expm1(self._wm * self.config.lookahead)
+        self._caps = self.sched.caps.tolist()
+        self._n, self._error_scale = self.plant.n, c.error_scale
 
     def ratios(self, ts, xs, des):
         """Performance ratio ``h = V(x)/V_d(t)`` and error ratio ``eps = d_e/(c sqrt(V_d(t)))``.
@@ -331,10 +337,9 @@ class EventRule:
 
     def levels(self, ts, xs, des):
         """``(h, eps, V, V_d)``: ``ratios`` and the values ``V(x)`` and ``V_d(t)`` they divide."""
-        plant = self.plant
-        vd = plant.desired_performance(ts)
-        v = plant.lyapunov_value(xs[..., :plant.n])
-        return v / vd, des / (plant.constants.error_scale * np.sqrt(vd)), v, vd
+        vd = self.plant.desired_performance(ts)
+        v = self.plant.lyapunov_value(xs[..., :self._n])
+        return v / vd, des / (self._error_scale * np.sqrt(vd)), v, vd
 
     def budget(self, ts, j: int):
         """Bits still to launch, packet bound ``psi`` and capacity floor at times ts in slot j.
@@ -385,13 +390,21 @@ class EventRule:
         gate = psi >= 1
         if not (gate if isinstance(gate, bool) else gate.any()):
             return gate, -math.inf, -math.inf, -math.inf
-        p = np.maximum(psi, 1).astype(int)  # psi never exceeds pmax
+        # psi never exceeds pmax; a slot with no plan gives its cap, one int.
+        p = psi if isinstance(psi, int) else np.maximum(psi, 1).astype(int)
         l1 = self._perf_tm(p, h, eps)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return gate, l1, self._channel_tm(p, l1, eps), self.l3(ts, eps, j, floor)
 
     def fires(self, ts, h, eps, j: int):
         """Where the rule fires: the gate holds and some term reaches its threshold."""
+        if self.plans[j] is None:  # psi is the slot's cap p: the gate is p >= 1, l3 is -inf
+            p = self._caps[j]
+            if p < 1:
+                return False
+            l1 = self._perf_tm(p, h, eps)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return (l1 >= 1.0) | (self._channel_tm(p, l1, eps) >= 1.0)
         gate, l1, l2, l3 = self.terms(ts, h, eps, j)
         return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
 
@@ -403,8 +416,12 @@ class EventRule:
 
     def _channel_tm(self, p, hbar, eps):
         """``channel_bound`` at ``T_M(p)`` for the perf bound hbar there, from the tables."""
-        rho = error_threshold(self.plant, self.config.lookahead, hbar)
-        return self.exp_norm_tm[p] * eps / rho / self._pow2[p]
+        return self.exp_norm_tm[p] * eps / self.threshold(hbar) / self._pow2[p]
+
+    def threshold(self, h):
+        """``error_threshold(plant, T, h)`` from the per-run denominator: its operations in
+        its order, so the same floats."""
+        return self._wm * (1.0 - h) / self._rho_den + 1.0
 
     def quiet(self, a, h, eps, b, j: int):
         """Where the rule cannot fire at any time of ``(a, b]`` in slot j, from h and eps at a.
@@ -433,6 +450,12 @@ class EventRule:
         tau = b - a
         worst_eps = eps * np.exp(c.growth_rate_inf * tau)
         worst_h = np.maximum(h, perf_bound(self.plant, tau, h, eps, c.growth_rate_inf))
+        if self.plans[j] is None:  # psi is the slot's cap throughout, so P is 1; l3 is -inf
+            p = max(self._caps[j], 1)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                l1 = self._perf_tm(p, worst_h, worst_eps)
+                l2 = self._channel_tm(p, l1, worst_eps)
+                return np.maximum(worst_h, np.maximum(l1, l2)) < 1.0
         _, psi_a, _ = self.budget(a, j)
         _, psi_b, floor_b = self.budget(b, j)
         p_hi, p_lo = np.maximum(psi_a, 1), np.maximum(psi_b, 1)
@@ -503,19 +526,19 @@ class _Engine:
         state through one ``ExpKernel.flow`` from t_start.  Blackout slots
         are skipped: no send, so the rule need not be evaluated there.
         """
-        flow, work = self.exp_block.flow(self.x_aug), self.work
+        flow, work, plant, rule = self.exp_block.flow(self.x_aug), self.work, self.plant, self.rule
+        levels, d_e = rule.levels, self.enc.d_e
 
         def ratios(ts):
-            xs = flow(np.subtract(ts, t_start))
-            return self.rule.ratios(ts, xs, self.enc.d_e(self.plant, ts))
+            return levels(ts, flow(np.subtract(ts, t_start)), d_e(plant, ts))[:2]
 
         def fires(ts, j: int):
             work["rule_calls"] += 1
             work["rule_points"] += np.size(ts)
-            return self.rule.fires(ts, *ratios(ts), j)
+            return rule.fires(ts, *ratios(ts), j)
 
         def quiet(nodes, j: int):
-            certified = self.rule.quiet(nodes[:-1], *ratios(nodes[:-1]), nodes[1:], j)
+            certified = rule.quiet(nodes[:-1], *ratios(nodes[:-1]), nodes[1:], j)
             work["certified_intervals"] += int(np.count_nonzero(certified))
             work["scanned_intervals"] += certified.size - int(np.count_nonzero(certified))
             return certified
@@ -576,7 +599,7 @@ class _Engine:
         """
         n = self.n
         h, eps, v, vd = self.rule.levels(ts, xs, des)
-        err = np.max(np.abs(xs[:, :n] - xs[:, n:]), axis=1)
+        err = np.maximum.reduce(np.abs(xs[:, :n] - xs[:, n:]), axis=1)
         perf_bad = h > 1.0
         bad = np.flatnonzero(perf_bad | (err > des * (1.0 + codec_mod.CHECK_SLACK) + 1e-300))
         if bad.size:
@@ -585,7 +608,13 @@ class _Engine:
                 raise ObjectiveViolationError(f"performance ratio {h[i]} exceeds 1 at t={ts[i]}")
             raise InvariantBreachError(
                 f"estimate error {err[i]} exceeds bound {des[i]} at t={ts[i]}")
-        cap_cols = np.full((ts.size, 4), np.nan)
+        # columns: t, x, x_hat, then TRACE_COLUMNS
+        row = np.empty((ts.size, 1 + 2 * n + len(TRACE_COLUMNS)))
+        row[:, 0], row[:, 1:1 + 2 * n] = ts, xs
+        cols, cap_cols = row[:, 1 + 2 * n:].T, row[:, -4:]
+        cols[0], cols[1], cols[2], cols[3], cols[4], cols[5] = (
+            v, vd, h, eps, eps / self.rule.threshold(h), des)
+        cap_cols.fill(np.nan)
         if self.blackouts:
             js = self.sched.slot_at(ts)
             for j in sorted(set(js.tolist())):
@@ -593,9 +622,7 @@ class _Engine:
                 bits, psi, floor = self.rule.budget(ts[rows], j)
                 cap_cols[rows, 0], cap_cols[rows, 1], cap_cols[rows, 2] = bits, psi, floor
                 cap_cols[rows, 3] = self.rule.l3(ts[rows], eps[rows], j, floor)
-        rho = error_threshold(self.plant, self.scn.trigger.lookahead, h)
-        # columns: t, x, x_hat, then TRACE_COLUMNS
-        self.rows.append(np.column_stack([ts, xs, v, vd, h, eps, eps / rho, des, cap_cols]))
+        self.rows.append(row)
 
     def _advance(self, t_target: float, record_end: bool = True):
         """Propagate exactly to t_target, recording samples and breakpoints."""
@@ -620,11 +647,17 @@ class _Engine:
     # -- packet sizing ---------------------------------------------------------
 
     def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
-        """Smallest bit count whose channel bound stays at or below 1."""
-        ps = np.arange(1, self.rule.pmax + 1)
-        taus = self.rule.tm[ps] if self.blackouts else ps / rate
+        """Smallest bit count whose channel bound stays at or below 1.
+
+        The bound is ``channel_bound`` at ``T_M(p)`` with blackouts, read from
+        the rule's per-p tables (the same floats), and at ``p / rate`` otherwise.
+        """
+        rule, ps = self.rule, np.arange(1, self.rule.pmax + 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps)
+            if self.blackouts:
+                vals = rule._channel_tm(ps, rule._perf_tm(ps, h, eps), eps)
+            else:
+                vals = channel_bound(self.plant, self.scn.trigger.lookahead, ps / rate, h, eps, ps)
         fits = np.flatnonzero(vals <= 1.0)
         return int(ps[fits[0]]) if fits.size else None
 
@@ -653,7 +686,7 @@ class _Engine:
         self.x_aug = np.concatenate([self.x_aug[:self.n], self.enc.x_hat])
         de = self.enc.d_e(self.plant, r_tilde)
         h, eps = self.rule.ratios(r_tilde, self.x_aug, de)
-        h_ch = eps / error_threshold(self.plant, self.scn.trigger.lookahead, h)
+        h_ch = eps / self.rule.threshold(h)
         self.transmissions.append(Transmission(
             k=len(self.transmissions) + 1, t_k=pkt.t_k, p_k=pkt.p_k,
             r_k=r, r_tilde_k=r_tilde, h_pf_tx=h_tx, eps_tx=eps_tx,

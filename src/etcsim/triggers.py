@@ -98,6 +98,8 @@ def error_threshold(plant: PlantModel, T: float, h0):
     """Error-ratio level below which performance holds for at least T.
 
     ``(w+mu)(1-h0) / (W (e^{(w+mu)T} - 1)) + 1``; always >= 1 on h0 <= 1.
+    ``sim.EventRule.threshold`` reads the denominator from a per-run constant
+    and gives the same floats; this is the reference form.
     """
     c = plant.constants
     wm = c.decay_gap + c.growth_rate
@@ -150,23 +152,25 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
     Returns the final (lo, hi): the last instant seen before the crossing
     and the first instant seen at or after it.  pred maps an array of times
     to truth values; each call evaluates ``_TREE_DEPTH`` levels of the
-    bisection tree, each level's midpoints ``0.5 * (ends[:-1] + ends[1:])`` of
-    the level above: the same floats, so the same bracket, as scalar bisection.
+    bisection tree, each midpoint ``0.5 * (a + b)`` of its neighbours a, b on the
+    level above, in Python floats: the same floats, so the same bracket, as scalar
+    bisection.
     """
     top = 1 << _TREE_DEPTH
     while hi - lo > tol:
-        ends = np.empty(top + 1)
-        ends[0], ends[top] = lo, hi
+        ends = [lo] + [0.0] * (top - 1) + [hi]
         for step in (top >> d for d in range(_TREE_DEPTH)):
-            ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])
-        fired = np.asarray(pred(ends[1:-1]))
+            half = step // 2
+            for i in range(half, top, step):
+                ends[i] = 0.5 * (ends[i - half] + ends[i + half])
+        fired = np.asarray(pred(np.array(ends[1:-1]))).tolist()
         a, b = 0, top
         while b - a > 1 and hi - lo > tol:
             mid = (a + b) // 2
             if fired[mid - 1]:
-                b, hi = mid, float(ends[mid])
+                b, hi = mid, ends[mid]
             else:
-                a, lo = mid, float(ends[mid])
+                a, lo = mid, ends[mid]
     return lo, hi
 
 

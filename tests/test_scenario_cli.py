@@ -215,9 +215,10 @@ class TestCli:
         stats = json.loads((tmp_path / "sec6_stats.json").read_text())
         assert stats["transmission_count"] >= 1
 
-    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
-    def test_trace_csv_matches_cell_by_cell_writer(self, request, tmp_path, name):
-        trace = request.getfixturevalue(f"{name}_trace")
+    @staticmethod
+    def assert_trace_csv_is_cell_by_cell(trace, tmp_path):
+        """write_trace_csv gives the bytes of csv.writer fed one cell at a time: a NaN cell
+        empty, any other its repr."""
         columns = [trace.t[:, None], trace.x, trace.x_hat] + [
             getattr(trace, attr)[:, None] for attr, _ in etcsim.sim.TRACE_COLUMNS]
         with (tmp_path / "reference.csv").open("w", newline="") as fh:
@@ -229,6 +230,48 @@ class TestCli:
                                  for col in columns for v in col[i]])
         etcsim.cli.write_trace_csv(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_trace_csv_matches_cell_by_cell_writer(self, request, tmp_path, name):
+        self.assert_trace_csv_is_cell_by_cell(request.getfixturevalue(f"{name}_trace"), tmp_path)
+
+    @staticmethod
+    def synthetic_trace(rows, rng):
+        """A two-state SimTrace of random cells, three 64-row blocks when rows = 150."""
+        cols = {attr: rng.normal(size=rows) * 10.0 ** rng.uniform(-8, 8, rows)
+                for attr, _ in etcsim.sim.TRACE_COLUMNS}
+        x, x_hat = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 2))
+        return etcsim.sim.SimTrace(t=np.linspace(0.0, 1.0, rows), x=x, x_hat=x_hat, **cols,
+                                   transmissions=[], horizon=1.0, scan_step=0.01)
+
+    @pytest.mark.parametrize("rows", [150, 1, 0])
+    def test_trace_csv_edge_cells_match_cell_by_cell_writer(self, tmp_path, rows, rng):
+        trace = self.synthetic_trace(rows, rng)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5]
+        if rows == 150:
+            # Block 0 (rows 0-63) has a partly-NaN column and so its cells one at a time;
+            # blocks 1 and 2 have only NaN-free and all-NaN columns.  phi is NaN throughout,
+            # s_hat only in block 1, psi only in rows 10-20.
+            trace.phi[:] = np.nan
+            trace.s_hat[64:128] = np.nan
+            trace.psi[10:21] = np.nan
+            for block in (0, 64, 128):
+                trace.x[block:block + 6, 0] = specials[1:]
+                trace.V[block + 7:block + 13] = specials[1:]
+                trace.l3[block + 13:block + 19] = specials[1:]
+            trace.eps[3] = np.nan
+        elif rows == 1:
+            trace.x[0] = [-0.0, 5e-324]
+            trace.h_ch[0], trace.d_e[0], trace.phi[0] = np.inf, 1e16, np.nan
+        self.assert_trace_csv_is_cell_by_cell(trace, tmp_path)
+        lines = (tmp_path / "trace.csv").read_bytes().split(b"\r\n")
+        assert len(lines) == rows + 2 and lines[-1] == b""
+        if rows == 150:  # lines[i + 1] is row i; cells 11, 12 and 13 are phi, psi and s_hat
+            assert b",-0.0," in lines[3] and b",5e-324," in lines[68] and b",1e+16," in lines[133]
+            cells = [lines[i].split(b",") for i in (16, 70, 140)]
+            assert [c[11] for c in cells] == [b""] * 3
+            assert cells[0][12] == b"" and cells[1][13] == b""
+            assert b"" not in (cells[0][13], cells[1][12], cells[2][12], cells[2][13])
 
     def test_simulate_imports_no_scipy(self, tmp_path):
         # sec6 has blackouts, so this path builds capacity plans; no

@@ -29,6 +29,7 @@ from etcsim.triggers import (
     ROOT_TOL,
     TriggerConfig,
     blackout_entry_margin,
+    channel_bound,
     error_threshold,
     perf_bound,
 )
@@ -364,6 +365,130 @@ class TestCertificate:
         else:
             run(scn)
         assert seen["certified"] > 0 and seen["fired"] > 0
+
+
+class TestScalarPaths:
+    """A slot with no plan reads psi as its cap, one int: ``quiet``, ``fires`` and the
+    engine's ``_min_bits`` there give, bit for bit, the forms they stand for, on every such
+    slot of sec6, of clear10 and of a clear channel whose slot p - 1 has cap p.  Each slot
+    draws 200 (h, eps): h up to 1 and eps from 1e-8 to 1e2.  ``quiet`` and ``fires`` are
+    also compared at the two adjacent floats of eps where the reference form flips, so a
+    change of one ulp in what decides them shows."""
+
+    @pytest.fixture(params=["blackout", "clear_channel", "caps_1_to_8"])
+    def rule(self, request, clear_channel_scn):
+        if request.param != "caps_1_to_8":
+            return request.getfixturevalue(f"{request.param}_rule")
+        sched = ChannelSchedule(theta=np.arange(9.0), rates=np.full(8, 2400.0),
+                                caps=np.arange(1, 9), n=2)
+        return dataclasses.replace(clear_channel_scn, schedule=sched, horizon=8.0).rule
+
+    @staticmethod
+    def unplanned_slots(rule, rng):
+        """(j, slot start, slot end, h, eps) for each usable slot with no plan."""
+        for j, plan in enumerate(rule.plans):
+            if plan is None and rule.sched.caps[j]:
+                yield (j, float(rule.sched.theta[j]), float(rule.sched.theta[j + 1]),
+                       rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-8.0, 2.0, 200))
+
+    @staticmethod
+    def flip_points(holds, count, lo=1e-12, hi=1e12):
+        """Adjacent floats ``(inner, outer)`` per draw, holds(inner) true and holds(outer)
+        false, for a predicate on arrays of eps that holds at lo and fails at hi (draws
+        where it does not are dropped)."""
+        lo = np.broadcast_to(np.asarray(lo, dtype=float), (count,)).view(np.int64)
+        hi = np.broadcast_to(np.asarray(hi, dtype=float), (count,)).view(np.int64)
+        keep = holds(lo.view(np.float64)) & ~holds(hi.view(np.float64))
+        lo, hi = lo[keep], hi[keep]
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            inside = holds(mid.view(np.float64), keep)
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        return keep, lo.view(np.float64), hi.view(np.float64)
+
+    def test_quiet_is_the_full_pass(self, rule, rng):
+        plant, c = rule.plant, rule.plant.constants
+
+        def full_pass(a, h, eps, b, j):
+            # quiet's (P, N) pass over the p that psi, the cap at a and at b, takes; l3 = -inf.
+            h, eps = h * (1.0 + sim._CERT_MARGIN), eps * (1.0 + sim._CERT_MARGIN)
+            tau = b - a
+            worst_eps = eps * np.exp(c.growth_rate_inf * tau)
+            worst_h = np.maximum(h, perf_bound(plant, tau, h, eps, c.growth_rate_inf))
+            p_lo = p_hi = np.full(h.size, max(int(rule.sched.caps[j]), 1))
+            ps = np.arange(int(p_lo.min()), int(p_hi.max()) + 1)[:, None]
+            tm, T = rule.tm[ps], rule.config.lookahead
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                l1 = perf_bound(plant, tm, worst_h, worst_eps)
+                l2 = channel_bound(plant, T, tm, worst_h, worst_eps, ps)
+                in_range = (p_lo <= ps) & (ps <= p_hi)
+                top = np.where(in_range, np.maximum(l1, l2), -np.inf).max(axis=0)
+            return (np.maximum(worst_h, top) < 1.0) & (rule.l3(a, eps, j, math.inf) < 0.0)
+
+        quiet, flips = [], 0
+        for j, lo, hi, h, eps in self.unplanned_slots(rule, rng):
+            a = rng.uniform(lo, hi, h.size)
+            b = np.minimum(a + 10.0 ** rng.uniform(-4.0, 0.0, h.size), hi)
+            want = full_pass(a, h, eps, b, j)
+            assert np.array_equal(rule.quiet(a, h, eps, b, j), want)
+            quiet.extend(want.tolist())
+            keep, inner, outer = self.flip_points(
+                lambda e, at=slice(None): full_pass(a[at], h[at], e, b[at], j), h.size)
+            for e, want in ((inner, True), (outer, False)):
+                assert np.all(rule.quiet(a[keep], h[keep], e, b[keep], j) == want)
+            flips += int(np.count_nonzero(keep))
+        assert 0 < sum(quiet) < len(quiet) and flips > 100
+
+    def test_fires_is_the_gated_terms(self, rule, rng):
+        def gated_terms(t, h, eps, j):
+            gate, l1, l2, l3 = rule.terms(t, h, eps, j)
+            return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
+
+        fired, flips = [], 0
+        for j, lo, hi, h, eps in self.unplanned_slots(rule, rng):
+            ts = rng.uniform(lo, hi, h.size)
+            for t, hh, ee in [(ts, h, eps)] + list(zip(ts[:20].tolist(), h, eps)):
+                assert np.array_equal(rule.fires(t, hh, ee, j), gated_terms(t, hh, ee, j))
+            fired.extend(rule.fires(ts, h, eps, j).tolist())
+            keep, inner, outer = self.flip_points(
+                lambda e, at=slice(None): ~gated_terms(ts[at], h[at], e, j), h.size)
+            for e, want in ((inner, False), (outer, True)):
+                assert np.all(rule.fires(ts[keep], h[keep], e, j) == want)
+            flips += int(np.count_nonzero(keep))
+        assert 0 < sum(fired) < len(fired) and flips > 100
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_min_bits_is_the_first_p_within_the_channel_bound(self, request, rng, name):
+        # channel_bound at T_M(p) with blackouts, and at p / R on a clear channel, for every
+        # p at once, as the engine evaluated it before it read the tables; pmax + 1 for none.
+        eng = request.getfixturevalue(f"{name}_engine")
+        ps, T = np.arange(1, eng.rule.pmax + 1), eng.rule.config.lookahead
+        h, eps = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-8.0, 2.0, 200)
+        for rate in sorted(set(eng.sched.rates[eng.sched.caps > 0].tolist())):
+            taus = eng.rule.tm[ps] if eng.blackouts else ps / rate
+
+            def first_fit(h, eps):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    fits = np.flatnonzero(channel_bound(eng.plant, T, taus, h, eps, ps) <= 1.0)
+                return int(ps[fits[0]]) if fits.size else ps[-1] + 1
+
+            def min_bits(h, eps):
+                got = eng._min_bits(float(h), float(eps), rate)
+                return ps[-1] + 1 if got is None else got
+
+            want = np.array([first_fit(a, b) for a, b in zip(h, eps)])
+            assert [min_bits(a, b) for a, b in zip(h, eps)] == want.tolist()
+            assert len(set(want.tolist())) >= 3
+            # Where the first fit moves past want, between the draw and eps = 1e4.
+            keep, inner, outer = self.flip_points(
+                lambda e, at=slice(None): np.array(
+                    [first_fit(a, b) for a, b in zip(h[at], e)]) <= want[at],
+                h.size, eps, 1e4)
+            for e, past in ((inner, False), (outer, True)):
+                got = [min_bits(a, b) for a, b in zip(h[keep], e)]
+                assert got == [first_fit(a, b) for a, b in zip(h[keep], e)]
+                assert np.all((np.array(got) > want[keep]) == past)
+            assert np.count_nonzero(keep) > 100
 
 
 class TestEquilibrium:
