@@ -195,29 +195,20 @@ class ExpKernel:
         The rows ``z^j / j!`` come from one cumulative product, and one stacked
         product ``(N, 1, m+1) @ (m+1, k^2)`` gives every ``exp(t M / 2^s)``: unlike
         one ``(N, m+1) @ (m+1, k^2)`` GEMM, it gives each time the floats of a
-        one-time call.  The times are taken in order of their scale s, so the
-        times squared at level i, those with s > i, are one contiguous tail: each
-        time still stops after its own s.
+        one-time call.  The squarings run masked, so each time stops after its own s.
         """
         k = self.M.shape[0]
         flat = ts.reshape(-1) * self._nu
         # frexp gives y = f 2^e with f in [0.5, 1), so ceil(log2 y) = e - (f == 0.5).
         frac, expo = np.frexp(flat / _TAYLOR_THETA)
         s = np.maximum(expo - (frac == 0.5), 0)
-        top = int(s.max(initial=0))
-        if top:
-            # Grouped by scale, in call order within one; no sort, whose first call pages in
-            # numpy's sort code.
-            order = np.concatenate([np.flatnonzero(s == v) for v in range(top + 1)])
-            flat, s = flat[order], s[order]
         coef = np.ones((flat.size, _TAYLOR_DEGREE + 1))
         np.divide(np.ldexp(flat, -s)[:, None], np.arange(1.0, _TAYLOR_DEGREE + 1),
                   out=coef[:, 1:])
         R = np.matmul(np.cumprod(coef, axis=1)[:, None, :], self._powers).reshape(-1, k, k)
-        if top:  # level i squares the rows past the count of scales <= i
-            for start in np.cumsum(np.bincount(s)[:-1]).tolist():
-                R[start:] = R[start:] @ R[start:]
-            R[order] = R.copy()
+        for i in range(int(s.max(initial=0))):
+            rows = np.flatnonzero(s > i)
+            R[rows] = R[rows] @ R[rows]
         return R.reshape(ts.shape + (k, k))
 
 

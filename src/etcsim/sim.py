@@ -56,6 +56,7 @@ from .triggers import (
     TriggerConfig,
     blackout_entry_margin,
     channel_bound,
+    error_threshold,
     exp_growth_inf,
     first_crossing,
     perf_bound,
@@ -293,9 +294,8 @@ class EventRule:
     ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p, with the tables
     both ``terms`` and ``quiet`` read their bounds at ``T_M(p)`` from:
     ``perf_bound`` (``_perf_tm``), and from it ``channel_bound``
-    (``_channel_tm``), whose ``error_threshold`` reads its denominator from
-    a per-run constant (``threshold``).  On a slot with no plan ``psi`` is
-    the slot's cap, one int, so ``fires`` and ``quiet`` read the tables at
+    (``_channel_tm``).  On a slot with no plan ``psi`` is the slot's cap,
+    one int (``_slot_p``), so ``fires`` and ``quiet`` read the tables at
     that one p, with no gate or ``l3`` to evaluate.
     """
 
@@ -321,8 +321,6 @@ class EventRule:
         self._growth = np.expm1(self._wm * self.tm)
         self._decay = np.exp(c.decay_gap * self.tm)
         self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
-        # error_threshold's denominator W (e^{(w+mu) T} - 1), which only the plant and T fix.
-        self._rho_den = c.guarded_decay_gap * math.expm1(self._wm * self.config.lookahead)
         self._caps = self.sched.caps.tolist()
         self._n, self._error_scale = self.plant.n, c.error_scale
 
@@ -347,11 +345,15 @@ class EventRule:
         bits and floor come from slot j's plan, inf where it has none.  ts is
         unchecked, so a breakpoint's right limit can be read under the next slot.
         """
-        plan, cap = self.plans[j], self.sched.caps[j]
-        if plan is None:
-            return math.inf, int(cap), math.inf
-        bits, floor = launch_budget(plan, ts)
-        return bits, np.minimum(cap, bits), floor
+        cap = self._slot_p(j)
+        if cap is not None:
+            return math.inf, cap, math.inf
+        bits, floor = launch_budget(self.plans[j], ts)
+        return bits, np.minimum(self.sched.caps[j], bits), floor
+
+    def _slot_p(self, j: int):
+        """``psi`` in slot j if it has no plan: the slot's cap, one int; None if it has one."""
+        return self._caps[j] if self.plans[j] is None else None
 
     def psi(self, ts, j: int):
         """Packet bound (per-dimension bits) at times ts in slot j."""
@@ -390,16 +392,15 @@ class EventRule:
         gate = psi >= 1
         if not (gate if isinstance(gate, bool) else gate.any()):
             return gate, -math.inf, -math.inf, -math.inf
-        # psi never exceeds pmax; a slot with no plan gives its cap, one int.
-        p = psi if isinstance(psi, int) else np.maximum(psi, 1).astype(int)
+        p = np.maximum(psi, 1).astype(int)  # psi never exceeds pmax
         l1 = self._perf_tm(p, h, eps)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return gate, l1, self._channel_tm(p, l1, eps), self.l3(ts, eps, j, floor)
 
     def fires(self, ts, h, eps, j: int):
         """Where the rule fires: the gate holds and some term reaches its threshold."""
-        if self.plans[j] is None:  # psi is the slot's cap p: the gate is p >= 1, l3 is -inf
-            p = self._caps[j]
+        p = self._slot_p(j)
+        if p is not None:  # no plan: the gate is p >= 1, l3 is -inf
             if p < 1:
                 return False
             l1 = self._perf_tm(p, h, eps)
@@ -416,12 +417,8 @@ class EventRule:
 
     def _channel_tm(self, p, hbar, eps):
         """``channel_bound`` at ``T_M(p)`` for the perf bound hbar there, from the tables."""
-        return self.exp_norm_tm[p] * eps / self.threshold(hbar) / self._pow2[p]
-
-    def threshold(self, h):
-        """``error_threshold(plant, T, h)`` from the per-run denominator: its operations in
-        its order, so the same floats."""
-        return self._wm * (1.0 - h) / self._rho_den + 1.0
+        rho = error_threshold(self.plant, self.config.lookahead, hbar)
+        return self.exp_norm_tm[p] * eps / rho / self._pow2[p]
 
     def quiet(self, a, h, eps, b, j: int):
         """Where the rule cannot fire at any time of ``(a, b]`` in slot j, from h and eps at a.
@@ -450,8 +447,9 @@ class EventRule:
         tau = b - a
         worst_eps = eps * np.exp(c.growth_rate_inf * tau)
         worst_h = np.maximum(h, perf_bound(self.plant, tau, h, eps, c.growth_rate_inf))
-        if self.plans[j] is None:  # psi is the slot's cap throughout, so P is 1; l3 is -inf
-            p = max(self._caps[j], 1)
+        p = self._slot_p(j)
+        if p is not None:  # no plan: psi is p throughout, so P is 1, and l3 is -inf
+            p = max(p, 1)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 l1 = self._perf_tm(p, worst_h, worst_eps)
                 l2 = self._channel_tm(p, l1, worst_eps)
@@ -612,8 +610,8 @@ class _Engine:
         row = np.empty((ts.size, 1 + 2 * n + len(TRACE_COLUMNS)))
         row[:, 0], row[:, 1:1 + 2 * n] = ts, xs
         cols, cap_cols = row[:, 1 + 2 * n:].T, row[:, -4:]
-        cols[0], cols[1], cols[2], cols[3], cols[4], cols[5] = (
-            v, vd, h, eps, eps / self.rule.threshold(h), des)
+        rho = error_threshold(self.plant, self.scn.trigger.lookahead, h)
+        cols[0], cols[1], cols[2], cols[3], cols[4], cols[5] = v, vd, h, eps, eps / rho, des
         cap_cols.fill(np.nan)
         if self.blackouts:
             js = self.sched.slot_at(ts)
@@ -647,17 +645,11 @@ class _Engine:
     # -- packet sizing ---------------------------------------------------------
 
     def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
-        """Smallest bit count whose channel bound stays at or below 1.
-
-        The bound is ``channel_bound`` at ``T_M(p)`` with blackouts, read from
-        the rule's per-p tables (the same floats), and at ``p / rate`` otherwise.
-        """
-        rule, ps = self.rule, np.arange(1, self.rule.pmax + 1)
+        """Smallest bit count whose channel bound stays at or below 1."""
+        ps = np.arange(1, self.rule.pmax + 1)
+        taus = self.rule.tm[ps] if self.blackouts else ps / rate
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.blackouts:
-                vals = rule._channel_tm(ps, rule._perf_tm(ps, h, eps), eps)
-            else:
-                vals = channel_bound(self.plant, self.scn.trigger.lookahead, ps / rate, h, eps, ps)
+            vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps)
         fits = np.flatnonzero(vals <= 1.0)
         return int(ps[fits[0]]) if fits.size else None
 
@@ -686,7 +678,7 @@ class _Engine:
         self.x_aug = np.concatenate([self.x_aug[:self.n], self.enc.x_hat])
         de = self.enc.d_e(self.plant, r_tilde)
         h, eps = self.rule.ratios(r_tilde, self.x_aug, de)
-        h_ch = eps / self.rule.threshold(h)
+        h_ch = eps / error_threshold(self.plant, self.scn.trigger.lookahead, h)
         self.transmissions.append(Transmission(
             k=len(self.transmissions) + 1, t_k=pkt.t_k, p_k=pkt.p_k,
             r_k=r, r_tilde_k=r_tilde, h_pf_tx=h_tx, eps_tx=eps_tx,

@@ -98,8 +98,6 @@ def error_threshold(plant: PlantModel, T: float, h0):
     """Error-ratio level below which performance holds for at least T.
 
     ``(w+mu)(1-h0) / (W (e^{(w+mu)T} - 1)) + 1``; always >= 1 on h0 <= 1.
-    ``sim.EventRule.threshold`` reads the denominator from a per-run constant
-    and gives the same floats; this is the reference form.
     """
     c = plant.constants
     wm = c.decay_gap + c.growth_rate

@@ -368,12 +368,12 @@ class TestCertificate:
 
 
 class TestScalarPaths:
-    """A slot with no plan reads psi as its cap, one int: ``quiet``, ``fires`` and the
-    engine's ``_min_bits`` there give, bit for bit, the forms they stand for, on every such
-    slot of sec6, of clear10 and of a clear channel whose slot p - 1 has cap p.  Each slot
-    draws 200 (h, eps): h up to 1 and eps from 1e-8 to 1e2.  ``quiet`` and ``fires`` are
-    also compared at the two adjacent floats of eps where the reference form flips, so a
-    change of one ulp in what decides them shows."""
+    """A slot with no plan reads psi as its cap, one int: ``quiet`` and ``fires`` there
+    give, bit for bit, the forms they stand for, on every such slot of sec6, of clear10 and
+    of a clear channel whose slot p - 1 has cap p; the engine's ``_min_bits`` is the first p
+    within ``channel_bound``.  Each slot draws 200 (h, eps): h up to 1 and eps from 1e-8 to
+    1e2.  ``quiet`` and ``fires`` are also compared at the two adjacent floats of eps where
+    the reference form flips, so a change of one ulp in what decides them shows."""
 
     @pytest.fixture(params=["blackout", "clear_channel", "caps_1_to_8"])
     def rule(self, request, clear_channel_scn):
@@ -460,7 +460,7 @@ class TestScalarPaths:
     @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
     def test_min_bits_is_the_first_p_within_the_channel_bound(self, request, rng, name):
         # channel_bound at T_M(p) with blackouts, and at p / R on a clear channel, for every
-        # p at once, as the engine evaluated it before it read the tables; pmax + 1 for none.
+        # p at once; pmax + 1 for none.
         eng = request.getfixturevalue(f"{name}_engine")
         ps, T = np.arange(1, eng.rule.pmax + 1), eng.rule.config.lookahead
         h, eps = rng.uniform(0.0, 1.0, 200), 10.0 ** rng.uniform(-8.0, 2.0, 200)
