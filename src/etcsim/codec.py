@@ -95,14 +95,10 @@ def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
             f"encoding error {worst:.6g} exceeds bound {bound:.6g} at t={t}")
     cells = 1 << p
     width = 2.0 * bound / cells
-    symbols = []
-    for e in err:
-        if width == 0.0:
-            symbols.append(0)
-            continue
-        idx = int(np.ceil((e + bound) / width)) - 1
-        symbols.append(min(max(idx, 0), cells - 1))
-    return Packet(t_k=t, p_k=p, symbols=tuple(symbols))
+    if width == 0.0:
+        return Packet(t_k=t, p_k=p, symbols=(0,) * err.size)
+    idx = np.minimum(np.maximum(np.ceil((err + bound) / width) - 1.0, 0.0), cells - 1.0)
+    return Packet(t_k=t, p_k=p, symbols=tuple(idx.astype(int).tolist()))
 
 
 def decode_and_update(plant: PlantModel, pkt: Packet, state: CodecState,
@@ -119,7 +115,7 @@ def decode_and_update(plant: PlantModel, pkt: Packet, state: CodecState,
     bound_tx = state.d_e(plant, pkt.t_k)
     cells = 1 << pkt.p_k
     width = 2.0 * bound_tx / cells
-    centres = np.array([-bound_tx + (s + 0.5) * width for s in pkt.symbols])
+    centres = -bound_tx + (np.array(pkt.symbols) + 0.5) * width
     delay = r_tilde - pkt.t_k
     jump = plant.exp_Abar.flow(x_hat_tx)(delay) + plant.exp_A.flow(centres)(delay)
     jump.setflags(write=False)

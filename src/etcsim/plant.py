@@ -149,9 +149,8 @@ def build_plant(A, B, K, Q, a: float, beta: float | None = None,
         growth_rate_inf=inf_norm(A) + beta / 2.0,
         error_scale=guarded * np.sqrt(p_min) / (2.0 * np.sqrt(n) * feedback_gain),
     )
-    frozen = lambda M: _readonly(M)
-    return PlantModel(A=frozen(A), B=frozen(B), K=frozen(K), Q=frozen(Q),
-                      P=frozen(P), Abar=frozen(Abar), a=float(a),
+    return PlantModel(A=_readonly(A), B=_readonly(B), K=_readonly(K), Q=_readonly(Q),
+                      P=_readonly(P), Abar=_readonly(Abar), a=float(a),
                       beta=float(beta), vd0=float(vd0), constants=constants,
                       exp_A=ExpKernel(A), exp_Abar=ExpKernel(Abar))
 

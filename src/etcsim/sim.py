@@ -291,12 +291,12 @@ class EventRule:
     capacity plan (``plans``, None where no blackout lies ahead), each blackout slot's
     entry margin (``entry_margins``), and for every p up to the largest
     packet cap the delay floors, ``T_M(p)`` and
-    ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p, with the tables
-    both ``terms`` and ``quiet`` read their bounds at ``T_M(p)`` from:
-    ``perf_bound`` (``_perf_tm``), and from it ``channel_bound``
-    (``_channel_tm``).  On a slot with no plan ``psi`` is the slot's cap,
-    one int (``_slot_p``), so ``fires`` and ``quiet`` read the tables at
-    that one p, with no gate or ``l3`` to evaluate.
+    ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p.  One step reads
+    ``l1`` and ``l2``, ``perf_bound`` and from it ``channel_bound`` at
+    ``T_M(p)``, from those tables: ``_bounds``, which ``terms``, ``fires``
+    and ``quiet`` all call.  On a slot with no plan ``psi`` is the slot's
+    cap, one int (``_slot_p``), so ``fires`` and ``quiet`` read the tables
+    at that one p, with no gate or ``l3`` to evaluate.
     """
 
     def __init__(self, scenario: Scenario):
@@ -384,7 +384,7 @@ class EventRule:
 
         ``l1`` and ``l2`` are ``perf_bound`` and ``channel_bound`` at
         ``T_M(p)`` for ``p = max(psi, 1)``, read from the per-p tables
-        (``_perf_tm``, ``_channel_tm``), so they are the same floats.
+        (``_bounds``), so they are the same floats.
         Scalars stay scalars.  Where the gate is off at every t no term is
         evaluated and all three read ``-inf``.
         """
@@ -393,9 +393,7 @@ class EventRule:
         if not (gate if isinstance(gate, bool) else gate.any()):
             return gate, -math.inf, -math.inf, -math.inf
         p = np.maximum(psi, 1).astype(int)  # psi never exceeds pmax
-        l1 = self._perf_tm(p, h, eps)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return gate, l1, self._channel_tm(p, l1, eps), self.l3(ts, eps, j, floor)
+        return gate, *self._bounds(p, h, eps), self.l3(ts, eps, j, floor)
 
     def fires(self, ts, h, eps, j: int):
         """Where the rule fires: the gate holds and some term reaches its threshold."""
@@ -403,22 +401,23 @@ class EventRule:
         if p is not None:  # no plan: the gate is p >= 1, l3 is -inf
             if p < 1:
                 return False
-            l1 = self._perf_tm(p, h, eps)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return (l1 >= 1.0) | (self._channel_tm(p, l1, eps) >= 1.0)
+            l1, l2 = self._bounds(p, h, eps)
+            return (l1 >= 1.0) | (l2 >= 1.0)
         gate, l1, l2, l3 = self.terms(ts, h, eps, j)
         return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
 
-    def _perf_tm(self, p, h, eps):
-        """``perf_bound(plant, T_M(p), h, eps)`` from the tables: its operations in its
-        order, so the same floats."""
-        gap = self.plant.constants.guarded_decay_gap
-        return (h + gap * eps / self._wm * self._growth[p]) / self._decay[p]
+    def _bounds(self, p, h, eps):
+        """``(l1, l2)``: ``perf_bound`` and ``channel_bound`` at ``T_M(p)`` for ratios h and
+        eps, from the tables in their operations' order, so the same floats.
 
-    def _channel_tm(self, p, hbar, eps):
-        """``channel_bound`` at ``T_M(p)`` for the perf bound hbar there, from the tables."""
-        rho = error_threshold(self.plant, self.config.lookahead, hbar)
-        return self.exp_norm_tm[p] * eps / rho / self._pow2[p]
+        Where l1 exceeds 1 the threshold is undefined and l2 bounds nothing; it is read
+        under this one ``np.errstate``.
+        """
+        gap = self.plant.constants.guarded_decay_gap
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            l1 = (h + gap * eps / self._wm * self._growth[p]) / self._decay[p]
+            rho = error_threshold(self.plant, self.config.lookahead, l1)
+            return l1, self.exp_norm_tm[p] * eps / rho / self._pow2[p]
 
     def quiet(self, a, h, eps, b, j: int):
         """Where the rule cannot fire at any time of ``(a, b]`` in slot j, from h and eps at a.
@@ -433,9 +432,9 @@ class EventRule:
 
         - ``H`` must stay below 1;
         - for each p that ``max(psi, 1)`` takes (psi does not increase within
-          a slot), ``l1 = _perf_tm(p, H, E)`` and ``l2 = _channel_tm(p, l1,
-          E)`` must stay below 1: ``perf_bound`` rises with h and eps, and
-          ``channel_bound`` with its perf bound and eps;
+          a slot), ``(l1, l2) = _bounds(p, H, E)`` must stay below 1:
+          ``perf_bound`` rises with h and eps, and ``channel_bound`` with its
+          perf bound and eps;
         - ``l3`` stays below its value at a with the capacity floor at b.
 
         h and eps enter raised by ``_CERT_MARGIN`` to absorb rounding, and
@@ -449,22 +448,17 @@ class EventRule:
         worst_h = np.maximum(h, perf_bound(self.plant, tau, h, eps, c.growth_rate_inf))
         p = self._slot_p(j)
         if p is not None:  # no plan: psi is p throughout, so P is 1, and l3 is -inf
-            p = max(p, 1)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                l1 = self._perf_tm(p, worst_h, worst_eps)
-                l2 = self._channel_tm(p, l1, worst_eps)
-                return np.maximum(worst_h, np.maximum(l1, l2)) < 1.0
+            l1, l2 = self._bounds(max(p, 1), worst_h, worst_eps)
+            return np.maximum(worst_h, np.maximum(l1, l2)) < 1.0
         _, psi_a, _ = self.budget(a, j)
         _, psi_b, floor_b = self.budget(b, j)
         p_hi, p_lo = np.maximum(psi_a, 1), np.maximum(psi_b, 1)
         # One (P, N) pass over every p any stretch takes; each stretch keeps its own range.
         ps = np.arange(int(p_lo.min()), int(p_hi.max()) + 1)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            l1 = self._perf_tm(ps, worst_h, worst_eps)
-            l2 = self._channel_tm(ps, l1, worst_eps)
-            in_range = (p_lo <= ps) & (ps <= p_hi)
-            worst = np.maximum(worst_h, np.where(in_range, np.maximum(l1, l2), -np.inf).max(axis=0))
-            return (worst < 1.0) & (self.l3(a, eps, j, floor_b) < 0.0)
+        l1, l2 = self._bounds(ps, worst_h, worst_eps)
+        in_range = (p_lo <= ps) & (ps <= p_hi)
+        worst = np.maximum(worst_h, np.where(in_range, np.maximum(l1, l2), -np.inf).max(axis=0))
+        return (worst < 1.0) & (self.l3(a, eps, j, floor_b) < 0.0)
 
 
 # ---------------------------------------------------------------------------

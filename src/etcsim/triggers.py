@@ -10,19 +10,20 @@ delay-floor and ``T_M(p)`` tables (``trigger_constants``) once per rule.
 Every root found here and in the simulator is a first crossing along a
 grid of times: ``bisect_crossing`` shrinks the bracket that ends at the
 first grid point where the predicate holds, five bisection levels per
-array call.  The thresholds evaluate each 1000-point grid in one call
-(the violation time in windows that expand until the root lies inside
-one); the delay floors share one grid of [0, T] for all p.
+array call.  Two searches find that grid point: ``first_crossing``, for
+the simulator's fire search and the violation time (1000-point
+``np.linspace`` windows that expand until the root lies inside one, with
+a certificate that certifies nothing), and the delay floors' one shared
+grid of [0, T] for all p.
 
-The simulator's fire search, ``first_crossing``, has a certificate
-(``sim.EventRule.quiet``).  It reads the floats of ``np.linspace`` only
-at the points it reaches, so a search costs the same on a slot of any
-length.  Every ``_NODE_STRIDE``-th point is a node; the nodes are walked
-in chunks that double up to ``_NODE_CHUNK_MAX`` stretches, a stretch
-between two nodes where the certificate shows the predicate false is
-skipped, and only the others' points are evaluated, in doubling batches:
-the first point where the predicate holds is the one a scan of every
-point finds.
+``first_crossing`` takes a certificate, ``sim.EventRule.quiet`` in the
+fire search.  It reads the floats of ``np.linspace`` only at the points
+it reaches, so a search costs the same on a slot of any length.  Every
+``_NODE_STRIDE``-th point is a node; the nodes are walked in chunks that
+double up to ``_NODE_CHUNK_MAX`` stretches, a stretch between two nodes
+where the certificate shows the predicate false is skipped, and only the
+others' points are evaluated, in doubling batches: the first point where
+the predicate holds is the one a scan of every point finds.
 """
 
 from __future__ import annotations
@@ -172,12 +173,6 @@ def bisect_crossing(pred, lo: float, hi: float, tol: float) -> tuple[float, floa
     return lo, hi
 
 
-def _bracket_hit(pred, start: float, grid, hit: int, tol: float) -> tuple[float, float]:
-    """``bisect_crossing`` from the point before ``grid[hit]`` (start, for the first) to it."""
-    lo = float(grid[hit - 1]) if hit else start
-    return bisect_crossing(pred, lo, float(grid[hit]), tol)
-
-
 def first_crossing(pred, start: float, stop: float, count: int, tol: float,
                    quiet) -> tuple[float, float] | None:
     """Bracket of pred's first crossing along ``np.linspace(start, stop, count + 1)[1:]``.
@@ -236,7 +231,8 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float) -> float:
     Returns ``math.inf`` when the bound never comes back to 1 (eps0 = 0
     with h0 < 1, or h0 = 1 with eps0 = 0).  A crossing at tau = 0 with
     negative slope (h0 = 1, small eps0) is skipped: only crossings with
-    nonnegative slope count.
+    nonnegative slope count.  Each window is ``first_crossing``'s
+    ``np.linspace`` grid, with a certificate that certifies nothing.
     """
     if not 0.0 <= h0 <= 1.0:
         raise DomainError("h0 must lie in [0, 1]")
@@ -250,15 +246,15 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float) -> float:
 
     wm = c.decay_gap + c.growth_rate
     above = lambda tau: perf_bound(plant, tau, h0, eps0) > 1.0
+    certifies_nothing = lambda nodes: np.zeros(len(nodes) - 1, dtype=bool)
 
     lo, hi = 0.0, 1.0 / wm
     # Expand geometrically until the bound has crossed 1; it always does
     # for eps0 > 0 since the bound grows like e^{mu tau}.
     for _ in range(200):
-        grid = np.linspace(lo, hi, _SCAN_POINTS + 1)[1:]
-        hits = np.flatnonzero(above(grid))
-        if hits.size:
-            return _bracket_hit(above, lo, grid, int(hits[0]), ROOT_TOL)[1]
+        found = first_crossing(above, lo, hi, _SCAN_POINTS, ROOT_TOL, certifies_nothing)
+        if found is not None:
+            return found[1]
         lo, hi = hi, hi + 2.0 * (hi - lo)
     raise DomainError("performance bound crossing not found (scan exhausted)")
 
@@ -270,8 +266,8 @@ def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
     e^{(beta/2) tau} / 2^p * (e^{(w+mu)T}-1)/(e^{(w+mu)T}-e^{(w+mu) tau})``
     reaches 1, and ``tm[p] = sigma * min(gamma1, T, floors[p])``; both are
     NaN at p = 0.  The growth factor, which p does not enter, is evaluated
-    once on a grid of [0, T]; each p's bracket at its first grid hit is
-    shrunk by ``_bracket_hit``.
+    once on a grid of [0, T]; ``bisect_crossing`` shrinks each p's bracket
+    from the point before its first grid hit (0, for the first) to that hit.
     """
     T = config.lookahead
     c = plant.constants
@@ -297,8 +293,9 @@ def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
     floors = np.full(pmax + 1, np.nan)
     for p in range(1, pmax + 1):
         hit = int(np.argmax(reached(p, grid, *on_grid)))
-        floors[p] = _bracket_hit(lambda tau: reached(p, tau, *factors(tau)), 0.0, grid, hit,
-                                ROOT_TOL)[1]
+        lo = float(grid[hit - 1]) if hit else 0.0
+        floors[p] = bisect_crossing(lambda tau: reached(p, tau, *factors(tau)), lo,
+                                    float(grid[hit]), ROOT_TOL)[1]
     tm = config.sigma * np.minimum(min(plant.gamma1, T), floors)
     return floors, tm
 

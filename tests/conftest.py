@@ -14,7 +14,7 @@ from etcsim.errors import AdmissibilityError
 from etcsim.scenario import load_scenario
 from etcsim.sim import _Engine, check_admissibility, run
 from etcsim.triggers import (ROOT_TOL, TriggerConfig, bisect_crossing, blackout_entry_margin,
-                             exp_growth_inf, trigger_constants)
+                             exp_growth_inf, perf_bound, trigger_constants)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -106,6 +106,30 @@ def delay_floor_oracle(plant, T, p):
     hit = a + int(hits[0])
     return bisect_crossing(g_above, float(grid[hit - 1]) if hit else 0.0, float(grid[hit]),
                            ROOT_TOL)[1]
+
+
+def violation_time_oracle(plant, h0, eps0):
+    """The scan ``triggers.time_to_perf_violation`` runs, one point at a time: its oracle
+    where that scan runs (eps0 > 0, and not h0 = 1 with a nonnegative slope at 0).
+
+    The same windows: ``np.linspace(lo, hi, 1001)[1:]`` from [0, 1/(w+mu)], each next
+    window starting at the last one's end and twice as long as it.  Each point's
+    ``perf_bound`` is evaluated alone; the first above 1 ends the bracket that
+    ``scalar_bisect`` shrinks from the point before it.
+    """
+    c = plant.constants
+
+    def above(tau):
+        return float(perf_bound(plant, tau, h0, eps0)) > 1.0
+
+    lo, hi = 0.0, 1.0 / (c.decay_gap + c.growth_rate)
+    while True:
+        prev = lo
+        for tau in np.linspace(lo, hi, 1001)[1:].tolist():
+            if above(tau):
+                return scalar_bisect(above, prev, tau, ROOT_TOL)[1]
+            prev = tau
+        lo, hi = hi, hi + 2.0 * (hi - lo)
 
 
 # Coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the largest

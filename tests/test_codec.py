@@ -10,6 +10,17 @@ from etcsim.linalg import inf_norm
 from etcsim.plant import build_plant
 
 
+def cell_loop(err, bound, p):
+    """The quantizer one dimension at a time, in Python: the reference for ``encode``'s
+    symbols and ``decode_and_update``'s centres."""
+    cells = 1 << p
+    width = 2.0 * bound / cells
+    if width == 0.0:
+        return (0,) * len(err), [0.0] * len(err)
+    symbols = tuple(min(max(int(np.ceil((e + bound) / width)) - 1, 0), cells - 1) for e in err)
+    return symbols, [-bound + (s + 0.5) * width for s in symbols]
+
+
 @pytest.fixture(scope="module")
 def drift_free_plant():
     # A = 0 keeps the error bound constant between updates.
@@ -28,6 +39,29 @@ class TestEncode:
         pkt = encode(drift_free_plant, [1.0, -1.0], state, p=1, t=0.0)
         assert pkt.symbols == (0, 0)
 
+    def test_most_bits_top_cell_and_boundary(self, drift_free_plant):
+        # p = 52: cells of width 2^-51 on [-1, 1], every index and centre exact in float64.
+        state = initial_state([0.0, 0.0], 1.0)
+        top, bottom = encode(drift_free_plant, [1.0, -1.0], state, p=52, t=0.0).symbols
+        assert (top, bottom) == (2 ** 52 - 1, 0)
+        # 0 and 2^-51 are boundaries: each falls to the cell below it.
+        pkt = encode(drift_free_plant, [0.0, 2.0 ** -51], state, p=52, t=0.0)
+        assert pkt.symbols == (2 ** 51 - 1, 2 ** 51)
+        new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+        assert new.x_hat.tolist() == [-2.0 ** -52, 2.0 ** -52]
+        top_pkt = encode(drift_free_plant, [1.0, 1.0], state, p=52, t=0.0)
+        new = decode_and_update(drift_free_plant, top_pkt, state, r_tilde=0.0)
+        assert new.x_hat.tolist() == [1.0 - 2.0 ** -52] * 2
+
+    def test_zero_bound_sends_zero_symbols(self, drift_free_plant):
+        # d_e = 0 makes every cell width 0: all symbols are 0 and the update keeps x_hat.
+        state = initial_state([0.5, -0.5], 0.0)
+        pkt = encode(drift_free_plant, [0.5, -0.5], state, p=3, t=0.0)
+        assert pkt.symbols == (0, 0)
+        new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+        assert new.x_hat.tolist() == [0.5, -0.5]
+        assert new.step == 0.0
+
     def test_round_trip_error_within_half_cell(self, drift_free_plant, rng):
         d_e = 2.0
         for p in (1, 2, 4, 6):
@@ -37,6 +71,21 @@ class TestEncode:
                 pkt = encode(drift_free_plant, err, state, p=p, t=0.0)
                 new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
                 assert inf_norm(err - new.x_hat) <= d_e / 2 ** p + 1e-12
+
+    @pytest.mark.parametrize("p", [1, 8, 31, 52])
+    def test_cells_match_the_loop_bit_for_bit(self, drift_free_plant, rng, p):
+        # A = 0 and x_hat = 0: the error is x, and an instant update's estimate is the centres.
+        d_e = 1.5
+        cells = np.arange(0, 2 ** p, max(1, 2 ** p // 16))
+        boundaries = -d_e + cells * (2.0 * d_e / 2 ** p)
+        errs = np.concatenate([rng.uniform(-d_e, d_e, 64), boundaries, [-d_e, d_e]])
+        state = initial_state([0.0, 0.0], d_e)
+        for err in errs.reshape(-1, 2):
+            pkt = encode(drift_free_plant, err, state, p=p, t=0.0)
+            symbols, centres = cell_loop(err, d_e, p)
+            assert pkt.symbols == symbols
+            new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+            assert new.x_hat.tolist() == centres
 
     def test_out_of_box_error_raises(self, drift_free_plant):
         state = initial_state([0.0, 0.0], 1.0)

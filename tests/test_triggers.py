@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import delay_floor_oracle, scalar_bisect
+from conftest import SCENARIOS, delay_floor_oracle, scalar_bisect, violation_time_oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -14,6 +14,7 @@ from etcsim.channel import ChannelSchedule
 from etcsim.errors import DomainError
 from etcsim.linalg import inf_norm
 from etcsim.plant import build_plant
+from etcsim.scenario import load_scenario
 from etcsim.triggers import (
     _NODE_CHUNK,
     _NODE_CHUNK_MAX,
@@ -322,6 +323,23 @@ class TestTimeToPerfViolation:
     def test_frozen_value(self, ref_plant):
         assert time_to_perf_violation(ref_plant, 1.0, 1.0) == pytest.approx(
             GAMMA_UNIT, abs=1e-8)
+
+    @pytest.mark.parametrize("stem", ["sec6", "clear10", "jordan4"])
+    def test_gamma1_matches_pointwise_scan_bit_for_bit(self, stem):
+        plant = load_scenario(SCENARIOS / f"{stem}.json")[0].plant
+        assert plant.gamma1 == violation_time_oracle(plant, 1.0, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h0=st.floats(0.0, 1.0), eps0=st.floats(1e-6, 1e3))
+    @example(h0=1.0, eps0=1e-6)
+    @example(h0=0.0, eps0=1e3)
+    @pytest.mark.parametrize("plant", ["reference", "jordan"])
+    def test_matches_pointwise_scan_bit_for_bit(self, ref_plant, plant, h0, eps0):
+        plant = ref_plant if plant == "reference" else JORDAN
+        c = plant.constants
+        if h0 == 1.0 and c.guarded_decay_gap * eps0 - c.decay_gap * h0 >= 0.0:
+            return  # closed form: 0, with no scan
+        assert time_to_perf_violation(plant, h0, eps0) == violation_time_oracle(plant, h0, eps0)
 
     def test_infinite_without_error(self, ref_plant):
         assert time_to_perf_violation(ref_plant, 0.5, 0.0) == math.inf
