@@ -2,10 +2,10 @@
 
 Everything here works on matrices of dimension ~2..6.  ``ExpKernel`` is
 the one matrix exponential: built once per matrix, it evaluates
-``exp(M t)`` at one time or a whole array of times, in closed form
-through an eigendecomposition when the eigenvector basis is well
-conditioned and otherwise by scaling and squaring around a truncated
-Taylor series whose matrix powers are tabulated once per kernel.  The
+``exp(M t) x`` and ``||exp(M t)||_inf`` at one time or a whole array of
+times, in closed form through an eigendecomposition when the eigenvector
+basis is well conditioned and otherwise by scaling and squaring around a
+truncated Taylor series whose matrix powers are tabulated once per kernel.  The
 Lyapunov equation is solved by Kronecker vectorisation to an ``n^2 x n^2``
 linear system with partially pivoted elimination.
 """
@@ -88,7 +88,8 @@ def sym_eig_extremes(S) -> tuple[float, float]:
 
 
 class ExpKernel:
-    """``exp(M t)`` for one square matrix M, at a time t >= 0 or an array of times.
+    """``exp(M t) x`` (``flow``) and ``||exp(M t)||_inf`` (``inf_norm``) for one square
+    matrix M, at a time t >= 0 or an array of times.
 
     When the eigenvector basis V of M is well conditioned every query is
     the closed form ``V diag(e^{w t}) V^{-1}``, with no step-to-step
@@ -109,7 +110,7 @@ class ExpKernel:
     Each squaring can double the relative error, so a time's result is good
     to about ``2^s e^{2 theta} u <= max(1, 2 t nu / theta) e^{2 theta} u``.
 
-    At a scalar ``t = 0`` both branches return the identity exactly; t must
+    At a scalar ``t = 0`` both branches return x and 1 exactly; t must
     be finite and nonnegative, and a t past the time at which the result
     could overflow raises NumericalError.
     """
@@ -142,16 +143,6 @@ class ExpKernel:
         if hi > self._t_max:
             raise NumericalError(f"exp(M t) may overflow past t = {self._t_max:.6g}, got {hi:.6g}")
         return ts
-
-    def __call__(self, t) -> np.ndarray:
-        """``exp(M t)``; an array of times gives the stack, shape ``t.shape + (k, k)``."""
-        ts = self._times(t)
-        if ts.ndim == 0 and ts == 0.0:
-            return np.eye(self.M.shape[0])
-        if self._eig is None:
-            return self._series(ts)
-        w, V, Vi = self._eig
-        return ((V * np.exp(ts[..., None, None] * w)) @ Vi).real
 
     def inf_norm(self, t):
         """``||exp(M t)||_inf``; an array of times gives one norm per time.

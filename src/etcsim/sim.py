@@ -6,6 +6,10 @@ slot) runs the blackout design, with capacity plans, the packet bound
 the clear-channel design.  A breach raised by the engine (exit 4 or 5)
 carries the trace recorded before it as its ``trace``.
 
+A run is a function of its send times: the loop takes each from the fire
+search (``_Engine._locate_fire``), and a send uses the channel values of
+the slot ``ChannelSchedule.slot_at`` gives its time.
+
 The plant, estimate and error bound all admit closed-form propagation,
 so there is no integrator error: segments between events are evaluated
 by one exponential kernel of the block dynamics, built once per engine
@@ -154,8 +158,9 @@ class Scenario:
 class Transmission(TransmissionRecord):
     """One realized transmission with the trigger quantities at its endpoints.
 
-    Carries the packet's quantizer symbols so a trace can be audited
-    against an independent decoder replica.
+    Carries the packet's quantizer symbols.  The replay audit feeds a run's
+    send times to the engine's loop in place of the fire search and gets
+    the run's trace, transmissions and symbols back byte for byte.
     """
 
     k: int
@@ -245,8 +250,9 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
 
     if cap0 >= 1:
         gate, l1, l2, _ = rule.terms(0.0, h0, eps0, j0)
-        if gate:
-            ok, witness = l1 <= 1.0 and l2 <= 1.0, (0.0, float(l1), float(l2))
+        if gate:  # where l1 exceeds 1, l2 bounds nothing: its witness is None
+            ok = l1 <= 1.0 and l2 <= 1.0
+            witness = (0.0, float(l1), float(l2) if l1 <= 1.0 else None)
         else:
             ok, witness = False, (0.0, int(rule.psi(0.0, j0)))
         checks.append(CheckResult("initial_triggers", ok, (witness,),
@@ -481,7 +487,9 @@ class _Engine:
         self.exp_block = ExpKernel(np.block([[A, B @ K], [np.zeros_like(A), Abar]]))
 
         self.scan_step = min(float(np.min(self.sched.durations)) / 50.0, self.rule.tm[1] / 10.0)
-        if self.horizon / self.scan_step >= _MAX_SCAN_POINTS:
+        # The fire search grids the slot that holds the horizon to its end.
+        scan_end = float(self.sched.theta[self.sched.slot_index(self.horizon) + 1])
+        if scan_end / self.scan_step >= _MAX_SCAN_POINTS:
             raise ConfigurationError(f"the default scan step {self.scan_step:.3g} gives "
                                      "2^53 or more scan points over the horizon")
         self.sample_step = (scenario.sample_step if scenario.sample_step is not None
@@ -505,21 +513,24 @@ class _Engine:
     # -- fire location ---------------------------------------------------------
 
     def _locate_fire(self, t_start: float):
-        """Next transmit time at or after t_start, or None before the horizon.
+        """Next send time at or after t_start, or None if there is none before the horizon.
 
-        Returns (time, slot_index) with the slot whose channel values the
-        transmission uses; right-limit-driven firings at a breakpoint
-        whose own gate fails are nudged just inside the next slot.
+        The send uses the values of slot ``sched.slot_at(t)``, the one
+        ``validate_sequence`` checks; a firing driven by the right limit at
+        a breakpoint whose own gate fails is nudged just inside the next slot.
 
-        Each slot's fixed-step grid, from the cursor to the slot's end in
-        steps of at most ``scan_step``, is searched by ``first_crossing``,
-        with ``EventRule.quiet`` as its certificate (t_start is a recorded
-        row, so the codec invariant holds there).  Every evaluation reads the
-        state through one ``ExpKernel.flow`` from t_start.  Blackout slots
-        are skipped: no send, so the rule need not be evaluated there.
+        Each slot's fixed-step grid, from the cursor to the slot's end (not
+        the horizon's) in steps of at most ``scan_step``, is searched by
+        ``first_crossing`` with ``EventRule.quiet`` as its certificate
+        (t_start is a recorded row, so the codec invariant holds there).  A
+        hit at or past ``horizon - ROOT_TOL`` is dropped, so a run cut at an
+        earlier horizon is a prefix of the longer one.  Every evaluation
+        reads the state through one ``ExpKernel.flow`` from t_start.  Blackout
+        slots are skipped: no send, so the rule need not be evaluated there.
         """
         flow, work, plant, rule = self.exp_block.flow(self.x_aug), self.work, self.plant, self.rule
         levels, d_e = rule.levels, self.enc.d_e
+        stop = self.horizon - ROOT_TOL
 
         def ratios(ts):
             return levels(ts, flow(np.subtract(ts, t_start)), d_e(plant, ts))[:2]
@@ -536,33 +547,30 @@ class _Engine:
             return certified
 
         cursor = t_start
-        while cursor < self.horizon - ROOT_TOL:
+        while cursor < stop:
             j = self.sched.right_slot_index(cursor)
             # Explicit test at the segment start: left slot values when the
             # cursor is mid-slot or a right-closed boundary, then the right
             # limit when the cursor sits on a breakpoint.
             j_left = self.sched.slot_at(cursor)
             if cursor == t_start and fires(cursor, j_left):
-                return cursor, j_left
+                return cursor
             if j != j_left and fires(cursor, j):
+                # The right limit fired: send at the breakpoint, under the old slot's
+                # values, if its gate is on there, else just inside the next slot.
                 if self.rule.psi(cursor, j_left) >= 1:
-                    # Right-limit term fired while the breakpoint itself is
-                    # admissible: transmit at it under the old slot's values.
-                    return cursor, j_left
-                # Otherwise the rule is first satisfied just inside the next
-                # slot; nudge the transmit time so slot attribution, rate and
-                # validation stay consistent.
-                return min(cursor + _NUDGE, self.horizon), j
-            seg_end = min(float(self.sched.theta[j + 1]), self.horizon)
+                    return cursor
+                return min(cursor + _NUDGE, self.horizon)
+            seg_end = float(self.sched.theta[j + 1])
             if self.sched.caps[j] > 0:
                 count = max(1, int(math.ceil((seg_end - cursor) / self.scan_step)))
                 found = first_crossing(lambda s: fires(s, j), cursor, seg_end, count,
                                        ROOT_TOL, lambda nodes: quiet(nodes, j))
                 if found is not None:
-                    # Transmit at the last pre-crossing instant: there the channel
+                    # Send at the last pre-crossing instant: there the channel
                     # bound is still strictly below 1, so the required bit count
                     # is guaranteed to fit the allowed packet size.
-                    return found[0], j
+                    return found[0] if found[0] < stop else None
             cursor = seg_end
         return None
 
@@ -647,9 +655,9 @@ class _Engine:
         fits = np.flatnonzero(vals <= 1.0)
         return int(ps[fits[0]]) if fits.size else None
 
-    def _fire(self, t: float, j: int):
-        """Send at t in slot j: the packet, its reception time and the ratios h, eps at t."""
-        x = self.x_aug[:self.n]
+    def _fire(self, t: float):
+        """Send at t, in slot ``slot_at(t)``: the packet, its reception time and h, eps at t."""
+        x, j = self.x_aug[:self.n], self.sched.slot_at(t)
         h, eps = map(float, self.rule.ratios(t, self.x_aug, self.enc.d_e(self.plant, t)))
         rate = float(self.sched.rates[j])
         cap_eff = int(self.rule.psi(t, j))
@@ -685,9 +693,9 @@ class _Engine:
         """The checked trace of the run; a breach found in it carries the trace so far."""
         try:
             self._record(np.zeros(1), self.x_aug[None], np.array([self.enc.d_e(self.plant, 0.0)]))
-            while (fire := self._locate_fire(self.t)) is not None:
-                self._advance(fire[0])
-                pkt, r, h, eps = self._fire(*fire)
+            while (t := self._locate_fire(self.t)) is not None:
+                self._advance(t)
+                pkt, r, h, eps = self._fire(t)
                 if r >= self.horizon - ROOT_TOL:
                     break
                 self._advance(r)

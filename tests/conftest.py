@@ -132,6 +132,23 @@ def violation_time_oracle(plant, h0, eps0):
         lo, hi = hi, hi + 2.0 * (hi - lo)
 
 
+def exp_matrix(kernel, t):
+    """``exp(M t)`` of an ``ExpKernel``, by the kernel's own branch: the matrices its
+    ``flow`` and ``inf_norm`` are checked against.
+
+    An array of times gives the stack, shape ``t.shape + (k, k)``; a scalar ``t = 0``
+    gives the identity exactly.  The closed form is ``V diag(e^{w t}) V^{-1}``, and a
+    kernel with no eigenvector basis reads its ``_series``.
+    """
+    ts = kernel._times(t)
+    if ts.ndim == 0 and ts == 0.0:
+        return np.eye(kernel.M.shape[0])
+    if kernel._eig is None:
+        return kernel._series(ts)
+    w, V, Vi = kernel._eig
+    return ((V * np.exp(ts[..., None, None] * w)) @ Vi).real
+
+
 # Coefficients b_0..b_13 of the degree-13 Pade approximant to exp, and the largest
 # 1-norm of X for which it meets unit roundoff (Higham, SIMAX 2005).
 PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -185,6 +202,25 @@ def check_invariants(scn, trace):
             idx = np.flatnonzero(trace.t == tau_l)
             margin = blackout_entry_margin(scn.plant, float(sched.theta[b + 1]) - tau_l)
             assert idx.size and trace.eps[idx[-1]] <= margin
+
+
+class ReplayEngine(_Engine):
+    """``_Engine`` whose sends are the given times, in order, in place of its fire search:
+    the oracle that a run is a function of its sends.
+
+    Everything after the search is the engine's own loop, so a run's send times, replayed,
+    give back its trace, transmissions and stats (``diagnostics.work`` counts the search,
+    so it reads 0 here).  It takes times, not a transmissions CSV: a send whose reception
+    or update falls at or after the horizon is not in ``transmissions``, because the loop
+    stops before ``_apply_update``.
+    """
+
+    def __init__(self, scenario, sends):
+        super().__init__(scenario)
+        self._sends = iter(sends)
+
+    def _locate_fire(self, t_start):
+        return next(self._sends, None)
 
 
 class ScanChunks:

@@ -36,7 +36,8 @@ from etcsim.triggers import (
 
 
 def whole_slot_locate_fire(eng, t_start):
-    """Reference for ``_Engine._locate_fire``: each slot's grid scanned in one array."""
+    """Reference for ``_Engine._locate_fire``: each slot's grid, to the slot's end, scanned
+    in one array, and a hit at or past ``horizon - ROOT_TOL`` dropped."""
     anchor_x = eng.x_aug.copy()
 
     def fires(ts, j):
@@ -44,18 +45,16 @@ def whole_slot_locate_fire(eng, t_start):
         h, eps = eng.rule.ratios(ts, xs, eng.enc.d_e(eng.plant, ts))
         return eng.rule.fires(ts, h, eps, j)
 
-    cursor = t_start
-    while cursor < eng.horizon - ROOT_TOL:
-        if cursor >= eng.sched.end:
-            return None
+    cursor, stop = t_start, eng.horizon - ROOT_TOL
+    while cursor < stop:
         j, j_left = eng.sched.right_slot_index(cursor), eng.sched.slot_at(cursor)
         if cursor == t_start and fires(cursor, j_left):
-            return cursor, j_left
+            return cursor
         if j != j_left and fires(cursor, j):
             if eng.rule.psi(cursor, j_left) >= 1:
-                return cursor, j_left
-            return min(cursor + _NUDGE, eng.horizon), j
-        seg_end = min(float(eng.sched.theta[j + 1]), eng.horizon)
+                return cursor
+            return min(cursor + _NUDGE, eng.horizon)
+        seg_end = float(eng.sched.theta[j + 1])
         count = max(1, int(math.ceil((seg_end - cursor) / eng.scan_step)))
         grid = np.linspace(cursor, seg_end, count + 1)[1:]
         hits = np.flatnonzero(fires(grid, j)) if eng.sched.caps[j] > 0 else []
@@ -63,7 +62,7 @@ def whole_slot_locate_fire(eng, t_start):
             hit = hits[0]
             lo = cursor if hit == 0 else float(grid[hit - 1])
             lo, _ = scalar_bisect(lambda t: bool(fires(t, j)), lo, float(grid[hit]), ROOT_TOL)
-            return lo, j
+            return lo if lo < stop else None
         cursor = seg_end
     return None
 
@@ -81,21 +80,21 @@ class TestLocateCrossing:
         # sec6 first fires near 2.1 ms; a 10 ms scan step brackets it in step one.
         coarse = copy.copy(blackout_engine)
         coarse.scan_step = 0.01
-        t, j = coarse._locate_fire(0.0)
-        assert j == 0
+        t = coarse._locate_fire(0.0)
+        assert coarse.sched.slot_at(t) == 0
         assert 0.0 < t < 0.01
-        assert t == pytest.approx(blackout_engine._locate_fire(0.0)[0], abs=2e-9)
+        assert t == pytest.approx(blackout_engine._locate_fire(0.0), abs=2e-9)
 
     def test_true_at_start(self, blackout_engine):
-        assert self.engine_with_error(blackout_engine, 50.0)._locate_fire(0.0) == (0.0, 0)
+        assert self.engine_with_error(blackout_engine, 50.0)._locate_fire(0.0) == 0.0
 
     def test_right_limit_fires_at_breakpoint(self, blackout_engine):
         # Slot 0's planned bits are gone just before 2.44, so the rule is off
         # there and at 2.44 itself; under slot 1's values it fires, and the
         # send is nudged just inside slot 1.
         eng = self.engine_with_error(blackout_engine, 50.0)
-        t, j = eng._locate_fire(2.44 - 1e-4)
-        assert j == 1
+        t = eng._locate_fire(2.44 - 1e-4)
+        assert eng.sched.slot_at(t) == 1
         assert t == pytest.approx(2.44 + 1e-9, abs=1e-15)
 
     def test_right_limit_fires_at_breakpoint_under_the_old_slot(self):
@@ -114,8 +113,8 @@ class TestLocateCrossing:
         h, eps = rule.ratios(t, eng.x_aug, eng.enc.d_e(plant, t))
         assert h == pytest.approx(0.1) and eps == pytest.approx(4000.0)
         assert not rule.fires(t, h, eps, 0) and rule.fires(t, h, eps, 1)
-        assert eng._locate_fire(t) == (t, 0)
-        pkt, r, _, _ = eng._fire(t, 0)
+        assert eng._locate_fire(t) == t and scn.schedule.slot_at(t) == 0
+        pkt, r, _, _ = eng._fire(t)
         assert scn.schedule.caps[1] < pkt.p_k <= scn.schedule.caps[0]
         TransmissionRecord(t_k=t, p_k=pkt.p_k, r_k=r, r_tilde_k=r).validate(scn.schedule)
 
@@ -127,8 +126,8 @@ class TestLocateCrossing:
     def test_refinement_under_scan_halving(self, blackout_engine):
         fine = copy.copy(blackout_engine)
         fine.scan_step = blackout_engine.scan_step / 2
-        t1, _ = blackout_engine._locate_fire(0.0)
-        t2, _ = fine._locate_fire(0.0)
+        t1 = blackout_engine._locate_fire(0.0)
+        t2 = fine._locate_fire(0.0)
         assert abs(t1 - t2) <= 2e-9
 
 
@@ -149,7 +148,7 @@ class TestSearchMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert found is not None and found[0] < 0.01
+        assert found is not None and found < 0.01
         assert peak < whole / 4
 
 
@@ -158,13 +157,14 @@ class TestChunkedScan:
 
     From the initial state the rule fires after 13 grid points, at 2.117 ms;
     at a 50 ns step the hit lies in the fourth chunk of nodes (stretches
-    448-959), a full chunk with a 4 ms horizon and a last, partial one with
-    2.2 ms.  From the zero state, with no error bound, it never fires.  The
-    plain scan's chunks are checked in ``test_triggers.py``.
+    448-959), a full chunk when the first slot is cut at 4 ms and a last,
+    partial one when it is cut at 2.2 ms (the grid runs to the slot's end).
+    From the zero state, with no error bound, it never fires.  The plain
+    scan's chunks are checked in ``test_triggers.py``.
     """
 
     CASES = {
-        # name: (error bound or None to keep it, scan step, horizon, zero state)
+        # name: (error bound or None to keep it, scan step, first slot's cut, zero state)
         "first_chunk": (None, None, None, False),
         "certified_after_doublings": (None, 5e-8, 4e-3, False),
         "certified_last_partial_chunk": (None, 5e-8, 2.2e-3, False),
@@ -176,15 +176,20 @@ class TestChunkedScan:
 
     @classmethod
     def engine(cls, request, channel, case):
-        de, step, horizon, zero = cls.CASES[case]
+        de, step, cut, zero = cls.CASES[case]
         eng = copy.copy(request.getfixturevalue(f"{channel}_engine"))
+        if cut is not None:
+            # Slot 0 split in two at cut.  The first piece's rate carries the whole slot's
+            # bits, so psi stays at the cap and the rule before cut is the unsplit slot's.
+            s = eng.sched
+            eng = _Engine(dataclasses.replace(eng.scn, schedule=ChannelSchedule(
+                np.r_[0.0, cut, s.theta[1:]], np.r_[s.rates[0] * s.theta[1] / cut, s.rates],
+                np.r_[s.caps[:1], s.caps], s.n)))
         eng.work = dict.fromkeys(eng.work, 0)
         if de is not None:
             eng.enc = initial_state(np.zeros(2), de)
         if step is not None:
             eng.scan_step = step
-        if horizon is not None:
-            eng.horizon = horizon
         if zero:
             eng.x_aug = np.zeros(4)
         return eng
@@ -889,6 +894,17 @@ class TestAdmissibility:
         check = next(c for c in report.conditions if c.name == "initial_triggers")
         assert not check.ok
         assert check.witnesses == ((0.0, 0),)
+
+    def test_l2_witness_is_none_where_l1_exceeds_one(self):
+        # jordan4 at Vd0_factor 1.2 starts at l1 = 1.1287, where error_threshold(l1) is
+        # below 0: l2 (-0.1775 as computed) bounds nothing, so its witness is None.
+        doc = json.loads((SCENARIOS / "jordan4.json").read_text())
+        doc["plant"]["Vd0_factor"] = 1.2
+        report = check_admissibility(build_scenario(doc))
+        check = next(c for c in report.conditions if c.name == "initial_triggers")
+        [(t, l1, l2)] = check.witnesses
+        assert not check.ok and t == 0.0 and l1 > 1.0 and l2 is None
+        assert f"witnesses=[(0.0, {l1!r}, None)]" in str(report)
 
 
 class TestScenarioValidation:

@@ -25,7 +25,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import SCENARIOS, check_invariants, pade13_expression_form
+from conftest import SCENARIOS, check_invariants, exp_matrix, pade13_expression_form
 
 from etcsim import codec, linalg, plant
 from etcsim.scenario import build_scenario
@@ -37,7 +37,7 @@ T_TOL = 1e-8
 
 def reference_formulas(mp):
     """Patch the formulas this contract was written for back to their earlier form."""
-    mp.setattr(linalg.ExpKernel, "inf_norm", lambda self, t: linalg.inf_norm(self(t)))
+    mp.setattr(linalg.ExpKernel, "inf_norm", lambda self, t: linalg.inf_norm(exp_matrix(self, t)))
     mp.setattr(linalg.ExpKernel, "_series", lambda self, ts: pade13_expression_form(
         self.M, ts.reshape(-1)).reshape(ts.shape + self.M.shape))
 
