@@ -81,37 +81,28 @@ class ChannelSchedule:
     def durations(self) -> np.ndarray:
         return np.diff(self.theta)
 
-    def slot_index(self, t):
-        """Index j with t in (theta_j, theta_{j+1}]; an array of times gives an array.
+    def slot_at(self, t):
+        """Slot whose values a send at t uses: j with t in (theta_j, theta_{j+1}], 0 at theta_0.
 
-        One float is looked up by ``bisect`` in the breakpoints' Python floats:
-        the comparisons of ``np.searchsorted``, without its per-call cost.
+        An array of times gives the array of their slots.  One float is looked
+        up by ``bisect`` in the breakpoints' Python floats: the comparisons of
+        ``np.searchsorted``, without its per-call cost.
         """
         if isinstance(t, float):
-            if self.start < t <= self.end:
-                return bisect.bisect_left(self._breaks, t) - 1
+            if self.start <= t <= self.end:
+                return max(bisect.bisect_left(self._breaks, t) - 1, 0)
         else:
             ts = np.asarray(t, dtype=float)
-            if np.all((self.start < ts) & (ts <= self.end)):
-                js = np.searchsorted(self.theta, ts, side="left") - 1
+            if np.all((self.start <= ts) & (ts <= self.end)):
+                js = np.maximum(np.searchsorted(self.theta, ts, side="left") - 1, 0)
                 return int(js) if js.ndim == 0 else js
-        raise HorizonError(f"t={t} outside schedule horizon ({self.start}, {self.end}]")
+        raise HorizonError(f"t={t} outside schedule horizon [{self.start}, {self.end}]")
 
     def right_slot_index(self, t: float) -> int:
         """Index of the slot that applies just after t (valid on [theta_0, theta_N))."""
         if not self.start <= t < self.end:
             raise HorizonError(f"t={t} outside [{self.start}, {self.end}) for right limits")
         return bisect.bisect_right(self._breaks, t) - 1
-
-    def slot_at(self, t):
-        """Slot whose values a send at t uses: slot_index, or the right limit at theta_0.
-
-        An array of times gives the array of their slots.
-        """
-        if isinstance(t, float):
-            return self.slot_index(self._breaks[1] if t == self._breaks[0] else t)
-        ts = np.asarray(t, dtype=float)
-        return self.slot_index(np.where(ts == self.start, self.theta[1], ts))
 
     # -- blackouts ----------------------------------------------------------
 

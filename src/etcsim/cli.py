@@ -48,18 +48,15 @@ def write_trace_csv(trace: SimTrace, path: Path) -> None:
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
         # A NaN cell empty and any other its repr, a block of rows at a time, so neither the
-        # table nor its Python floats are ever whole.  A block whose columns are each NaN-free
-        # or all NaN is one %-format: %r per live cell, nothing for a dead one.
+        # table nor its Python floats are ever whole.  A block is one %-format: %r per cell,
+        # nothing for an all-NaN column; a float's repr holds "nan" only if it is NaN, so
+        # one replace empties the other NaN cells.
         for start in range(0, trace.t.size, _CSV_BLOCK):
             block = np.column_stack([col[start:start + _CSV_BLOCK] for col in columns])
-            nan = np.isnan(block)
-            dead, live = nan.all(axis=0), ~nan.any(axis=0)
-            if np.all(dead | live):
-                row = ",".join("" if d else "%r" for d in dead.tolist()) + "\r\n"
-                fh.write(row * len(block) % tuple(block[:, live].ravel().tolist()))
-            else:
-                fh.writelines(",".join("" if v != v else repr(v) for v in row) + "\r\n"
-                              for row in block.tolist())
+            dead = np.isnan(block).all(axis=0)
+            row = ",".join("" if d else "%r" for d in dead.tolist()) + "\r\n"
+            text = row * len(block) % tuple(block[:, ~dead].ravel().tolist())
+            fh.write(text.replace("nan", ""))
 
 
 def write_transmissions_csv(trace: SimTrace, path: Path) -> None:

@@ -22,9 +22,7 @@ from .errors import CausalityError, DomainError, InvariantBreachError
 from .linalg import inf_norm
 from .plant import PlantModel
 
-# Relative slack of the codec invariant ``||x - x_hat||_inf <= d_e`` in the encoder's and the
-# engine recorder's checks, ``err <= d_e (1 + CHECK_SLACK) + 1e-300``; the absolute 1e-300
-# matters only where d_e is below ~1e-290.
+# Relative slack of the codec invariant ``||x - x_hat||_inf <= d_e`` (``exceeds_bound``).
 CHECK_SLACK = 1e-9
 # Most bits per dimension: a cell index plus 1/2 is exact in float64 only below 2^52.
 MAX_BITS = 52
@@ -65,6 +63,12 @@ class CodecState:
         return plant.exp_A.inf_norm(np.subtract(t, self.anchor_time)) * self.step
 
 
+def exceeds_bound(err, d_e):
+    """Where ``err > d_e (1 + CHECK_SLACK) + 1e-300``: the codec invariant's one tolerance, for
+    the encoder and the engine's recorder (the 1e-300 matters only for d_e below ~1e-290)."""
+    return err > d_e * (1.0 + CHECK_SLACK) + 1e-300
+
+
 def initial_state(x_hat0, d_e0: float, t0: float = 0.0) -> CodecState:
     """State at start of the zoom-in phase: bound d_e0 anchored at t0."""
     if d_e0 < 0:
@@ -90,7 +94,7 @@ def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
     bound = state.d_e(plant, t)
     err = x - x_hat
     worst = inf_norm(err)
-    if worst > bound * (1.0 + CHECK_SLACK) + 1e-300:
+    if exceeds_bound(worst, bound):
         raise InvariantBreachError(
             f"encoding error {worst:.6g} exceeds bound {bound:.6g} at t={t}")
     cells = 1 << p

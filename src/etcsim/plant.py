@@ -26,6 +26,8 @@ class RateConstants:
                        (``||A||_inf + beta/2``)
     error_scale        normalisation turning the codec bound d_e into the
                        dimensionless error ratio
+    decay_plus_growth  w + mu, the rate of the bounds' exponentials: a property,
+                       so it cannot disagree with the two fields it adds
     """
 
     decay_gap: float
@@ -33,6 +35,10 @@ class RateConstants:
     growth_rate: float
     growth_rate_inf: float
     error_scale: float
+
+    @property
+    def decay_plus_growth(self) -> float:
+        return self.decay_gap + self.growth_rate
 
 
 @dataclass(frozen=True)

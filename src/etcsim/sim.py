@@ -125,7 +125,7 @@ class Scenario:
         if self.sample_step is not None and not self.sample_step > 0:
             raise ConfigurationError("sample_step must be positive")
         c = self.plant.constants
-        if (c.decay_gap + c.growth_rate) * self.trigger.lookahead > math.log(np.finfo(float).max):
+        if c.decay_plus_growth * self.trigger.lookahead > math.log(np.finfo(float).max):
             raise ConfigurationError("lookahead T is too long: e^{(w+mu) T} overflows a float")
         if self.d_e0 < inf_norm(self.x0 - self.x_hat0):
             raise ConfigurationError("d_e0 must dominate the initial estimate error")
@@ -323,7 +323,7 @@ class EventRule:
         # perf_bound's factors e^{(w+mu) T_M(p)} - 1 and e^{w T_M(p)}; channel_bound's 2^p
         # (indexed by p, like tm).
         c = self.plant.constants
-        self._wm = c.decay_gap + c.growth_rate
+        self._wm = c.decay_plus_growth
         self._growth = np.expm1(self._wm * self.tm)
         self._decay = np.exp(c.decay_gap * self.tm)
         self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
@@ -479,6 +479,8 @@ class _Engine:
         self.rule = scenario.rule
         self.n = self.plant.n
         self.horizon = scenario.horizon
+        # A time at or past the cut is the horizon: no sample, send or update lies there.
+        self.cut = self.horizon - ROOT_TOL
         self.blackouts = self.sched.blackout_slots()
         if self.rule.pmax < 1:
             raise ConfigurationError("schedule has no usable slot")
@@ -488,7 +490,7 @@ class _Engine:
 
         self.scan_step = min(float(np.min(self.sched.durations)) / 50.0, self.rule.tm[1] / 10.0)
         # The fire search grids the slot that holds the horizon to its end.
-        scan_end = float(self.sched.theta[self.sched.slot_index(self.horizon) + 1])
+        scan_end = float(self.sched.theta[self.sched.slot_at(self.horizon) + 1])
         if scan_end / self.scan_step >= _MAX_SCAN_POINTS:
             raise ConfigurationError(f"the default scan step {self.scan_step:.3g} gives "
                                      "2^53 or more scan points over the horizon")
@@ -507,7 +509,7 @@ class _Engine:
         self.work = dict.fromkeys(
             ("rule_points", "rule_calls", "certified_intervals", "scanned_intervals"), 0)
         grid = np.arange(1, int(np.floor(self.horizon / self.sample_step)) + 1) * self.sample_step
-        self.sample_times = grid[grid < self.horizon - ROOT_TOL]
+        self.sample_times = grid[grid < self.cut]
         self._sample_idx = 0
 
     # -- fire location ---------------------------------------------------------
@@ -523,14 +525,13 @@ class _Engine:
         the horizon's) in steps of at most ``scan_step``, is searched by
         ``first_crossing`` with ``EventRule.quiet`` as its certificate
         (t_start is a recorded row, so the codec invariant holds there).  A
-        hit at or past ``horizon - ROOT_TOL`` is dropped, so a run cut at an
+        hit at or past ``cut = horizon - ROOT_TOL`` is dropped, so a run cut at an
         earlier horizon is a prefix of the longer one.  Every evaluation
         reads the state through one ``ExpKernel.flow`` from t_start.  Blackout
         slots are skipped: no send, so the rule need not be evaluated there.
         """
         flow, work, plant, rule = self.exp_block.flow(self.x_aug), self.work, self.plant, self.rule
         levels, d_e = rule.levels, self.enc.d_e
-        stop = self.horizon - ROOT_TOL
 
         def ratios(ts):
             return levels(ts, flow(np.subtract(ts, t_start)), d_e(plant, ts))[:2]
@@ -547,7 +548,7 @@ class _Engine:
             return certified
 
         cursor = t_start
-        while cursor < stop:
+        while cursor < self.cut:
             j = self.sched.right_slot_index(cursor)
             # Explicit test at the segment start: left slot values when the
             # cursor is mid-slot or a right-closed boundary, then the right
@@ -570,7 +571,7 @@ class _Engine:
                     # Send at the last pre-crossing instant: there the channel
                     # bound is still strictly below 1, so the required bit count
                     # is guaranteed to fit the allowed packet size.
-                    return found[0] if found[0] < stop else None
+                    return found[0] if found[0] < self.cut else None
             cursor = seg_end
         return None
 
@@ -601,7 +602,7 @@ class _Engine:
         h, eps, v, vd = self.rule.levels(ts, xs, des)
         err = np.maximum.reduce(np.abs(xs[:, :n] - xs[:, n:]), axis=1)
         perf_bad = h > 1.0
-        bad = np.flatnonzero(perf_bad | (err > des * (1.0 + codec_mod.CHECK_SLACK) + 1e-300))
+        bad = np.flatnonzero(perf_bad | codec_mod.exceeds_bound(err, des))
         if bad.size:
             i = bad[0]
             if perf_bad[i]:
@@ -630,7 +631,7 @@ class _Engine:
             raise DomainError("cannot advance backwards")
         samples, theta, i = self.sample_times, self.sched.theta, self._sample_idx
         self._sample_idx = max(i, int(np.searchsorted(samples, t_target + 1e-15, "right")))
-        ts = samples[max(i, int(np.searchsorted(samples, self.t, "right"))):self._sample_idx]
+        ts = samples[i:self._sample_idx]  # i is past every sample up to self.t
         inner = theta[(self.t < theta) & (theta < t_target)]
         if inner.size:  # a sample may fall on a breakpoint: one row for both.  Python's sort,
             # as np.sort's first call pages in ~0.2 MiB of numpy's vectorised sort code.
@@ -696,11 +697,11 @@ class _Engine:
             while (t := self._locate_fire(self.t)) is not None:
                 self._advance(t)
                 pkt, r, h, eps = self._fire(t)
-                if r >= self.horizon - ROOT_TOL:
+                if r >= self.cut:
                     break
                 self._advance(r)
                 r_tilde = self._locate_update(r)
-                if r_tilde >= self.horizon - ROOT_TOL:
+                if r_tilde >= self.cut:
                     break
                 self._advance(r_tilde, record_end=False)
                 self._apply_update(pkt, r, r_tilde, h, eps)

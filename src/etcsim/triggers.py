@@ -79,17 +79,17 @@ class TriggerConfig:
 # closed-form bounds
 
 
-def perf_bound(plant: PlantModel, tau, h0, eps0, growth_rate: float | None = None):
+def perf_bound(plant: PlantModel, tau, h0, eps0, mu: float | None = None):
     """Upper bound on the performance ratio tau ahead of a state (h0, eps0).
 
     ``(h0 + W*eps0/(w+mu) * (e^{(w+mu) tau} - 1)) / e^{w tau}`` with
     w the decay gap, W the guarded gap and mu the error ratio's growth
-    rate: ``growth_rate`` if given, else the plant's.  As a function of
+    rate: ``mu`` if given, else the plant's.  As a function of
     tau it is convex or increasing, so its largest value over an interval
     of tau is at one of the ends.
     """
     c = plant.constants
-    wm = c.decay_gap + (c.growth_rate if growth_rate is None else growth_rate)
+    wm = c.decay_plus_growth if mu is None else c.decay_gap + mu
     growth = np.expm1(wm * np.asarray(tau, dtype=float))
     f1 = h0 + (c.guarded_decay_gap * np.asarray(eps0) / wm) * growth
     return f1 / np.exp(c.decay_gap * np.asarray(tau, dtype=float))
@@ -101,7 +101,7 @@ def error_threshold(plant: PlantModel, T: float, h0):
     ``(w+mu)(1-h0) / (W (e^{(w+mu)T} - 1)) + 1``; always >= 1 on h0 <= 1.
     """
     c = plant.constants
-    wm = c.decay_gap + c.growth_rate
+    wm = c.decay_plus_growth
     return (wm * (1.0 - np.asarray(h0, dtype=float))
             / (c.guarded_decay_gap * math.expm1(wm * T))) + 1.0
 
@@ -134,7 +134,7 @@ def blackout_entry_margin(plant: PlantModel, blackout_len: float) -> float:
     if blackout_len <= 0:
         raise DomainError("blackout length must be positive")
     c = plant.constants
-    wm = c.decay_gap + c.growth_rate
+    wm = c.decay_plus_growth
     first = (math.expm1(c.decay_gap * blackout_len) * wm
              / (c.guarded_decay_gap * math.expm1(wm * blackout_len)))
     second = math.exp(-c.growth_rate_inf * blackout_len)
@@ -180,19 +180,21 @@ def first_crossing(pred, start: float, stop: float, count: int, tol: float,
     Returns None if pred holds at no point.  The points are linspace's floats,
     computed only where the search reads them: ``k * step + start`` at
     linspace's index k, with ``step = (stop - start) / count`` (``k / count *
-    (stop - start) + start`` where step underflows to 0), and stop at the last.
+    (stop - start) + start`` where step underflows to 0), and stop at the last;
+    index -1 gives linspace's first float, ``0 * step + start``: start (+0.0 for -0.0).
     pred maps an array of times to truth values.  quiet, a certificate, maps
     increasing times ``t_0 < ... < t_m`` to m truth values, the i-th true only
     if pred is false at every point in ``(t_i, t_{i+1}]``.
 
     Stretch i holds points ``i S .. (i + 1) S - 1`` (S = ``_NODE_STRIDE``;
-    the last may be shorter) and runs from its node, the last point before
-    it (start for the first), to its own last point.  The nodes are handed to
-    quiet in chunks of ``_NODE_CHUNK``, ``2 _NODE_CHUNK``, ... stretches, up to
-    ``_NODE_CHUNK_MAX``; in each chunk, the points of the stretches quiet leaves
-    open are scanned in batches of ``_OPEN_CHUNK``, ``2 _OPEN_CHUNK``, ...
-    stretches.  The first point where pred holds is the one a scan of every
-    point finds; ``bisect_crossing`` shrinks the bracket from the point before it.
+    the last may be shorter) and runs from its node, the point at index
+    ``i S - 1`` (start, for the first), to its own last point.  The nodes are
+    handed to quiet in chunks of ``_NODE_CHUNK``, ``2 _NODE_CHUNK``, ...
+    stretches, up to ``_NODE_CHUNK_MAX``; in each chunk, the points of the
+    stretches quiet leaves open are scanned in batches of ``_OPEN_CHUNK``,
+    ``2 _OPEN_CHUNK``, ... stretches.  The first point where pred holds is the
+    one a scan of every point finds; ``bisect_crossing`` shrinks the bracket
+    from the point before it.
     """
     delta = stop - start
     step = delta / count
@@ -206,10 +208,7 @@ def first_crossing(pred, start: float, stop: float, count: int, tol: float,
     i, size = 0, _NODE_CHUNK
     while i < stretches:
         last = min(i + size, stretches)
-        # Node m > 0 is the last point of stretch m - 1.
-        nodes = points(np.minimum(np.arange(max(i, 1), last + 1) * stride, count) - 1)
-        if i == 0:
-            nodes = np.concatenate([[start], nodes])
+        nodes = points(np.minimum(np.arange(i, last + 1) * stride, count) - 1)
         open_ = i + np.flatnonzero(~np.asarray(quiet(nodes)))
         idx = (open_[:, None] * stride + np.arange(stride)).ravel()
         idx = idx[idx < count]
@@ -218,7 +217,7 @@ def first_crossing(pred, start: float, stop: float, count: int, tol: float,
             fired = np.flatnonzero(pred(points(idx[a:a + batch])))
             if fired.size:
                 hit = int(idx[a + fired[0]])
-                lo = float(points(hit - 1)) if hit else start
+                lo = float(points(hit - 1))
                 return bisect_crossing(pred, lo, float(points(hit)), tol)
             a, batch = a + batch, 2 * batch
         i, size = last, min(2 * size, _NODE_CHUNK_MAX)
@@ -244,7 +243,7 @@ def time_to_perf_violation(plant: PlantModel, h0: float, eps0: float) -> float:
     if eps0 == 0.0:
         return math.inf  # pure decay below 1, never returns
 
-    wm = c.decay_gap + c.growth_rate
+    wm = c.decay_plus_growth
     above = lambda tau: perf_bound(plant, tau, h0, eps0) > 1.0
     certifies_nothing = lambda nodes: np.zeros(len(nodes) - 1, dtype=bool)
 
@@ -271,7 +270,7 @@ def trigger_constants(plant: PlantModel, config: TriggerConfig, pmax: int):
     """
     T = config.lookahead
     c = plant.constants
-    wm = c.decay_gap + c.growth_rate
+    wm = c.decay_plus_growth
     e_wmT = math.exp(wm * T)
 
     def factors(tau):

@@ -290,7 +290,7 @@ class TestPlanner:
     def test_packet_bound_within_cap(self, blackout_rule):
         sched = blackout_rule.sched
         for t in np.linspace(0.01, 19.99, 200):
-            j = sched.slot_index(t)
+            j = sched.slot_at(t)
             assert blackout_rule.psi(t, j) <= int(sched.caps[j])
 
     def test_no_blackout_ahead_is_unbounded(self, blackout_rule):

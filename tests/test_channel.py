@@ -19,27 +19,29 @@ def simple_schedule():
 
 
 class TestSlotLookup:
-    """Channel values at t are ``rates/caps[slot_index(t)]``; right limits use ``right_slot_index``."""
+    """Channel values at t are ``rates/caps[slot_at(t)]``; right limits use ``right_slot_index``."""
 
     def test_right_closed_boundary(self):
         sched = simple_schedule()
-        assert sched.slot_index(1.0) == 0
-        assert sched.rates[sched.slot_index(1.0)] == 2.0
+        assert sched.slot_at(1.0) == 0
+        assert sched.rates[sched.slot_at(1.0)] == 2.0
 
     def test_left_open_boundary(self):
         sched = simple_schedule()
-        assert sched.slot_index(1.0 + 1e-12) == 1
+        assert sched.slot_at(1.0 + 1e-12) == 1
 
     def test_reference_blackout_interior(self, blackout_scn):
         sched = blackout_scn.schedule
-        assert sched.caps[sched.slot_index(5.0)] == 0
+        assert sched.caps[sched.slot_at(5.0)] == 0
 
     def test_horizon_errors(self):
         sched = simple_schedule()
         with pytest.raises(HorizonError):
-            sched.slot_index(0.0)
+            sched.slot_at(-1e-12)
         with pytest.raises(HorizonError):
-            sched.slot_index(3.5)
+            sched.slot_at(3.5)
+        with pytest.raises(HorizonError):
+            sched.slot_at(np.array([1.0, 3.5]))
 
     def test_right_limits_at_breakpoints(self):
         sched = simple_schedule()
@@ -61,9 +63,9 @@ class TestSlotLookup:
         for t in ts:
             if np.any(np.isclose(sched.theta, t)):
                 continue
-            assert sched.slot_index(t) == sched.right_slot_index(t)
-            assert sched.rates[sched.slot_index(t)] == sched.rates[sched.right_slot_index(t)]
-            assert sched.caps[sched.slot_index(t)] == sched.caps[sched.right_slot_index(t)]
+            assert sched.slot_at(t) == sched.right_slot_index(t)
+            assert sched.rates[sched.slot_at(t)] == sched.rates[sched.right_slot_index(t)]
+            assert sched.caps[sched.slot_at(t)] == sched.caps[sched.right_slot_index(t)]
 
 
 class TestBlackouts:
@@ -80,7 +82,7 @@ class TestBlackouts:
 
     def test_reference_second_blackout(self, blackout_scn):
         sched = blackout_scn.schedule
-        assert self.window(sched, sched.slot_index(7.0)) == (11.52, 13.52)
+        assert self.window(sched, sched.slot_at(7.0)) == (11.52, 13.52)
 
     def test_no_blackout_returns_none(self):
         sched = ChannelSchedule(theta=[0.0, 1.0, 2.0], rates=[1.0, 1.0],

@@ -6,7 +6,8 @@
   documents of ``test_fuzz.py``, whose runs breach.
 - Scale: ``x0`` and ``xhat0`` times 2^k scale ``d_e0`` by 2^k and ``V`` and ``V_d`` by
   4^k exactly, which leaves every ratio the rule reads unchanged while the floats stay
-  in the normal range, so the transmissions do not move.
+  in the normal range, so the transmissions do not move: down to k = -520 on the bundled
+  scenarios, and not at -530, where ``V_d`` goes subnormal.
 - Horizon prefix: a run cut at a horizon inside a slot sends, and records, what the
   longer run does before that horizon.
 """
@@ -87,8 +88,17 @@ def packets(trace):
                  for tx in trace.transmissions])
 
 
-@pytest.mark.parametrize("k", [-500, -257, -64, -1, 1, 64, 333])
-@pytest.mark.parametrize("stem", BUNDLED)
+# clear10's sixth send moves by 6.0e-10 s at k = -525, and each scenario's first send by
+# -2.1e-8 s (sec6, clear10) or -2.9e-7 s (jordan4) at k = -530.
+_SUBNORMAL = pytest.mark.xfail(strict=True, raises=AssertionError,
+                               reason="ROADMAP item 11: V_d goes subnormal and the sends move")
+
+
+@pytest.mark.parametrize("stem, k", [
+    *((stem, k) for stem in BUNDLED for k in (-520, -500, -257, -64, -1, 1, 64, 333)),
+    pytest.param("clear10", -525, marks=_SUBNORMAL),
+    *(pytest.param(stem, -530, marks=_SUBNORMAL) for stem in BUNDLED),
+])
 def test_initial_state_times_a_power_of_two_sends_the_same_packets(stem, k):
     doc = bundled(stem)
     for key in ("x0", "xhat0"):

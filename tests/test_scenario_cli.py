@@ -249,9 +249,9 @@ class TestCli:
         trace = self.synthetic_trace(rows, rng)
         specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5]
         if rows == 150:
-            # Block 0 (rows 0-63) has a partly-NaN column and so its cells one at a time;
-            # blocks 1 and 2 have only NaN-free and all-NaN columns.  phi is NaN throughout,
-            # s_hat only in block 1, psi only in rows 10-20.
+            # Block 0 (rows 0-63) has partly-NaN columns, whose NaN cells the writer's replace
+            # empties; blocks 1 and 2 have only NaN-free and all-NaN columns.  phi is NaN
+            # throughout, s_hat only in block 1, psi only in rows 10-20.
             trace.phi[:] = np.nan
             trace.s_hat[64:128] = np.nan
             trace.psi[10:21] = np.nan
@@ -647,3 +647,110 @@ class TestCli:
         assert calls == [(1.0, 1.0)]
         assert (scenario.trigger.lookahead
                 == doc["trigger"]["T_fraction_of_gamma1"] * scenario.plant.gamma1)
+
+
+def _replace_first_slot(doc, slot):
+    doc["channel"]["slots"][0] = slot
+
+
+def _beta_for_beta_fraction(doc, beta):
+    del doc["plant"]["beta_fraction"]
+    doc["plant"]["beta"] = beta
+
+
+class TestInputChecksThroughCli:
+    """Each check on a scenario document, reached through ``etcsim simulate``: exit code and
+    message, with nothing written."""
+
+    @pytest.mark.parametrize("mutate,message", [
+        # schema
+        (lambda d: d["trigger"].update(sigma=True), "trigger.sigma: expected a number, got True"),
+        (lambda d: d["trigger"].update(sigma=[0.06]),
+         "trigger.sigma: expected a number, got list"),
+        (lambda d: d["sim"].update(x0=6), "sim.x0: expected a vector (list)"),
+        (lambda d: d["plant"].pop("beta_fraction"),
+         "plant: one of ('beta', 'beta_fraction') is required"),
+        (lambda d: d.update(output={}), "unknown sections: ['output']"),
+        (lambda d: d["plant"].update(bogus=1), "plant: unknown fields ['bogus']"),
+        (lambda d: d["channel"].update(bogus=1), "channel: unknown fields ['bogus']"),
+        (lambda d: d["channel"]["slots"][0].update(bogus=1),
+         "channel.slots[0]: unknown fields ['bogus']"),
+        (lambda d: d["channel"].update(slots=[]), "channel.slots: expected a nonempty list"),
+        (lambda d: _replace_first_slot(d, [0.0, 2.44, 3000, 8]),
+         "channel.slots[0]: expected an object"),
+        (lambda d: d["channel"]["slots"][0].update(theta_end=0.0),
+         "channel.slots[0]: theta_end must exceed theta_start"),
+        (lambda d: d["sim"].update(packet_policy="all_bits"),
+         "sim.packet_policy: expected 'max_bits' or 'min_bits'"),
+        # configuration
+        (lambda d: d["channel"].update(n=3), "channel and plant state dimensions differ"),
+        (lambda d: d["sim"].update(delay_factor=1.5), "delay_factor must lie in [0, 1]"),
+        (lambda d: d["channel"]["slots"][0].update(theta_start=1.0),
+         "schedule must start at t0 = 0"),
+        (lambda d: d["channel"]["slots"][0].update(R=-1), "rates must be nonnegative"),
+        (lambda d: d["plant"].update(A=[[1, -2, 0], [1, 4, 0]]), "A must be square"),
+        (lambda d: d["plant"].update(K=[[2, -8, 0]]), "K must be m x n"),
+        (lambda d: d["plant"].update(Q=[[1]]), "Q must be n x n"),
+        (lambda d: d["plant"].update(beta_fraction=-0.5), "beta_fraction must be positive"),
+        (lambda d: _beta_for_beta_fraction(d, -1), "beta must be positive"),
+        (lambda d: d["trigger"].update(sigma=1.5), "sigma must lie in (0, 1)"),
+        (lambda d: d["trigger"].update(sigma1=0), "sigma1 must lie in (0, 1)"),
+    ])
+    def test_document_check_exit_code(self, tmp_path, sec6_doc, capsys, mutate, message):
+        doc = copy.deepcopy(sec6_doc)
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1, 2]", "scenario must be a JSON object"),
+        ('{"plant": ', "invalid JSON at line 1: Expecting value"),
+    ])
+    def test_document_not_an_object_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_one_blackout_slot_exit_code(self, tmp_path, sec6_doc, capsys, force):
+        # pi_bar = 0 throughout: admissibility fails at t0, and a forced run has no slot to
+        # send in.
+        doc = copy.deepcopy(sec6_doc)
+        doc["channel"]["slots"] = [{"theta_start": 0.0, "theta_end": 20.0, "R": 3000,
+                                    "pi_bar": 0}]
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["simulate", str(path), "--out-dir", str(out)] + ["--force"] * force
+        assert main(argv) == (2 if force else 3)
+        captured = capsys.readouterr()
+        if force:
+            assert captured.err == "error: schedule has no usable slot\n"
+        else:
+            assert "[FAIL] initial_cap_positive" in captured.out
+        assert not out.exists()
+
+    def test_directory_without_scenarios_exit_code(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no scenario here")
+        assert main(["simulate", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"no scenario files in {tmp_path}\n"
+
+    def test_default_sample_step_is_horizon_over_2000(self, tmp_path):
+        # jordan4 runs 4 s: without sample_step it writes the files of sample_step = 0.002.
+        doc = json.loads(REPO_SCENARIO.with_name("jordan4.json").read_text())
+        del doc["sim"]["sample_step"]
+        (tmp_path / "default.json").write_text(json.dumps(doc))
+        doc["sim"]["sample_step"] = 0.002
+        (tmp_path / "explicit.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", str(tmp_path), "--out-dir", str(out)]) == 0
+        for suffix in ("trace.csv", "transmissions.csv", "stats.json"):
+            default, explicit = (out / f"{stem}_{suffix}" for stem in ("default", "explicit"))
+            assert default.read_bytes() == explicit.read_bytes()
+        assert len((out / "default_trace.csv").read_text().splitlines()) > 2000

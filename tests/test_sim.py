@@ -615,7 +615,7 @@ class TestBlackoutRun:
     def test_no_transmission_in_blackouts(self, blackout_scn, blackout_trace):
         sched = blackout_scn.schedule
         for tx in blackout_trace.transmissions:
-            j = sched.slot_index(tx.t_k)
+            j = sched.slot_at(tx.t_k)
             assert sched.caps[j] >= 1
             assert tx.p_k <= blackout_scn.rule.psi(tx.t_k, j)
 
@@ -627,7 +627,7 @@ class TestBlackoutRun:
 
     def test_packets_respect_artificial_bound(self, blackout_scn, blackout_trace):
         for tx in blackout_trace.transmissions:
-            j = blackout_scn.schedule.slot_index(tx.t_k)
+            j = blackout_scn.schedule.slot_at(tx.t_k)
             assert 1 <= tx.p_k <= blackout_scn.rule.psi(tx.t_k, j)
 
     def test_blackout_entry_margins(self, blackout_scn, blackout_trace):
@@ -651,10 +651,10 @@ class TestBlackoutRun:
         plans = slot_plans(sched)
         n = sched.n
         for tx in blackout_trace.transmissions:
-            j_tx = sched.slot_index(tx.t_k)
+            j_tx = sched.slot_at(tx.t_k)
             if plans[j_tx] is None:
                 continue
-            j_up = sched.slot_index(tx.r_tilde_k) if tx.r_tilde_k > 0 else j_tx
+            j_up = sched.slot_at(tx.r_tilde_k) if tx.r_tilde_k > 0 else j_tx
             plan_up = plans[j_up]
             if plan_up is None:
                 continue
@@ -673,7 +673,7 @@ class TestBlackoutRun:
             t = float(blackout_trace.t[idx])
             if t <= 0 or t >= blackout_trace.horizon:
                 continue
-            j = sched.slot_index(t)
+            j = sched.slot_at(t)
             b = next((b for b in sched.blackout_slots() if b > j), None)
             logged = blackout_trace.l3[idx]
             if b is None:

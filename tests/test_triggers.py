@@ -200,7 +200,8 @@ def opening(stretches, nodes_seen):
 
 class TestSearchTimes:
     """The times ``first_crossing`` hands to pred and quiet against the
-    ``np.linspace(start, stop, count + 1)[1:]`` they stand for."""
+    ``np.linspace(start, stop, count + 1)`` they stand for: its points are ``[1:]``, and
+    index 0, ``0 * step + start``, is the first node and the first bracket's lower end."""
 
     @settings(max_examples=150, deadline=None)
     @given(start=st.floats(-1e6, 1e6), span=st.one_of(st.floats(-1e6, 1e6), st.floats(0.0, 1e-300)),
@@ -208,9 +209,11 @@ class TestSearchTimes:
            data=st.data())
     @example(start=0.0, span=5e-324, count=3, data=None)  # the step underflows to zero
     @example(start=1.0, span=0.0, count=1, data=None)
+    @example(start=-0.0, span=0.0, count=1, data=None)  # linspace's index 0 is +0.0
     def test_matches_linspace_bit_for_bit(self, start, span, count, data):
         stop = start + span
-        want = np.linspace(start, stop, count + 1)[1:]
+        grid = np.linspace(start, stop, count + 1)
+        want = grid[1:]
         indices = st.integers(0, count - 1)
         idx = np.array([0, count - 1] + ([] if data is None else data.draw(
             st.lists(indices, max_size=64))), dtype=np.intp)
@@ -226,13 +229,13 @@ class TestSearchTimes:
         assert same_bits(np.concatenate(handed), want[points[points < count]])
         ends = np.minimum(np.arange(1, -(-count // size) + 1) * size, count) - 1
         seen = np.concatenate([nodes[0]] + [n[1:] for n in nodes[1:]])
-        assert same_bits(seen, np.r_[start, want[ends]])
+        assert same_bits(seen, np.r_[grid[0], want[ends]])
         # With pred first holding at point i and no bisection (tol = inf), the bracket is the
-        # point before i (start, for the first) and point i, as floats.
+        # grid's float before point i and point i, as floats.
         for i in idx.tolist():
             pred = lambda ts, at=i % size: np.arange(np.size(ts)) == at
             found = first_crossing(pred, start, stop, count, math.inf, opening([i // size], []))
-            assert same_bits(found, [start if i == 0 else want[i - 1], want[i]])
+            assert same_bits(found, [grid[i], want[i]])
             assert all(isinstance(t, float) for t in found)
 
     def test_only_the_reach_of_a_search_is_read(self):
@@ -610,7 +613,7 @@ class TestTriggerSuite:
         assert np.array_equal(l1, want1) and np.array_equal(l2, want2)
 
     def test_zero_cap_rejected(self, blackout_rule, blackout_scn):
-        blackout_slot = blackout_scn.schedule.slot_index(5.0)
+        blackout_slot = blackout_scn.schedule.slot_at(5.0)
         assert blackout_scn.schedule.caps[blackout_slot] == 0
         gate, *_ = blackout_rule.terms(5.0, 0.5, 0.1, blackout_slot)
         assert not gate
