@@ -79,11 +79,13 @@ def initial_state(x_hat0, d_e0: float, t0: float = 0.0) -> CodecState:
                       step=float(d_e0))
 
 
-def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
+def encode(plant: PlantModel, x, state: CodecState, p: int, t: float,
+           bound: float | None = None) -> Packet:
     """Quantize the current error against the box centred at the estimate.
 
     The encoder verifies ``||x - x_hat(t)||_inf <= d_e(t)``; a violation
     means a broken invariant upstream and raises rather than clamping.
+    bound is ``state.d_e(plant, t)``, computed here unless the caller has it.
     """
     if state.in_flight:
         raise InvariantBreachError("a packet is already in flight")
@@ -91,7 +93,8 @@ def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
         raise DomainError("need at least one bit per dimension")
     x = np.asarray(x, dtype=float)
     x_hat = state.x_hat_at(plant, t)
-    bound = state.d_e(plant, t)
+    if bound is None:
+        bound = state.d_e(plant, t)
     err = x - x_hat
     worst = inf_norm(err)
     if exceeds_bound(worst, bound):
@@ -106,17 +109,20 @@ def encode(plant: PlantModel, x, state: CodecState, p: int, t: float) -> Packet:
 
 
 def decode_and_update(plant: PlantModel, pkt: Packet, state: CodecState,
-                      r_tilde: float) -> CodecState:
+                      r_tilde: float, bound_tx: float | None = None) -> CodecState:
     """Apply the controller jump for a received packet at the update time.
 
     Reconstructs the error as the centre of the signalled cell, jumps the
     estimate with the closed-loop/open-loop split over the update delay,
     and re-anchors the bound at the transmit time with the divided step.
+    bound_tx is ``state.d_e(plant, pkt.t_k)``, computed here unless the
+    caller has it.
     """
     if r_tilde < pkt.t_k:
         raise CausalityError("update before the packet was transmitted")
     x_hat_tx = state.x_hat_at(plant, pkt.t_k)
-    bound_tx = state.d_e(plant, pkt.t_k)
+    if bound_tx is None:
+        bound_tx = state.d_e(plant, pkt.t_k)
     cells = 1 << pkt.p_k
     width = 2.0 * bound_tx / cells
     centres = -bound_tx + (np.array(pkt.symbols) + 0.5) * width

@@ -59,7 +59,6 @@ from .triggers import (
     ROOT_TOL,
     TriggerConfig,
     blackout_entry_margin,
-    channel_bound,
     error_threshold,
     exp_growth_inf,
     first_crossing,
@@ -108,7 +107,7 @@ class Scenario:
     delay_factor: float = 1.0
     packet_policy: str = POLICY_MAX
     horizon: float | None = None
-    sample_step: float | None = None
+    sample_step: float | None = None  # None: horizon / 2000, set when the scenario is built
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
@@ -142,9 +141,11 @@ class Scenario:
         if not 0.0 < horizon <= self.schedule.end:
             raise ConfigurationError("horizon must lie within the channel schedule")
         object.__setattr__(self, "horizon", float(horizon))
+        if self.sample_step is None:
+            object.__setattr__(self, "sample_step", self.horizon / 2000.0)
         # The engine holds the sample grid whole.  The scan step, which needs the rule's
         # T_M(1), is checked where the engine derives it.
-        if self.sample_step is not None and self.horizon / self.sample_step > _MAX_SAMPLES:
+        if self.horizon / self.sample_step > _MAX_SAMPLES:
             raise ConfigurationError(
                 f"sample_step gives more than {_MAX_SAMPLES:.0e} samples over the horizon")
 
@@ -297,12 +298,14 @@ class EventRule:
     capacity plan (``plans``, None where no blackout lies ahead), each blackout slot's
     entry margin (``entry_margins``), and for every p up to the largest
     packet cap the delay floors, ``T_M(p)`` and
-    ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p.  One step reads
-    ``l1`` and ``l2``, ``perf_bound`` and from it ``channel_bound`` at
-    ``T_M(p)``, from those tables: ``_bounds``, which ``terms``, ``fires``
-    and ``quiet`` all call.  On a slot with no plan ``psi`` is the slot's
-    cap, one int (``_slot_p``), so ``fires`` and ``quiet`` read the tables
-    at that one p, with no gate or ``l3`` to evaluate.
+    ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p (``tm_tables``).
+    One step reads ``l1`` and ``l2``, ``perf_bound`` and from it
+    ``channel_bound`` at ``T_M(p)``, from those tables: ``_bounds``, which
+    ``terms``, ``fires`` and ``quiet`` all call, and the engine's packet
+    sizing too, at ``p / R`` from tables built once per rate on a clear
+    channel.  On a slot with no plan ``psi`` is the slot's cap, one int
+    (``_slot_p``), so ``fires`` and ``quiet`` read the tables at that one p,
+    with no gate or ``l3`` to evaluate.
     """
 
     def __init__(self, scenario: Scenario):
@@ -318,17 +321,19 @@ class EventRule:
             raise ConfigurationError(
                 f"the communication delay T_M(1) is {self.tm[1]:.3g}: no packet can be sent "
                 f"(unit violation time gamma1 = {self.plant.gamma1:.3g})")
-        self.exp_norm_tm = np.full(self.pmax + 1, np.nan)
-        self.exp_norm_tm[1:] = exp_growth_inf(self.plant, self.tm[1:])
-        # perf_bound's factors e^{(w+mu) T_M(p)} - 1 and e^{w T_M(p)}; channel_bound's 2^p
-        # (indexed by p, like tm).
         c = self.plant.constants
         self._wm = c.decay_plus_growth
-        self._growth = np.expm1(self._wm * self.tm)
-        self._decay = np.exp(c.decay_gap * self.tm)
-        self._pow2 = np.power(2.0, np.arange(self.pmax + 1))
+        self.tm_tables = self.bound_tables(self.tm)
+        self._pow2 = np.power(2.0, np.arange(self.pmax + 1))  # channel_bound's 2^p, by p
         self._caps = self.sched.caps.tolist()
         self._n, self._error_scale = self.plant.n, c.error_scale
+
+    def bound_tables(self, taus):
+        """``_bounds``' factors at the times taus, indexed by p like ``tm``: ``perf_bound``'s
+        ``e^{(w+mu) tau} - 1`` and ``e^{w tau}``, and ``exp_growth_inf(tau)`` (NaN at p = 0)."""
+        norms = np.full(taus.size, np.nan)
+        norms[1:] = exp_growth_inf(self.plant, taus[1:])
+        return np.expm1(self._wm * taus), np.exp(self.plant.constants.decay_gap * taus), norms
 
     def ratios(self, ts, xs, des):
         """Performance ratio ``h = V(x)/V_d(t)`` and error ratio ``eps = d_e/(c sqrt(V_d(t)))``.
@@ -412,18 +417,20 @@ class EventRule:
         gate, l1, l2, l3 = self.terms(ts, h, eps, j)
         return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
 
-    def _bounds(self, p, h, eps):
+    def _bounds(self, p, h, eps, tables=None):
         """``(l1, l2)``: ``perf_bound`` and ``channel_bound`` at ``T_M(p)`` for ratios h and
-        eps, from the tables in their operations' order, so the same floats.
+        eps, from the tables in their operations' order, so the same floats.  Given
+        ``bound_tables(taus)``, they are read at ``taus[p]`` in place of ``T_M(p)``.
 
         Where l1 exceeds 1 the threshold is undefined and l2 bounds nothing; it is read
         under this one ``np.errstate``.
         """
+        growth, decay, norms = self.tm_tables if tables is None else tables
         gap = self.plant.constants.guarded_decay_gap
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            l1 = (h + gap * eps / self._wm * self._growth[p]) / self._decay[p]
+            l1 = (h + gap * eps / self._wm * growth[p]) / decay[p]
             rho = error_threshold(self.plant, self.config.lookahead, l1)
-            return l1, self.exp_norm_tm[p] * eps / rho / self._pow2[p]
+            return l1, norms[p] * eps / rho / self._pow2[p]
 
     def quiet(self, a, h, eps, b, j: int):
         """Where the rule cannot fire at any time of ``(a, b]`` in slot j, from h and eps at a.
@@ -472,8 +479,9 @@ class EventRule:
 
 
 class _Engine:
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, on_rows=None):
         self.scn = scenario
+        self.on_rows = on_rows
         self.plant = scenario.plant
         self.sched = scenario.schedule
         self.rule = scenario.rule
@@ -494,8 +502,7 @@ class _Engine:
         if scan_end / self.scan_step >= _MAX_SCAN_POINTS:
             raise ConfigurationError(f"the default scan step {self.scan_step:.3g} gives "
                                      "2^53 or more scan points over the horizon")
-        self.sample_step = (scenario.sample_step if scenario.sample_step is not None
-                            else self.horizon / 2000.0)
+        self.sample_step = scenario.sample_step
 
         # mutable run state
         self.t = 0.0
@@ -504,6 +511,8 @@ class _Engine:
         self.dec = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0, 0.0)
         self.transmissions: list[Transmission] = []
         self.rows: list[np.ndarray] = []
+        self._rate_tables: dict[float, tuple] = {}  # _min_bits' bound tables at p / R, by R
+        self._ps = np.arange(1, self.rule.pmax + 1)
         # Work of all fire searches: rule evaluations (calls and the times they cover), and
         # the stretches of the scan grid the certificate skipped or left to the scan.
         self.work = dict.fromkeys(
@@ -596,7 +605,11 @@ class _Engine:
         """Append one trace row per time in ts, at augmented state xs and error bound des.
 
         Raises at the earliest row whose performance ratio exceeds 1 or,
-        failing that, whose estimate error exceeds its bound.
+        failing that, whose estimate error exceeds its bound.  The block of
+        rows appended, a C-ordered float64 array of the trace CSV's columns,
+        is also passed to ``on_rows`` when the engine has one (the CLI's
+        streamed trace writer), so it sees every row the trace will hold, in
+        order; a row that raises is in neither.
         """
         n = self.n
         h, eps, v, vd = self.rule.levels(ts, xs, des)
@@ -624,9 +637,14 @@ class _Engine:
                 cap_cols[rows, 0], cap_cols[rows, 1], cap_cols[rows, 2] = bits, psi, floor
                 cap_cols[rows, 3] = self.rule.l3(ts[rows], eps[rows], j, floor)
         self.rows.append(row)
+        if self.on_rows is not None:
+            self.on_rows(row)
 
-    def _advance(self, t_target: float, record_end: bool = True):
-        """Propagate exactly to t_target, recording samples and breakpoints."""
+    def _advance(self, t_target: float, record_end: bool = True) -> float | None:
+        """Propagate exactly to t_target, recording samples and breakpoints.
+
+        Returns ``d_e`` at t_target from the row recorded there, or None if none was.
+        """
         if t_target < self.t - ROOT_TOL:
             raise DomainError("cannot advance backwards")
         samples, theta, i = self.sample_times, self.sched.theta, self._sample_idx
@@ -642,24 +660,33 @@ class _Engine:
             self.t = t_target
             if record_end:
                 ts = np.append(ts, t_target)
-        if ts.size:
-            self._record(ts, flow(ts - t0), self.enc.d_e(self.plant, ts))
+        if not ts.size:
+            return None
+        des = self.enc.d_e(self.plant, ts)
+        self._record(ts, flow(ts - t0), des)
+        return float(des[-1]) if ts[-1] == t_target else None
 
     # -- packet sizing ---------------------------------------------------------
 
     def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
-        """Smallest bit count whose channel bound stays at or below 1."""
-        ps = np.arange(1, self.rule.pmax + 1)
-        taus = self.rule.tm[ps] if self.blackouts else ps / rate
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = channel_bound(self.plant, self.scn.trigger.lookahead, taus, h, eps, ps)
-        fits = np.flatnonzero(vals <= 1.0)
-        return int(ps[fits[0]]) if fits.size else None
+        """Smallest bit count whose channel bound stays at or below 1.
 
-    def _fire(self, t: float):
-        """Send at t, in slot ``slot_at(t)``: the packet, its reception time and h, eps at t."""
+        The bound is ``channel_bound`` at ``T_M(p)`` with blackouts and at ``p / rate``
+        without, read by ``EventRule._bounds`` from tables built once per rate.
+        """
+        if self.blackouts:
+            tables = self.rule.tm_tables
+        elif (tables := self._rate_tables.get(rate)) is None:
+            tables = self._rate_tables[rate] = self.rule.bound_tables(
+                np.arange(self.rule.pmax + 1) / rate)
+        fits = np.flatnonzero(self.rule._bounds(self._ps, h, eps, tables)[1] <= 1.0)
+        return int(self._ps[fits[0]]) if fits.size else None
+
+    def _fire(self, t: float, de: float):
+        """Send at t, in slot ``slot_at(t)``, with ``de = d_e(t)``: the packet, its reception
+        time and h, eps at t."""
         x, j = self.x_aug[:self.n], self.sched.slot_at(t)
-        h, eps = map(float, self.rule.ratios(t, self.x_aug, self.enc.d_e(self.plant, t)))
+        h, eps = map(float, self.rule.ratios(t, self.x_aug, de))
         rate = float(self.sched.rates[j])
         cap_eff = int(self.rule.psi(t, j))
         p_lo = self._min_bits(h, eps, rate)
@@ -668,13 +695,15 @@ class _Engine:
                 f"required bits {p_lo} exceed allowed {cap_eff} at t={t}",
                 state={"t": t, "h_pf": h, "eps": eps, "cap": cap_eff, "p_lo": p_lo, "slot": j})
         p = cap_eff if self.scn.packet_policy == POLICY_MAX else p_lo
-        pkt = codec_mod.encode(self.plant, x, self.enc, p, t)
+        pkt = codec_mod.encode(self.plant, x, self.enc, p, t, de)
         self.enc = codec_mod.mark_in_flight(self.enc)
         return pkt, t + self.scn.delay_factor * (p / rate), h, eps
 
-    def _apply_update(self, pkt, r: float, r_tilde: float, h_tx: float, eps_tx: float):
-        self.enc = codec_mod.decode_and_update(self.plant, pkt, self.enc, r_tilde)
-        self.dec = codec_mod.decode_and_update(self.plant, pkt, self.dec, r_tilde)
+    def _apply_update(self, pkt, r: float, r_tilde: float, h_tx: float, eps_tx: float,
+                      de_tx: float):
+        """Apply the packet sent at ``pkt.t_k``, where ``d_e`` was de_tx, at r_tilde."""
+        self.enc = codec_mod.decode_and_update(self.plant, pkt, self.enc, r_tilde, de_tx)
+        self.dec = codec_mod.decode_and_update(self.plant, pkt, self.dec, r_tilde, de_tx)
         if not (np.array_equal(self.enc.x_hat, self.dec.x_hat)
                 and self.enc.step == self.dec.step):
             raise InvariantBreachError("encoder and decoder replicas diverged")
@@ -695,8 +724,12 @@ class _Engine:
         try:
             self._record(np.zeros(1), self.x_aug[None], np.array([self.enc.d_e(self.plant, 0.0)]))
             while (t := self._locate_fire(self.t)) is not None:
-                self._advance(t)
-                pkt, r, h, eps = self._fire(t)
+                # d_e at the send, computed once: its row's, or, when t is the time of the
+                # last row, which is not recorded again, computed here.
+                de = self._advance(t)
+                if de is None:
+                    de = self.enc.d_e(self.plant, t)
+                pkt, r, h, eps = self._fire(t, de)
                 if r >= self.cut:
                     break
                 self._advance(r)
@@ -704,7 +737,7 @@ class _Engine:
                 if r_tilde >= self.cut:
                     break
                 self._advance(r_tilde, record_end=False)
-                self._apply_update(pkt, r, r_tilde, h, eps)
+                self._apply_update(pkt, r, r_tilde, h, eps, de)
             self._advance(self.horizon)
             trace = self._build_trace()
             validate_sequence(self.transmissions, self.sched)
@@ -750,13 +783,18 @@ class _Engine:
                     f"at t={tau_l}", state={"t": tau_l, "eps": eps, "margin": margin, "slot": b})
 
 
-def run(scenario: Scenario, force: bool = False) -> SimTrace:
-    """Simulate a scenario; unless forced, check its admissibility conditions first."""
+def run(scenario: Scenario, force: bool = False, on_rows=None) -> SimTrace:
+    """Simulate a scenario; unless forced, check its admissibility conditions first.
+
+    ``on_rows``, if given, is called with each block of trace rows as the
+    engine records it (``_Engine._record``): the CLI streams long runs'
+    trace CSV to a forked writer through it, while the run goes on.
+    """
     if not force:
         report = check_admissibility(scenario)
         if not report.ok:
             raise AdmissibilityError(report)
-    return _Engine(scenario).run()
+    return _Engine(scenario, on_rows).run()
 
 
 # ---------------------------------------------------------------------------

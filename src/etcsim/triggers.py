@@ -117,9 +117,10 @@ def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p):
 
     ``||e^{A tau}||_inf e^{(beta/2) tau} eps0 / rho_T(perf_bound(tau)) / 2^p``.
     Where the perf bound at tau exceeds 1 the threshold is undefined and the
-    value bounds nothing; the caller handles that case (``sim._Engine._min_bits``
-    reads it under its own ``np.errstate``).  ``sim.EventRule`` reads the same
-    floats at ``tau = T_M(p)`` from per-p tables; this is the reference form.
+    value bounds nothing; the caller handles that case.  ``sim.EventRule``
+    reads the same floats from per-p tables, at ``tau = T_M(p)`` and, for the
+    engine's packet sizing on a clear channel, at ``tau = p / R``; this is the
+    reference form.
     """
     hbar = perf_bound(plant, tau, h0, eps0)
     rho = error_threshold(plant, T, hbar)

@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import os
+import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,25 @@ EXIT_CODES = {
     "AdmissibilityError": 3, "ObjectiveViolationError": 4, "GuaranteeBreachError": 5,
     "InvariantBreachError": 5, "CausalityError": 5, "FeasibilityError": 5,
 }
+
+
+def stream_trace_csv(trace, path, piece):
+    """The CLI's streamed writer fed the trace's rows piece rows at a time, and, as in the
+    CLI, the in-process writer when no row came."""
+    rows = np.column_stack([trace.t, trace.x, trace.x_hat] + [
+        getattr(trace, attr) for attr, _ in etcsim.sim.TRACE_COLUMNS])
+    stream = etcsim.cli._TraceStream(path, trace.x.shape[1])
+    for start in range(0, len(rows), piece):
+        stream.send(rows[start:start + piece])
+    if not stream.close(keep=True):
+        etcsim.cli.write_trace_csv(trace, path)
+
+
+def assert_no_child_or_part(out_dir):
+    """No child process of this one is left, not even unreaped, nor any ``*.part`` file."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(Path(out_dir).rglob("*.part"))
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +237,10 @@ class TestCli:
         assert stats["transmission_count"] >= 1
 
     @staticmethod
-    def assert_trace_csv_is_cell_by_cell(trace, tmp_path):
-        """write_trace_csv gives the bytes of csv.writer fed one cell at a time: a NaN cell
-        empty, any other its repr."""
+    def assert_trace_csv_is_cell_by_cell(trace, tmp_path, piece=None):
+        """write_trace_csv, or with piece the streamed writer fed that many rows at a time,
+        gives the bytes of csv.writer fed one cell at a time: a NaN cell empty, any other its
+        repr."""
         columns = [trace.t[:, None], trace.x, trace.x_hat] + [
             getattr(trace, attr)[:, None] for attr, _ in etcsim.sim.TRACE_COLUMNS]
         with (tmp_path / "reference.csv").open("w", newline="") as fh:
@@ -228,7 +250,10 @@ class TestCli:
             for i in range(trace.t.size):
                 writer.writerow(["" if math.isnan(v) else repr(float(v))
                                  for col in columns for v in col[i]])
-        etcsim.cli.write_trace_csv(trace, tmp_path / "trace.csv")
+        if piece is None:
+            etcsim.cli.write_trace_csv(trace, tmp_path / "trace.csv")
+        else:
+            stream_trace_csv(trace, tmp_path / "trace.csv", piece)
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
@@ -244,8 +269,10 @@ class TestCli:
         return etcsim.sim.SimTrace(t=np.linspace(0.0, 1.0, rows), x=x, x_hat=x_hat, **cols,
                                    transmissions=[], horizon=1.0, scan_step=0.01)
 
-    @pytest.mark.parametrize("rows", [150, 1, 0])
-    def test_trace_csv_edge_cells_match_cell_by_cell_writer(self, tmp_path, rows, rng):
+    @pytest.mark.parametrize("rows,piece", [  # piece: streamed, fed that many rows at a time
+        pytest.param(rows, piece, id=str(rows) if piece is None else f"{rows}-streamed{piece}")
+        for rows in (150, 1, 0) for piece in (None, 1, 63, 65, 130)])
+    def test_trace_csv_edge_cells_match_cell_by_cell_writer(self, tmp_path, rows, piece, rng):
         trace = self.synthetic_trace(rows, rng)
         specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5]
         if rows == 150:
@@ -263,7 +290,8 @@ class TestCli:
         elif rows == 1:
             trace.x[0] = [-0.0, 5e-324]
             trace.h_ch[0], trace.d_e[0], trace.phi[0] = np.inf, 1e16, np.nan
-        self.assert_trace_csv_is_cell_by_cell(trace, tmp_path)
+        self.assert_trace_csv_is_cell_by_cell(trace, tmp_path, piece)
+        assert_no_child_or_part(tmp_path)
         lines = (tmp_path / "trace.csv").read_bytes().split(b"\r\n")
         assert len(lines) == rows + 2 and lines[-1] == b""
         if rows == 150:  # lines[i + 1] is row i; cells 11, 12 and 13 are phi, psi and s_hat
@@ -482,7 +510,7 @@ class TestCli:
         cls = getattr(etcsim.errors, name)
         assert cls.exit_code == code
 
-        def failing_run(scenario, force=False):
+        def failing_run(scenario, force=False, on_rows=None):
             raise cls(f"{name} raised")
 
         monkeypatch.setattr(etcsim.cli, "run", failing_run)
@@ -647,6 +675,115 @@ class TestCli:
         assert calls == [(1.0, 1.0)]
         assert (scenario.trigger.lookahead
                 == doc["trigger"]["T_fraction_of_gamma1"] * scenario.plant.gamma1)
+
+
+class TestStreamedTrace:
+    """A run of ``_STREAM_MIN_ROWS`` sample rows or more streams its trace CSV to a forked
+    writer; it writes the in-process writer's bytes, and ``main`` returns with no child and
+    no ``*.part`` file left, whichever way the run ends."""
+
+    @staticmethod
+    def simulate(monkeypatch, target, out, streamed, *flags):
+        monkeypatch.setattr(etcsim.cli, "_STREAM_MIN_ROWS", 0 if streamed else math.inf)
+        return main(["simulate", str(target), "--out-dir", str(out), *flags])
+
+    @staticmethod
+    def document(name, sec6_doc, tmp_path):
+        """A bundled scenario; clear60 at a bench seed; sec6 with every rate x10, which
+        exits 5 (the breach of ``test_guarantee_breach_writes_the_whole_run``); or sec6
+        with V_d(0) below V(x0), which breaks h <= 1 at its first row."""
+        if name in ("sec6", "clear10", "jordan4"):
+            return REPO_SCENARIO.with_name(f"{name}.json")
+        if name.startswith("clear60"):
+            bench = runpy.run_path(str(REPO_SCENARIO.parents[1] / "bench" / "scenarios.py"))
+            return bench["write_scenario"]("clear60", int(name[-1]), REPO_SCENARIO.parents[1],
+                                           tmp_path)
+        doc = copy.deepcopy(sec6_doc)
+        if name == "fast":
+            for slot in doc["channel"]["slots"]:
+                slot["R"] *= 10
+        else:
+            doc["plant"]["Vd0_factor"] = 0.9
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("name,code", [
+        ("sec6", 0), ("clear10", 0), ("jordan4", 0), ("clear60_s0", 0), ("clear60_s1", 0),
+        ("fast", 5), ("tight", 4)])
+    def test_streamed_bytes_equal_in_process_bytes(self, tmp_path, monkeypatch, capsys,
+                                                   sec6_doc, name, code):
+        path = self.document(name, sec6_doc, tmp_path)
+        for streamed in (True, False):
+            out = tmp_path / f"streamed_{streamed}"
+            assert self.simulate(monkeypatch, path, out, streamed, "--force") == code
+            assert_no_child_or_part(out)
+        for suffix in ("trace.csv", "transmissions.csv", "stats.json"):
+            streamed, in_process = (tmp_path / f"streamed_{side}" / f"{path.stem}_{suffix}"
+                                    for side in (True, False))
+            assert streamed.read_bytes() == in_process.read_bytes(), suffix
+        with (tmp_path / "streamed_True" / f"{path.stem}_trace.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        if name == "fast":
+            assert float(rows[-1]["t"]) == 20.0
+        assert (len(rows) == 0) == (name == "tight")
+
+    @pytest.mark.parametrize("reads", [False, True])
+    def test_failed_writer_exits_2_with_no_trace(self, tmp_path, monkeypatch, capsys, reads):
+        # The child fails before reading a row (the run's next write finds the pipe broken)
+        # or after reading them all (the child's exit status tells the run).
+        def failing(path, n, blocks):  # the child's writer: part of a file, then a failure
+            path.write_text("t,x1\r\n")
+            if reads:
+                for _ in blocks:
+                    pass
+            raise OSError("no space left")
+
+        monkeypatch.setattr(etcsim.cli, "_write_trace_blocks", failing)
+        out = tmp_path / "out"
+        assert self.simulate(monkeypatch, REPO_SCENARIO, out, True) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "sec6_trace.csv").exists()
+        assert_no_child_or_part(out)
+
+    def test_run_without_a_trace_leaves_the_old_trace(self, tmp_path, monkeypatch, capsys):
+        # The finished run's check of its transmissions fails with an error that carries no
+        # trace: the streamed rows are dropped, and the trace an earlier run wrote stays.
+        def failing_check(transmissions, schedule):
+            raise etcsim.errors.NumericalError("checked late")
+
+        monkeypatch.setattr(etcsim.sim, "validate_sequence", failing_check)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sec6_trace.csv").write_text("an earlier run's trace")
+        assert self.simulate(monkeypatch, REPO_SCENARIO, out, True) == 2
+        assert "error: checked late" in capsys.readouterr().err
+        assert (out / "sec6_trace.csv").read_text() == "an earlier run's trace"
+        assert sorted(p.name for p in out.iterdir()) == ["sec6_trace.csv"]
+        assert_no_child_or_part(out)
+
+    def test_directory_with_runs_on_both_sides_of_the_threshold(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # sec6 samples 2,000 rows and streams; jordan4 samples 400 and does not.
+        for name in ("sec6", "jordan4"):
+            shutil.copy(REPO_SCENARIO.with_name(f"{name}.json"), tmp_path)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        assert main(["simulate", str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(forks) == 1
+        assert_no_child_or_part(tmp_path)
+        assert self.simulate(monkeypatch, tmp_path, tmp_path / "in_process", False) == 0
+        assert len(forks) == 1
+        for name in ("sec6", "jordan4"):
+            for suffix in ("trace.csv", "transmissions.csv", "stats.json"):
+                assert ((tmp_path / "out" / f"{name}_{suffix}").read_bytes()
+                        == (tmp_path / "in_process" / f"{name}_{suffix}").read_bytes())
 
 
 def _replace_first_slot(doc, slot):

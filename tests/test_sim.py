@@ -9,7 +9,7 @@ import pytest
 from conftest import (SCENARIOS, SHEAR_PLANT, check_invariants, lqr_gain, rescaled_sec6,
                       scalar_bisect, slotted_document)
 
-from etcsim import sim
+from etcsim import codec, sim
 from etcsim.capacity import launch_budget, slot_plans
 from etcsim.channel import ChannelSchedule, TransmissionRecord
 from etcsim.codec import CHECK_SLACK, initial_state
@@ -114,7 +114,7 @@ class TestLocateCrossing:
         assert h == pytest.approx(0.1) and eps == pytest.approx(4000.0)
         assert not rule.fires(t, h, eps, 0) and rule.fires(t, h, eps, 1)
         assert eng._locate_fire(t) == t and scn.schedule.slot_at(t) == 0
-        pkt, r, _, _ = eng._fire(t)
+        pkt, r, _, _ = eng._fire(t, eng.enc.d_e(plant, t))
         assert scn.schedule.caps[1] < pkt.p_k <= scn.schedule.caps[0]
         TransmissionRecord(t_k=t, p_k=pkt.p_k, r_k=r, r_tilde_k=r).validate(scn.schedule)
 
@@ -494,6 +494,53 @@ class TestScalarPaths:
                 assert got == [first_fit(a, b) for a, b in zip(h[keep], e)]
                 assert np.all((np.array(got) > want[keep]) == past)
             assert np.count_nonzero(keep) > 100
+
+
+class TestSendReuse:
+    """What a send computes once and hands on is, bit for bit, what each reader would
+    compute itself: ``d_e`` at the send time, and ``_min_bits``' tables at ``p / R``."""
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_d_e_at_a_send_equals_each_recomputation(self, request, monkeypatch, name):
+        scn = request.getfixturevalue(f"{name}_scn")
+        handed = []  # (reader, t, d_e handed to it, d_e its state gives)
+        encode, decode = codec.encode, codec.decode_and_update
+
+        def checked_encode(plant, x, state, p, t, bound):
+            handed.append(("encode", t, bound, state.d_e(plant, t)))
+            return encode(plant, x, state, p, t, bound)
+
+        def checked_decode(plant, pkt, state, r_tilde, bound_tx):
+            handed.append(("decode", pkt.t_k, bound_tx, state.d_e(plant, pkt.t_k)))
+            return decode(plant, pkt, state, r_tilde, bound_tx)
+
+        monkeypatch.setattr(codec, "encode", checked_encode)
+        monkeypatch.setattr(codec, "decode_and_update", checked_decode)
+        trace = run(scn)
+        readers = [reader for reader, *_ in handed]
+        assert readers.count("encode") == len(trace.transmissions) >= 3
+        assert readers.count("decode") == 2 * len(trace.transmissions)
+        for _, t, got, want in handed:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert got in trace.d_e[trace.t == t].tolist()  # the send's trace row holds it
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_bound_tables_give_channel_bound(self, request, rng, name):
+        scn = request.getfixturevalue(f"{name}_scn")
+        eng, rule = _Engine(scn), scn.rule
+        ps, T = np.arange(1, rule.pmax + 1), rule.config.lookahead
+        rates = [2400.0, 333.3, 1.0e5] if not eng.blackouts else [None]
+        for rate in rates:
+            taus = rule.tm[ps] if rate is None else ps / rate
+            tables = None if rate is None else rule.bound_tables(np.arange(rule.pmax + 1) / rate)
+            for h, eps in zip(rng.uniform(0.0, 1.2, 100), 10.0 ** rng.uniform(-8.0, 2.0, 100)):
+                got = rule._bounds(ps, float(h), float(eps), tables)[1]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    want = channel_bound(scn.plant, T, taus, float(h), float(eps), ps)
+                assert got.tobytes() == want.tobytes()
+            eng._min_bits(0.5, 1.0, rate or 2400.0)
+            eng._min_bits(0.25, 0.5, rate or 2400.0)
+        assert list(eng._rate_tables) == [r for r in rates if r is not None]  # once per rate
 
 
 class TestEquilibrium:

@@ -70,11 +70,10 @@ def recorded_run(mp, doc):
     positions = []
     encode = codec.encode
 
-    def recording(plant_, x, state, p, t):
-        bound = state.d_e(plant_, t)
+    def recording(plant_, x, state, p, t, bound):
         width = 2.0 * bound / (1 << p)
         positions.append((np.asarray(x) - state.x_hat_at(plant_, t) + bound) / width)
-        return encode(plant_, x, state, p, t)
+        return encode(plant_, x, state, p, t, bound)
 
     mp.setattr(codec, "encode", recording)
     scn = build_scenario(doc)
