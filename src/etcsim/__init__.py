@@ -37,7 +37,6 @@ from .sim import (
 from .triggers import (
     TriggerConfig,
     blackout_entry_margin,
-    channel_bound,
     error_threshold,
     perf_bound,
     time_to_perf_violation,

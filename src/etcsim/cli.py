@@ -27,7 +27,9 @@ the engine passes it every block of rows it records through a pipe, and
 the child formats them into ``<stem>_trace.csv.part`` while the run goes
 on.  After the run the child is reaped, and the file moved into place, or
 removed when the run leaves no trace.  Shorter runs, and platforms without
-``os.fork``, write it in process after the run (``write_trace_csv``).
+``os.fork``, write it in process after the run (``write_trace_csv``).  Both
+format the rows the engine recorded (``SimTrace.rows``) in 64-row blocks
+counted from row 0; the CSV header alone names the columns.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -75,18 +78,16 @@ def _write_trace_blocks(path: Path, n: int, blocks) -> None:
 
 
 def write_trace_csv(trace: SimTrace, path: Path) -> None:
-    """The in-process writer: the trace CSV of a finished run, in 64-row blocks."""
-    columns = [trace.t, trace.x, trace.x_hat] + [getattr(trace, attr) for attr, _ in TRACE_COLUMNS]
-    _write_trace_blocks(path, trace.x.shape[1], (
-        np.column_stack([col[start:start + _CSV_BLOCK] for col in columns])
-        for start in range(0, trace.t.size, _CSV_BLOCK)))
+    """The in-process writer: the trace CSV of a finished run, from 64-row slices of
+    ``trace.rows``, counted from row 0: the blocks the streamed writer formats."""
+    rows = trace.rows
+    _write_trace_blocks(path, trace.x.shape[1],
+                        (rows[i:i + _CSV_BLOCK] for i in range(0, len(rows), _CSV_BLOCK)))
 
 
 def _current_cpu() -> int | None:
     """The CPU this process runs on (field 39 of Linux's /proc/self/stat), or None where the
     process cannot set its CPU affinity or the file cannot be read."""
-    import os
-
     if not hasattr(os, "sched_setaffinity"):
         return None
     try:
@@ -99,10 +100,12 @@ def _current_cpu() -> int | None:
 class _TraceStream:
     """The streamed writer: a run's trace CSV, formatted by a forked child as the run goes.
 
-    ``send`` is the run's ``on_rows``.  The first block forks the child;
-    each block's float64 bytes go down a pipe to it, and it regroups them
-    into ``write_trace_csv``'s 64-row blocks, counted from row 0, and
-    writes ``<path>.part``.  ``close`` reaps the child on every path.
+    ``send`` is the run's ``on_rows``: it gets the rows the engine records,
+    in order, which are the rows of the run's ``SimTrace.rows``.  The first
+    block forks the child; each block's float64 bytes go down a pipe to it,
+    and it regroups them into 64-row blocks counted from row 0, the slices
+    ``write_trace_csv`` formats, and writes ``<path>.part``.  ``close``
+    reaps the child on every path.
     """
 
     def __init__(self, path: Path, n: int):
@@ -115,8 +118,6 @@ class _TraceStream:
         self.pipe.write(rows)
 
     def _fork(self, width: int) -> None:
-        import os
-
         self.path.parent.mkdir(parents=True, exist_ok=True)
         sys.stdout.flush()  # else the child holds what they buffer, and may write it again
         sys.stderr.flush()
@@ -143,8 +144,6 @@ class _TraceStream:
 
     def _write(self, read_fd: int, width: int, run_cpu: int | None) -> None:
         """The child's work: the rows read from read_fd, formatted into ``<path>.part``."""
-        import os
-
         # Off the run's CPU: where the scheduler does not balance load (a cpuset with
         # sched_load_balance off), a forked child stays on its parent's CPU, and the two
         # would take turns on it.
@@ -163,8 +162,6 @@ class _TraceStream:
         With keep, its file becomes the trace, or an OSError is raised if it
         failed; without, the file is removed.
         """
-        import os
-
         if self.pid is None:
             return False
         try:
@@ -201,8 +198,6 @@ def _json_safe(obj):
 
 
 def _simulate_one(path: Path, args) -> int:
-    import os
-
     scenario, _ = load_scenario(path)
     report = check_admissibility(scenario)
     print(f"== {path}")

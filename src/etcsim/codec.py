@@ -69,33 +69,29 @@ def exceeds_bound(err, d_e):
     return err > d_e * (1.0 + CHECK_SLACK) + 1e-300
 
 
-def initial_state(x_hat0, d_e0: float, t0: float = 0.0) -> CodecState:
-    """State at start of the zoom-in phase: bound d_e0 anchored at t0."""
+def initial_state(x_hat0, d_e0: float) -> CodecState:
+    """State at start of the zoom-in phase, t = 0 (every run starts there): bound d_e0."""
     if d_e0 < 0:
         raise DomainError("initial error bound must be nonnegative")
     x0 = np.array(x_hat0, dtype=float)
     x0.setflags(write=False)
-    return CodecState(x_hat=x0, base_time=t0, anchor_time=t0,
-                      step=float(d_e0))
+    return CodecState(x_hat=x0, base_time=0.0, anchor_time=0.0, step=float(d_e0))
 
 
 def encode(plant: PlantModel, x, state: CodecState, p: int, t: float,
-           bound: float | None = None) -> Packet:
+           bound: float) -> Packet:
     """Quantize the current error against the box centred at the estimate.
 
-    The encoder verifies ``||x - x_hat(t)||_inf <= d_e(t)``; a violation
-    means a broken invariant upstream and raises rather than clamping.
-    bound is ``state.d_e(plant, t)``, computed here unless the caller has it.
+    bound is ``state.d_e(plant, t)``, which the caller has: the engine's
+    send row holds it.  The encoder verifies ``||x - x_hat(t)||_inf <=
+    bound``; a violation means a broken invariant upstream and raises
+    rather than clamping.
     """
     if state.in_flight:
         raise InvariantBreachError("a packet is already in flight")
     if p < 1:
         raise DomainError("need at least one bit per dimension")
-    x = np.asarray(x, dtype=float)
-    x_hat = state.x_hat_at(plant, t)
-    if bound is None:
-        bound = state.d_e(plant, t)
-    err = x - x_hat
+    err = np.asarray(x, dtype=float) - state.x_hat_at(plant, t)
     worst = inf_norm(err)
     if exceeds_bound(worst, bound):
         raise InvariantBreachError(
@@ -109,20 +105,18 @@ def encode(plant: PlantModel, x, state: CodecState, p: int, t: float,
 
 
 def decode_and_update(plant: PlantModel, pkt: Packet, state: CodecState,
-                      r_tilde: float, bound_tx: float | None = None) -> CodecState:
+                      r_tilde: float, bound_tx: float) -> CodecState:
     """Apply the controller jump for a received packet at the update time.
 
-    Reconstructs the error as the centre of the signalled cell, jumps the
-    estimate with the closed-loop/open-loop split over the update delay,
-    and re-anchors the bound at the transmit time with the divided step.
-    bound_tx is ``state.d_e(plant, pkt.t_k)``, computed here unless the
-    caller has it.
+    bound_tx is ``state.d_e(plant, pkt.t_k)``, the bound ``encode`` was
+    given.  Reconstructs the error as the centre of the signalled cell,
+    jumps the estimate with the closed-loop/open-loop split over the update
+    delay, and re-anchors the bound at the transmit time with the divided
+    step.
     """
     if r_tilde < pkt.t_k:
         raise CausalityError("update before the packet was transmitted")
     x_hat_tx = state.x_hat_at(plant, pkt.t_k)
-    if bound_tx is None:
-        bound_tx = state.d_e(plant, pkt.t_k)
     cells = 1 << pkt.p_k
     width = 2.0 * bound_tx / cells
     centres = -bound_tx + (np.array(pkt.symbols) + 0.5) * width

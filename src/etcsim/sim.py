@@ -174,25 +174,37 @@ class Transmission(TransmissionRecord):
 
 @dataclass
 class SimTrace:
-    """Sampled closed-loop trajectory plus the transmission log."""
+    """Sampled closed-loop trajectory plus the transmission log.
 
-    t: np.ndarray
-    x: np.ndarray
-    x_hat: np.ndarray
-    V: np.ndarray
-    Vd: np.ndarray
-    h_pf: np.ndarray
-    eps: np.ndarray
-    h_ch: np.ndarray
-    d_e: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-    s_hat: np.ndarray
-    l3: np.ndarray
+    ``rows`` is the float64 table of the rows the engine recorded, in the trace CSV's
+    column order (t, x, x_hat, then ``TRACE_COLUMNS``); the named columns are views of it.
+    """
+
+    rows: np.ndarray
     transmissions: list[Transmission]
     horizon: float
     scan_step: float
     stats: dict = field(default_factory=dict)
+    t: np.ndarray = field(init=False)
+    x: np.ndarray = field(init=False)
+    x_hat: np.ndarray = field(init=False)
+    V: np.ndarray = field(init=False)
+    Vd: np.ndarray = field(init=False)
+    h_pf: np.ndarray = field(init=False)
+    eps: np.ndarray = field(init=False)
+    h_ch: np.ndarray = field(init=False)
+    d_e: np.ndarray = field(init=False)
+    phi: np.ndarray = field(init=False)
+    psi: np.ndarray = field(init=False)
+    s_hat: np.ndarray = field(init=False)
+    l3: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        rows = self.rows
+        n = (rows.shape[1] - 1 - len(TRACE_COLUMNS)) // 2
+        self.t, self.x, self.x_hat = rows[:, 0], rows[:, 1:1 + n], rows[:, 1 + n:1 + 2 * n]
+        for (attr, _), col in zip(TRACE_COLUMNS, rows[:, 1 + 2 * n:].T):
+            setattr(self, attr, col)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +243,7 @@ def check_admissibility(scenario: Scenario) -> AdmissibilityReport:
     blackouts = sched.blackout_slots()
     checks: list[CheckResult] = []
 
-    h0, eps0 = rule.ratios(0.0, scenario.x0, scenario.d_e0)
+    h0, eps0 = rule.levels(0.0, scenario.x0, scenario.d_e0)[:2]
     j0 = sched.right_slot_index(0.0)
     cap0 = int(sched.caps[j0])
 
@@ -293,14 +305,15 @@ class EventRule:
     plan's bits still to launch otherwise; ``l3`` is ``-inf`` where no
     blackout lies ahead.
 
-    The rule reads a state through its ratios (``ratios``).  Everything
+    The rule reads a state through ``levels``, its one map to the ratios
+    h and eps (and the V and V_d they divide).  Everything
     the schedule and plant fix is built once, with the rule: each slot's
     capacity plan (``plans``, None where no blackout lies ahead), each blackout slot's
     entry margin (``entry_margins``), and for every p up to the largest
     packet cap the delay floors, ``T_M(p)`` and
     ``||e^{A T_M}||_inf e^{(beta/2) T_M}``, indexed by p (``tm_tables``).
-    One step reads ``l1`` and ``l2``, ``perf_bound`` and from it
-    ``channel_bound`` at ``T_M(p)``, from those tables: ``_bounds``, which
+    One step reads ``l1`` and ``l2``, ``perf_bound`` and from it the
+    channel bound at ``T_M(p)``, from those tables: ``_bounds``, which
     ``terms``, ``fires`` and ``quiet`` all call, and the engine's packet
     sizing too, at ``p / R`` from tables built once per rate on a clear
     channel.  On a slot with no plan ``psi`` is the slot's cap, one int
@@ -324,7 +337,7 @@ class EventRule:
         c = self.plant.constants
         self._wm = c.decay_plus_growth
         self.tm_tables = self.bound_tables(self.tm)
-        self._pow2 = np.power(2.0, np.arange(self.pmax + 1))  # channel_bound's 2^p, by p
+        self._pow2 = np.power(2.0, np.arange(self.pmax + 1))  # l2's 2^p, by p
         self._caps = self.sched.caps.tolist()
         self._n, self._error_scale = self.plant.n, c.error_scale
 
@@ -335,17 +348,14 @@ class EventRule:
         norms[1:] = exp_growth_inf(self.plant, taus[1:])
         return np.expm1(self._wm * taus), np.exp(self.plant.constants.decay_gap * taus), norms
 
-    def ratios(self, ts, xs, des):
-        """Performance ratio ``h = V(x)/V_d(t)`` and error ratio ``eps = d_e/(c sqrt(V_d(t)))``.
+    def levels(self, ts, xs, des):
+        """``(h, eps, V, V_d)``: the performance ratio ``h = V(x)/V_d(t)``, the error ratio
+        ``eps = d_e/(c sqrt(V_d(t)))``, and the values ``V(x)`` and ``V_d(t)`` they divide.
 
         ts, the states xs (one per row; only the first n entries, the
         plant state, are read) and the error bounds des may be one time
         or arrays of times.
         """
-        return self.levels(ts, xs, des)[:2]
-
-    def levels(self, ts, xs, des):
-        """``(h, eps, V, V_d)``: ``ratios`` and the values ``V(x)`` and ``V_d(t)`` they divide."""
         vd = self.plant.desired_performance(ts)
         v = self.plant.lyapunov_value(xs[..., :self._n])
         return v / vd, des / (self._error_scale * np.sqrt(vd)), v, vd
@@ -393,9 +403,9 @@ class EventRule:
     def terms(self, ts, h, eps, j: int):
         """``(gate, l1, l2, l3)`` at times ts in slot j, for ratios h and eps.
 
-        ``l1`` and ``l2`` are ``perf_bound`` and ``channel_bound`` at
+        ``l1`` and ``l2`` are ``perf_bound`` and the channel bound at
         ``T_M(p)`` for ``p = max(psi, 1)``, read from the per-p tables
-        (``_bounds``), so they are the same floats.
+        (``_bounds``).
         Scalars stay scalars.  Where the gate is off at every t no term is
         evaluated and all three read ``-inf``.
         """
@@ -418,9 +428,11 @@ class EventRule:
         return gate & ((l1 >= 1.0) | (l2 >= 1.0) | (l3 >= 0.0))
 
     def _bounds(self, p, h, eps, tables=None):
-        """``(l1, l2)``: ``perf_bound`` and ``channel_bound`` at ``T_M(p)`` for ratios h and
-        eps, from the tables in their operations' order, so the same floats.  Given
-        ``bound_tables(taus)``, they are read at ``taus[p]`` in place of ``T_M(p)``.
+        """``(l1, l2)`` at ``tau = T_M(p)`` for ratios h and eps, from the tables: ``l1`` is
+        ``perf_bound(tau)`` and ``l2``, the channel bound after a p-bit update tau ahead, is
+        ``||e^{A tau}||_inf e^{(beta/2) tau} eps / rho_T(l1) / 2^p``, in that order of
+        operations.  Given ``bound_tables(taus)``, they are read at ``taus[p]`` in place of
+        ``T_M(p)``.
 
         Where l1 exceeds 1 the threshold is undefined and l2 bounds nothing; it is read
         under this one ``np.errstate``.
@@ -446,7 +458,7 @@ class EventRule:
         - ``H`` must stay below 1;
         - for each p that ``max(psi, 1)`` takes (psi does not increase within
           a slot), ``(l1, l2) = _bounds(p, H, E)`` must stay below 1:
-          ``perf_bound`` rises with h and eps, and ``channel_bound`` with its
+          ``perf_bound`` rises with h and eps, and the channel bound with its
           perf bound and eps;
         - ``l3`` stays below its value at a with the capacity floor at b.
 
@@ -507,8 +519,8 @@ class _Engine:
         # mutable run state
         self.t = 0.0
         self.x_aug = np.concatenate([scenario.x0, scenario.x_hat0])
-        self.enc = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0, 0.0)
-        self.dec = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0, 0.0)
+        self.enc = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0)
+        self.dec = codec_mod.initial_state(scenario.x_hat0, scenario.d_e0)
         self.transmissions: list[Transmission] = []
         self.rows: list[np.ndarray] = []
         self._rate_tables: dict[float, tuple] = {}  # _min_bits' bound tables at p / R, by R
@@ -671,8 +683,8 @@ class _Engine:
     def _min_bits(self, h: float, eps: float, rate: float) -> int | None:
         """Smallest bit count whose channel bound stays at or below 1.
 
-        The bound is ``channel_bound`` at ``T_M(p)`` with blackouts and at ``p / rate``
-        without, read by ``EventRule._bounds`` from tables built once per rate.
+        The bound is ``EventRule._bounds``' l2 at ``T_M(p)`` with blackouts and at ``p / rate``
+        without, from tables built once per rate.
         """
         if self.blackouts:
             tables = self.rule.tm_tables
@@ -686,7 +698,7 @@ class _Engine:
         """Send at t, in slot ``slot_at(t)``, with ``de = d_e(t)``: the packet, its reception
         time and h, eps at t."""
         x, j = self.x_aug[:self.n], self.sched.slot_at(t)
-        h, eps = map(float, self.rule.ratios(t, self.x_aug, de))
+        h, eps = map(float, self.rule.levels(t, self.x_aug, de)[:2])
         rate = float(self.sched.rates[j])
         cap_eff = int(self.rule.psi(t, j))
         p_lo = self._min_bits(h, eps, rate)
@@ -709,7 +721,7 @@ class _Engine:
             raise InvariantBreachError("encoder and decoder replicas diverged")
         self.x_aug = np.concatenate([self.x_aug[:self.n], self.enc.x_hat])
         de = self.enc.d_e(self.plant, r_tilde)
-        h, eps = self.rule.ratios(r_tilde, self.x_aug, de)
+        h, eps = self.rule.levels(r_tilde, self.x_aug, de)[:2]
         h_ch = eps / error_threshold(self.plant, self.scn.trigger.lookahead, h)
         self.transmissions.append(Transmission(
             k=len(self.transmissions) + 1, t_k=pkt.t_k, p_k=pkt.p_k,
@@ -748,17 +760,8 @@ class _Engine:
             raise
 
     def _build_trace(self) -> SimTrace:
-        n = self.n
-        rows = np.concatenate([np.empty((0, 1 + 2 * n + len(TRACE_COLUMNS))), *self.rows])
-        trace = SimTrace(
-            t=rows[:, 0],
-            x=rows[:, 1:1 + n],
-            x_hat=rows[:, 1 + n:1 + 2 * n],
-            **{attr: col for (attr, _), col in zip(TRACE_COLUMNS, rows[:, 1 + 2 * n:].T)},
-            transmissions=self.transmissions,
-            horizon=self.horizon,
-            scan_step=self.scan_step,
-        )
+        rows = np.concatenate([np.empty((0, 1 + 2 * self.n + len(TRACE_COLUMNS))), *self.rows])
+        trace = SimTrace(rows, self.transmissions, self.horizon, self.scan_step)
         trace.stats = summarize(trace, self.sched)
         trace.stats["diagnostics"] = {"work": dict(self.work)}
         return trace

@@ -112,21 +112,6 @@ def exp_growth_inf(plant: PlantModel, tau):
     return plant.exp_A.inf_norm(taus) * np.exp(plant.beta / 2.0 * taus)
 
 
-def channel_bound(plant: PlantModel, T: float, tau, h0, eps0, p):
-    """Upper bound on the channel ratio after a p-bit update tau ahead.
-
-    ``||e^{A tau}||_inf e^{(beta/2) tau} eps0 / rho_T(perf_bound(tau)) / 2^p``.
-    Where the perf bound at tau exceeds 1 the threshold is undefined and the
-    value bounds nothing; the caller handles that case.  ``sim.EventRule``
-    reads the same floats from per-p tables, at ``tau = T_M(p)`` and, for the
-    engine's packet sizing on a clear channel, at ``tau = p / R``; this is the
-    reference form.
-    """
-    hbar = perf_bound(plant, tau, h0, eps0)
-    rho = error_threshold(plant, T, hbar)
-    return exp_growth_inf(plant, tau) * np.asarray(eps0) / rho / np.power(2.0, p)
-
-
 def blackout_entry_margin(plant: PlantModel, blackout_len: float) -> float:
     """Largest error ratio tolerable when a blackout of this length begins.
 

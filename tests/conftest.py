@@ -14,7 +14,7 @@ from etcsim.errors import AdmissibilityError
 from etcsim.scenario import load_scenario
 from etcsim.sim import _Engine, check_admissibility, run
 from etcsim.triggers import (ROOT_TOL, TriggerConfig, bisect_crossing, blackout_entry_margin,
-                             exp_growth_inf, perf_bound, trigger_constants)
+                             error_threshold, exp_growth_inf, perf_bound, trigger_constants)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -130,6 +130,18 @@ def violation_time_oracle(plant, h0, eps0):
                 return scalar_bisect(above, prev, tau, ROOT_TOL)[1]
             prev = tau
         lo, hi = hi, hi + 2.0 * (hi - lo)
+
+
+def channel_bound(plant, T, tau, h0, eps0, p):
+    """Upper bound on the channel ratio after a p-bit update tau ahead: the reference form of
+    ``sim.EventRule._bounds``' l2, which reads the same floats from per-p tables.
+
+    ``||e^{A tau}||_inf e^{(beta/2) tau} eps0 / rho_T(perf_bound(tau)) / 2^p``.  Where the
+    perf bound at tau exceeds 1 the threshold is undefined and the value bounds nothing.
+    """
+    hbar = perf_bound(plant, tau, h0, eps0)
+    rho = error_threshold(plant, T, hbar)
+    return exp_growth_inf(plant, tau) * np.asarray(eps0) / rho / np.power(2.0, p)
 
 
 def exp_matrix(kernel, t):

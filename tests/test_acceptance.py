@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import capacity_exact, run_refined
+from conftest import capacity_exact, channel_bound, run_refined
 
 from etcsim.capacity import capacity_lp_floor, launch_budget, slot_plans
 from etcsim.channel import ChannelSchedule
 from etcsim.linalg import solve_lyapunov
 from etcsim.scenario import load_scenario
 from etcsim.sim import run
-from etcsim.triggers import blackout_entry_margin, channel_bound, perf_bound, time_to_perf_violation
+from etcsim.triggers import blackout_entry_margin, perf_bound, time_to_perf_violation
 
 SEC6 = Path(__file__).resolve().parents[1] / "scenarios" / "sec6.json"
 

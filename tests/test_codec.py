@@ -22,58 +22,58 @@ def cell_loop(err, bound, p):
 
 
 @pytest.fixture(scope="module")
-def drift_free_plant():
+def plant0():
     # A = 0 keeps the error bound constant between updates.
     return build_plant(A=np.zeros((2, 2)), B=np.eye(2), K=-1.0 * np.eye(2),
                        Q=np.eye(2), a=1.5, beta=0.5)
 
 
 class TestEncode:
-    def test_top_cell_is_closed_above(self, drift_free_plant):
+    def test_top_cell_is_closed_above(self, plant0):
         state = initial_state([0.0, 0.0], 1.0)
-        pkt = encode(drift_free_plant, [0.9, 0.9], state, p=3, t=0.0)
+        pkt = encode(plant0, [0.9, 0.9], state, 3, 0.0, state.d_e(plant0, 0.0))
         assert pkt.symbols == (7, 7)
 
-    def test_zero_error_boundary_goes_low(self, drift_free_plant):
+    def test_zero_error_boundary_goes_low(self, plant0):
         state = initial_state([1.0, -1.0], 1.0)
-        pkt = encode(drift_free_plant, [1.0, -1.0], state, p=1, t=0.0)
+        pkt = encode(plant0, [1.0, -1.0], state, 1, 0.0, state.d_e(plant0, 0.0))
         assert pkt.symbols == (0, 0)
 
-    def test_most_bits_top_cell_and_boundary(self, drift_free_plant):
+    def test_most_bits_top_cell_and_boundary(self, plant0):
         # p = 52: cells of width 2^-51 on [-1, 1], every index and centre exact in float64.
         state = initial_state([0.0, 0.0], 1.0)
-        top, bottom = encode(drift_free_plant, [1.0, -1.0], state, p=52, t=0.0).symbols
+        top, bottom = encode(plant0, [1.0, -1.0], state, 52, 0.0, state.d_e(plant0, 0.0)).symbols
         assert (top, bottom) == (2 ** 52 - 1, 0)
         # 0 and 2^-51 are boundaries: each falls to the cell below it.
-        pkt = encode(drift_free_plant, [0.0, 2.0 ** -51], state, p=52, t=0.0)
+        pkt = encode(plant0, [0.0, 2.0 ** -51], state, 52, 0.0, state.d_e(plant0, 0.0))
         assert pkt.symbols == (2 ** 51 - 1, 2 ** 51)
-        new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+        new = decode_and_update(plant0, pkt, state, 0.0, state.d_e(plant0, pkt.t_k))
         assert new.x_hat.tolist() == [-2.0 ** -52, 2.0 ** -52]
-        top_pkt = encode(drift_free_plant, [1.0, 1.0], state, p=52, t=0.0)
-        new = decode_and_update(drift_free_plant, top_pkt, state, r_tilde=0.0)
+        top_pkt = encode(plant0, [1.0, 1.0], state, 52, 0.0, state.d_e(plant0, 0.0))
+        new = decode_and_update(plant0, top_pkt, state, 0.0, state.d_e(plant0, top_pkt.t_k))
         assert new.x_hat.tolist() == [1.0 - 2.0 ** -52] * 2
 
-    def test_zero_bound_sends_zero_symbols(self, drift_free_plant):
+    def test_zero_bound_sends_zero_symbols(self, plant0):
         # d_e = 0 makes every cell width 0: all symbols are 0 and the update keeps x_hat.
         state = initial_state([0.5, -0.5], 0.0)
-        pkt = encode(drift_free_plant, [0.5, -0.5], state, p=3, t=0.0)
+        pkt = encode(plant0, [0.5, -0.5], state, 3, 0.0, state.d_e(plant0, 0.0))
         assert pkt.symbols == (0, 0)
-        new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+        new = decode_and_update(plant0, pkt, state, 0.0, state.d_e(plant0, pkt.t_k))
         assert new.x_hat.tolist() == [0.5, -0.5]
         assert new.step == 0.0
 
-    def test_round_trip_error_within_half_cell(self, drift_free_plant, rng):
+    def test_round_trip_error_within_half_cell(self, plant0, rng):
         d_e = 2.0
         for p in (1, 2, 4, 6):
             for _ in range(50):
                 err = rng.uniform(-d_e, d_e, size=2)
                 state = initial_state([0.0, 0.0], d_e)
-                pkt = encode(drift_free_plant, err, state, p=p, t=0.0)
-                new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+                pkt = encode(plant0, err, state, p, 0.0, state.d_e(plant0, 0.0))
+                new = decode_and_update(plant0, pkt, state, 0.0, state.d_e(plant0, pkt.t_k))
                 assert inf_norm(err - new.x_hat) <= d_e / 2 ** p + 1e-12
 
     @pytest.mark.parametrize("p", [1, 8, 31, 52])
-    def test_cells_match_the_loop_bit_for_bit(self, drift_free_plant, rng, p):
+    def test_cells_match_the_loop_bit_for_bit(self, plant0, rng, p):
         # A = 0 and x_hat = 0: the error is x, and an instant update's estimate is the centres.
         d_e = 1.5
         cells = np.arange(0, 2 ** p, max(1, 2 ** p // 16))
@@ -81,47 +81,46 @@ class TestEncode:
         errs = np.concatenate([rng.uniform(-d_e, d_e, 64), boundaries, [-d_e, d_e]])
         state = initial_state([0.0, 0.0], d_e)
         for err in errs.reshape(-1, 2):
-            pkt = encode(drift_free_plant, err, state, p=p, t=0.0)
+            pkt = encode(plant0, err, state, p, 0.0, state.d_e(plant0, 0.0))
             symbols, centres = cell_loop(err, d_e, p)
             assert pkt.symbols == symbols
-            new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+            new = decode_and_update(plant0, pkt, state, 0.0, state.d_e(plant0, pkt.t_k))
             assert new.x_hat.tolist() == centres
 
-    def test_out_of_box_error_raises(self, drift_free_plant):
+    def test_out_of_box_error_raises(self, plant0):
         state = initial_state([0.0, 0.0], 1.0)
         with pytest.raises(InvariantBreachError):
-            encode(drift_free_plant, [1.5, 0.0], state, p=2, t=0.0)
+            encode(plant0, [1.5, 0.0], state, 2, 0.0, state.d_e(plant0, 0.0))
 
-    def test_second_packet_in_flight_rejected(self, drift_free_plant):
+    def test_second_packet_in_flight_rejected(self, plant0):
         state = mark_in_flight(initial_state([0.0, 0.0], 1.0))
         with pytest.raises(InvariantBreachError):
-            encode(drift_free_plant, [0.1, 0.0], state, p=2, t=0.0)
+            encode(plant0, [0.1, 0.0], state, 2, 0.0, state.d_e(plant0, 0.0))
 
 
 class TestDecode:
-    def test_instant_update_jumps_to_cell_centre(self, drift_free_plant):
+    def test_instant_update_jumps_to_cell_centre(self, plant0):
         state = initial_state([0.0, 0.0], 1.0)
-        pkt = encode(drift_free_plant, [0.3, -0.3], state, p=2, t=0.0)
-        new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.0)
+        pkt = encode(plant0, [0.3, -0.3], state, 2, 0.0, state.d_e(plant0, 0.0))
+        new = decode_and_update(plant0, pkt, state, 0.0, state.d_e(plant0, pkt.t_k))
         # Cells of width 0.5 on [-1, 1]: 0.3 -> centre 0.25, -0.3 -> -0.25.
         assert np.allclose(new.x_hat, [0.25, -0.25], atol=1e-12)
         assert new.step == pytest.approx(1.0 / 2 ** 2, abs=1e-15)
 
-    def test_update_divides_bound_by_packet_size(self, drift_free_plant):
+    def test_update_divides_bound_by_packet_size(self, plant0):
         state = initial_state([0.0, 0.0], 4.0)
-        pkt = encode(drift_free_plant, [1.0, 1.0], state, p=3, t=0.5)
-        new = decode_and_update(drift_free_plant, pkt, state, r_tilde=0.5)
-        assert new.d_e(drift_free_plant, 0.5) == pytest.approx(4.0 / 8.0, abs=1e-15)
+        pkt = encode(plant0, [1.0, 1.0], state, 3, 0.5, state.d_e(plant0, 0.5))
+        new = decode_and_update(plant0, pkt, state, 0.5, state.d_e(plant0, pkt.t_k))
+        assert new.d_e(plant0, 0.5) == pytest.approx(4.0 / 8.0, abs=1e-15)
 
-    def test_delayed_jump_matches_closed_form(self, drift_free_plant):
+    def test_delayed_jump_matches_closed_form(self, plant0):
         # With A = 0 the jump is exp(Abar*delay) x_hat + reconstruction.
-        plant = drift_free_plant
         state = initial_state([2.0, 1.0], 1.0)
         x = np.array([2.4, 0.6])
-        pkt = encode(plant, x, state, p=4, t=0.0)
+        pkt = encode(plant0, x, state, 4, 0.0, state.d_e(plant0, 0.0))
         delay = 0.3
-        new = decode_and_update(plant, pkt, state, r_tilde=delay)
-        centres = new.x_hat - expm(plant.Abar * delay) @ np.array([2.0, 1.0])
+        new = decode_and_update(plant0, pkt, state, delay, state.d_e(plant0, pkt.t_k))
+        centres = new.x_hat - expm(plant0.Abar * delay) @ np.array([2.0, 1.0])
         width = 2.0 / 2 ** 4
         want = np.floor((x - np.array([2.0, 1.0]) + 1.0) / width + 1e-9)
         # reconstruction sits at the centre of the signalled cell
@@ -129,11 +128,11 @@ class TestDecode:
                            atol=1e-12)
         assert np.allclose(np.array(pkt.symbols), want, atol=0)
 
-    def test_causality_enforced(self, drift_free_plant):
+    def test_causality_enforced(self, plant0):
         state = initial_state([0.0, 0.0], 1.0)
-        pkt = encode(drift_free_plant, [0.1, 0.1], state, p=1, t=1.0)
+        pkt = encode(plant0, [0.1, 0.1], state, 1, 1.0, state.d_e(plant0, 1.0))
         with pytest.raises(CausalityError):
-            decode_and_update(drift_free_plant, pkt, state, r_tilde=0.5)
+            decode_and_update(plant0, pkt, state, 0.5, state.d_e(plant0, pkt.t_k))
 
 
 class TestPropagate:
@@ -168,10 +167,10 @@ class TestReplicaSync:
             bound = enc.d_e(ref_plant, t)
             x_hat = enc.x_hat_at(ref_plant, t)
             x = x_hat + rng.uniform(-bound, bound, size=2)
-            pkt = encode(ref_plant, x, enc, p=3, t=t)
+            pkt = encode(ref_plant, x, enc, 3, t, bound)
             r_tilde = t + 0.001
-            enc = decode_and_update(ref_plant, pkt, enc, r_tilde)
-            dec = decode_and_update(ref_plant, pkt, dec, r_tilde)
+            enc = decode_and_update(ref_plant, pkt, enc, r_tilde, enc.d_e(ref_plant, pkt.t_k))
+            dec = decode_and_update(ref_plant, pkt, dec, r_tilde, dec.d_e(ref_plant, pkt.t_k))
             assert np.array_equal(enc.x_hat, dec.x_hat)
             assert enc.step == dec.step
             assert enc.anchor_time == dec.anchor_time

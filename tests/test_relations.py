@@ -16,14 +16,13 @@ import functools
 import json
 import math
 
-import numpy as np
 import pytest
 from conftest import SCENARIOS, ReplayEngine
 from test_fuzz import _ENTRY_MARGIN_BREACHES, _MISSED_FIRINGS
 
 from etcsim.errors import GuaranteeBreachError, ObjectiveViolationError
 from etcsim.scenario import build_scenario
-from etcsim.sim import TRACE_COLUMNS, _Engine, run
+from etcsim.sim import _Engine, run
 from etcsim.triggers import ROOT_TOL
 
 BUNDLED = ("sec6", "clear10", "jordan4")
@@ -31,12 +30,6 @@ BUNDLED = ("sec6", "clear10", "jordan4")
 
 def bundled(stem):
     return json.loads((SCENARIOS / f"{stem}.json").read_text())
-
-
-def rows(trace):
-    """The trace's rows, every column in CSV order."""
-    columns = [trace.t, trace.x, trace.x_hat] + [getattr(trace, a) for a, _ in TRACE_COLUMNS]
-    return np.column_stack(columns)
 
 
 class RecordingEngine(_Engine):
@@ -61,7 +54,7 @@ def outcome(engine):
     except (ObjectiveViolationError, GuaranteeBreachError) as exc:
         trace, breach = exc.trace, (type(exc), str(exc))
     stats = {key: value for key, value in trace.stats.items() if key != "diagnostics"}
-    return rows(trace).tobytes(), repr(trace.transmissions), repr(stats), breach
+    return trace.rows.tobytes(), repr(trace.transmissions), repr(stats), breach
 
 
 REPLAYED = {**{stem: bundled(stem) for stem in BUNDLED},
@@ -121,4 +114,4 @@ def test_a_run_cut_inside_a_slot_is_a_prefix_of_the_longer_run(stem, horizon):
     stop = horizon - ROOT_TOL
     kept = [tx for tx in whole.transmissions if tx.r_tilde_k < stop]
     assert kept and repr(cut.transmissions) == repr(kept)
-    assert rows(cut)[cut.t < stop].tobytes() == rows(whole)[whole.t < stop].tobytes()
+    assert cut.rows[cut.t < stop].tobytes() == whole.rows[whole.t < stop].tobytes()

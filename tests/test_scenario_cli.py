@@ -34,8 +34,7 @@ EXIT_CODES = {
 def stream_trace_csv(trace, path, piece):
     """The CLI's streamed writer fed the trace's rows piece rows at a time, and, as in the
     CLI, the in-process writer when no row came."""
-    rows = np.column_stack([trace.t, trace.x, trace.x_hat] + [
-        getattr(trace, attr) for attr, _ in etcsim.sim.TRACE_COLUMNS])
+    rows = trace.rows
     stream = etcsim.cli._TraceStream(path, trace.x.shape[1])
     for start in range(0, len(rows), piece):
         stream.send(rows[start:start + piece])
@@ -225,6 +224,21 @@ class TestCli:
         assert out[-1] == "no blackout lies ahead of a slot before the horizon: a run reads no plan"
         assert not any(line.startswith("slot ") for line in out)
 
+    def test_non_finite_stat_is_written_as_a_string(self, tmp_path, monkeypatch):
+        # A breach whose V_d underflows reports max_h_pf = inf (ROADMAP item 11).  No shipped
+        # run reaches that, so summarize is patched to report it.
+        summarize = etcsim.sim.summarize
+        monkeypatch.setattr(etcsim.sim, "summarize", lambda trace, schedule: {
+            **summarize(trace, schedule), "max_h_pf": math.inf})
+        scenario = REPO_SCENARIO.parent / "clear10.json"
+        assert main(["simulate", str(scenario), "--out-dir", str(tmp_path)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        stats = json.loads((tmp_path / "clear10_stats.json").read_text(), parse_constant=refuse)
+        assert stats["max_h_pf"] == "inf" and stats["transmission_count"] >= 1
+
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         code = main(["simulate", str(REPO_SCENARIO), "--out-dir", str(tmp_path)])
         assert code == 0
@@ -262,12 +276,12 @@ class TestCli:
 
     @staticmethod
     def synthetic_trace(rows, rng):
-        """A two-state SimTrace of random cells, three 64-row blocks when rows = 150."""
-        cols = {attr: rng.normal(size=rows) * 10.0 ** rng.uniform(-8, 8, rows)
-                for attr, _ in etcsim.sim.TRACE_COLUMNS}
-        x, x_hat = rng.normal(size=(rows, 2)), rng.normal(size=(rows, 2))
-        return etcsim.sim.SimTrace(t=np.linspace(0.0, 1.0, rows), x=x, x_hat=x_hat, **cols,
-                                   transmissions=[], horizon=1.0, scan_step=0.01)
+        """A two-state SimTrace of random cells, three 64-row blocks when rows = 150; its
+        columns are views of its one table of rows."""
+        shape = (rows, len(etcsim.sim.TRACE_COLUMNS))
+        table = np.column_stack([np.linspace(0.0, 1.0, rows), rng.normal(size=(rows, 4)),
+                                 rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)])
+        return etcsim.sim.SimTrace(table, transmissions=[], horizon=1.0, scan_step=0.01)
 
     @pytest.mark.parametrize("rows,piece", [  # piece: streamed, fed that many rows at a time
         pytest.param(rows, piece, id=str(rows) if piece is None else f"{rows}-streamed{piece}")

@@ -6,8 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (SCENARIOS, SHEAR_PLANT, check_invariants, lqr_gain, rescaled_sec6,
-                      scalar_bisect, slotted_document)
+from conftest import (SCENARIOS, SHEAR_PLANT, channel_bound, check_invariants, lqr_gain,
+                      rescaled_sec6, scalar_bisect, slotted_document)
 
 from etcsim import codec, sim
 from etcsim.capacity import launch_budget, slot_plans
@@ -29,7 +29,6 @@ from etcsim.triggers import (
     ROOT_TOL,
     TriggerConfig,
     blackout_entry_margin,
-    channel_bound,
     error_threshold,
     perf_bound,
 )
@@ -42,7 +41,7 @@ def whole_slot_locate_fire(eng, t_start):
 
     def fires(ts, j):
         xs = eng.exp_block.flow(anchor_x)(np.subtract(ts, t_start))
-        h, eps = eng.rule.ratios(ts, xs, eng.enc.d_e(eng.plant, ts))
+        h, eps = eng.rule.levels(ts, xs, eng.enc.d_e(eng.plant, ts))[:2]
         return eng.rule.fires(ts, h, eps, j)
 
     cursor, stop = t_start, eng.horizon - ROOT_TOL
@@ -109,8 +108,10 @@ class TestLocateCrossing:
         x = np.array([1.0, 0.0]) * math.sqrt(0.1 * vd / plant.P[0, 0])
         eng = _Engine(scn)
         eng.x_aug = np.concatenate([x, x])
-        eng.enc = initial_state(x, 4000.0 * plant.constants.error_scale * math.sqrt(vd), t)
-        h, eps = rule.ratios(t, eng.x_aug, eng.enc.d_e(plant, t))
+        eng.enc = dataclasses.replace(
+            initial_state(x, 4000.0 * plant.constants.error_scale * math.sqrt(vd)),
+            base_time=t, anchor_time=t)
+        h, eps = rule.levels(t, eng.x_aug, eng.enc.d_e(plant, t))[:2]
         assert h == pytest.approx(0.1) and eps == pytest.approx(4000.0)
         assert not rule.fires(t, h, eps, 0) and rule.fires(t, h, eps, 1)
         assert eng._locate_fire(t) == t and scn.schedule.slot_at(t) == 0
@@ -558,6 +559,17 @@ class TestEquilibrium:
         assert np.all(trace.V == 0.0)
         assert np.all(trace.V <= trace.Vd)
 
+    @pytest.mark.xfail(strict=True, raises=InvariantBreachError,
+                       reason="ROADMAP item 10: exp_block flows x and x_hat by different sums")
+    def test_exactly_known_initial_state_holds_the_codec_invariant(self):
+        # xhat0 = x0 gives d_e0 = 0 through de0_factor.  The run breaches at t = 0.01: the
+        # error is 2.66e-15 against the bound 0.0, which no relative slack absorbs.
+        doc = json.loads((SCENARIOS / "clear10.json").read_text())
+        doc["sim"]["xhat0"] = doc["sim"]["x0"]
+        scn = build_scenario(doc)
+        assert scn.d_e0 == 0.0 and check_admissibility(scn).ok
+        check_invariants(scn, run(scn))
+
 
 class TestClearChannelRun:
     def test_safety_and_progress(self, clear_channel_trace):
@@ -655,6 +667,17 @@ class TestBlackoutRun:
     def test_safety(self, blackout_trace):
         assert np.all(blackout_trace.h_pf <= 1.0)
 
+    @pytest.mark.xfail(strict=True, raises=GuaranteeBreachError,
+                       reason="ROADMAP item 1: must the rule change, or admissibility?")
+    def test_min_bits_policy_holds_the_entry_margins(self):
+        # Admissible, yet eps reaches 5.12e-5 at the blackout at 4.88, against its entry
+        # margin 3.36e-5.  clear10 under min_bits exits 0.
+        doc = json.loads((SCENARIOS / "sec6.json").read_text())
+        doc["sim"]["packet_policy"] = "min_bits"
+        scn = build_scenario(doc)
+        assert check_admissibility(scn).ok
+        check_invariants(scn, run(scn))
+
     def test_codec_soundness(self, blackout_trace):
         err = np.max(np.abs(blackout_trace.x - blackout_trace.x_hat), axis=1)
         assert np.all(err <= blackout_trace.d_e * (1 + 1e-9) + 1e-300)
@@ -750,7 +773,8 @@ class TestBlackoutRun:
         replica = initial_state(blackout_scn.x_hat0, blackout_scn.d_e0)
         for tx in blackout_trace.transmissions:
             pkt = Packet(t_k=tx.t_k, p_k=tx.p_k, symbols=tx.symbols)
-            replica = decode_and_update(blackout_scn.plant, pkt, replica, tx.r_tilde_k)
+            replica = decode_and_update(blackout_scn.plant, pkt, replica, tx.r_tilde_k,
+                                        replica.d_e(blackout_scn.plant, tx.t_k))
             row = np.flatnonzero(blackout_trace.t == tx.r_tilde_k)[-1]
             assert np.array_equal(blackout_trace.x_hat[row], replica.x_hat)
 
@@ -761,6 +785,25 @@ class TestBlackoutRun:
         assert np.array_equal(again.x_hat, blackout_trace.x_hat)
         assert [tx.t_k for tx in again.transmissions] == [
             tx.t_k for tx in blackout_trace.transmissions]
+
+
+class TestTraceTable:
+    """``SimTrace.rows`` is the one table of a run's rows, and its named columns are views."""
+
+    @pytest.mark.parametrize("name", ["blackout", "clear_channel"])
+    def test_named_columns_are_views_of_the_rows(self, request, name):
+        trace = request.getfixturevalue(f"{name}_trace")
+        names = ["t", "x", "x_hat"] + [attr for attr, _ in sim.TRACE_COLUMNS]
+        assert len(names) == 13 and trace.rows.dtype == np.float64
+        start = 0
+        for attr in names:
+            col = getattr(trace, attr)
+            assert np.shares_memory(col, trace.rows), attr
+            width = 1 if col.ndim == 1 else col.shape[1]
+            assert np.array_equal(col.reshape(len(col), width),
+                                  trace.rows[:, start:start + width], equal_nan=True), attr
+            start += width
+        assert start == trace.rows.shape[1]
 
 
 class TestRecorderOracle:

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import SCENARIOS, delay_floor_oracle, scalar_bisect, violation_time_oracle
+from conftest import (SCENARIOS, channel_bound, delay_floor_oracle, scalar_bisect,
+                      violation_time_oracle)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -23,7 +24,6 @@ from etcsim.triggers import (
     TriggerConfig,
     bisect_crossing,
     blackout_entry_margin,
-    channel_bound,
     error_threshold,
     exp_growth_inf,
     first_crossing,
